@@ -9,6 +9,7 @@ import json
 from pathlib import Path
 
 from sdof_lab import region_from_theorem, validate_schedule
+from sdof_lab.cli import write_plot_data
 from sdof_lab.regions import THEOREM_IDS
 
 # schedules the parameterized entries are evaluated at
@@ -32,10 +33,7 @@ def main():
         region = region_from_theorem(theorem, schedule)
         (out / f"{theorem}.json").write_text(
             json.dumps(region.to_json_dict(), indent=2, sort_keys=True))
-        lines = [f"# {theorem} vertices (d1 d2)"]
-        for v in region.vertices:
-            lines.append(f"{float(v[0]):.17g} {float(v[1]):.17g}")
-        (out / f"{theorem}.dat").write_text("\n".join(lines) + "\n")
+        write_plot_data(out / f"{theorem}.dat", theorem, region)
         print(f"{theorem}: {len(region.vertices)} vertices -> {out}/{theorem}.json")
 
 

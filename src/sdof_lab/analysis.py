@@ -66,25 +66,13 @@ def _logdet_bits(mat: np.ndarray, p: float) -> float:
     return float(np.sum(np.log2(1.0 + p * sv ** 2)))
 
 
-def _split_columns(system: EffectiveLinearSystem, node: str,
-                   secret, known) -> tuple[np.ndarray, np.ndarray]:
-    secret = frozenset(secret)
-    known = frozenset(known)
-    mat = system.matrices[node]
-    if mat.shape[0] == 0:
+def _kept_columns(system: EffectiveLinearSystem, node: str,
+                  secret, known) -> tuple[np.ndarray, np.ndarray]:
+    """node's matrix without the known columns, and the mask of secret columns."""
+    if system.matrices[node].shape[0] == 0:
         raise EmptySystem(f"node {node} has no observations")
-    index = system.symbol_index
-    for sid in secret | known:
-        if sid not in index:
-            from .errors import UnknownSymbolId
-            raise UnknownSymbolId(sid)
-    keep = [i for d, i in ((d, index[d.sid]) for d in system.symbols)
-            if d.sid not in known]
-    full = mat[:, keep]
-    nuis_cols = [index[d.sid] for d in system.symbols
-                 if d.sid not in known and d.sid not in secret]
-    nuisance = mat[:, nuis_cols]
-    return full, nuisance
+    kept, is_secret = system.split_columns(node, secret, known)
+    return system.matrices[node][:, kept], is_secret
 
 
 def gaussian_mi(system: EffectiveLinearSystem, node: str, secret: Iterable[str],
@@ -96,8 +84,8 @@ def gaussian_mi(system: EffectiveLinearSystem, node: str, secret: Iterable[str],
     the exact conditional differential entropies.
     """
     p = _power_value(power)
-    full, nuisance = _split_columns(system, node, secret, known)
-    bits = _logdet_bits(full, p) - _logdet_bits(nuisance, p)
+    full, is_secret = _kept_columns(system, node, secret, known)
+    bits = _logdet_bits(full, p) - _logdet_bits(full[:, ~is_secret], p)
     if bits < -1e-9:
         raise AssertionError(f"mutual information {bits} below clamp tolerance")
     bits = max(bits, 0.0)
@@ -109,9 +97,10 @@ def achievable_rate(system: EffectiveLinearSystem, node: str, power) -> MiResult
     return gaussian_mi(system, node, system.message_sids(node), power)
 
 
-def estimate_slope(metric: Callable[[float], float], slots,
-                   grid: Sequence[float] = DEFAULT_GRID) -> SlopeEstimate:
-    """Least-squares prelog of metric(P)/slots against log2(P) over `grid`."""
+def fit_slope(values: Sequence[float], slots,
+              grid: Sequence[float] = DEFAULT_GRID) -> SlopeEstimate:
+    """Least-squares prelog of values/slots against log2(P), where values[i]
+    is the metric at power grid[i]."""
     grid = tuple(float(p) for p in grid)
     if len(grid) < 2:
         raise GridTooSmall("slope estimation needs at least two powers")
@@ -119,11 +108,18 @@ def estimate_slope(metric: Callable[[float], float], slots,
         raise GridTooSmall("power grid must be strictly increasing")
     slots = float(slots)
     xs = np.log2(np.array(grid))
-    ys = np.array([metric(p) for p in grid]) / slots
+    ys = np.array(values) / slots
     coeffs = np.polyfit(xs, ys, 1)
     fit = np.polyval(coeffs, xs)
     residual = float(np.sqrt(np.mean((ys - fit) ** 2)))
     return SlopeEstimate(slope=float(coeffs[0]), power_grid=grid, residual=residual)
+
+
+def estimate_slope(metric: Callable[[float], float], slots,
+                   grid: Sequence[float] = DEFAULT_GRID) -> SlopeEstimate:
+    """Least-squares prelog of metric(P)/slots against log2(P) over `grid`."""
+    grid = tuple(float(p) for p in grid)
+    return fit_slope([metric(p) for p in grid], slots, grid)
 
 
 def rate_slope(system: EffectiveLinearSystem, node: str, slots,
@@ -149,20 +145,13 @@ def mc_mi_oracle(system: EffectiveLinearSystem, node: str, secret: Iterable[str]
     converges to the log-det expression but exercises none of its code.
     """
     p = _power_value(power)
-    full, nuisance = _split_columns(system, node, secret, known)
-    d = full.shape[0]
+    r_keep, secret_mask = _kept_columns(system, node, secret, known)
+    d = r_keep.shape[0]
     if d > 8:
         raise DimensionTooLarge(f"observation dimension {d} exceeds the desk cap 8")
-    secret = [sid for sid in system.symbol_index if sid in frozenset(secret)]
-    index = system.symbol_index
-    known = frozenset(known)
-    keep = [i for dd, i in ((dd, index[dd.sid]) for dd in system.symbols)
-            if dd.sid not in known]
-    r_keep = system.matrices[node][:, keep]
-    secret_mask = np.array([system.symbols[i].sid in frozenset(secret) for i in keep])
 
     gen = rng.stream(seed, "mc-mi", node)
-    s = rng.complex_normal(gen, (n_samples, len(keep)))
+    s = rng.complex_normal(gen, (n_samples, r_keep.shape[1]))
     noise = rng.complex_normal(gen, (n_samples, d))
     y = math.sqrt(p) * (s @ r_keep.T) + noise
 

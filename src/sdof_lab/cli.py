@@ -26,13 +26,26 @@ import numpy as np
 
 from . import analysis, regions
 from .errors import CsitViolation, SdofLabError
-from .fm_oracle import grid_agreement
+from .fm_oracle import convex_hull, grid_agreement
 from .model import RX1, RX2, PowerBudget, sample_channel, validate_schedule
 from .precoding import assemble_effective_system
 from .schemes import accounting, build_scheme, decode, from_cli_name, run_scheme
 
 CSV_HEADER = ("scheme_id,seed,power,slots,symbols_rx1,symbols_rx2,"
               "rate_rx1_bits,rate_rx2_bits,leakage_bits,decode_residual_max")
+# 2^±1000 keeps sqrt(P) and every P * sigma^2 of the analysis inside the
+# double range
+MAX_P_EXP = 1000
+
+# config value types by field annotation
+_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "None": (type(None),)}
+
+
+def _well_typed(value, annotation: str) -> bool:
+    if annotation == "list[int]":
+        return isinstance(value, list) and all(_well_typed(v, "int") for v in value)
+    return not isinstance(value, bool) and any(
+        isinstance(value, _TYPES[name]) for name in annotation.split(" | "))
 
 
 @dataclass
@@ -66,6 +79,10 @@ class RunConfig:
                 raise SdofLabError(f"unknown config keys: {sorted(unknown)}")
             data.update(raw)
         data.update({k: v for k, v in overrides.items() if v is not None})
+        for f in fields(cls):
+            if f.name in data and not _well_typed(data[f.name], f.type):
+                raise SdofLabError(
+                    f"config key {f.name!r} must be {f.type}, got {data[f.name]!r}")
         return cls(**data)
 
 
@@ -87,36 +104,32 @@ def _simulate_one(spec, seed: int, powers: list[float], mode: str):
     trace = run_scheme(spec, realization, PowerBudget(powers[0]), mode, seed)
     report = decode(trace)
     system = assemble_effective_system(trace)
-    adversaries = sorted(spec.protected)
-    rows = []
-    slopes = {}
     fit_possible = len(powers) >= 2
+
+    def slope(values) -> float:
+        return analysis.fit_slope(values, spec.n_slots, powers).slope
+
+    # every rate and leakage value once per (node, power); the slopes are
+    # fitted from the same floats the rows report
+    rates, slopes = {}, {}
     for node in (RX1, RX2):
-        present = node in spec.topology.nodes()
-        slopes[node] = (analysis.rate_slope(system, node, spec.n_slots,
-                                            powers).slope
-                        if fit_possible and present and system.message_sids(node)
-                        else 0.0)
-    leak_slope = 0.0
-    for adv in adversaries:
-        known = spec.adversary_known.get(adv, frozenset())
-        if fit_possible:
-            leak_slope = max(leak_slope, analysis.leakage_slope(
-                system, adv, sorted(spec.protected[adv]), spec.n_slots,
-                known, powers).slope)
-    for power in powers:
-        rate1 = (analysis.achievable_rate(system, RX1, power).bits
-                 if system.message_sids(RX1) else 0.0)
-        rate2 = (analysis.achievable_rate(system, RX2, power).bits
-                 if RX2 in spec.topology.nodes() and system.message_sids(RX2)
-                 else 0.0)
-        leakage = 0.0
-        for adv in adversaries:
-            known = spec.adversary_known.get(adv, frozenset())
-            leakage = max(leakage, analysis.gaussian_mi(
-                system, adv, sorted(spec.protected[adv]), power,
-                known=known).bits)
-        rows.append((seed, power, rate1, rate2, leakage, report.max_residual))
+        if node in spec.topology.nodes() and system.message_sids(node):
+            rates[node] = [analysis.achievable_rate(system, node, p).bits
+                           for p in powers]
+            slopes[node] = slope(rates[node]) if fit_possible else 0.0
+        else:
+            rates[node] = [0.0] * len(powers)
+            slopes[node] = 0.0
+    leaks = [
+        [analysis.gaussian_mi(system, adv, sorted(spec.protected[adv]), p,
+                              known=spec.adversary_known.get(adv, frozenset())).bits
+         for p in powers]
+        for adv in sorted(spec.protected)
+    ]
+    leak_slope = max([0.0] + [slope(values) for values in leaks]) if fit_possible else 0.0
+    rows = [(seed, power, rates[RX1][i], rates[RX2][i],
+             max([0.0] + [values[i] for values in leaks]), report.max_residual)
+            for i, power in enumerate(powers)]
     hard_failure = (mode == "noiseless" and not report.all_success) \
         or report.any_protected_identifiable
     return rows, slopes, leak_slope, hard_failure, trace, system, realization
@@ -126,8 +139,13 @@ def cmd_simulate(config: RunConfig) -> int:
     scheme_id = from_cli_name(config.scheme)
     spec = build_scheme(scheme_id, **_scheme_params(config))
     acct = accounting(spec)
+    if config.seeds < 1:
+        raise SdofLabError(f"seeds must be at least 1, got {config.seeds}")
     if not config.p_exp:
         raise SdofLabError("p_exp must list at least one power exponent")
+    if any(abs(e) > MAX_P_EXP for e in config.p_exp):
+        raise SdofLabError(
+            f"p_exp entries must lie in [-{MAX_P_EXP}, {MAX_P_EXP}], got {config.p_exp}")
     powers = [float(2.0 ** e) for e in sorted(set(config.p_exp))]
     seeds = list(range(config.seeds))
 
@@ -209,9 +227,10 @@ def _parse_lambda(text: str | None):
     fractions = {}
     for item in text.split(","):
         key, _, value = item.partition("=")
-        if not value:
-            raise SdofLabError(f"bad lambda entry {item!r}; use state=p/q")
-        fractions[key.strip().upper()] = Fraction(value.strip())
+        try:
+            fractions[key.strip().upper()] = Fraction(value.strip())
+        except (ValueError, ZeroDivisionError):
+            raise SdofLabError(f"bad lambda entry {item!r}; use state=p/q") from None
     return validate_schedule(fractions)
 
 
@@ -242,12 +261,18 @@ def cmd_region(theorem: str, lam: str | None, compare: str | None,
     else:
         sys.stdout.write(text + "\n")
     if plot_data:
-        lines = [f"# {theorem.lower()} boundary vertices (d1 d2)"]
-        hullish = list(region.vertices)
-        for v in hullish:
-            lines.append(f"{float(v[0]):.17g} {float(v[1]):.17g}")
-        Path(plot_data).write_text("\n".join(lines) + "\n")
+        write_plot_data(plot_data, theorem, region)
     return 0
+
+
+def write_plot_data(path: str | Path, theorem: str,
+                    region: regions.RegionPolytope) -> None:
+    """Write a region's boundary as gnuplot-style data: one `d1 d2` line per
+    vertex, in counter-clockwise order."""
+    lines = [f"# {theorem.lower()} boundary vertices (d1 d2)"]
+    for v in convex_hull(region.vertices):
+        lines.append(f"{float(v[0]):.17g} {float(v[1]):.17g}")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def cmd_fm(system_path: str, eliminate: list[str] | None, out: str | None,

@@ -226,14 +226,6 @@ class Topology:
         return {(3, 1, True): "wiretap", (3, 2, True): "multi_receiver",
                 (2, 2, False): "broadcast"}[(self.n_tx, self.receivers, self.has_eavesdropper)]
 
-    @classmethod
-    def by_name(cls, name: str) -> "Topology":
-        try:
-            return {"wiretap": cls.wiretap, "multi_receiver": cls.multi_receiver,
-                    "broadcast": cls.broadcast}[name]()
-        except KeyError:
-            raise ValueError(f"unknown topology name {name!r}") from None
-
 
 @dataclass(frozen=True)
 class ChannelRealization:
@@ -251,20 +243,24 @@ class ChannelRealization:
             if arr is not None:
                 arr.setflags(write=False)
 
-    def row(self, node: str, t: int) -> np.ndarray:
+    def rows(self, node: str) -> np.ndarray:
+        """(n_slots, n_tx) channel rows of one node."""
         if node == RX1:
-            return self.h[t]
+            return self.h
         if node == RX2:
             if self.topology.name == "broadcast":
-                return self.g[t]
+                return self.g
             if self.h_acute is None:
                 raise KeyError("topology has no second receiver")
-            return self.h_acute[t]
+            return self.h_acute
         if node == EVE:
             if not self.topology.has_eavesdropper:
                 raise KeyError("topology has no eavesdropper")
-            return self.g[t]
+            return self.g
         raise KeyError(f"unknown node {node!r}")
+
+    def row(self, node: str, t: int) -> np.ndarray:
+        return self.rows(node)[t]
 
     def stacked(self, t: int) -> np.ndarray:
         return np.vstack([self.row(node, t) for node in self.topology.nodes()])

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import IncompleteTrace, OverConstrained, UnknownSymbolId
 
-ZF_RESIDUAL_TOL = 1e-10
 DEGENERATE_ROW_TOL = 1e-12
 RANK_REL_TOL = 1e-8
 
@@ -100,7 +100,7 @@ class EffectiveLinearSystem:
     matrices: Mapping[str, np.ndarray]     # node -> (n_obs, n_symbols)
     slot_of_row: tuple[int, ...]
 
-    @property
+    @cached_property
     def symbol_index(self) -> dict[str, int]:
         return {decl.sid: i for i, decl in enumerate(self.symbols)}
 
@@ -108,15 +108,19 @@ class EffectiveLinearSystem:
     def n_obs(self) -> int:
         return len(self.slot_of_row)
 
-    def columns(self, node: str, sids: Iterable[str]) -> np.ndarray:
-        index = self.symbol_index
-        cols = []
-        for sid in sids:
-            if sid not in index:
+    def split_columns(self, node: str, secret: Iterable[str],
+                      known: Iterable[str] = ()) -> tuple[list[int], np.ndarray]:
+        """Columns of `node`'s matrix that remain once the `known` symbols are
+        removed, in symbol order, and a mask over them marking the `secret`
+        symbols; the unmarked kept columns are the nuisance."""
+        secret = frozenset(secret)
+        known = frozenset(known)
+        for sid in secret | known:
+            if sid not in self.symbol_index:
                 raise UnknownSymbolId(sid)
-            cols.append(index[sid])
-        mat = self.matrices[node]
-        return mat[:, cols] if cols else mat[:, :0]
+        kept = [i for i, d in enumerate(self.symbols) if d.sid not in known]
+        is_secret = np.array([self.symbols[i].sid in secret for i in kept], dtype=bool)
+        return kept, is_secret
 
     def message_sids(self, node: str | None = None) -> tuple[str, ...]:
         if node is None:
@@ -124,9 +128,6 @@ class EffectiveLinearSystem:
         return tuple(
             d.sid for d in self.symbols if d.owner == node or d.owner == "both"
         )
-
-    def noise_sids(self) -> tuple[str, ...]:
-        return tuple(d.sid for d in self.symbols if d.owner == "noise")
 
     def to_json(self) -> str:
         def encode(mat):
@@ -144,22 +145,29 @@ def assemble_effective_system(trace) -> EffectiveLinearSystem:
     """Exact symbol-to-observation matrices for every node of a trace.
 
     Validates that re-simulating the recorded observations from the matrices
-    and the drawn symbol values reproduces the trace to 1e-10 relative error.
+    and the drawn symbol values reproduces the trace.  The comparison is on
+    the power-free scale, where the rounding of slot t's observation is
+    bounded by |h_t| |s| (the slot's transmit matrix has unit norm), plus
+    |n_t| / sqrt(P) for the removed noise, so the 1e-10 relative bound holds
+    at every power, zero-forced nodes included.
     """
-    if len(trace.slots) != len(trace.spec.slot_plans):
+    n_slots = len(trace.slots)
+    if n_slots != len(trace.spec.slot_plans):
         raise IncompleteTrace(
-            f"trace has {len(trace.slots)} of {len(trace.spec.slot_plans)} slots"
+            f"trace has {n_slots} of {len(trace.spec.slot_plans)} slots"
         )
     matrices = {node: rows.copy() for node, rows in trace.obs_rows.items()}
     s = trace.symbol_values
-    sqrt_p = np.sqrt(trace.power.total_power)
+    s_norm = np.linalg.norm(s)
     for node, mat in matrices.items():
-        rebuilt = sqrt_p * (mat @ s) if mat.size else np.zeros(mat.shape[0], dtype=complex)
-        observed = trace.obs_vals[node].copy()
+        observed = trace.obs_vals[node]
+        chan = trace.realization.rows(node)[:n_slots]
+        scale = s_norm * np.linalg.norm(chan, axis=1)
         if trace.noise_vals is not None:
             observed = observed - trace.noise_vals[node]
-        scale = max(1.0, float(np.max(np.abs(observed))) if observed.size else 1.0)
-        if observed.size and np.max(np.abs(rebuilt - observed)) > 1e-10 * scale:
+            scale = scale + np.abs(trace.noise_vals[node]) / trace.sqrt_power
+        residual = np.abs(mat @ s - observed / trace.sqrt_power)
+        if np.any(residual > 1e-10 * scale):
             raise AssertionError("effective system does not reproduce the trace")
         mat.setflags(write=False)
     return EffectiveLinearSystem(
@@ -228,24 +236,21 @@ def identifiable_symbols(
     A single column is separable from the rest exactly when no right-null
     vector of the (known-columns-removed) matrix touches it.
     """
-    known = frozenset(known)
-    index = system.symbol_index
-    keep = [i for d, i in ((d, index[d.sid]) for d in system.symbols) if d.sid not in known]
-    mat = system.matrices[node][:, keep]
-    col_of = {system.symbols[i].sid: j for j, i in enumerate(keep)}
-    out: dict[str, bool] = {}
+    candidates = tuple(candidates)
+    kept, is_candidate = system.split_columns(node, candidates, known)
+    mat = system.matrices[node][:, kept]
     if mat.size == 0:
         return {sid: False for sid in candidates}
     _, sv, vh = np.linalg.svd(mat, full_matrices=True)
     cutoff = RANK_REL_TOL * (sv[0] if sv.size else 0.0)
     rank = int(np.sum(sv > cutoff)) if sv.size else 0
     null_rows = vh[rank:].conj().T      # (n_cols, null_dim)
-    for sid in candidates:
-        if sid not in col_of:
-            raise UnknownSymbolId(sid)
-        j = col_of[sid]
-        col = system.matrices[node][:, index[sid]]
-        seen = np.linalg.norm(col) > 1e-9
+    verdict: dict[str, bool] = {}
+    for j in np.flatnonzero(is_candidate):
+        seen = np.linalg.norm(mat[:, j]) > 1e-9
         touched = null_rows.shape[1] > 0 and np.linalg.norm(null_rows[j]) > 1e-6
-        out[sid] = bool(seen and not touched)
-    return out
+        verdict[system.symbols[kept[j]].sid] = bool(seen and not touched)
+    for sid in candidates:
+        if sid not in verdict:      # a candidate the node already knows
+            raise UnknownSymbolId(sid)
+    return {sid: verdict[sid] for sid in candidates}

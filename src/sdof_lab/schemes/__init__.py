@@ -47,17 +47,17 @@ _BUILDERS: dict[str, Callable[..., SchemeSpec]] = {
 _DECODERS: dict[str, Callable] = {
     "WT_PP": library.decode_wt_zf,
     "WT_DP": library.decode_wt_zf,
-    "WT_PD": library.decode_wt_pd,
+    "WT_PD": library.decode_wt_zf,
     "WT_DD_23": library.decode_wt_dd_23,
     "MR_PPD": library.decode_mr_ppd,
     "MR_PDP": library.decode_mr_pdp,
     "MR_DDP": library.decode_mr_ddp,
-    "MR_PDD": library.decode_mr_pdd,
+    "MR_PDD": library.decode_wt_zf,
     "MR_S30_29_A": composite.decode_mr_s30_29,
     "MR_S30_29_B": composite.decode_mr_s30_29,
     "SUB_PD_DP_UNICAST": composite.decode_sub_pd_dp_unicast,
     "SUB_SECURE_MULTICAST": composite.decode_sub_secure_multicast,
-    "BC_PP_S2": library.decode_bc_pp_s2,
+    "BC_PP_S2": library.decode_mr_ppd,
     "BC_DD_S1": library.decode_bc_dd_s1,
     "BC_S1_43": library.decode_bc_43,
     "BC_S2_43": library.decode_bc_43,

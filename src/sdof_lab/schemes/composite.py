@@ -23,12 +23,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from ..errors import BadParams
 from ..model import EVE, RX1, RX2, CsitState, StateLabel, Topology
 from ..precoding import SymbolDecl
-from .program import Axis, Comb, NullOf, ObsPart, SchemeSpec, SlotPlan, StreamRecipe, Sym
+from .library import _solve, _st
+from .program import Axis, Comb, NullOf, ObsPart, SchemeSpec, SlotPlan, Sym
 
 _MR_NODES = (RX1, RX2, EVE)
 
@@ -45,14 +44,6 @@ def _state_p_at(p_nodes: tuple[str, ...]) -> StateLabel:
 
 def _other(node: str) -> str:
     return RX2 if node == RX1 else RX1
-
-
-def _st(label, payload, beam) -> StreamRecipe:
-    return StreamRecipe(label=label, payload=payload, beam=beam)
-
-
-def _solve(rows, values):
-    return np.linalg.solve(np.array(rows, dtype=complex), np.array(values, dtype=complex))
 
 
 # -- 6-slot unicast block (sum rate 5/3) -----------------------------------------

@@ -55,6 +55,7 @@ def build_wt_zf(scheme_id: str, state: str) -> SchemeSpec:
 
 
 def decode_wt_zf(trace) -> dict:
+    """Receiver 1 divides out its one symbol `v` (also WT_PD and MR_PDD)."""
     v = trace.rv(RX1, 0) / trace.rc(RX1, 0, "v")
     return {RX1: {"v": v}}
 
@@ -68,11 +69,6 @@ def build_wt_pd() -> SchemeSpec:
                    _st("u", Sym("u"), NullOf(((RX1, 0),))))]
     symbols = [SymbolDecl("v", RX1), SymbolDecl("u", "noise")]
     return _spec("WT_PD", topo, plans, symbols, protected={EVE: {"v"}})
-
-
-def decode_wt_pd(trace) -> dict:
-    v = trace.rv(RX1, 0) / trace.rc(RX1, 0, "v")
-    return {RX1: {"v": v}}
 
 
 def build_wt_dd_23() -> SchemeSpec:
@@ -131,6 +127,7 @@ def build_mr_ppd() -> SchemeSpec:
 
 
 def decode_mr_ppd(trace) -> dict:
+    """Each receiver divides out its one symbol, `v` or `w` (also BC_PP_S2)."""
     v = trace.rv(RX1, 0) / trace.rc(RX1, 0, "v")
     w = trace.rv(RX2, 0) / trace.rc(RX2, 0, "w")
     return {RX1: {"v": v}, RX2: {"w": w}}
@@ -219,11 +216,6 @@ def build_mr_pdd() -> SchemeSpec:
     return _spec("MR_PDD", topo, plans, symbols, protected={EVE: {"v"}})
 
 
-def decode_mr_pdd(trace) -> dict:
-    v = trace.rv(RX1, 0) / trace.rc(RX1, 0, "v")
-    return {RX1: {"v": v}, RX2: {}}
-
-
 # -- two-user broadcast, receivers eavesdrop on each other -----------------------
 #
 # State labels are pairs (receiver 1, receiver 2); receiver 2 rides the
@@ -239,12 +231,6 @@ def build_bc_pp_s2() -> SchemeSpec:
     return _spec("BC_PP_S2", topo, plans, symbols,
                  protected={RX1: {"w"}, RX2: {"v"}},
                  known={RX1: {"v"}, RX2: {"w"}})
-
-
-def decode_bc_pp_s2(trace) -> dict:
-    v = trace.rv(RX1, 0) / trace.rc(RX1, 0, "v")
-    w = trace.rv(RX2, 0) / trace.rc(RX2, 0, "w")
-    return {RX1: {"v": v}, RX2: {"w": w}}
 
 
 def build_bc_dd_s1() -> SchemeSpec:

@@ -15,13 +15,16 @@ mutated plan in tests).
 Execution keeps two synchronized views of every quantity: the numeric value
 and its exact coefficient row over the drawn symbols.  The rows are the
 substrate for the effective linear systems used by decoding checks and
-closed-form mutual information.
+closed-form mutual information.  An executed slot keeps each stream's beam,
+gain and payload row, keyed by the stream's label (unique within the slot);
+a retransmitted past observation is rebuilt from those on demand.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence, Union
 
@@ -37,8 +40,6 @@ from ..errors import (
 from ..model import ChannelRealization, CsitState, PowerBudget, StateLabel, Topology
 from ..precoding import SymbolDecl, null_basis
 
-POWER_REL_TOL = 1e-9
-
 
 # -- payload / beam recipe language --------------------------------------------
 
@@ -50,7 +51,7 @@ class Sym(NamedTuple):
 class ObsPart(NamedTuple):
     """A past observation of `node` at absolute slot `slot`.
 
-    With `streams` set, only those streams' contributions are kept (the
+    With `streams` set, only those streams' terms are kept (the
     transmitter reconstructs the partial combination from past CSI and the
     symbols it drew itself).  None keeps the whole noiseless observation.
     """
@@ -114,11 +115,12 @@ class SchemeSpec:
     def n_slots(self) -> int:
         return len(self.slot_plans)
 
+    @cached_property
+    def symbol_index(self) -> dict[str, int]:
+        return {d.sid: i for i, d in enumerate(self.symbols)}
+
     def message_sids(self, node: str) -> tuple[str, ...]:
         return tuple(d.sid for d in self.symbols if d.owner in (node, "both"))
-
-    def noise_sids(self) -> tuple[str, ...]:
-        return tuple(d.sid for d in self.symbols if d.owner == "noise")
 
     def state_fractions(self) -> dict[StateLabel, Fraction]:
         counts: dict[StateLabel, int] = {}
@@ -148,8 +150,7 @@ class StreamInstance:
 @dataclass
 class SlotRecord:
     state: StateLabel
-    streams: list[StreamInstance]
-    contrib: list[np.ndarray]     # per stream gain * outer(beam, row)
+    streams: dict[str, StreamInstance]     # label -> stream, in plan order
     x_matrix: np.ndarray          # (n_tx, n_sym), Frobenius norm exactly 1
     x_value: np.ndarray           # (n_tx,), numeric dual path, power-normalized
 
@@ -176,23 +177,6 @@ class TransmissionTrace:
     def sqrt_power(self) -> float:
         return float(np.sqrt(self.power.total_power))
 
-    def value(self, node: str, t: int) -> complex:
-        return complex(self.obs_vals[node][t])
-
-    def row(self, node: str, t: int) -> np.ndarray:
-        return self.obs_rows[node][t]
-
-    def chan(self, node: str, t: int) -> np.ndarray:
-        return self.realization.row(node, t)
-
-    def stream_coef(self, node: str, t: int, label: str) -> complex:
-        """Multiplier applied to a stream's payload value in node's observation.
-
-        Everything in it (CSI, beams, gains) is receiver computable, so
-        decoders may use it freely.
-        """
-        return complex(self.sqrt_power * self.rc(node, t, label))
-
     def rv(self, node: str, t: int) -> complex:
         """Observation at the payload scale (divided by sqrt(P)).
 
@@ -203,23 +187,25 @@ class TransmissionTrace:
         return complex(self.obs_vals[node][t]) / self.sqrt_power
 
     def rc(self, node: str, t: int, label: str) -> complex:
-        """Payload-scale coefficient of one stream in node's slot-t observation."""
-        slot = self.slots[t]
-        for stream in slot.streams:
-            if stream.label == label:
-                ch = self.realization.row(node, t)
-                return complex(stream.gain * (ch @ stream.beam))
-        raise KeyError(f"slot {t} has no stream {label!r}")
+        """Payload-scale coefficient of one stream in node's slot-t observation.
+
+        Everything in it (CSI, beams, gains) is receiver computable, so
+        decoders may use it freely.
+        """
+        stream = self.slots[t].streams.get(label)
+        if stream is None:
+            raise KeyError(f"slot {t} has no stream {label!r}")
+        return complex(stream.gain * (self.realization.row(node, t) @ stream.beam))
 
     def slot_power(self, t: int) -> float:
         """Expected transmit power of slot t given the channel draw."""
         return float(self.power.total_power * np.linalg.norm(self.slots[t].x_matrix) ** 2)
 
     def true_value(self, sid: str) -> complex:
-        idx = {d.sid: i for i, d in enumerate(self.symbols)}
-        if sid not in idx:
+        index = self.spec.symbol_index
+        if sid not in index:
             raise UnknownSymbolId(sid)
-        return complex(self.symbol_values[idx[sid]])
+        return complex(self.symbol_values[index[sid]])
 
     def to_json(self) -> str:
         def cplx(z):
@@ -233,7 +219,7 @@ class TransmissionTrace:
             "slots": [
                 {
                     "state": str(slot.state),
-                    "streams": [s.label for s in slot.streams],
+                    "streams": list(slot.streams),
                     "x": [cplx(v) for v in self.sqrt_power * slot.x_value],
                 }
                 for slot in self.slots
@@ -307,7 +293,7 @@ def run_scheme(
     nodes = topology.nodes()
     n_tx = topology.n_tx
     n_sym = len(spec.symbols)
-    sindex = {d.sid: i for i, d in enumerate(spec.symbols)}
+    sindex = spec.symbol_index
 
     sym_gen = rng.stream(seed, "symbols")
     s = rng.complex_normal(sym_gen, n_sym) if n_sym else np.zeros(0, dtype=complex)
@@ -324,16 +310,13 @@ def run_scheme(
             row[sindex[payload.sid]] = 1.0
             return row
         if isinstance(payload, ObsPart):
-            record = slots[payload.slot]
+            streams = slots[payload.slot].streams
             ch = realization.row(payload.node, payload.slot)
-            if payload.streams is None:
-                picks = range(len(record.streams))
-            else:
-                labels = {st.label: k for k, st in enumerate(record.streams)}
-                picks = [labels[name] for name in payload.streams]
+            picks = streams if payload.streams is None else payload.streams
             total = np.zeros(n_sym, dtype=complex)
-            for k in picks:
-                total += ch @ record.contrib[k]
+            for label in picks:
+                st = streams[label]
+                total += ch @ (st.gain * np.outer(st.beam, st.row))
             return total
         if isinstance(payload, Comb):
             total = np.zeros(n_sym, dtype=complex)
@@ -351,8 +334,10 @@ def run_scheme(
         k = len(plan.streams)
         share = np.sqrt(1.0 / k) if k else 0.0
 
-        instances: list[StreamInstance] = []
+        instances: dict[str, StreamInstance] = {}
         for recipe in plan.streams:
+            if recipe.label in instances:
+                raise BadParams(f"slot {t}: repeated stream label {recipe.label!r}")
             _check_payload(recipe.payload, t)
             if isinstance(recipe.beam, Axis):
                 beam = np.zeros(n_tx, dtype=complex)
@@ -386,16 +371,16 @@ def run_scheme(
             if norm == 0:
                 raise BadParams(f"slot {t}: stream {recipe.label!r} payload is zero")
             gain = share / norm
-            instances.append(StreamInstance(
+            instances[recipe.label] = StreamInstance(
                 label=recipe.label,
                 beam=beam,
                 gain=float(gain),
                 row=row,
                 value=complex(row @ s),
-            ))
+            )
 
         x_matrix = np.zeros((n_tx, n_sym), dtype=complex)
-        for inst in instances:
+        for inst in instances.values():
             x_matrix += inst.gain * np.outer(inst.beam, inst.row)
         fro = np.linalg.norm(x_matrix)
         if fro == 0:
@@ -403,17 +388,13 @@ def run_scheme(
         # Correlated payloads make nominal shares sum away from one; rescale
         # the whole slot so the expected power is exactly the budget.
         x_matrix /= fro
-        contrib = []
-        for inst in instances:
-            inst.gain /= fro
-            contrib.append(inst.gain * np.outer(inst.beam, inst.row))
         x_value = np.zeros(n_tx, dtype=complex)
-        for inst in instances:
+        for inst in instances.values():
+            inst.gain /= fro
             x_value += inst.gain * inst.value * inst.beam
 
         slots.append(SlotRecord(
-            state=plan.state, streams=instances, contrib=contrib,
-            x_matrix=x_matrix, x_value=x_value,
+            state=plan.state, streams=instances, x_matrix=x_matrix, x_value=x_value,
         ))
         for node in nodes:
             ch = realization.row(node, t)

@@ -2,7 +2,14 @@
 
 import json
 
+import numpy as np
+import pytest
+
+from sdof_lab.analysis import DEFAULT_GRID, leakage_slope, rate_slope
 from sdof_lab.cli import main
+from sdof_lab.model import RX1, RX2, PowerBudget, sample_channel
+from sdof_lab.precoding import assemble_effective_system
+from sdof_lab.schemes import build_scheme, from_cli_name, run_scheme
 from sdof_lab.regions import converse_alternation_system, system_to_json_dict
 
 
@@ -94,6 +101,35 @@ class TestSimulate:
         chan = json.loads(chan_p.read_text())
         assert chan["topology"] == "multi_receiver"
 
+    @pytest.mark.parametrize("scheme", ["mr_ddp", "bc_s1_43", "wt_dd_23"])
+    def test_summary_slopes_match_analysis(self, tmp_path, scheme):
+        """The slopes fitted from the row values equal the mean of
+        rate_slope/leakage_slope over the same seeds, bit for bit."""
+        summary_path = tmp_path / "s.json"
+        assert run_cli("simulate", "--scheme", scheme, "--seeds", "3",
+                       "--out", str(tmp_path / "r.csv"),
+                       "--summary", str(summary_path)) == 0
+        spec = build_scheme(from_cli_name(scheme))
+        rates = {RX1: [], RX2: []}
+        leaks = []
+        for seed in range(3):
+            realization = sample_channel(spec.topology, spec.n_slots, seed)
+            trace = run_scheme(spec, realization, PowerBudget(DEFAULT_GRID[0]),
+                               "noiseless", seed)
+            system = assemble_effective_system(trace)
+            for node, acc in rates.items():
+                present = node in spec.topology.nodes() and system.message_sids(node)
+                acc.append(rate_slope(system, node, spec.n_slots).slope
+                           if present else 0.0)
+            leaks.append(max([0.0] + [
+                leakage_slope(system, adv, sorted(secret), spec.n_slots,
+                              spec.adversary_known.get(adv, frozenset())).slope
+                for adv, secret in sorted(spec.protected.items())]))
+        summary = json.loads(summary_path.read_text())
+        assert summary["rate_slopes"] == {
+            node: float(np.mean(acc)) for node, acc in rates.items()}
+        assert summary["leakage_slope"] == float(np.mean(leaks))
+
     def test_composite_sub_switch(self, tmp_path):
         summary_path = tmp_path / "s.json"
         code = run_cli("simulate", "--scheme", "mr_s30_29_a", "--sub",
@@ -151,6 +187,31 @@ class TestRegion:
         lines = plot.read_text().splitlines()
         assert lines[0].startswith("#")
         assert any(line.startswith("0.6666") for line in lines)
+        # the boundary is written as a counter-clockwise cycle, so a plotted
+        # path does not cross itself
+        assert run_cli("region", "--theorem", "thm3",
+                       "--out", str(tmp_path / "r3.json"),
+                       "--plot-data", str(plot)) == 0
+        assert plot.read_text().splitlines()[1:] == ["0 0", "1 0", "1 0.5", "0 1"]
+
+
+@pytest.mark.parametrize("argv, config", [
+    (("simulate", "--scheme", "wt_pp", "--seeds", "0"), None),
+    (("simulate", "--scheme", "wt_pp", "--p-exp", "2000"), None),
+    (("simulate", "--scheme", "wt_pp", "--p-exp", "-2000"), None),
+    (("region", "--theorem", "thm1", "--lambda", "dd=abc"), None),
+    (("simulate",), {"scheme": "wt_pp", "seeds": "3"}),
+], ids=["zero-seeds", "huge-power", "tiny-power", "bad-lambda", "string-seeds"])
+def test_bad_input_gets_one_error_line(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv += ("--config", str(path))
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
 
 
 class TestFm:

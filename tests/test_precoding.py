@@ -14,7 +14,7 @@ from sdof_lab.precoding import (
     null_basis,
     null_vector,
 )
-from sdof_lab.schemes import build_scheme, run_scheme
+from sdof_lab.schemes import SCHEME_IDS, build_scheme, run_scheme
 
 
 def _run(scheme_id, seed=0, **params):
@@ -117,6 +117,19 @@ class TestAssemble:
         trace.slots.pop()
         with pytest.raises(IncompleteTrace):
             assemble_effective_system(trace)
+
+    @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+    def test_trace_check_holds_at_every_power(self, scheme_id):
+        """The re-simulation check must not trip as the trace power grows:
+        zero-forced observations carry rounding that scales with sqrt(P)."""
+        spec = build_scheme(scheme_id)
+        for seed in range(2):
+            realization = sample_channel(spec.topology, spec.n_slots, seed)
+            for exp in range(20, 61, 5):
+                for mode in ("noiseless", "noisy"):
+                    trace = run_scheme(spec, realization, PowerBudget(2.0 ** exp),
+                                       mode, seed)
+                    assemble_effective_system(trace)
 
     def test_noisy_mode_reconstruction(self):
         spec = build_scheme("MR_PPD")

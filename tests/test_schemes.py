@@ -1,5 +1,6 @@
 """Scheme library: building, execution, decoding, accounting, legality."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,7 @@ from sdof_lab.schemes import (
     decode,
     run_scheme,
 )
-from sdof_lab.schemes.program import NullOf
+from sdof_lab.schemes.program import NullOf, SlotPlan
 
 
 def _run(scheme_id, seed=0, power=1e4, mode="noiseless", **params):
@@ -52,6 +53,16 @@ class TestBuild:
             build_scheme("MR_S30_29_A", blocks=7)
         with pytest.raises(BadParams):
             build_scheme("MR_S30_29_A", sub="nope")
+
+    def test_repeated_stream_label_rejected(self):
+        spec = build_scheme("WT_PD")
+        plan = spec.slot_plans[0]
+        v, u = plan.streams
+        dup = replace(spec, slot_plans=(
+            SlotPlan(plan.state, (v, u._replace(label=v.label))),))
+        realization = sample_channel(spec.topology, spec.n_slots, 0)
+        with pytest.raises(BadParams, match="repeated stream label"):
+            run_scheme(dup, realization, PowerBudget(1e4), "noiseless", 0)
 
     def test_mr_ddp_structure(self):
         spec = build_scheme("MR_DDP")
