@@ -49,7 +49,6 @@ from .analysis import (
     SymmetryReport,
     achievable_rate,
     check_output_symmetry,
-    estimate_slope,
     gaussian_mi,
     leakage_slope,
     mc_mi_oracle,

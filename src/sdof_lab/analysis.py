@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -52,18 +52,19 @@ def _power_value(power) -> float:
     return float(power)
 
 
-def _logdet_bits(mat: np.ndarray, p: float) -> float:
-    """log2 det(I + p * mat @ mat^H), stable up to p ~ 2^60.
+def _logdet_bits(mat: np.ndarray, powers: Sequence[float]) -> list[float]:
+    """log2 det(I + p * mat @ mat^H) at each p in `powers`, stable to p ~ 2^60.
 
-    Works from singular values of the matrix rather than eigenvalues of the
-    Gram: a numerically spurious singular value ~1e-16 squares to ~1e-32 and
-    stays invisible at every grid power, where a spurious Gram eigenvalue
-    ~1e-16 would be amplified into fake rate by p = 2^60.
+    One SVD serves every power.  Works from singular values of the matrix
+    rather than eigenvalues of the Gram: a numerically spurious singular value
+    ~1e-16 squares to ~1e-32 and stays invisible at every grid power, where a
+    spurious Gram eigenvalue ~1e-16 would be amplified into fake rate by
+    p = 2^60.
     """
     if mat.size == 0:
-        return 0.0
+        return [0.0] * len(powers)
     sv = np.linalg.svd(mat, compute_uv=False)
-    return float(np.sum(np.log2(1.0 + p * sv ** 2)))
+    return [float(np.sum(np.log2(1.0 + p * sv ** 2))) for p in powers]
 
 
 def _kept_columns(system: EffectiveLinearSystem, node: str,
@@ -76,23 +77,30 @@ def _kept_columns(system: EffectiveLinearSystem, node: str,
 
 
 def gaussian_mi(system: EffectiveLinearSystem, node: str, secret: Iterable[str],
-                power, known: Iterable[str] = ()) -> MiResult:
+                power, known: Iterable[str] = ()) -> MiResult | list[MiResult]:
     """Exact I(secret symbols ; node's observations | CSI, known symbols).
 
+    `power` is one power or a sequence of powers, which gets one MiResult per
+    power from one spectrum each of the kept and of the nuisance columns.
     Unit-variance observation noise is always assumed so the expression stays
     finite; with unit-variance Gaussian symbols the two log-determinants are
     the exact conditional differential entropies.
     """
-    p = _power_value(power)
+    single = np.ndim(power) == 0
+    powers = [_power_value(p) for p in ([power] if single else power)]
     full, is_secret = _kept_columns(system, node, secret, known)
-    bits = _logdet_bits(full, p) - _logdet_bits(full[:, ~is_secret], p)
-    if bits < -1e-9:
-        raise AssertionError(f"mutual information {bits} below clamp tolerance")
-    bits = max(bits, 0.0)
-    return MiResult(bits=bits, conditioning=f"node={node}", power=p)
+    results = []
+    for p, whole, nuisance in zip(powers, _logdet_bits(full, powers),
+                                  _logdet_bits(full[:, ~is_secret], powers)):
+        bits = whole - nuisance
+        if bits < -1e-9:
+            raise AssertionError(f"mutual information {bits} below clamp tolerance")
+        results.append(MiResult(max(bits, 0.0), conditioning=f"node={node}", power=p))
+    return results[0] if single else results
 
 
-def achievable_rate(system: EffectiveLinearSystem, node: str, power) -> MiResult:
+def achievable_rate(system: EffectiveLinearSystem, node: str,
+                    power) -> MiResult | list[MiResult]:
     """gaussian_mi with the node's own intended messages as the secret set."""
     return gaussian_mi(system, node, system.message_sids(node), power)
 
@@ -115,24 +123,16 @@ def fit_slope(values: Sequence[float], slots,
     return SlopeEstimate(slope=float(coeffs[0]), power_grid=grid, residual=residual)
 
 
-def estimate_slope(metric: Callable[[float], float], slots,
-                   grid: Sequence[float] = DEFAULT_GRID) -> SlopeEstimate:
-    """Least-squares prelog of metric(P)/slots against log2(P) over `grid`."""
-    grid = tuple(float(p) for p in grid)
-    return fit_slope([metric(p) for p in grid], slots, grid)
-
-
 def rate_slope(system: EffectiveLinearSystem, node: str, slots,
                grid: Sequence[float] = DEFAULT_GRID) -> SlopeEstimate:
-    return estimate_slope(
-        lambda p: achievable_rate(system, node, p).bits, slots, grid)
+    return fit_slope([r.bits for r in achievable_rate(system, node, grid)], slots, grid)
 
 
 def leakage_slope(system: EffectiveLinearSystem, node: str, secret, slots,
                   known: Iterable[str] = (),
                   grid: Sequence[float] = DEFAULT_GRID) -> SlopeEstimate:
-    return estimate_slope(
-        lambda p: gaussian_mi(system, node, secret, p, known=known).bits, slots, grid)
+    leaks = gaussian_mi(system, node, secret, grid, known=known)
+    return fit_slope([r.bits for r in leaks], slots, grid)
 
 
 def mc_mi_oracle(system: EffectiveLinearSystem, node: str, secret: Iterable[str],

@@ -41,6 +41,36 @@ MAX_P_EXP = 1000
 _TYPES = {"str": (str,), "int": (int,), "float": (int, float), "None": (type(None),)}
 
 
+def _read_json_object(path: str) -> dict:
+    try:
+        payload = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise SdofLabError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:      # JSONDecodeError, UnicodeDecodeError
+        raise SdofLabError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise SdofLabError(f"{path} must hold a JSON object")
+    return payload
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise SdofLabError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _lab_threads() -> int:
+    text = os.environ.get("LAB_THREADS", "1")
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise SdofLabError(f"LAB_THREADS must be a positive integer, got {text!r}")
+    return threads
+
+
 def _well_typed(value, annotation: str) -> bool:
     if annotation == "list[int]":
         return isinstance(value, list) and all(_well_typed(v, "int") for v in value)
@@ -72,7 +102,7 @@ class RunConfig:
     def load(cls, path: str | None, overrides: dict) -> "RunConfig":
         data: dict = {}
         if path:
-            raw = json.loads(Path(path).read_text())
+            raw = _read_json_object(path)
             allowed = {f.name for f in fields(cls)}
             unknown = set(raw) - allowed
             if unknown:
@@ -91,11 +121,13 @@ def _fmt(x: float) -> str:
 
 
 def _scheme_params(config: RunConfig) -> dict:
+    # `sub` has a default, so only the composites get it; an explicit
+    # `blocks` always goes through and build_scheme rejects it elsewhere
     params = {}
     if config.scheme.upper().startswith("MR_S30_29"):
         params["sub"] = config.sub
-        if config.blocks is not None:
-            params["blocks"] = config.blocks
+    if config.blocks is not None:
+        params["blocks"] = config.blocks
     return params
 
 
@@ -109,21 +141,20 @@ def _simulate_one(spec, seed: int, powers: list[float], mode: str):
     def slope(values) -> float:
         return analysis.fit_slope(values, spec.n_slots, powers).slope
 
-    # every rate and leakage value once per (node, power); the slopes are
-    # fitted from the same floats the rows report
+    # every rate and leakage value once per (node, power), the whole grid
+    # per call; the slopes are fitted from the same floats the rows report
     rates, slopes = {}, {}
     for node in (RX1, RX2):
         if node in spec.topology.nodes() and system.message_sids(node):
-            rates[node] = [analysis.achievable_rate(system, node, p).bits
-                           for p in powers]
+            rates[node] = [r.bits for r in analysis.achievable_rate(system, node, powers)]
             slopes[node] = slope(rates[node]) if fit_possible else 0.0
         else:
             rates[node] = [0.0] * len(powers)
             slopes[node] = 0.0
     leaks = [
-        [analysis.gaussian_mi(system, adv, sorted(spec.protected[adv]), p,
-                              known=spec.adversary_known.get(adv, frozenset())).bits
-         for p in powers]
+        [r.bits for r in analysis.gaussian_mi(
+            system, adv, sorted(spec.protected[adv]), powers,
+            known=spec.adversary_known.get(adv, frozenset()))]
         for adv in sorted(spec.protected)
     ]
     leak_slope = max([0.0] + [slope(values) for values in leaks]) if fit_possible else 0.0
@@ -149,7 +180,7 @@ def cmd_simulate(config: RunConfig) -> int:
     powers = [float(2.0 ** e) for e in sorted(set(config.p_exp))]
     seeds = list(range(config.seeds))
 
-    threads = int(os.environ.get("LAB_THREADS", "1"))
+    threads = _lab_threads()
     work = lambda seed: _simulate_one(spec, seed, powers, config.mode)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -176,15 +207,15 @@ def cmd_simulate(config: RunConfig) -> int:
     if config.dump_trace or config.dump_system or config.dump_channel:
         _, _, _, _, trace, system, realization = results[0]
         if config.dump_trace:
-            Path(config.dump_trace).write_text(trace.to_json())
+            _write_text(config.dump_trace, trace.to_json())
         if config.dump_system:
-            Path(config.dump_system).write_text(system.to_json())
+            _write_text(config.dump_system, system.to_json())
         if config.dump_channel:
-            Path(config.dump_channel).write_text(realization.to_json())
+            _write_text(config.dump_channel, realization.to_json())
 
     csv_text = "\n".join(csv_lines) + "\n"
     if config.out:
-        Path(config.out).write_text(csv_text)
+        _write_text(config.out, csv_text)
     else:
         sys.stdout.write(csv_text)
 
@@ -215,7 +246,7 @@ def cmd_simulate(config: RunConfig) -> int:
     }
     text = json.dumps(summary, indent=2, sort_keys=True)
     if config.summary:
-        Path(config.summary).write_text(text)
+        _write_text(config.summary, text)
     else:
         sys.stdout.write(text + "\n")
     return 2 if hard_failure else 0
@@ -257,7 +288,7 @@ def cmd_region(theorem: str, lam: str | None, compare: str | None,
         }
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out:
-        Path(out).write_text(text)
+        _write_text(out, text)
     else:
         sys.stdout.write(text + "\n")
     if plot_data:
@@ -272,13 +303,12 @@ def write_plot_data(path: str | Path, theorem: str,
     lines = [f"# {theorem.lower()} boundary vertices (d1 d2)"]
     for v in convex_hull(region.vertices):
         lines.append(f"{float(v[0]):.17g} {float(v[1]):.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def cmd_fm(system_path: str, eliminate: list[str] | None, out: str | None,
            check: bool) -> int:
-    payload = json.loads(Path(system_path).read_text())
-    system = regions.system_from_json_dict(payload)
+    system = regions.system_from_json_dict(_read_json_object(system_path))
     order = eliminate if eliminate else list(system.variables)
     current = system
     for var in order:
@@ -289,7 +319,7 @@ def cmd_fm(system_path: str, eliminate: list[str] | None, out: str | None,
         result["oracle_agreement"] = {"ok": ok, "detail": msg}
     text = json.dumps(result, indent=2, sort_keys=True)
     if out:
-        Path(out).write_text(text)
+        _write_text(out, text)
     else:
         sys.stdout.write(text + "\n")
     return 0

@@ -233,8 +233,13 @@ def identifiable_symbols(
 ) -> dict[str, bool]:
     """Per-symbol identifiability for many candidates via one nullspace pass.
 
-    A single column is separable from the rest exactly when no right-null
-    vector of the (known-columns-removed) matrix touches it.
+    A single column is separable from the rest exactly when it is seen at all
+    and no right-null vector of the (known-columns-removed) matrix touches
+    it.  Both tests are scale-free, so a global rescaling of the matrices
+    leaves every verdict: a column is seen when its norm exceeds RANK_REL_TOL
+    times the largest entry of the whole system (not of this node's matrix,
+    which at a fully zero-forced node is rounding noise), and the null rows
+    are orthonormal.
     """
     candidates = tuple(candidates)
     kept, is_candidate = system.split_columns(node, candidates, known)
@@ -245,9 +250,11 @@ def identifiable_symbols(
     cutoff = RANK_REL_TOL * (sv[0] if sv.size else 0.0)
     rank = int(np.sum(sv > cutoff)) if sv.size else 0
     null_rows = vh[rank:].conj().T      # (n_cols, null_dim)
+    seen_cutoff = RANK_REL_TOL * max(
+        np.abs(m).max(initial=0.0) for m in system.matrices.values())
     verdict: dict[str, bool] = {}
     for j in np.flatnonzero(is_candidate):
-        seen = np.linalg.norm(mat[:, j]) > 1e-9
+        seen = np.linalg.norm(mat[:, j]) > seen_cutoff
         touched = null_rows.shape[1] > 0 and np.linalg.norm(null_rows[j]) > 1e-6
         verdict[system.symbols[kept[j]].sid] = bool(seen and not touched)
     for sid in candidates:

@@ -370,7 +370,7 @@ def _dedupe_rows(rows: Iterable[LinearInequality]) -> list[LinearInequality]:
         r = row.normalized()
         if not r.coeffs:
             if r.rhs < 0:
-                raise ValueError("system is infeasible: 0 <= negative")
+                raise BadParams("system is infeasible: 0 <= negative")
             continue
         key = tuple(sorted(r.coeffs.items()))
         if key not in norm or r.rhs < norm[key]:
@@ -499,16 +499,38 @@ def system_to_json_dict(system: BoundedTermSystem) -> dict:
     }
 
 
+def _json_fraction(value, what: str) -> Fraction:
+    if (not isinstance(value, list) or len(value) != 2
+            or any(type(v) is not int for v in value) or value[1] == 0):
+        raise BadParams(f"{what} must be [numerator, denominator] with a nonzero "
+                        f"integer denominator, got {value!r}")
+    return Fraction(value[0], value[1])
+
+
+def _json_objects(payload, key: str) -> list:
+    items = payload.get(key) if isinstance(payload, Mapping) else None
+    if not isinstance(items, list) or not all(isinstance(e, Mapping) for e in items):
+        raise BadParams(f"system {key!r} must be a list of objects, got {items!r}")
+    return items
+
+
 def system_from_json_dict(payload: Mapping) -> BoundedTermSystem:
+    """Inverse of system_to_json_dict; malformed input raises BadParams."""
     variables = []
     upper: dict[str, Fraction | None] = {}
-    for entry in payload["variables"]:
-        name = entry["name"]
+    for entry in _json_objects(payload, "variables"):
+        name = entry.get("name")
+        if not isinstance(name, str):
+            raise BadParams(f"variable name must be a string, got {name!r}")
         variables.append(name)
         bound = entry.get("upper")
-        upper[name] = None if bound is None else Fraction(bound[0], bound[1])
+        upper[name] = None if bound is None else _json_fraction(bound, f"upper of {name}")
     rows = []
-    for row in payload["inequalities"]:
-        coeffs = {v: Fraction(c[0], c[1]) for v, c in row["coeffs"].items()}
-        rows.append(LinearInequality(coeffs, Fraction(row["rhs"][0], row["rhs"][1])))
+    for row in _json_objects(payload, "inequalities"):
+        coeffs = row.get("coeffs")
+        if not isinstance(coeffs, Mapping):
+            raise BadParams(f"inequality coeffs must be an object, got {coeffs!r}")
+        rows.append(LinearInequality(
+            {v: _json_fraction(c, f"coefficient of {v}") for v, c in coeffs.items()},
+            _json_fraction(row.get("rhs"), "rhs")))
     return BoundedTermSystem(tuple(variables), upper, tuple(rows))

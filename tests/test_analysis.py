@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from sdof_lab import analysis
 from sdof_lab.analysis import (
     DEFAULT_GRID,
     achievable_rate,
     check_output_symmetry,
-    estimate_slope,
+    fit_slope,
     gaussian_mi,
     leakage_slope,
     mc_mi_oracle,
@@ -18,7 +19,9 @@ from sdof_lab.analysis import (
 from sdof_lab.errors import DimensionTooLarge, EmptySystem, GridTooSmall
 from sdof_lab.model import EVE, RX1, RX2, PowerBudget, Topology, sample_channel
 from sdof_lab.precoding import EffectiveLinearSystem, SymbolDecl, assemble_effective_system
-from sdof_lab.schemes import build_scheme, run_scheme
+from sdof_lab.schemes import SCHEME_IDS, build_scheme, run_scheme
+
+STEP5_GRID = tuple(2.0 ** e for e in range(20, 61, 5))
 
 
 def _system(scheme_id, seed=0, **params):
@@ -87,17 +90,62 @@ class TestGaussianMi:
         spec, system = _system("BC_PP_S2")
         assert achievable_rate(system, RX1, 0.0).bits == 0.0
 
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, STEP5_GRID], ids=["5", "9"])
+    def test_one_svd_per_matrix_for_a_grid(self, monkeypatch, grid):
+        spec, system = _system("BC_S1_43")
+        secret = system.message_sids(RX1)
+        _, is_secret = system.split_columns(RX1, secret)
+        assert is_secret.any() and not is_secret.all()
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(analysis.np.linalg, "svd", counting)
+        results = gaussian_mi(system, RX1, secret, grid)
+        assert len(calls) == 2
+        assert [r.power for r in results] == list(grid)
+
+    @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+    def test_grid_call_is_bit_identical(self, scheme_id):
+        """The grid call equals the scalar calls and a fresh SVD per power."""
+        def old_logdet_bits(mat, p):
+            if mat.size == 0:
+                return 0.0
+            sv = np.linalg.svd(mat, compute_uv=False)
+            return float(np.sum(np.log2(1.0 + p * sv ** 2)))
+
+        spec, system = _system(scheme_id)
+        cases = [(node, system.message_sids(node), ())
+                 for node in (RX1, RX2) if system.message_sids(node)]
+        cases += [(adv, sorted(secret), spec.adversary_known.get(adv, frozenset()))
+                  for adv, secret in sorted(spec.protected.items())]
+        assert cases
+        for node, secret, known in cases:
+            kept, is_secret = system.split_columns(node, secret, known)
+            full = system.matrices[node][:, kept]
+            for grid in (DEFAULT_GRID, STEP5_GRID):
+                results = gaussian_mi(system, node, secret, grid, known=known)
+                assert results == [gaussian_mi(system, node, secret, p, known=known)
+                                   for p in grid]
+                assert [r.bits for r in results] == [
+                    max(old_logdet_bits(full, p)
+                        - old_logdet_bits(full[:, ~is_secret], p), 0.0)
+                    for p in grid], (node, grid)
+
 
 class TestSlopes:
     def test_analytic_single_stream(self):
-        est = estimate_slope(lambda p: math.log2(1 + p), 1, DEFAULT_GRID)
+        est = fit_slope([math.log2(1 + p) for p in DEFAULT_GRID], 1, DEFAULT_GRID)
         assert 0.999 <= est.slope <= 1.001
 
     def test_grid_too_small(self):
         with pytest.raises(GridTooSmall):
-            estimate_slope(lambda p: p, 1, [8.0])
+            fit_slope([8.0], 1, [8.0])
         with pytest.raises(GridTooSmall):
-            estimate_slope(lambda p: p, 1, [8.0, 4.0])
+            fit_slope([8.0, 4.0], 1, [8.0, 4.0])
 
     def test_rate_slopes_match_nominal(self):
         spec, system = _system("BC_PP_S2")
@@ -106,8 +154,8 @@ class TestSlopes:
 
     def test_bc43_block_rate(self):
         spec, system = _system("BC_S1_43")
-        est = estimate_slope(
-            lambda p: achievable_rate(system, RX1, p).bits, 1, DEFAULT_GRID)
+        est = fit_slope(
+            [achievable_rate(system, RX1, p).bits for p in DEFAULT_GRID], 1, DEFAULT_GRID)
         assert abs(est.slope - 4.0) <= 0.05
 
     def test_leakage_slope_bounded(self):

@@ -195,18 +195,44 @@ class TestRegion:
         assert plot.read_text().splitlines()[1:] == ["0 0", "1 0", "1 0.5", "0 1"]
 
 
-@pytest.mark.parametrize("argv, config", [
-    (("simulate", "--scheme", "wt_pp", "--seeds", "0"), None),
-    (("simulate", "--scheme", "wt_pp", "--p-exp", "2000"), None),
-    (("simulate", "--scheme", "wt_pp", "--p-exp", "-2000"), None),
-    (("region", "--theorem", "thm1", "--lambda", "dd=abc"), None),
-    (("simulate",), {"scheme": "wt_pp", "seeds": "3"}),
-], ids=["zero-seeds", "huge-power", "tiny-power", "bad-lambda", "string-seeds"])
-def test_bad_input_gets_one_error_line(tmp_path, capsys, argv, config):
-    if config is not None:
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        argv += ("--config", str(path))
+@pytest.mark.parametrize("argv, files, env", [
+    (("simulate", "--scheme", "wt_pp", "--seeds", "0"), {}, {}),
+    (("simulate", "--scheme", "wt_pp", "--p-exp", "2000"), {}, {}),
+    (("simulate", "--scheme", "wt_pp", "--p-exp", "-2000"), {}, {}),
+    (("region", "--theorem", "thm1", "--lambda", "dd=abc"), {}, {}),
+    (("simulate", "--config", "{tmp}/c.json"),
+     {"c.json": json.dumps({"scheme": "wt_pp", "seeds": "3"})}, {}),
+    (("fm", "--system", "{tmp}/s.json"), {"s.json": json.dumps({"variables": 3})}, {}),
+    (("fm", "--system", "{tmp}/s.json"),
+     {"s.json": json.dumps({"variables": [], "inequalities": [{"coeffs": 1}]})}, {}),
+    (("fm", "--system", "{tmp}/s.json"),
+     {"s.json": json.dumps({"variables": [], "inequalities": [
+         {"coeffs": {"d1": [1, 0]}, "rhs": [1, 1]}]})}, {}),
+    (("fm", "--system", "{tmp}/s.json"),
+     {"s.json": json.dumps({"variables": [{"name": "a"}], "inequalities": [
+         {"coeffs": {"a": [1, 1]}, "rhs": [-1, 1]}]})}, {}),
+    (("simulate", "--scheme", "wt_pp"), {}, {"LAB_THREADS": "abc"}),
+    (("simulate", "--scheme", "wt_pp"), {}, {"LAB_THREADS": "0"}),
+    (("simulate", "--config", "{tmp}/missing.json"), {}, {}),
+    (("fm", "--system", "{tmp}/missing.json"), {}, {}),
+    (("simulate", "--config", "{tmp}/c.json"), {"c.json": "{"}, {}),
+    (("fm", "--system", "{tmp}/s.json"), {"s.json": "{"}, {}),
+    (("simulate", "--config", "{tmp}/c.json"), {"c.json": "3"}, {}),
+    (("simulate", "--scheme", "wt_pp", "--seeds", "1",
+      "--out", "{tmp}/missing/rows.csv"), {}, {}),
+    (("region", "--theorem", "thm3", "--out", "{tmp}/missing/r.json"), {}, {}),
+    (("simulate", "--scheme", "mr_ddp", "--blocks", "7"), {}, {}),
+], ids=["zero-seeds", "huge-power", "tiny-power", "bad-lambda", "string-seeds",
+        "fm-int-variables", "fm-int-coeffs", "fm-zero-denominator", "fm-infeasible",
+        "threads-abc", "threads-zero", "missing-config", "missing-system",
+        "invalid-config-json", "invalid-system-json", "config-not-object",
+        "unwritable-out", "unwritable-region-out", "blocks-non-composite"])
+def test_bad_input_gets_one_error_line(tmp_path, capsys, monkeypatch, argv, files, env):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert run_cli(*argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,5 +1,7 @@
 """Beamformers and effective linear systems."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,3 +188,26 @@ class TestIdentifiability:
                     continue
                 assert report.nodes[node].success
                 assert identifiability_check(system, node, targets), (scheme_id, node)
+
+    @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+    def test_verdicts_survive_rescaling(self, scheme_id):
+        """Both oracles give the same verdicts when every matrix is rescaled."""
+        spec, trace = _run(scheme_id, seed=2)
+        system = assemble_effective_system(trace)
+
+        def verdicts(sys_):
+            out = {}
+            for node in spec.topology.nodes():
+                known = spec.adversary_known.get(node, frozenset())
+                candidates = sorted(set(sys_.message_sids()) - known)
+                table = identifiable_symbols(sys_, node, candidates, known)
+                for sid in candidates:
+                    out[node, sid] = (table[sid],
+                                      identifiability_check(sys_, node, [sid], known))
+            return out
+
+        reference = verdicts(system)
+        for scale in (1e-10, 1e3):
+            scaled = dataclasses.replace(
+                system, matrices={n: m * scale for n, m in system.matrices.items()})
+            assert verdicts(scaled) == reference, scale
