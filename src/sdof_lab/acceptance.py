@@ -263,11 +263,9 @@ def criterion_7() -> CriterionResult:
     peak = max((4 * v[0] + v[1] for v in region.vertices), default=None)
     if peak != Fraction(17, 4):
         failures.append(f"max 4*d1+d2 = {peak}")
-    from .fm_oracle import grid_agreement, oracle_catalog
+    from .fm_oracle import hull_agreement, oracle_catalog
     for name, system in oracle_catalog().items():
-        if len(system.variables) > 4:
-            continue
-        agree, msg = grid_agreement(system)
+        agree, msg = hull_agreement(system)
         if not agree:
             failures.append(f"oracle disagrees on {name}: {msg}")
     return _result(7, "converse facet 16*d1+4*d2 <= 17 and projection oracle",

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import analysis, regions
 from .errors import CsitViolation, SdofLabError
-from .fm_oracle import convex_hull, grid_agreement
+from .fm_oracle import convex_hull, hull_agreement
 from .model import RX1, RX2, PowerBudget, sample_channel, validate_schedule
 from .precoding import assemble_effective_system
 from .schemes import accounting, build_scheme, decode, from_cli_name, run_scheme
@@ -315,7 +315,7 @@ def cmd_fm(system_path: str, eliminate: list[str] | None, out: str | None,
         current = regions.fm_eliminate(current, var)
     result = regions.system_to_json_dict(current)
     if check and not current.variables:
-        ok, msg = grid_agreement(system)
+        ok, msg = hull_agreement(system)
         result["oracle_agreement"] = {"ok": ok, "detail": msg}
     text = json.dumps(result, indent=2, sort_keys=True)
     if out:
@@ -378,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     fm.add_argument("--eliminate", nargs="*", default=None)
     fm.add_argument("--out")
     fm.add_argument("--check", action="store_true",
-                    help="cross-check a full projection against the hull oracle")
+                    help="cross-check a full projection against the hull oracle "
+                         "(exact vertex-cycle equality)")
 
     ver = sub.add_parser("verify", help="run the acceptance suite")
     ver.add_argument("--sub", default="tjsp53", choices=["tjsp53", "fallback32"])

@@ -2,17 +2,20 @@
 
 The projection of a bounded polytope equals the convex hull of its projected
 vertices.  This module enumerates the lifted polytope's vertices exactly
-(rational Gaussian elimination over all constraint subsets), hulls their
-(d1, d2) shadows, and compares membership against the eliminator's projected
-region on a dense rational grid.  It shares no code with the eliminator.
+(fraction-free integer elimination over all constraint subsets), hulls their
+(d1, d2) shadows, and compares that polygon with the eliminator's projected
+region as exact counter-clockwise vertex cycles, so agreement means the two
+regions are equal.  It shares no code with the eliminator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import zip_longest
+from math import lcm
 from typing import Sequence
 
+from .errors import SdofLabError
 from .regions import (
     BoundedTermSystem,
     RegionPolytope,
@@ -22,24 +25,6 @@ from .regions import (
 )
 
 Point = tuple[Fraction, Fraction]
-
-
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]):
-    """Unique solution of a square rational system, or None if singular."""
-    n = len(matrix)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
 
 
 def _system_rows(system: BoundedTermSystem) -> tuple[tuple[str, ...], list]:
@@ -54,19 +39,78 @@ def _system_rows(system: BoundedTermSystem) -> tuple[tuple[str, ...], list]:
     return order, rows
 
 
+def _integer_rows(rows) -> list[tuple[list[int], int]]:
+    """Each row scaled by the lcm of its denominators: same halfspace, integer
+    coefficients."""
+    out = []
+    for vec, b in rows:
+        scale = lcm(b.denominator, *(c.denominator for c in vec))
+        out.append(([int(c * scale) for c in vec], int(b * scale)))
+    return out
+
+
+def _bareiss_step(row: list[int], pivot: list[int], col: int, prev: int) -> list[int]:
+    """One fraction-free elimination step: clears `row[col]`; every entry stays
+    a minor of the input rows, so the division is exact."""
+    p, f = pivot[col], row[col]
+    return [(p * a - f * b) // prev for a, b in zip(row, pivot)]
+
+
+def _basic_solutions(rows: list[tuple[list[int], int]], dim: int):
+    """Yield (numerators, det), det > 0, for every nonsingular subset of `dim`
+    rows, solved as equalities: the solution is numerators / det.
+
+    Subsets are walked depth first in combination order, and each level runs
+    one Bareiss step on the candidates after the chosen row, so subsets that
+    share a prefix share its elimination.  A candidate that reduces to zero is
+    dependent on the prefix, so no subset extending the prefix with it is
+    nonsingular: it is dropped from the whole subtree.
+    """
+    pivots: list[tuple[int, list[int]]] = []     # (pivot column, reduced row)
+
+    def extend(cands: list[list[int]], prev: int):
+        need = dim - len(pivots)
+        if need == 0:
+            yield _back_substitute(pivots, dim)
+            return
+        for i in range(len(cands) - need + 1):
+            row = cands[i]
+            col = next(j for j in range(dim) if row[j])
+            children = [_bareiss_step(c, row, col, prev) for c in cands[i + 1:]]
+            pivots.append((col, row))
+            yield from extend([c for c in children if any(c[:dim])], row[col])
+            pivots.pop()
+
+    yield from extend([vec + [b] for vec, b in rows if any(vec)], 1)
+
+
+def _back_substitute(pivots: list[tuple[int, list[int]]], dim: int):
+    """det * x from a Bareiss echelon form whose last pivot is +-det."""
+    det = pivots[-1][1][pivots[-1][0]]
+    nums = [0] * dim
+    for col, row in reversed(pivots):
+        acc = det * row[dim] - sum(row[j] * nums[j] for j in range(dim) if j != col)
+        nums[col] = acc // row[col]
+    if det < 0:
+        return [-x for x in nums], -det
+    return nums, det
+
+
 def lifted_vertices(system: BoundedTermSystem) -> list[tuple[Fraction, ...]]:
-    """All vertices of the lifted feasible polytope, exactly."""
+    """All vertices of the lifted feasible polytope, exactly.
+
+    Every nonsingular subset of `dim` rows is solved in integers; a solution
+    is kept when it satisfies every row, tested as sum(c * num) <= b * det,
+    and only kept solutions become Fractions.
+    """
     order, rows = _system_rows(system)
     dim = len(order)
+    int_rows = _integer_rows(rows)
     verts: set[tuple[Fraction, ...]] = set()
-    for subset in combinations(range(len(rows)), dim):
-        matrix = [rows[i][0] for i in subset]
-        rhs = [rows[i][1] for i in subset]
-        sol = _solve_exact([r[:] for r in matrix], rhs)
-        if sol is None:
-            continue
-        if all(sum(c * x for c, x in zip(vec, sol)) <= b for vec, b in rows):
-            verts.add(tuple(sol))
+    for nums, det in _basic_solutions(int_rows, dim):
+        if all(sum(c * x for c, x in zip(vec, nums)) <= b * det
+               for vec, b in int_rows):
+            verts.add(tuple(Fraction(x, det) for x in nums))
     return sorted(verts)
 
 
@@ -122,7 +166,9 @@ def grid_agreement(system: BoundedTermSystem,
 
     The grid covers the hull's bounding box plus a margin, so it samples both
     feasible points (which must satisfy the projection) and boundary-exterior
-    points (which must violate it).
+    points (which must violate it).  It misses features finer than `step`;
+    `hull_agreement` is the exact check.  Nothing in the package calls this;
+    the benchmark tracer (perfbench/tracing.py) binds it and `in_hull` by name.
     """
     hull = shadow_hull(system)
     if not hull:
@@ -144,6 +190,30 @@ def grid_agreement(system: BoundedTermSystem,
             y += step
         x += step
     return True, ""
+
+
+def hull_agreement(system: BoundedTermSystem) -> tuple[bool, str]:
+    """Compare the shadow hull of the lifted vertices with the eliminator's
+    projected region as exact counter-clockwise vertex cycles.
+
+    Fails closed: an empty lifted polytope or an error in the eliminator is a
+    disagreement.  The message names the first vertex where the cycles differ.
+    """
+    hull = shadow_hull(system)
+    if not hull:
+        return False, "lifted polytope is empty"
+    try:
+        fm = convex_hull(projection_region(system).vertices)
+    except SdofLabError as exc:
+        return False, f"elimination failed: {exc}"
+    for i, (want, got) in enumerate(zip_longest(hull, fm)):
+        if want != got:
+            return False, f"vertex {i} of the cycle: hull {_show(want)}, fm {_show(got)}"
+    return True, ""
+
+
+def _show(point: Point | None) -> str:
+    return "none" if point is None else f"({point[0]}, {point[1]})"
 
 
 def oracle_catalog() -> dict[str, BoundedTermSystem]:

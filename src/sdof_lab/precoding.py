@@ -177,19 +177,19 @@ def assemble_effective_system(trace) -> EffectiveLinearSystem:
     )
 
 
-def _rank(mat: np.ndarray, scale: float | None = None) -> int:
-    """Numerical rank with tolerance relative to `scale` (default: own largest
-    singular value).  Pass the joint matrix scale when ranking submatrices so
-    zero-forced blocks do not rank against their own rounding noise."""
+def _system_scale(system: EffectiveLinearSystem) -> float:
+    """Largest entry of any node's matrix: the reference for every rank and
+    seen-column cutoff, so a fully zero-forced node (whose own matrix is
+    rounding noise) is not ranked against itself."""
+    return max(np.abs(m).max(initial=0.0) for m in system.matrices.values())
+
+
+def _rank(mat: np.ndarray, scale: float) -> int:
+    """Numerical rank: singular values above RANK_REL_TOL * scale."""
     if mat.size == 0:
         return 0
     sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0:
-        return 0
-    ref = scale if scale is not None else float(sv[0])
-    if ref == 0:
-        return 0
-    return int(np.sum(sv > RANK_REL_TOL * ref))
+    return int(np.sum(sv > RANK_REL_TOL * scale))
 
 
 def identifiability_check(
@@ -220,10 +220,9 @@ def identifiability_check(
         i for d, i in ((d, index[d.sid]) for d in system.symbols)
         if d.sid not in known and i not in target_cols
     ]
-    a_t = mat[:, target_cols]
     nuis = mat[:, nuis_cols]
-    joint = np.hstack([a_t, nuis])
-    scale = float(np.linalg.norm(joint, 2)) if joint.size else 0.0
+    joint = np.hstack([mat[:, target_cols], nuis])
+    scale = _system_scale(system)
     return _rank(joint, scale) - _rank(nuis, scale) == len(targets)
 
 
@@ -250,8 +249,7 @@ def identifiable_symbols(
     cutoff = RANK_REL_TOL * (sv[0] if sv.size else 0.0)
     rank = int(np.sum(sv > cutoff)) if sv.size else 0
     null_rows = vh[rank:].conj().T      # (n_cols, null_dim)
-    seen_cutoff = RANK_REL_TOL * max(
-        np.abs(m).max(initial=0.0) for m in system.matrices.values())
+    seen_cutoff = RANK_REL_TOL * _system_scale(system)
     verdict: dict[str, bool] = {}
     for j in np.flatnonzero(is_candidate):
         seen = np.linalg.norm(mat[:, j]) > seen_cutoff

@@ -363,14 +363,19 @@ def make_inequality(coeffs: Mapping[str, object], rhs) -> LinearInequality:
     )
 
 
+def _check_consistent(row: LinearInequality) -> None:
+    """Reject a row with no nonzero coefficient and a negative right side."""
+    if row.rhs < 0 and not any(row.coeffs.values()):
+        raise BadParams("system is infeasible: 0 <= negative")
+
+
 def _dedupe_rows(rows: Iterable[LinearInequality]) -> list[LinearInequality]:
     """Drop tautologies, exact duplicates and pairwise-dominated rows."""
     norm: dict[tuple, Fraction] = {}
     for row in rows:
         r = row.normalized()
         if not r.coeffs:
-            if r.rhs < 0:
-                raise BadParams("system is infeasible: 0 <= negative")
+            _check_consistent(r)
             continue
         key = tuple(sorted(r.coeffs.items()))
         if key not in norm or r.rhs < norm[key]:
@@ -515,7 +520,8 @@ def _json_objects(payload, key: str) -> list:
 
 
 def system_from_json_dict(payload: Mapping) -> BoundedTermSystem:
-    """Inverse of system_to_json_dict; malformed input raises BadParams."""
+    """Inverse of system_to_json_dict; malformed input, or a row that reads
+    0 <= negative, raises BadParams."""
     variables = []
     upper: dict[str, Fraction | None] = {}
     for entry in _json_objects(payload, "variables"):
@@ -533,4 +539,5 @@ def system_from_json_dict(payload: Mapping) -> BoundedTermSystem:
         rows.append(LinearInequality(
             {v: _json_fraction(c, f"coefficient of {v}") for v, c in coeffs.items()},
             _json_fraction(row.get("rhs"), "rhs")))
+        _check_consistent(rows[-1])
     return BoundedTermSystem(tuple(variables), upper, tuple(rows))

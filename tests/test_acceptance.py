@@ -59,3 +59,19 @@ def test_criterion_10_output_symmetry():
 
 def test_criterion_11_time_share_example():
     _check(acceptance.criterion_11())
+
+
+def test_criterion_07_runs_the_oracle_on_every_catalog_system(monkeypatch):
+    """No catalog system is skipped, so a size cap on the oracle fails here."""
+    from sdof_lab import fm_oracle
+
+    seen = []
+    exact = fm_oracle.hull_agreement
+
+    def counting(system):
+        seen.append(system)
+        return exact(system)
+
+    monkeypatch.setattr(fm_oracle, "hull_agreement", counting)
+    _check(acceptance.criterion_7())
+    assert seen == list(fm_oracle.oracle_catalog().values())

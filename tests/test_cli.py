@@ -211,6 +211,9 @@ class TestRegion:
     (("fm", "--system", "{tmp}/s.json"),
      {"s.json": json.dumps({"variables": [{"name": "a"}], "inequalities": [
          {"coeffs": {"a": [1, 1]}, "rhs": [-1, 1]}]})}, {}),
+    (("fm", "--system", "{tmp}/s.json"),
+     {"s.json": json.dumps({"variables": [], "inequalities": [
+         {"coeffs": {}, "rhs": [-1, 1]}]})}, {}),
     (("simulate", "--scheme", "wt_pp"), {}, {"LAB_THREADS": "abc"}),
     (("simulate", "--scheme", "wt_pp"), {}, {"LAB_THREADS": "0"}),
     (("simulate", "--config", "{tmp}/missing.json"), {}, {}),
@@ -224,6 +227,7 @@ class TestRegion:
     (("simulate", "--scheme", "mr_ddp", "--blocks", "7"), {}, {}),
 ], ids=["zero-seeds", "huge-power", "tiny-power", "bad-lambda", "string-seeds",
         "fm-int-variables", "fm-int-coeffs", "fm-zero-denominator", "fm-infeasible",
+        "fm-infeasible-no-vars",
         "threads-abc", "threads-zero", "missing-config", "missing-system",
         "invalid-config-json", "invalid-system-json", "config-not-object",
         "unwritable-out", "unwritable-region-out", "blocks-non-composite"])

@@ -165,15 +165,18 @@ class TestIdentifiability:
             identifiability_check(system, EVE, ["nope"])
 
     def test_fast_path_matches_rank_check(self):
-        for scheme_id in ("WT_DD_23", "MR_PPD", "BC_S1_43", "BC_DD_S1"):
+        """Both oracles agree on every message symbol at every node, fully
+        zero-forced nodes (WT_PP/WT_DP eve, BC_PP_S2 rx1/rx2) included."""
+        for scheme_id in SCHEME_IDS:
             spec, trace = _run(scheme_id, seed=11)
             system = assemble_effective_system(trace)
-            for adv, secret in spec.protected.items():
-                known = spec.adversary_known.get(adv, frozenset())
-                table = identifiable_symbols(system, adv, sorted(secret), known)
+            for node in spec.topology.nodes():
+                known = spec.adversary_known.get(node, frozenset())
+                candidates = sorted(set(system.message_sids()) - known)
+                table = identifiable_symbols(system, node, candidates, known)
                 for sid, flag in table.items():
                     assert flag == identifiability_check(
-                        system, adv, [sid], known), (scheme_id, adv, sid)
+                        system, node, [sid], known), (scheme_id, node, sid)
 
     def test_oracle_agrees_with_decoders(self):
         from sdof_lab.schemes import decode

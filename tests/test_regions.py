@@ -15,7 +15,15 @@ from sdof_lab.errors import (
     UnknownTheorem,
     UnknownVariable,
 )
-from sdof_lab.fm_oracle import grid_agreement, oracle_catalog, shadow_hull
+from sdof_lab import fm_oracle
+from sdof_lab.fm_oracle import (
+    convex_hull,
+    grid_agreement,
+    hull_agreement,
+    lifted_vertices,
+    oracle_catalog,
+    shadow_hull,
+)
 from sdof_lab.model import validate_schedule
 from sdof_lab.regions import (
     BoundedTermSystem,
@@ -272,10 +280,53 @@ class TestFmOracle:
         ok, msg = grid_agreement(oracle_catalog()[name])
         assert ok, msg
 
+    @pytest.mark.parametrize("name, count", [
+        ("slack_pair", 5), ("wedge", 6), ("converse_lite", 50), ("converse", 86)])
+    def test_lifted_vertices_are_vertices(self, name, count):
+        """Each vertex satisfies every row and is pinned by `dim` linearly
+        independent active rows, checked with Fractions."""
+        system = oracle_catalog()[name]
+        order, rows = fm_oracle._system_rows(system)
+        verts = lifted_vertices(system)
+        assert len(verts) == count == len(set(verts))
+        for vert in verts:
+            values = [sum(c * x for c, x in zip(vec, vert)) for vec, _ in rows]
+            assert all(v <= b for v, (_, b) in zip(values, rows)), vert
+            active = [vec for v, (vec, b) in zip(values, rows) if v == b]
+            assert _rational_rank(active) == len(order), vert
+
+    def test_sliver_caught_exactly_but_not_by_grid(self, monkeypatch):
+        """Moving one projected vertex by 1/1000 is invisible on the 1/64 grid
+        and rejected by the exact cycle comparison."""
+        system = oracle_catalog()["slack_pair"]
+        assert shadow_hull(system) == [(F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(2))]
+        # d1 + d2 <= 2 tilted about (0, 2): the vertex (1, 1) becomes (1, 1001/1000)
+        sliver = RegionPolytope.from_halfplanes(
+            [HalfPlane(F(1), F(0), F(1)), HalfPlane(F(999), F(1000), F(2000))])
+        monkeypatch.setattr(fm_oracle, "projection_region", lambda _system: sliver)
+        assert grid_agreement(system) == (True, "")
+        ok, msg = hull_agreement(system)
+        assert not ok
+        assert msg == "vertex 2 of the cycle: hull (1, 1), fm (1, 1001/1000)"
+
+    def test_hull_agreement_fails_closed(self, monkeypatch):
+        empty = BoundedTermSystem(
+            variables=("a",), upper={"a": F(1)},
+            inequalities=(make_inequality({"d1": 1, "a": 1}, -1),))
+        assert hull_agreement(empty) == (False, "lifted polytope is empty")
+
+        def broken(_system):
+            raise Unbounded("region has a recession ray")
+
+        monkeypatch.setattr(fm_oracle, "projection_region", broken)
+        ok, msg = hull_agreement(oracle_catalog()["wedge"])
+        assert not ok and msg == "elimination failed: region has a recession ray"
+
     def test_converse_shadow_hull_matches_projection(self):
         system = converse_alternation_system()
         hull = shadow_hull(system)
         region = projection_region(system)
+        assert hull == convex_hull(region.vertices)
         assert set(hull) == set(region.vertices)
 
     @given(st.integers(min_value=0, max_value=10_000))
@@ -298,3 +349,22 @@ class TestFmOracle:
         )
         ok, msg = grid_agreement(system, step=F(1, 16))
         assert ok, msg
+        ok, msg = hull_agreement(system)
+        assert ok, msg
+
+
+def _rational_rank(rows):
+    """Rank of a list of Fraction rows by plain Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                f = rows[i][col] / rows[rank][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
