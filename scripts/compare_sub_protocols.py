@@ -19,8 +19,7 @@ from sdof_lab import (
     build_scheme,
     composite_accounting,
     rate_slope,
-    run_scheme,
-    sample_channel,
+    run_seeds,
 )
 
 SUB_RATES = {"tjsp53": Fraction(5, 3), "fallback32": Fraction(3, 2)}
@@ -35,13 +34,8 @@ def main():
         spec = build_scheme("MR_S30_29_A", sub=sub)
         measured = accounting(spec)
         predicted = composite_accounting(sub_rate)
-        slopes = []
-        for seed in range(args.seeds):
-            realization = sample_channel(spec.topology, spec.n_slots, seed)
-            trace = run_scheme(spec, realization, PowerBudget(1e4),
-                               "noiseless", seed)
-            system = assemble_effective_system(trace)
-            slopes.append(rate_slope(system, RX1, spec.n_slots).slope)
+        slopes = [rate_slope(assemble_effective_system(trace), RX1, spec.n_slots).slope
+                  for trace in run_seeds(spec, range(args.seeds), PowerBudget(1e4))]
         print(f"sub-protocol {sub}: superframe {spec.n_slots} slots, "
               f"{measured.symbols_per_receiver[RX1]} symbols/receiver")
         print(f"  accounting: measured {measured.nominal_sdof[RX1]}, "

@@ -18,8 +18,7 @@ from sdof_lab import (
     build_scheme,
     decode,
     rate_slope,
-    run_scheme,
-    sample_channel,
+    run_seeds,
 )
 from sdof_lab.analysis import leakage_slope
 
@@ -39,10 +38,7 @@ def main():
         slopes = {RX1: [], RX2: []}
         leaks = []
         ok = True
-        for seed in range(args.seeds):
-            realization = sample_channel(spec.topology, spec.n_slots, seed)
-            trace = run_scheme(spec, realization, PowerBudget(1e4),
-                               "noiseless", seed)
+        for trace in run_seeds(spec, range(args.seeds), PowerBudget(1e4)):
             ok &= decode(trace).all_success
             system = assemble_effective_system(trace)
             for node in (RX1, RX2):

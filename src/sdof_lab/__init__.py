@@ -17,6 +17,7 @@ from .model import (
     StateSchedule,
     Topology,
     sample_channel,
+    sample_channels,
     schedule_to_slot_states,
     validate_schedule,
 )
@@ -41,7 +42,9 @@ from .schemes import (
     build_scheme,
     composite_accounting,
     decode,
+    run_batch,
     run_scheme,
+    run_seeds,
 )
 from .analysis import (
     MiResult,

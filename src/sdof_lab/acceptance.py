@@ -14,15 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import analysis, regions
-from .model import (
-    EVE,
-    RX1,
-    RX2,
-    PowerBudget,
-    Topology,
-    sample_channel,
-    validate_schedule,
-)
+from .model import EVE, RX1, RX2, PowerBudget, Topology, validate_schedule
 from .precoding import assemble_effective_system
 from .schemes import (
     SCHEME_IDS,
@@ -31,7 +23,7 @@ from .schemes import (
     build_scheme,
     composite_accounting,
     decode,
-    run_scheme,
+    run_seeds,
 )
 
 SLOPE_TOL = 0.05
@@ -59,10 +51,10 @@ def _result(number, name, ok, detail="") -> CriterionResult:
     return CriterionResult(number, name, "PASS" if ok else "FAIL", detail)
 
 
-def _run(scheme_id: str, seed: int, power=REFERENCE_POWER, **params):
-    spec = build_scheme(scheme_id, **params)
-    realization = sample_channel(spec.topology, spec.n_slots, seed)
-    return spec, run_scheme(spec, realization, power, "noiseless", seed)
+def _systems(spec, n_seeds: int) -> list:
+    """Effective systems of seeds 0..n_seeds-1 at the reference power."""
+    return [assemble_effective_system(trace)
+            for trace in run_seeds(spec, range(n_seeds), REFERENCE_POWER)]
 
 
 def _pair_schedule(**fractions):
@@ -118,7 +110,8 @@ def criterion_3(n_seeds: int = 100) -> CriterionResult:
     """Noiseless decodability and adversary non-identifiability, all schemes.
 
     Also pins the companion invariant: the generic identifiability oracle
-    agrees with every hand-written decoder on its own targets.
+    agrees with every hand-written decoder on its own targets.  Every
+    failing (scheme, seed) is listed.
     """
     from .precoding import identifiability_check
 
@@ -127,25 +120,21 @@ def criterion_3(n_seeds: int = 100) -> CriterionResult:
         spec = build_scheme(scheme_id)
         receivers = [n for n in spec.topology.nodes()
                      if n != EVE and spec.message_sids(n)]
-        for seed in range(n_seeds):
-            realization = sample_channel(spec.topology, spec.n_slots, seed)
-            trace = run_scheme(spec, realization, REFERENCE_POWER, "noiseless", seed)
+        for trace in run_seeds(spec, range(n_seeds), REFERENCE_POWER):
             report = decode(trace)
             if not report.all_success:
-                failures.append(f"{scheme_id} seed {seed}: residual "
-                                f"{report.max_residual:.2e}")
-                break
-            if report.any_protected_identifiable:
-                failures.append(f"{scheme_id} seed {seed}: protected symbol leaks")
-                break
-            system = assemble_effective_system(trace)
-            if not all(identifiability_check(system, node, spec.message_sids(node))
+                failure = f"residual {report.max_residual:.2e}"
+            elif report.any_protected_identifiable:
+                failure = "protected symbol leaks"
+            else:
+                system = assemble_effective_system(trace)
+                if all(identifiability_check(system, node, spec.message_sids(node))
                        for node in receivers):
-                failures.append(f"{scheme_id} seed {seed}: oracle disagrees "
-                                "with a successful decoder")
-                break
+                    continue
+                failure = "oracle disagrees with a successful decoder"
+            failures.append(f"{scheme_id} seed {trace.seed}: {failure}")
     return _result(3, f"decodability + secrecy structure ({n_seeds} seeds/scheme)",
-                   not failures, "; ".join(failures[:4]))
+                   not failures, "; ".join(failures))
 
 
 _NOMINAL_SLOPES = {
@@ -167,15 +156,10 @@ def criterion_4(n_seeds: int = 5) -> CriterionResult:
     failures = []
     for scheme_id, targets in _NOMINAL_SLOPES.items():
         spec = build_scheme(scheme_id)
+        systems = _systems(spec, n_seeds)
         for node, nominal in targets.items():
-            slopes = []
-            for seed in range(n_seeds):
-                realization = sample_channel(spec.topology, spec.n_slots, seed)
-                trace = run_scheme(spec, realization, REFERENCE_POWER,
-                                   "noiseless", seed)
-                system = assemble_effective_system(trace)
-                slopes.append(analysis.rate_slope(
-                    system, node, spec.n_slots, GRID).slope)
+            slopes = [analysis.rate_slope(system, node, spec.n_slots, GRID).slope
+                      for system in systems]
             mean = float(np.mean(slopes))
             if abs(mean - float(nominal)) > SLOPE_TOL:
                 failures.append(f"{scheme_id}/{node}: {mean:.4f} vs {nominal}")
@@ -189,14 +173,11 @@ def criterion_5(n_seeds: int = 5) -> CriterionResult:
     secure = [sid for sid in SCHEME_IDS if build_scheme(sid).protected]
     for scheme_id in secure:
         spec = build_scheme(scheme_id)
+        systems = _systems(spec, n_seeds)
         for adv, secret in spec.protected.items():
             known = spec.adversary_known.get(adv, frozenset())
             slopes = []
-            for seed in range(n_seeds):
-                realization = sample_channel(spec.topology, spec.n_slots, seed)
-                trace = run_scheme(spec, realization, REFERENCE_POWER,
-                                   "noiseless", seed)
-                system = assemble_effective_system(trace)
+            for system in systems:
                 slopes.append(analysis.leakage_slope(
                     system, adv, sorted(secret), spec.n_slots, known, GRID).slope)
                 if scheme_id in ("MR_PDP", "MR_DDP"):
@@ -229,15 +210,12 @@ def criterion_6(sub: str = "tjsp53", n_seeds: int = 3) -> CriterionResult:
         formula = composite_accounting(Fraction(3, 2)).nominal_sdof[RX1]
         if report.nominal_sdof[RX1] != formula or formula != expect:
             failures.append(f"fallback accounting {report.nominal_sdof[RX1]}")
+    systems = _systems(spec, n_seeds)
     for node in (RX1, RX2):
         if report.nominal_sdof[node] != expect:
             failures.append(f"accounting {node}: {report.nominal_sdof[node]}")
-        slopes = []
-        for seed in range(n_seeds):
-            realization = sample_channel(spec.topology, spec.n_slots, seed)
-            trace = run_scheme(spec, realization, REFERENCE_POWER, "noiseless", seed)
-            system = assemble_effective_system(trace)
-            slopes.append(analysis.rate_slope(system, node, spec.n_slots, GRID).slope)
+        slopes = [analysis.rate_slope(system, node, spec.n_slots, GRID).slope
+                  for system in systems]
         mean = float(np.mean(slopes))
         if abs(mean - float(expect)) > SLOPE_TOL:
             failures.append(f"slope {node}: {mean:.4f} vs {expect}")
@@ -259,7 +237,7 @@ def criterion_7() -> CriterionResult:
     facet = (("d1", Fraction(16)), ("d2", Fraction(4)))
     if normalized.get(facet) != Fraction(17):
         failures.append(f"facet missing; rows: {sorted(normalized.items())}")
-    region = regions.projection_region(converse_alternation_system())
+    region = regions.projected_region(projected)
     peak = max((4 * v[0] + v[1] for v in region.vertices), default=None)
     if peak != Fraction(17, 4):
         failures.append(f"max 4*d1+d2 = {peak}")
@@ -334,7 +312,8 @@ def criterion_9() -> CriterionResult:
     failures = []
     power = 1e4
     for idx, (scheme_id, node, _) in enumerate(cases):
-        spec, trace = _run(scheme_id, seed=1000 + idx, power=PowerBudget(power))
+        spec = build_scheme(scheme_id)
+        trace, = run_seeds(spec, [1000 + idx], PowerBudget(power))
         system = assemble_effective_system(trace)
         secret = spec.protected.get(node) or system.message_sids(node)
         secret = sorted(secret)

@@ -282,37 +282,56 @@ class ChannelRealization:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def sample_channel(topology: Topology, n_slots: int, seed: int) -> ChannelRealization:
-    """Draw a fading realization: i.i.d. unit-variance complex Gaussian entries.
+def sample_channels(topology: Topology, n_slots: int, seeds) -> list[ChannelRealization]:
+    """Draw one fading realization per seed: i.i.d. unit-variance complex
+    Gaussian entries.
 
     Each slot's stacked state matrix is kept full row rank with condition
     number at most 1e6 by rejection resampling inside that slot's own
     substream, so realizations are deterministic in (topology, n_slots, seed)
-    and independent across slots.
+    and independent across slots and seeds.  Every slot's first draw is
+    checked in one stacked SVD; only rejected slots draw again.
     """
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
-    n_nodes = topology.state_arity
-    rows = np.empty((n_slots, n_nodes, topology.n_tx), dtype=complex)
-    for t in range(n_slots):
-        gen = rng.stream(seed, "chan", t)
-        for attempt in range(_RESAMPLE_LIMIT):
-            cand = rng.complex_normal(gen, (n_nodes, topology.n_tx))
-            sv = np.linalg.svd(cand, compute_uv=False)
-            if sv[-1] > 0 and sv[0] / sv[-1] <= CONDITION_CAP:
-                rows[t] = cand
-                break
-        else:
-            raise RankDeficiencyPersistent(
-                f"slot {t}: no well-conditioned draw in {_RESAMPLE_LIMIT} attempts"
-            )
-    if topology.receivers == 1:
-        h, h_acute, g = rows[:, 0], None, rows[:, 1]
-    elif topology.has_eavesdropper:
-        h, h_acute, g = rows[:, 0], rows[:, 1], rows[:, 2]
-    else:
-        h, h_acute, g = rows[:, 0], None, rows[:, 1]
-    return ChannelRealization(topology, n_slots, h, h_acute, g, int(seed))
+    shape = (topology.state_arity, topology.n_tx)
+    rows = np.array([[rng.complex_normal(rng.stream(seed, "chan", t), shape)
+                      for t in range(n_slots)] for seed in seeds], dtype=complex)
+    rows = rows.reshape(len(rows), n_slots, *shape)
+    for i, t in zip(*np.nonzero(~_well_conditioned(rows))):
+        rows[i, t] = _redraw(int(seeds[i]), int(t), shape)
+    # node order: (rx1, eve), (rx1, rx2, eve) or (rx1, rx2) -> (h, h_acute, g)
+    picks = (0, 1, 2) if topology.state_arity == 3 else (0, None, 1)
+    return [
+        ChannelRealization(topology, n_slots,
+                           *(None if k is None else draw[:, k] for k in picks), int(seed))
+        for seed, draw in zip(seeds, rows)
+    ]
+
+
+def _well_conditioned(mats: np.ndarray) -> np.ndarray:
+    sv = np.linalg.svd(mats, compute_uv=False)
+    low, high = sv[..., -1], sv[..., 0]
+    full_rank = low > 0
+    return full_rank & (high / np.where(full_rank, low, 1.0) <= CONDITION_CAP)
+
+
+def _redraw(seed: int, t: int, shape) -> np.ndarray:
+    """Continue slot t's substream past its rejected first draw."""
+    gen = rng.stream(seed, "chan", t)
+    rng.complex_normal(gen, shape)
+    for _ in range(1, _RESAMPLE_LIMIT):
+        cand = rng.complex_normal(gen, shape)
+        if _well_conditioned(cand):
+            return cand
+    raise RankDeficiencyPersistent(
+        f"seed {seed}, slot {t}: no well-conditioned draw in {_RESAMPLE_LIMIT} attempts"
+    )
+
+
+def sample_channel(topology: Topology, n_slots: int, seed: int) -> ChannelRealization:
+    """One seed's realization; see `sample_channels`."""
+    return sample_channels(topology, n_slots, [seed])[0]
 
 
 @dataclass(frozen=True)

@@ -34,13 +34,38 @@ class Beamformer:
         self.vector.setflags(write=False)
 
 
-def canonical_phase(vec: np.ndarray) -> np.ndarray:
-    """Rotate so the first component of largest magnitude is real nonnegative."""
-    idx = int(np.argmax(np.abs(vec)))
-    pivot = vec[idx]
-    if abs(pivot) == 0:
-        return vec
-    return vec * (np.conj(pivot) / abs(pivot))
+def canonical_phase(vecs: np.ndarray) -> np.ndarray:
+    """Rotate each vector (along the last axis) so its first component of
+    largest magnitude is real nonnegative; a zero vector stays zero.
+
+    Magnitudes are taken with `np.hypot`, which equals Python's scalar
+    `abs`, so a stack of vectors rotates bit for bit like each one alone.
+    """
+    flat = vecs.reshape(-1, vecs.shape[-1])
+    mags = np.hypot(flat.real, flat.imag)
+    items = np.arange(len(flat))
+    idx = mags.argmax(axis=1)
+    size = mags[items, idx]
+    phase = np.conj(flat[items, idx]) / np.where(size > 0, size, 1.0)
+    return (flat * phase[:, None]).reshape(vecs.shape)
+
+
+def null_bases(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked `null_basis`: for constraint rows (..., r, dim), the
+    (..., dim, dim - r) bases and the degenerate flags; each item is bit for
+    bit the single-matrix result."""
+    *stack, r, dim = mats.shape
+    if r >= dim:
+        raise OverConstrained(f"{r} constraint rows leave no nullspace in dim {dim}")
+    if r == 0:
+        eye = np.broadcast_to(np.eye(dim, dtype=complex), (*stack, dim, dim))
+        return eye.copy(), np.zeros(stack, dtype=bool)
+    _, sv, vh = np.linalg.svd(mats)
+    degenerate = sv[..., -1] <= DEGENERATE_ROW_TOL * sv[..., 0]
+    # rows of vh[r:] are the conjugated basis vectors; keep the basis
+    # C-contiguous so a column (a beam) has the same strides as always
+    basis = canonical_phase(vh[..., r:, :].conj())
+    return np.ascontiguousarray(np.swapaxes(basis, -1, -2)), degenerate
 
 
 def null_basis(rows: Sequence[np.ndarray], dim: int) -> tuple[np.ndarray, bool]:
@@ -51,19 +76,13 @@ def null_basis(rows: Sequence[np.ndarray], dim: int) -> tuple[np.ndarray, bool]:
     inputs may produce.  Requires len(rows) < dim.
     """
     rows = [np.asarray(r, dtype=complex) for r in rows]
-    r = len(rows)
-    if r >= dim:
-        raise OverConstrained(f"{r} constraint rows leave no nullspace in dim {dim}")
-    if r == 0:
-        return np.eye(dim, dtype=complex), False
-    mat = np.vstack(rows)
+    if len(rows) >= dim:
+        raise OverConstrained(f"{len(rows)} constraint rows leave no nullspace in dim {dim}")
+    mat = np.vstack(rows) if rows else np.zeros((0, dim), dtype=complex)
     if mat.shape[1] != dim:
         raise ValueError("constraint rows have wrong length")
-    _, sv, vh = np.linalg.svd(mat)
-    degenerate = bool(sv[-1] <= DEGENERATE_ROW_TOL * sv[0])
-    basis = vh[r:].conj().T
-    cols = [canonical_phase(basis[:, k]) for k in range(basis.shape[1])]
-    return np.stack(cols, axis=1), degenerate
+    basis, degenerate = null_bases(mat)
+    return basis, bool(degenerate)
 
 
 def null_vector(rows: Sequence[np.ndarray], dim: int) -> Beamformer:

@@ -447,7 +447,11 @@ def project_to_coordinates(system: BoundedTermSystem) -> BoundedTermSystem:
 
 def projection_region(system: BoundedTermSystem) -> RegionPolytope:
     """Region over (d1, d2) described by the fully eliminated system."""
-    projected = project_to_coordinates(system)
+    return projected_region(project_to_coordinates(system))
+
+
+def projected_region(projected: BoundedTermSystem) -> RegionPolytope:
+    """Region over (d1, d2) described by an already eliminated system."""
     planes = []
     for row in projected.inequalities:
         extra = set(row.coeffs) - {"d1", "d2"}

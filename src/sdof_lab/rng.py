@@ -8,6 +8,7 @@ parallel, and still reproduce bit-identical results.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -15,6 +16,7 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
+@functools.lru_cache(maxsize=None)
 def _tag_words(tag: tuple) -> tuple[int, ...]:
     digest = hashlib.sha256(repr(tag).encode("utf-8")).digest()
     return tuple(int.from_bytes(digest[i:i + 4], "big") for i in range(0, 16, 4))

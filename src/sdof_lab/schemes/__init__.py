@@ -20,7 +20,9 @@ from .program import (
     StreamRecipe,
     Sym,
     TransmissionTrace,
+    run_batch,
     run_scheme,
+    run_seeds,
 )
 
 DECODE_RESIDUAL_TOL = 1e-8
@@ -185,5 +187,7 @@ __all__ = [
     "decode",
     "from_cli_name",
     "make_report",
+    "run_batch",
     "run_scheme",
+    "run_seeds",
 ]

@@ -18,6 +18,12 @@ substrate for the effective linear systems used by decoding checks and
 closed-form mutual information.  An executed slot keeps each stream's beam,
 gain and payload row, keyed by the stream's label (unique within the slot);
 a retransmitted past observation is rebuilt from those on demand.
+
+A spec is compiled once, on first use: the legality checks and everything
+else no seed changes are resolved then.  `run_batch` executes the compiled
+program for many seeds at once on stacked arrays, giving each seed exactly
+the bits of its own run; `run_scheme` is its one-seed case and `run_seeds`
+samples the channels and runs memory-bounded batches.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -34,11 +40,19 @@ from .. import rng
 from ..errors import (
     BadParams,
     CsitViolation,
+    OverConstrained,
     RealizationTooShort,
     UnknownSymbolId,
 )
-from ..model import ChannelRealization, CsitState, PowerBudget, StateLabel, Topology
-from ..precoding import SymbolDecl, null_basis
+from ..model import (
+    ChannelRealization,
+    CsitState,
+    PowerBudget,
+    StateLabel,
+    Topology,
+    sample_channels,
+)
+from ..precoding import SymbolDecl, null_bases
 
 
 # -- payload / beam recipe language --------------------------------------------
@@ -118,6 +132,12 @@ class SchemeSpec:
     @cached_property
     def symbol_index(self) -> dict[str, int]:
         return {d.sid: i for i, d in enumerate(self.symbols)}
+
+    @cached_property
+    def compiled(self) -> "_Program":
+        """The checked, seed-independent form the executor runs, made on first
+        use (a copy made with `with_slot_state` compiles, and checks, anew)."""
+        return compile_spec(self)
 
     def message_sids(self, node: str) -> tuple[str, ...]:
         return tuple(d.sid for d in self.symbols if d.owner in (node, "both"))
@@ -264,7 +284,353 @@ def _check_payload(payload: Payload, t: int) -> None:
     raise TypeError(f"unknown payload {payload!r}")
 
 
+# -- compiled program -----------------------------------------------------------
+#
+# Everything about a slot program that no seed changes is resolved once per
+# spec: the legality checks, symbol columns, fixed axes and fixed payload
+# combinations, and which earlier streams each retransmitted observation
+# reads.  The executor then only does arithmetic, on every seed of a batch
+# and every stream of a slot at once.
+
+class _Obs(NamedTuple):
+    """ObsPart: node position, absolute slot, the kept streams' positions
+    in that slot."""
+    node: int
+    slot: int
+    picks: slice | np.ndarray
+
+
+class _Mix(NamedTuple):
+    """Comb with at least one channel-dependent term; a fixed term is a row."""
+    terms: tuple[tuple[complex, "np.ndarray | _Obs | _Mix"], ...]
+
+
+class _Nulls(NamedTuple):
+    """Every slot's distinct NullOf keys with the same number of channel
+    refs.  A nullspace depends on the channel alone, so all are found in one
+    stacked pass before any slot runs."""
+    nodes: np.ndarray           # (key, ref) node positions
+    slots: np.ndarray           # (key, ref) absolute slots
+    used_at: np.ndarray         # (key,) the slot whose beams use it
+
+
+class _Slot(NamedTuple):
+    state: StateLabel
+    labels: tuple[str, ...]
+    fixed: tuple[tuple[int, np.ndarray], ...]       # (stream, antenna axis)
+    steered: tuple[tuple[int, int, int, int], ...]  # (stream, ref count, key, column)
+    fresh: tuple[tuple[int, int], ...]              # (stream, symbol column)
+    combined: tuple[tuple[int, np.ndarray], ...]    # (stream, fixed payload row)
+    mixed: tuple[tuple[int, _Obs | _Mix], ...]      # (stream, channel-dependent payload)
+
+
+class _Program(NamedTuple):
+    nulls: dict[int, _Nulls]    # by ref count
+    slots: tuple[_Slot, ...]
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """2-norm over the last axis, bit for bit `np.linalg.norm` of each item
+    (which takes `.dot` of the strided real and imaginary views)."""
+    return np.sqrt(np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag))
+
+
+def _indices(items) -> np.ndarray:
+    return np.array(list(items), dtype=np.intp)
+
+
+def compile_spec(spec: SchemeSpec) -> _Program:
+    """Check a slot program's CSIT legality and resolve its seed-independent
+    parts; raises what executing the spec would raise."""
+    nodes = spec.topology.nodes()
+    n_tx = spec.topology.n_tx
+    n_sym = len(spec.symbols)
+    sindex = spec.symbol_index
+    axes = np.eye(n_tx, dtype=complex)
+    axes.setflags(write=False)
+    positions: list[dict[str, int]] = []    # per slot: label -> stream position
+    keys: dict[tuple, int] = {}             # (slot, refs) -> position in its group
+    groups: dict[int, list] = {}            # ref count -> [(slot, refs), ...]
+
+    def one_hot(column: int) -> np.ndarray:
+        row = np.zeros(n_sym, dtype=complex)
+        row[column] = 1.0
+        return row
+
+    def compile_row(payload: Payload) -> int | np.ndarray | _Obs | _Mix:
+        """A symbol column, a fixed row, or a channel-dependent recipe."""
+        if isinstance(payload, Sym):
+            if payload.sid not in sindex:
+                raise UnknownSymbolId(payload.sid)
+            return sindex[payload.sid]
+        if isinstance(payload, ObsPart):
+            if payload.node not in nodes:
+                raise KeyError(f"unknown node {payload.node!r}")
+            labels = positions[payload.slot]
+            picks = [labels[label] for label in
+                     (labels if payload.streams is None else payload.streams)]
+            if picks and picks == list(range(picks[0], picks[-1] + 1)):
+                picks = slice(picks[0], picks[-1] + 1)     # a view, not a copy
+            return _Obs(nodes.index(payload.node), payload.slot,
+                        picks if isinstance(picks, slice) else _indices(picks))
+        if isinstance(payload, Comb):
+            terms = []
+            for coef, sub in payload.terms:
+                sub = compile_row(sub)
+                terms.append((coef, one_hot(sub) if isinstance(sub, int) else sub))
+            if not all(isinstance(sub, np.ndarray) for _, sub in terms):
+                return _Mix(tuple(terms))
+            row = np.zeros(n_sym, dtype=complex)
+            for coef, sub in terms:
+                row += coef * sub
+            return row
+        raise TypeError(f"unknown payload {payload!r}")
+
+    slots = []
+    for t, plan in enumerate(spec.slot_plans):
+        if plan.state.arity != len(nodes):
+            raise BadParams(
+                f"slot {t}: state arity {plan.state.arity} mismatches topology"
+            )
+        labels: dict[str, int] = {}
+        fixed, steered, fresh, combined, mixed = [], [], [], [], []
+        for pos, recipe in enumerate(plan.streams):
+            if recipe.label in labels:
+                raise BadParams(f"slot {t}: repeated stream label {recipe.label!r}")
+            _check_payload(recipe.payload, t)
+            beam = recipe.beam
+            if isinstance(beam, Axis):
+                fixed.append((pos, axes[beam.index]))
+            elif isinstance(beam, NullOf):
+                for node, ref_slot in beam.refs:
+                    _check_chan_ref(node, ref_slot, t, plan, nodes)
+                if len(beam.refs) >= n_tx:
+                    raise OverConstrained(
+                        f"{len(beam.refs)} constraint rows leave no nullspace in dim {n_tx}")
+                if beam.basis_index >= n_tx - len(beam.refs):
+                    raise BadParams(
+                        f"slot {t}: beam basis index {beam.basis_index} out of range"
+                    )
+                group = groups.setdefault(len(beam.refs), [])
+                if (t, beam.refs) not in keys:
+                    keys[t, beam.refs] = len(group)
+                    group.append((t, beam.refs))
+                steered.append((pos, len(beam.refs), keys[t, beam.refs], beam.basis_index))
+            else:
+                raise TypeError(f"unknown beam {beam!r}")
+            row = compile_row(recipe.payload)
+            if isinstance(row, int):
+                fresh.append((pos, row))
+            elif isinstance(row, np.ndarray):
+                combined.append((pos, row))
+            else:
+                mixed.append((pos, row))
+            labels[recipe.label] = pos
+        positions.append(labels)
+        slots.append(_Slot(
+            state=plan.state,
+            labels=tuple(labels),
+            fixed=tuple(fixed),
+            steered=tuple(steered),
+            fresh=tuple(fresh),
+            combined=tuple(combined),
+            mixed=tuple(mixed),
+        ))
+
+    return _Program(
+        nulls={
+            r: _Nulls(_indices([nodes.index(node) for node, _ in refs] for _, refs in keyed)
+                      .reshape(len(keyed), r),
+                      _indices([ref for _, ref in refs] for _, refs in keyed)
+                      .reshape(len(keyed), r),
+                      _indices(t for t, _ in keyed))
+            for r, keyed in groups.items()},
+        slots=tuple(slots),
+    )
+
+
 # -- executor -------------------------------------------------------------------
+
+# Seeds per stacked pass are capped so a batch holds about this many
+# (seed, slot, symbol) cells: the composites' large matrices then take a
+# few seeds at a time, the small schemes all of them.
+BATCH_CELLS = 1 << 15
+
+
+class _Sent(NamedTuple):
+    """One executed slot, stacked (stream, seed, ...)."""
+    beams: np.ndarray
+    gains: np.ndarray           # after the slot's power normalization
+    rows: np.ndarray
+
+
+def _retransmitted_row(payload: _Obs | _Mix, chan: np.ndarray,
+                       sent: Sequence[_Sent]) -> np.ndarray:
+    """A channel-dependent payload row per seed: the sum over the picked
+    streams of ch @ (gain * outer(beam, row)), in stream order."""
+    total = np.zeros(sent[0].rows.shape[1:], dtype=complex)
+    if isinstance(payload, _Mix):
+        for coef, sub in payload.terms:
+            total += coef * (sub if isinstance(sub, np.ndarray)
+                             else _retransmitted_row(sub, chan, sent))
+        return total
+    beams, gains, rows = (arr[payload.picks] for arr in sent[payload.slot])
+    ch = chan[:, payload.node, payload.slot, None, :]
+    for term in ch @ (gains[:, :, None, None] * (beams[:, :, :, None] * rows[:, :, None, :])):
+        total += term[:, 0]
+    return total
+
+
+def run_batch(
+    spec: SchemeSpec,
+    realizations: Sequence[ChannelRealization],
+    power: PowerBudget,
+    mode: str,
+    seeds: Sequence[int],
+) -> Iterator[TransmissionTrace]:
+    """Execute a scheme for several seeds at once, yielding one trace per seed.
+
+    Per slot: resolve beams against the CSI the slot state allows, evaluate
+    payloads from strictly legal information sets, normalize the slot to the
+    exact power budget, and record every node's observation both numerically
+    and as an exact coefficient row over the drawn symbols.  A slot's
+    streams and the seeds run as stacked arrays; each stacked operation
+    gives every (stream, seed) the bits its own run would, sums keep the
+    stream order, and every numeric check runs for every seed.  A trace of a
+    multi-seed batch owns copies of its arrays, so a kept trace does not
+    keep the batch alive.
+    """
+    if mode not in ("noiseless", "noisy"):
+        raise BadParams(f"unknown mode {mode!r}")
+    for realization in realizations:
+        if realization.n_slots < spec.n_slots:
+            raise RealizationTooShort(
+                f"realization has {realization.n_slots} slots, scheme needs {spec.n_slots}"
+            )
+        if realization.topology != spec.topology:
+            raise BadParams("realization topology does not match the scheme")
+    program = spec.compiled
+    nodes = spec.topology.nodes()
+    n_seeds, n_slots, n_sym = len(seeds), spec.n_slots, len(spec.symbols)
+    n_tx = spec.topology.n_tx
+
+    # (seed, node, slot, antenna)
+    chan = np.array([[r.rows(node)[:n_slots] for node in nodes] for r in realizations])
+    s = np.array([rng.complex_normal(rng.stream(seed, "symbols"), n_sym)
+                  for seed in seeds], dtype=complex).reshape(n_seeds, n_sym)
+
+    bases = {}
+    for r, nulls in program.nulls.items():
+        mats = chan[:, nulls.nodes, nulls.slots]        # (seed, key, ref, antenna)
+        basis, _ = null_bases(mats)
+        limit = 1e-10 * np.sqrt(np.vecdot(mats, mats).real)
+        for bad, what in (
+            (np.abs(mats @ basis) > limit[..., None], "beam residual above tolerance"),
+            (np.abs(np.sqrt(np.vecdot(basis, basis, axis=-2).real) - 1.0) > 1e-10,
+             "beam is not unit norm"),
+        ):
+            if bad.any():
+                seed_at, key = np.argwhere(bad)[0][:2]
+                raise AssertionError(
+                    f"seed {seeds[seed_at]}, slot {nulls.used_at[key]}: {what}")
+        bases[r] = basis
+
+    def failing_seed(bad: np.ndarray) -> int:
+        return seeds[int(np.flatnonzero(bad)[0])]
+
+    # Per-slot arrays and one observation array per node, not whole-program
+    # stacks: freeing a few blocks of several MB together at the end of a run
+    # made the allocator return them to the system and fault them in again on
+    # the next run (measured at --blocks 40: ~3500 page faults per seed).
+    sent: list[_Sent] = []
+    executed = []       # per slot: the stream values, x_matrix, x_value
+    obs_rows = [np.empty((n_seeds, n_slots, n_sym), dtype=complex) for _ in nodes]
+    obs_clean = np.empty((n_seeds, len(nodes), n_slots), dtype=complex)
+    for t, slot in enumerate(program.slots):
+        k = len(slot.labels)
+        beams = np.empty((k, n_seeds, n_tx), dtype=complex)
+        rows = np.zeros((k, n_seeds, n_sym), dtype=complex)
+        for pos, axis in slot.fixed:
+            beams[pos] = axis
+        for pos, r, key, column in slot.steered:
+            beams[pos] = bases[r][:, key, :, column]
+        for pos, column in slot.fresh:
+            rows[pos, :, column] = 1.0
+        for pos, row in slot.combined:
+            rows[pos] = row
+        for pos, payload in slot.mixed:
+            rows[pos] = _retransmitted_row(payload, chan, sent)
+        norms = _norms(rows)
+        if not norms.all():
+            pos = int(np.flatnonzero((norms == 0).any(axis=1))[0])
+            raise BadParams(f"seed {failing_seed(norms[pos] == 0)}, slot {t}: "
+                            f"stream {slot.labels[pos]!r} payload is zero")
+        gains = np.sqrt(1.0 / k) / norms if k else norms
+        values = (rows[:, :, None, :] @ s[None, :, :, None])[..., 0, 0]
+        x = np.zeros((n_seeds, n_tx, n_sym), dtype=complex)
+        for term in gains[:, :, None, None] * (beams[:, :, :, None] * rows[:, :, None, :]):
+            x += term
+        fro = _norms(x.reshape(n_seeds, -1))
+        if not fro.all():
+            raise BadParams(f"seed {failing_seed(fro == 0)}, slot {t}: empty transmission")
+        # Correlated payloads make nominal shares sum away from one; rescale
+        # the whole slot so the expected power is exactly the budget.
+        x /= fro[:, None, None]
+        gains = gains / fro
+        x_value = np.zeros((n_seeds, n_tx), dtype=complex)
+        for term in (gains * values)[:, :, None] * beams:
+            x_value += term
+        sent.append(_Sent(beams, gains, rows))
+        executed.append((values, x, x_value))
+        for n in range(len(nodes)):
+            ch = chan[:, n, t, None, :]
+            obs_rows[n][:, t] = (ch @ x)[:, 0]
+            obs_clean[:, n, t] = (ch @ x_value[:, :, None])[:, 0, 0]
+
+    obs_vals = np.sqrt(power.total_power) * obs_clean
+    noise = None
+    if mode == "noisy":
+        noise = np.array([[rng.complex_normal(rng.stream(seed, "noise", node), n_slots)
+                           for node in nodes] for seed in seeds])
+        obs_vals = obs_vals + noise
+
+    def own(arr: np.ndarray) -> np.ndarray:
+        return arr if n_seeds == 1 else arr.copy()
+
+    for i, (seed, realization) in enumerate(zip(seeds, realizations)):
+        bases_i = {r: own(basis[i]) for r, basis in bases.items()}
+        records = []
+        for slot, done, (values, x, x_value) in zip(program.slots, sent, executed):
+            beams = dict(slot.fixed)      # the shared, read-only axes
+            for pos, r, key, column in slot.steered:
+                # a column view, strided as a lone nullspace basis's column is
+                beams[pos] = bases_i[r][key, :, column]
+            rows = own(done.rows[:, i])
+            records.append(SlotRecord(
+                state=slot.state,
+                streams={
+                    label: StreamInstance(
+                        label=label, beam=beams[pos], gain=done.gains[pos, i],
+                        row=rows[pos], value=complex(values[pos, i]))
+                    for pos, label in enumerate(slot.labels)
+                },
+                x_matrix=own(x[i]),
+                x_value=own(x_value[i]),
+            ))
+        yield TransmissionTrace(
+            spec=spec,
+            realization=realization,
+            power=power,
+            mode=mode,
+            seed=int(seed),
+            symbols=spec.symbols,
+            symbol_values=own(s[i]),
+            slots=records,
+            obs_rows={node: own(rows[i]) for node, rows in zip(nodes, obs_rows)},
+            obs_vals=dict(zip(nodes, own(obs_vals[i]))),
+            noise_vals=None if noise is None else dict(zip(nodes, own(noise[i]))),
+        )
+
 
 def run_scheme(
     spec: SchemeSpec,
@@ -273,156 +639,21 @@ def run_scheme(
     mode: str = "noiseless",
     seed: int = 0,
 ) -> TransmissionTrace:
-    """Execute a scheme slot by slot over a channel realization.
+    """Execute a scheme slot by slot over one channel realization; the
+    one-seed case of `run_batch`."""
+    return next(run_batch(spec, [realization], power, mode, [seed]))
 
-    Per slot: resolve beams against the CSI the slot state allows, evaluate
-    payloads from strictly legal information sets, normalize the slot to the
-    exact power budget, and record every node's observation both numerically
-    and as an exact coefficient row over the drawn symbols.
-    """
-    if mode not in ("noiseless", "noisy"):
-        raise BadParams(f"unknown mode {mode!r}")
-    if realization.n_slots < spec.n_slots:
-        raise RealizationTooShort(
-            f"realization has {realization.n_slots} slots, scheme needs {spec.n_slots}"
-        )
-    if realization.topology != spec.topology:
-        raise BadParams("realization topology does not match the scheme")
 
-    topology = spec.topology
-    nodes = topology.nodes()
-    n_tx = topology.n_tx
-    n_sym = len(spec.symbols)
-    sindex = spec.symbol_index
-
-    sym_gen = rng.stream(seed, "symbols")
-    s = rng.complex_normal(sym_gen, n_sym) if n_sym else np.zeros(0, dtype=complex)
-
-    slots: list[SlotRecord] = []
-    obs_rows = {node: np.zeros((spec.n_slots, n_sym), dtype=complex) for node in nodes}
-    obs_clean = {node: np.zeros(spec.n_slots, dtype=complex) for node in nodes}
-
-    def payload_row(payload: Payload, t: int) -> np.ndarray:
-        if isinstance(payload, Sym):
-            if payload.sid not in sindex:
-                raise UnknownSymbolId(payload.sid)
-            row = np.zeros(n_sym, dtype=complex)
-            row[sindex[payload.sid]] = 1.0
-            return row
-        if isinstance(payload, ObsPart):
-            streams = slots[payload.slot].streams
-            ch = realization.row(payload.node, payload.slot)
-            picks = streams if payload.streams is None else payload.streams
-            total = np.zeros(n_sym, dtype=complex)
-            for label in picks:
-                st = streams[label]
-                total += ch @ (st.gain * np.outer(st.beam, st.row))
-            return total
-        if isinstance(payload, Comb):
-            total = np.zeros(n_sym, dtype=complex)
-            for coef, sub in payload.terms:
-                total += coef * payload_row(sub, t)
-            return total
-        raise TypeError(f"unknown payload {payload!r}")
-
-    for t, plan in enumerate(spec.slot_plans):
-        if plan.state.arity != len(nodes):
-            raise BadParams(
-                f"slot {t}: state arity {plan.state.arity} mismatches topology"
-            )
-        basis_cache: dict[tuple, np.ndarray] = {}
-        k = len(plan.streams)
-        share = np.sqrt(1.0 / k) if k else 0.0
-
-        instances: dict[str, StreamInstance] = {}
-        for recipe in plan.streams:
-            if recipe.label in instances:
-                raise BadParams(f"slot {t}: repeated stream label {recipe.label!r}")
-            _check_payload(recipe.payload, t)
-            if isinstance(recipe.beam, Axis):
-                beam = np.zeros(n_tx, dtype=complex)
-                beam[recipe.beam.index] = 1.0
-            elif isinstance(recipe.beam, NullOf):
-                for node, ref_slot in recipe.beam.refs:
-                    _check_chan_ref(node, ref_slot, t, plan, nodes)
-                key = recipe.beam.refs
-                if key not in basis_cache:
-                    rows = [realization.row(node, ref) for node, ref in key]
-                    basis_cache[key], _ = null_basis(rows, n_tx)
-                basis = basis_cache[key]
-                if recipe.beam.basis_index >= basis.shape[1]:
-                    raise BadParams(
-                        f"slot {t}: beam basis index {recipe.beam.basis_index} "
-                        f"out of range"
-                    )
-                beam = basis[:, recipe.beam.basis_index]
-                for node, ref in key:
-                    row = realization.row(node, ref)
-                    if abs(row @ beam) > 1e-10 * np.linalg.norm(row):
-                        raise AssertionError(
-                            f"slot {t}: beam residual above tolerance")
-                if abs(np.linalg.norm(beam) - 1.0) > 1e-10:
-                    raise AssertionError(f"slot {t}: beam is not unit norm")
-            else:
-                raise TypeError(f"unknown beam {recipe.beam!r}")
-
-            row = payload_row(recipe.payload, t)
-            norm = np.linalg.norm(row)
-            if norm == 0:
-                raise BadParams(f"slot {t}: stream {recipe.label!r} payload is zero")
-            gain = share / norm
-            instances[recipe.label] = StreamInstance(
-                label=recipe.label,
-                beam=beam,
-                gain=float(gain),
-                row=row,
-                value=complex(row @ s),
-            )
-
-        x_matrix = np.zeros((n_tx, n_sym), dtype=complex)
-        for inst in instances.values():
-            x_matrix += inst.gain * np.outer(inst.beam, inst.row)
-        fro = np.linalg.norm(x_matrix)
-        if fro == 0:
-            raise BadParams(f"slot {t}: empty transmission")
-        # Correlated payloads make nominal shares sum away from one; rescale
-        # the whole slot so the expected power is exactly the budget.
-        x_matrix /= fro
-        x_value = np.zeros(n_tx, dtype=complex)
-        for inst in instances.values():
-            inst.gain /= fro
-            x_value += inst.gain * inst.value * inst.beam
-
-        slots.append(SlotRecord(
-            state=plan.state, streams=instances, x_matrix=x_matrix, x_value=x_value,
-        ))
-        for node in nodes:
-            ch = realization.row(node, t)
-            obs_rows[node][t] = ch @ x_matrix
-            obs_clean[node][t] = ch @ x_value
-
-    sqrt_p = np.sqrt(power.total_power)
-    noise_vals = None
-    obs_vals = {}
-    if mode == "noisy":
-        noise_vals = {}
-        for node in nodes:
-            gen = rng.stream(seed, "noise", node)
-            noise_vals[node] = rng.complex_normal(gen, spec.n_slots)
-            obs_vals[node] = sqrt_p * obs_clean[node] + noise_vals[node]
-    else:
-        obs_vals = {node: sqrt_p * obs_clean[node] for node in nodes}
-
-    return TransmissionTrace(
-        spec=spec,
-        realization=realization,
-        power=power,
-        mode=mode,
-        seed=int(seed),
-        symbols=spec.symbols,
-        symbol_values=s,
-        slots=slots,
-        obs_rows=obs_rows,
-        obs_vals=obs_vals,
-        noise_vals=noise_vals,
-    )
+def run_seeds(
+    spec: SchemeSpec,
+    seeds: Sequence[int],
+    power: PowerBudget,
+    mode: str = "noiseless",
+) -> Iterator[TransmissionTrace]:
+    """Sample each seed's channel and execute the scheme on it, yielding the
+    traces in seed order; seeds run in stacked batches of bounded size."""
+    step = max(1, BATCH_CELLS // max(1, spec.n_slots * len(spec.symbols)))
+    for start in range(0, len(seeds), step):
+        batch = seeds[start:start + step]
+        realizations = sample_channels(spec.topology, spec.n_slots, batch)
+        yield from run_batch(spec, realizations, power, mode, batch)

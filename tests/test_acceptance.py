@@ -75,3 +75,41 @@ def test_criterion_07_runs_the_oracle_on_every_catalog_system(monkeypatch):
     monkeypatch.setattr(fm_oracle, "hull_agreement", counting)
     _check(acceptance.criterion_7())
     assert seen == list(fm_oracle.oracle_catalog().values())
+
+
+def test_criterion_03_lists_every_failing_seed(monkeypatch):
+    """A failing seed does not hide the later failing seeds of its scheme."""
+    from dataclasses import replace
+
+    true_decode = acceptance.decode
+
+    def failing(trace):
+        report = true_decode(trace)
+        if trace.spec.scheme_id == "WT_PP" and trace.seed in (3, 7):
+            bad = replace(report.nodes["rx1"], max_residual=1.0, success=False)
+            report = replace(report, nodes={**report.nodes, "rx1": bad})
+        return report
+
+    monkeypatch.setattr(acceptance, "decode", failing)
+    result = acceptance.criterion_3(n_seeds=10)
+    assert result.status == "FAIL"
+    assert result.detail == ("WT_PP seed 3: residual 1.00e+00; "
+                             "WT_PP seed 7: residual 1.00e+00")
+
+
+def test_criterion_07_projects_the_converse_once_itself(monkeypatch):
+    """The facet check and the 4*d1 + d2 peak share one projection; the only
+    other projection of the converse is the oracle's own."""
+    from sdof_lab import regions
+
+    converse = regions.converse_alternation_system()
+    calls = []
+    project = regions.project_to_coordinates
+
+    def counting(system):
+        calls.append(system == converse)
+        return project(system)
+
+    monkeypatch.setattr(regions, "project_to_coordinates", counting)
+    _check(acceptance.criterion_7())
+    assert calls.count(True) == 2

@@ -101,6 +101,45 @@ class TestSimulate:
         chan = json.loads(chan_p.read_text())
         assert chan["topology"] == "multi_receiver"
 
+    def test_dumps_the_first_failing_seed(self, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        from sdof_lab import cli
+
+        true_decode = cli.decode
+
+        def failing(trace):
+            report = true_decode(trace)
+            if trace.seed in (2, 3):
+                bad = replace(report.nodes[RX1], max_residual=1.0, success=False)
+                report = replace(report, nodes={**report.nodes, RX1: bad})
+            return report
+
+        monkeypatch.setattr(cli, "decode", failing)
+        paths = {name: tmp_path / f"{name}.json" for name in ("trace", "system", "chan")}
+        code = run_cli("simulate", "--scheme", "mr_ppd", "--seeds", "5",
+                       "--out", str(tmp_path / "rows.csv"),
+                       "--summary", str(tmp_path / "s.json"),
+                       "--dump-trace", str(paths["trace"]),
+                       "--dump-system", str(paths["system"]),
+                       "--dump-channel", str(paths["chan"]))
+        assert code == 2
+        assert json.loads(paths["trace"].read_text())["seed"] == 2
+        assert json.loads(paths["chan"].read_text())["seed"] == 2
+        spec = build_scheme("MR_PPD")
+        realization = sample_channel(spec.topology, spec.n_slots, 2)
+        trace = run_scheme(spec, realization, PowerBudget(DEFAULT_GRID[0]), "noiseless", 2)
+        assert paths["system"].read_text() == assemble_effective_system(trace).to_json()
+
+    def test_dumps_seed_zero_when_nothing_fails(self, tmp_path):
+        trace_p = tmp_path / "trace.json"
+        code = run_cli("simulate", "--scheme", "wt_pd", "--seeds", "3",
+                       "--out", str(tmp_path / "rows.csv"),
+                       "--summary", str(tmp_path / "s.json"),
+                       "--dump-trace", str(trace_p))
+        assert code == 0
+        assert json.loads(trace_p.read_text())["seed"] == 0
+
     @pytest.mark.parametrize("scheme", ["mr_ddp", "bc_s1_43", "wt_dd_23"])
     def test_summary_slopes_match_analysis(self, tmp_path, scheme):
         """The slopes fitted from the row values equal the mean of

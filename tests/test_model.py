@@ -21,6 +21,7 @@ from sdof_lab.model import (
     StateLabel,
     Topology,
     sample_channel,
+    sample_channels,
     schedule_to_slot_states,
     validate_schedule,
 )
@@ -168,6 +169,33 @@ class TestSampleChannel:
             lambda gen, shape: np.ones(shape, dtype=complex))
         with pytest.raises(RankDeficiencyPersistent):
             sample_channel(Topology.broadcast(), 1, seed=0)
+
+    @pytest.mark.parametrize("topology", [Topology.wiretap(), Topology.multi_receiver(),
+                                          Topology.broadcast()], ids=lambda t: t.name)
+    def test_batch_equals_single_draws(self, topology):
+        seeds = [0, 3, 9, 1000]
+        for seed, real in zip(seeds, sample_channels(topology, 12, seeds), strict=True):
+            one = sample_channel(topology, 12, seed)
+            assert real.seed == seed
+            for node in topology.nodes():
+                assert real.rows(node).tobytes() == one.rows(node).tobytes()
+
+    def test_batch_redraws_rejected_slots_from_their_own_substream(self, monkeypatch):
+        """With a tight condition cap many first draws are rejected; the
+        redraws continue each slot's own substream exactly as a lone draw
+        would."""
+        from sdof_lab import model
+
+        monkeypatch.setattr(model, "CONDITION_CAP", 4.0)
+        topology = Topology.multi_receiver()
+        seeds = [1, 2, 3]
+        batch = sample_channels(topology, 10, seeds)
+        for seed, real in zip(seeds, batch):
+            one = sample_channel(topology, 10, seed)
+            for t in range(10):
+                sv = np.linalg.svd(real.stacked(t), compute_uv=False)
+                assert sv[0] / sv[-1] <= 4.0
+                assert real.stacked(t).tobytes() == one.stacked(t).tobytes()
 
     def test_json_dump_roundtrippable(self):
         import json

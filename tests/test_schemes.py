@@ -23,6 +23,7 @@ from sdof_lab.model import (
     PowerBudget,
     StateLabel,
     sample_channel,
+    sample_channels,
 )
 from sdof_lab.schemes import (
     SCHEME_IDS,
@@ -30,7 +31,9 @@ from sdof_lab.schemes import (
     build_scheme,
     composite_accounting,
     decode,
+    run_batch,
     run_scheme,
+    run_seeds,
 )
 from sdof_lab.schemes.program import NullOf, SlotPlan
 
@@ -202,6 +205,95 @@ class TestRun:
         realization = sample_channel(spec.topology, spec.n_slots, 0)
         with pytest.raises(CsitViolation):
             run_scheme(mutated, realization, PowerBudget(1e4), "noiseless", 0)
+
+
+def _trace_bytes(trace) -> list:
+    """Every number a trace records, as bytes, in a fixed order."""
+    out = [trace.seed, trace.symbol_values.tobytes()]
+    for node in trace.spec.topology.nodes():
+        out += [trace.realization.rows(node).tobytes(), trace.obs_rows[node].tobytes(),
+                trace.obs_vals[node].tobytes()]
+        if trace.noise_vals is not None:
+            out.append(trace.noise_vals[node].tobytes())
+    for slot in trace.slots:
+        out += [slot.x_matrix.tobytes(), slot.x_value.tobytes()]
+        for label, stream in slot.streams.items():
+            out += [label, stream.beam.tobytes(), stream.beam.strides,
+                    np.float64(stream.gain).tobytes(), stream.row.tobytes(),
+                    complex(stream.value)]
+    return out
+
+
+class TestBatch:
+    """Stacking seeds changes no bit of any trace."""
+
+    @pytest.mark.parametrize("mode", ["noiseless", "noisy"])
+    @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+    def test_batch_equals_single_runs(self, scheme_id, mode):
+        spec = build_scheme(scheme_id)
+        seeds = [0, 1, 2, 7, 11]
+        power = PowerBudget(2.0 ** 30)
+        single = [run_scheme(spec, sample_channel(spec.topology, spec.n_slots, seed),
+                             power, mode, seed) for seed in seeds]
+        whole = list(run_batch(spec, sample_channels(spec.topology, spec.n_slots, seeds),
+                               power, mode, seeds))
+        chunked = list(run_seeds(spec, seeds, power, mode))
+        for one, batched, seeded in zip(single, whole, chunked, strict=True):
+            assert _trace_bytes(batched) == _trace_bytes(one)
+            assert _trace_bytes(seeded) == _trace_bytes(one)
+
+    @pytest.mark.parametrize("mode", ["noiseless", "noisy"])
+    def test_composite_blocks_40_batch_equals_single_runs(self, mode):
+        spec = build_scheme("MR_S30_29_A", blocks=40)
+        seeds = [3, 4]
+        power = PowerBudget(1e4)
+        whole = run_batch(spec, sample_channels(spec.topology, spec.n_slots, seeds),
+                          power, mode, seeds)
+        for seed, batched in zip(seeds, whole, strict=True):
+            one = run_scheme(spec, sample_channel(spec.topology, spec.n_slots, seed),
+                             power, mode, seed)
+            assert _trace_bytes(batched) == _trace_bytes(one)
+
+    def test_batched_traces_own_their_arrays(self):
+        spec = build_scheme("BC_S1_43")
+        first, second = run_seeds(spec, [0, 1], PowerBudget(1e4))
+        for a, b in ((first.symbol_values, second.symbol_values),
+                     (first.obs_rows[RX1], second.obs_rows[RX1]),
+                     (first.slots[0].x_matrix, second.slots[0].x_matrix)):
+            assert not np.shares_memory(a, b)
+
+    def test_compiled_on_first_use_only(self):
+        spec = build_scheme("MR_DDP")
+        assert "compiled" not in vars(spec)
+        realization = sample_channel(spec.topology, spec.n_slots, 0)
+        run_scheme(spec, realization, PowerBudget(1e4))
+        compiled = vars(spec)["compiled"]
+        run_scheme(spec, realization, PowerBudget(1e4))
+        assert vars(spec)["compiled"] is compiled
+
+    def test_mutated_state_raises_in_a_batch(self):
+        spec = build_scheme("MR_PPD")
+        mutated = spec.with_slot_state(0, StateLabel.parse("PDD"))
+        spec.compiled       # the original's compiled form is not reused
+        with pytest.raises(CsitViolation):
+            list(run_seeds(mutated, range(4), PowerBudget(1e4)))
+
+    def test_numeric_failure_names_the_seed(self, monkeypatch):
+        from sdof_lab.schemes import program
+
+        spec = build_scheme("MR_PDP")
+        realizations = sample_channels(spec.topology, spec.n_slots, [5, 6, 7])
+        norms = program._norms
+
+        def zero_at_seed_6(a):
+            out = norms(a)
+            if out.ndim == 2:           # the (stream, seed) payload norms
+                out[:, 1] = 0.0
+            return out
+
+        monkeypatch.setattr(program, "_norms", zero_at_seed_6)
+        with pytest.raises(BadParams, match="seed 6, slot 0: stream .* payload is zero"):
+            list(run_batch(spec, realizations, PowerBudget(1e4), "noiseless", [5, 6, 7]))
 
 
 class TestDecode:
