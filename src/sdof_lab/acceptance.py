@@ -15,14 +15,19 @@ import numpy as np
 
 from . import analysis, regions
 from .model import EVE, RX1, RX2, PowerBudget, Topology, validate_schedule
-from .precoding import assemble_effective_system
+from .precoding import (
+    assemble_effective_system,
+    assemble_effective_systems,
+    identifiability_checks,
+)
 from .schemes import (
     SCHEME_IDS,
     SUB_PROTOCOLS,
     accounting,
     build_scheme,
     composite_accounting,
-    decode,
+    decode_batch,
+    run_seed_batches,
     run_seeds,
 )
 
@@ -53,8 +58,11 @@ def _result(number, name, ok, detail="") -> CriterionResult:
 
 def _systems(spec, n_seeds: int) -> list:
     """Effective systems of seeds 0..n_seeds-1 at the reference power."""
-    return [assemble_effective_system(trace)
-            for trace in run_seeds(spec, range(n_seeds), REFERENCE_POWER)]
+    out = []
+    for batch in run_seed_batches(spec, range(n_seeds), REFERENCE_POWER):
+        systems = assemble_effective_systems(batch)
+        out += [systems.item(i) for i in range(len(batch.seeds))]
+    return out
 
 
 def _pair_schedule(**fractions):
@@ -111,28 +119,30 @@ def criterion_3(n_seeds: int = 100) -> CriterionResult:
 
     Also pins the companion invariant: the generic identifiability oracle
     agrees with every hand-written decoder on its own targets.  Every
-    failing (scheme, seed) is listed.
+    failing (scheme, seed) is listed.  Each batch of seeds is assembled
+    once, and both oracles run on its stack of systems.
     """
-    from .precoding import identifiability_check
-
     failures = []
     for scheme_id in SCHEME_IDS:
         spec = build_scheme(scheme_id)
         receivers = [n for n in spec.topology.nodes()
                      if n != EVE and spec.message_sids(n)]
-        for trace in run_seeds(spec, range(n_seeds), REFERENCE_POWER):
-            report = decode(trace)
-            if not report.all_success:
-                failure = f"residual {report.max_residual:.2e}"
-            elif report.any_protected_identifiable:
-                failure = "protected symbol leaks"
-            else:
-                system = assemble_effective_system(trace)
-                if all(identifiability_check(system, node, spec.message_sids(node))
-                       for node in receivers):
+        for batch in run_seed_batches(spec, range(n_seeds), REFERENCE_POWER):
+            systems = assemble_effective_systems(batch)
+            agree = np.ones(len(batch.seeds), dtype=bool)
+            for node in receivers:
+                agree &= identifiability_checks(systems, node, spec.message_sids(node))
+            for seed, report, ok in zip(batch.seeds, decode_batch(batch, systems), agree):
+                if not report.all_success:
+                    failure = f"residual {report.max_residual:.2e}"
+                elif report.any_protected_identifiable:
+                    failure = "protected symbol leaks"
+                elif ok:
                     continue
-                failure = "oracle disagrees with a successful decoder"
-            failures.append(f"{scheme_id} seed {trace.seed}: {failure}")
+                else:
+                    failure = "oracle disagrees with a successful decoder"
+                failures.append(f"{scheme_id} seed {seed}: {failure}")
+            del batch, systems      # freed before the next batch is built
     return _result(3, f"decodability + secrecy structure ({n_seeds} seeds/scheme)",
                    not failures, "; ".join(failures))
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -137,8 +138,8 @@ def _simulate_one(spec, seed: int, powers: list[float], mode: str):
     # benchmark's layer tracing (perfbench) counts per simulated seed
     realization = sample_channel(spec.topology, spec.n_slots, seed)
     trace = run_scheme(spec, realization, PowerBudget(powers[0]), mode, seed)
-    report = decode(trace)
     system = assemble_effective_system(trace)
+    report = decode(trace, system)
     fit_possible = len(powers) >= 2
 
     def slope(values) -> float:
@@ -180,6 +181,9 @@ def cmd_simulate(config: RunConfig) -> int:
     if any(abs(e) > MAX_P_EXP for e in config.p_exp):
         raise SdofLabError(
             f"p_exp entries must lie in [-{MAX_P_EXP}, {MAX_P_EXP}], got {config.p_exp}")
+    if not math.isfinite(config.tolerance) or config.tolerance < 0:
+        raise SdofLabError(
+            f"tolerance must be a finite number >= 0, got {config.tolerance}")
     powers = [float(2.0 ** e) for e in sorted(set(config.p_exp))]
     seeds = list(range(config.seeds))
 
@@ -324,8 +328,12 @@ def cmd_fm(system_path: str, eliminate: list[str] | None, out: str | None,
     current = system
     for var in order:
         current = regions.fm_eliminate(current, var)
+    if check and current.variables:
+        raise SdofLabError(
+            "--check needs a full projection, but --eliminate leaves "
+            f"{', '.join(current.variables)}")
     result = regions.system_to_json_dict(current)
-    if check and not current.variables:
+    if check:
         ok, msg = hull_agreement(system)
         result["oracle_agreement"] = {"ok": ok, "detail": msg}
     text = json.dumps(result, indent=2, sort_keys=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping
 
@@ -243,21 +244,19 @@ class ChannelRealization:
             if arr is not None:
                 arr.setflags(write=False)
 
+    @cached_property
+    def by_node(self) -> dict[str, np.ndarray]:
+        """node -> (n_slots, n_tx) channel rows, for every node of the topology."""
+        nodes = self.topology.nodes()
+        rows = (self.h, self.g) if len(nodes) == 2 else (self.h, self.h_acute, self.g)
+        return dict(zip(nodes, rows))
+
     def rows(self, node: str) -> np.ndarray:
         """(n_slots, n_tx) channel rows of one node."""
-        if node == RX1:
-            return self.h
-        if node == RX2:
-            if self.topology.name == "broadcast":
-                return self.g
-            if self.h_acute is None:
-                raise KeyError("topology has no second receiver")
-            return self.h_acute
-        if node == EVE:
-            if not self.topology.has_eavesdropper:
-                raise KeyError("topology has no eavesdropper")
-            return self.g
-        raise KeyError(f"unknown node {node!r}")
+        try:
+            return self.by_node[node]
+        except KeyError:
+            raise KeyError(f"{self.topology.name} topology has no node {node!r}") from None
 
     def row(self, node: str, t: int) -> np.ndarray:
         return self.rows(node)[t]
@@ -295,9 +294,7 @@ def sample_channels(topology: Topology, n_slots: int, seeds) -> list[ChannelReal
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
     shape = (topology.state_arity, topology.n_tx)
-    rows = np.array([[rng.complex_normal(rng.stream(seed, "chan", t), shape)
-                      for t in range(n_slots)] for seed in seeds], dtype=complex)
-    rows = rows.reshape(len(rows), n_slots, *shape)
+    rows = rng.complex_normals(seeds, [("chan", t) for t in range(n_slots)], shape)
     for i, t in zip(*np.nonzero(~_well_conditioned(rows))):
         rows[i, t] = _redraw(int(seeds[i]), int(t), shape)
     # node order: (rx1, eve), (rx1, rx2, eve) or (rx1, rx2) -> (h, h_acute, g)

@@ -5,12 +5,17 @@ rows with a deterministic phase convention.  `assemble_effective_system`
 extracts, from an executed transmission trace, the exact matrices mapping
 (message, noise) symbols to each node's observations; those matrices drive
 the decodability oracle and all mutual-information computations.
+
+A system may also be a stack: matrices with a leading axis, one item per
+seed of a batch.  The assembly and the two identifiability oracles have
+stacked forms that run one SVD per (node, column set) for the whole stack;
+each single-system function is the one-item case of its stacked form.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -32,6 +37,12 @@ class Beamformer:
 
     def __post_init__(self):
         self.vector.setflags(write=False)
+
+
+def vector_norms(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """2-norm along `axis`, bit for bit `np.linalg.norm` of each vector
+    (which takes `.dot` of the strided real and imaginary views)."""
+    return np.sqrt(np.vecdot(a.real, a.real, axis=axis) + np.vecdot(a.imag, a.imag, axis=axis))
 
 
 def canonical_phase(vecs: np.ndarray) -> np.ndarray:
@@ -112,12 +123,21 @@ class EffectiveLinearSystem:
 
     Rows are normalized so the physical observation is sqrt(P) * row @ symbols
     plus unit-variance noise; the sqrt(P) factor is applied by the analysis
-    layer, which lets one assembled system serve a whole power grid.
+    layer, which lets one assembled system serve a whole power grid.  In a
+    stack of systems every matrix has a leading (system,) axis.
     """
 
     symbols: tuple[SymbolDecl, ...]
-    matrices: Mapping[str, np.ndarray]     # node -> (n_obs, n_symbols)
+    matrices: Mapping[str, np.ndarray]     # node -> ([system,] n_obs, n_symbols)
     slot_of_row: tuple[int, ...]
+
+    def item(self, i: int) -> "EffectiveLinearSystem":
+        """System i of a stack; its matrices are views of the stack's."""
+        return replace(self, matrices={node: m[i] for node, m in self.matrices.items()})
+
+    def stacked(self) -> "EffectiveLinearSystem":
+        """This system as a stack of one."""
+        return replace(self, matrices={node: m[None] for node, m in self.matrices.items()})
 
     @cached_property
     def symbol_index(self) -> dict[str, int]:
@@ -161,54 +181,65 @@ class EffectiveLinearSystem:
 
 
 def assemble_effective_system(trace) -> EffectiveLinearSystem:
-    """Exact symbol-to-observation matrices for every node of a trace.
-
-    Validates that re-simulating the recorded observations from the matrices
-    and the drawn symbol values reproduces the trace.  The comparison is on
-    the power-free scale, where the rounding of slot t's observation is
-    bounded by |h_t| |s| (the slot's transmit matrix has unit norm), plus
-    |n_t| / sqrt(P) for the removed noise, so the 1e-10 relative bound holds
-    at every power, zero-forced nodes included.
-    """
+    """Exact symbol-to-observation matrices for every node of a trace; the
+    one-seed case of `assemble_effective_systems`."""
     n_slots = len(trace.slots)
     if n_slots != len(trace.spec.slot_plans):
         raise IncompleteTrace(
             f"trace has {n_slots} of {len(trace.spec.slot_plans)} slots"
         )
-    matrices = {node: rows.copy() for node, rows in trace.obs_rows.items()}
-    s = trace.symbol_values
-    s_norm = np.linalg.norm(s)
-    for node, mat in matrices.items():
-        observed = trace.obs_vals[node]
-        chan = trace.realization.rows(node)[:n_slots]
-        scale = s_norm * np.linalg.norm(chan, axis=1)
-        if trace.noise_vals is not None:
-            observed = observed - trace.noise_vals[node]
-            scale = scale + np.abs(trace.noise_vals[node]) / trace.sqrt_power
-        residual = np.abs(mat @ s - observed / trace.sqrt_power)
-        if np.any(residual > 1e-10 * scale):
-            raise AssertionError("effective system does not reproduce the trace")
-        mat.setflags(write=False)
+    return assemble_effective_systems(trace.as_batch()).item(0)
+
+
+def assemble_effective_systems(batch) -> EffectiveLinearSystem:
+    """The stack of every seed's effective system in a batch of traces,
+    taken from the batch's stacked observation rows.
+
+    Validates that re-simulating the recorded observations from the matrices
+    and the drawn symbol values reproduces every trace.  The comparison is on
+    the power-free scale, where the rounding of slot t's observation is
+    bounded by |h_t| |s| (the slot's transmit matrix has unit norm), plus
+    |n_t| / sqrt(P) for the removed noise, so the 1e-10 relative bound holds
+    at every power, zero-forced nodes included.
+    """
+    s = batch.symbol_values                         # (seed, symbol)
+    s_norm = vector_norms(s)[:, None]
+    matrices = {}
+    for node, rows in batch.obs_rows.items():       # (seed, slot, symbol)
+        observed = batch.obs_vals[node]
+        scale = s_norm * np.linalg.norm(batch.channels[node], axis=-1)
+        if batch.noise_vals is not None:
+            observed = observed - batch.noise_vals[node]
+            scale = scale + np.abs(batch.noise_vals[node]) / batch.sqrt_power
+        residual = np.abs((rows @ s[:, :, None])[..., 0] - observed / batch.sqrt_power)
+        bad = (residual > 1e-10 * scale).any(axis=1)
+        if bad.any():
+            raise AssertionError(f"seed {batch.seeds[int(np.argmax(bad))]}: "
+                                 "effective system does not reproduce the trace")
+        matrices[node] = rows.copy()
+        matrices[node].setflags(write=False)
     return EffectiveLinearSystem(
-        symbols=trace.symbols,
+        symbols=batch.spec.symbols,
         matrices=matrices,
-        slot_of_row=tuple(range(len(trace.slots))),
+        slot_of_row=tuple(range(batch.spec.n_slots)),
     )
 
 
-def _system_scale(system: EffectiveLinearSystem) -> float:
-    """Largest entry of any node's matrix: the reference for every rank and
-    seen-column cutoff, so a fully zero-forced node (whose own matrix is
-    rounding noise) is not ranked against itself."""
-    return max(np.abs(m).max(initial=0.0) for m in system.matrices.values())
+def _system_scale(system: EffectiveLinearSystem) -> np.ndarray:
+    """Largest entry of any node's matrix, per system of a stack: the
+    reference for every rank and seen-column cutoff, so a fully zero-forced
+    node (whose own matrix is rounding noise) is not ranked against itself."""
+    return np.max([np.abs(m).max(axis=(-2, -1), initial=0.0)
+                   for m in system.matrices.values()], axis=0)
 
 
-def _rank(mat: np.ndarray, scale: float) -> int:
-    """Numerical rank: singular values above RANK_REL_TOL * scale."""
-    if mat.size == 0:
-        return 0
-    sv = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(sv > RANK_REL_TOL * scale))
+def _ranks(mats: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Numerical rank of each matrix of a stack: singular values above
+    RANK_REL_TOL * its system's scale."""
+    if not mats.shape[-2] or not mats.shape[-1]:
+        return np.zeros(len(mats), dtype=int)
+    sv = np.linalg.svd(mats, compute_uv=False)
+    return np.sum(sv > (RANK_REL_TOL * scale)[:, None], axis=-1)
 
 
 def identifiability_check(
@@ -222,27 +253,38 @@ def identifiability_check(
     True iff, once the `known` symbol columns are removed, the target columns
     add exactly |targets| to the rank of the remaining nuisance columns --
     i.e. the node can separate every target from whatever else it observes.
+    The one-system case of `identifiability_checks`.
     """
+    return bool(identifiability_checks(system.stacked(), node, targets, known)[0])
+
+
+def identifiability_checks(
+    systems: EffectiveLinearSystem,
+    node: str,
+    targets: Iterable[str],
+    known: Iterable[str] = (),
+) -> np.ndarray:
+    """`identifiability_check` of every system of a stack, as a bool array;
+    two stacked SVDs in all."""
     targets = tuple(dict.fromkeys(targets))
     known = frozenset(known)
     if set(targets) & known:
         raise ValueError("targets and known sets overlap")
-    index = system.symbol_index
+    index = systems.symbol_index
     for sid in list(targets) + list(known):
         if sid not in index:
             raise UnknownSymbolId(sid)
+    mats = systems.matrices[node]
     if not targets:
-        return True
-    mat = system.matrices[node]
+        return np.ones(len(mats), dtype=bool)
     target_cols = [index[sid] for sid in targets]
     nuis_cols = [
-        i for d, i in ((d, index[d.sid]) for d in system.symbols)
+        i for d, i in ((d, index[d.sid]) for d in systems.symbols)
         if d.sid not in known and i not in target_cols
     ]
-    nuis = mat[:, nuis_cols]
-    joint = np.hstack([mat[:, target_cols], nuis])
-    scale = _system_scale(system)
-    return _rank(joint, scale) - _rank(nuis, scale) == len(targets)
+    scale = _system_scale(systems)
+    return (_ranks(mats[..., target_cols + nuis_cols], scale)
+            - _ranks(mats[..., nuis_cols], scale) == len(targets))
 
 
 def identifiable_symbols(
@@ -257,23 +299,38 @@ def identifiable_symbols(
     leaves every verdict: a column is seen when its norm exceeds RANK_REL_TOL
     times the largest entry of the whole system (not of this node's matrix,
     which at a fully zero-forced node is rounding noise), and the null rows
-    are orthonormal.
+    are orthonormal.  The one-system case of `identifiable_symbols_stacked`.
     """
+    verdicts = identifiable_symbols_stacked(system.stacked(), node, candidates, known)
+    return {sid: bool(flags[0]) for sid, flags in verdicts.items()}
+
+
+def identifiable_symbols_stacked(
+    systems: EffectiveLinearSystem, node: str, candidates: Iterable[str],
+    known: Iterable[str] = (),
+) -> dict[str, np.ndarray]:
+    """`identifiable_symbols` of every system of a stack: per candidate, a
+    bool array over the systems; one stacked SVD in all."""
     candidates = tuple(candidates)
-    kept, is_candidate = system.split_columns(node, candidates, known)
-    mat = system.matrices[node][:, kept]
-    if mat.size == 0:
-        return {sid: False for sid in candidates}
-    _, sv, vh = np.linalg.svd(mat, full_matrices=True)
-    cutoff = RANK_REL_TOL * (sv[0] if sv.size else 0.0)
-    rank = int(np.sum(sv > cutoff)) if sv.size else 0
-    null_rows = vh[rank:].conj().T      # (n_cols, null_dim)
-    seen_cutoff = RANK_REL_TOL * _system_scale(system)
-    verdict: dict[str, bool] = {}
-    for j in np.flatnonzero(is_candidate):
-        seen = np.linalg.norm(mat[:, j]) > seen_cutoff
-        touched = null_rows.shape[1] > 0 and np.linalg.norm(null_rows[j]) > 1e-6
-        verdict[system.symbols[kept[j]].sid] = bool(seen and not touched)
+    kept, is_candidate = systems.split_columns(node, candidates, known)
+    mats = systems.matrices[node][..., kept]       # (system, obs, kept column)
+    if not mats.shape[-2] or not mats.shape[-1]:
+        return {sid: np.zeros(len(mats), dtype=bool) for sid in candidates}
+    sv, vh = np.linalg.svd(mats, full_matrices=True)[1:]
+    rank = np.sum(sv > RANK_REL_TOL * sv[:, :1], axis=-1)
+    # a column is touched when the null rows (rows of vh past the rank) have
+    # weight on it; systems are grouped by rank, so every norm runs over
+    # exactly the null rows of its own system
+    touched = np.zeros((len(mats), mats.shape[-1]), dtype=bool)
+    for r in set(rank.tolist()):      # (np.unique would import numpy.ma)
+        if r < mats.shape[-1]:
+            group = rank == r
+            null = vh[:, r:] if group.all() else vh[group, r:]
+            touched[group] = vector_norms(null, axis=-2) > 1e-6
+    seen = vector_norms(mats, axis=-2) > (RANK_REL_TOL * _system_scale(systems))[:, None]
+    identifiable = seen & ~touched
+    verdict = {systems.symbols[kept[j]].sid: identifiable[:, j]
+               for j in np.flatnonzero(is_candidate)}
     for sid in candidates:
         if sid not in verdict:      # a candidate the node already knows
             raise UnknownSymbolId(sid)

@@ -7,7 +7,11 @@ from typing import Callable, Mapping
 
 from ..errors import BadParams, UnknownScheme
 from ..model import EVE, RX1, RX2
-from ..precoding import assemble_effective_system, identifiable_symbols
+from ..precoding import (
+    EffectiveLinearSystem,
+    assemble_effective_systems,
+    identifiable_symbols_stacked,
+)
 from . import composite, library
 from .accounting import AccountingReport, accounting, composite_accounting, make_report
 from .program import (
@@ -19,9 +23,11 @@ from .program import (
     SlotPlan,
     StreamRecipe,
     Sym,
+    TraceBatch,
     TransmissionTrace,
     run_batch,
     run_scheme,
+    run_seed_batches,
     run_seeds,
 )
 
@@ -126,43 +132,65 @@ def _empty_decoder(trace) -> dict:
     return {}
 
 
-def decode(trace: TransmissionTrace) -> DecodeReport:
+def decode(trace: TransmissionTrace,
+           system: EffectiveLinearSystem | None = None) -> DecodeReport:
     """Run the scheme's decoder and the adversary identifiability oracle.
 
     In noiseless mode every intended receiver must recover its symbols with
     relative residual at most 1e-8; protected symbols must stay unresolvable
-    at their adversaries.  Failures are reported, never raised.
+    at their adversaries.  Failures are reported, never raised.  The oracle
+    uses `system` when given (the trace's effective system), else assembles
+    it.  The one-seed case of `decode_batch`.
     """
-    spec = trace.spec
+    systems = None if system is None else system.stacked()
+    return decode_batch(trace.as_batch(), systems)[0]
+
+
+def decode_batch(batch: TraceBatch,
+                 systems: EffectiveLinearSystem | None = None) -> list[DecodeReport]:
+    """`decode` of every trace of a batch, in seed order.
+
+    The hand decoder runs on each trace as the batch builds it (views of
+    the batch's arrays, no copies); the adversary oracle runs once on the
+    stack of the batch's effective systems (`systems` when given, else
+    assembled from the batch).
+    """
+    spec = batch.spec
     decoder = _DECODERS.get(spec.scheme_id, _empty_decoder)
-    recovered = decoder(trace)
-
-    nodes: dict[str, NodeDecode] = {}
     receivers = [n for n in spec.topology.nodes() if n != EVE]
-    for node in receivers:
-        intended = spec.message_sids(node)
-        got = recovered.get(node, {})
-        max_res = 0.0
-        for sid in intended:
-            truth = trace.true_value(sid)
-            if sid not in got:
-                max_res = float("inf")
-                continue
-            err = abs(got[sid] - truth) / max(1.0, abs(truth))
-            max_res = max(max_res, float(err))
-        nodes[node] = NodeDecode(
-            recovered=dict(got),
-            max_residual=max_res,
-            success=max_res <= DECODE_RESIDUAL_TOL,
-        )
 
-    adversary: dict[str, dict[str, bool]] = {}
+    verdicts: dict[str, dict] = {}
     if spec.protected:
-        system = assemble_effective_system(trace)
+        if systems is None:
+            systems = assemble_effective_systems(batch)
         for adv, sids in spec.protected.items():
             known = spec.adversary_known.get(adv, frozenset())
-            adversary[adv] = identifiable_symbols(system, adv, sorted(sids), known)
-    return DecodeReport(nodes=nodes, adversary=adversary)
+            verdicts[adv] = identifiable_symbols_stacked(systems, adv, sorted(sids), known)
+
+    reports = []
+    for i, trace in enumerate(batch.traces(owned=False)):
+        recovered = decoder(trace)
+        nodes: dict[str, NodeDecode] = {}
+        for node in receivers:
+            intended = spec.message_sids(node)
+            got = recovered.get(node, {})
+            max_res = 0.0
+            for sid in intended:
+                truth = trace.true_value(sid)
+                if sid not in got:
+                    max_res = float("inf")
+                    continue
+                err = abs(got[sid] - truth) / max(1.0, abs(truth))
+                max_res = max(max_res, float(err))
+            nodes[node] = NodeDecode(
+                recovered=dict(got),
+                max_residual=max_res,
+                success=max_res <= DECODE_RESIDUAL_TOL,
+            )
+        adversary = {adv: {sid: bool(flags[i]) for sid, flags in table.items()}
+                     for adv, table in verdicts.items()}
+        reports.append(DecodeReport(nodes=nodes, adversary=adversary))
+    return reports
 
 
 __all__ = [
@@ -179,15 +207,18 @@ __all__ = [
     "SlotPlan",
     "StreamRecipe",
     "Sym",
+    "TraceBatch",
     "TransmissionTrace",
     "accounting",
     "build_scheme",
     "cli_name",
     "composite_accounting",
     "decode",
+    "decode_batch",
     "from_cli_name",
     "make_report",
     "run_batch",
     "run_scheme",
+    "run_seed_batches",
     "run_seeds",
 ]

@@ -20,10 +20,12 @@ gain and payload row, keyed by the stream's label (unique within the slot);
 a retransmitted past observation is rebuilt from those on demand.
 
 A spec is compiled once, on first use: the legality checks and everything
-else no seed changes are resolved then.  `run_batch` executes the compiled
-program for many seeds at once on stacked arrays, giving each seed exactly
-the bits of its own run; `run_scheme` is its one-seed case and `run_seeds`
-samples the channels and runs memory-bounded batches.
+else no seed changes are resolved then.  `execute_batch` executes the
+compiled program for many seeds at once on stacked arrays, giving each seed
+exactly the bits of its own run, and returns a `TraceBatch`: the stacked
+arrays and the per-seed traces cut from them.  `run_batch` yields those
+traces, `run_scheme` is its one-seed case, and `run_seed_batches` /
+`run_seeds` sample the channels and run memory-bounded batches.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -53,6 +55,7 @@ from ..model import (
     sample_channels,
 )
 from ..precoding import SymbolDecl, null_bases
+from ..precoding import vector_norms as _norms
 
 
 # -- payload / beam recipe language --------------------------------------------
@@ -215,7 +218,25 @@ class TransmissionTrace:
         stream = self.slots[t].streams.get(label)
         if stream is None:
             raise KeyError(f"slot {t} has no stream {label!r}")
-        return complex(stream.gain * (self.realization.row(node, t) @ stream.beam))
+        return complex(stream.gain * (self.realization.by_node[node][t] @ stream.beam))
+
+    def as_batch(self) -> "TraceBatch":
+        """This trace as a batch of one seed, of views of its own arrays."""
+        def one(arrays):
+            return {node: arr[None] for node, arr in arrays.items()}
+
+        return TraceBatch(
+            spec=self.spec,
+            seeds=(self.seed,),
+            sqrt_power=self.sqrt_power,
+            symbol_values=self.symbol_values[None],
+            channels={node: self.realization.rows(node)[None, :self.n_slots]
+                      for node in self.obs_rows},
+            obs_rows=one(self.obs_rows),
+            obs_vals=one(self.obs_vals),
+            noise_vals=None if self.noise_vals is None else one(self.noise_vals),
+            traces=lambda owned=True: iter((self,)),
+        )
 
     def slot_power(self, t: int) -> float:
         """Expected transmit power of slot t given the channel draw."""
@@ -249,6 +270,24 @@ class TransmissionTrace:
             },
         }
         return json.dumps(payload, indent=2, sort_keys=True)
+
+
+class TraceBatch(NamedTuple):
+    """Several seeds' runs of one scheme as the stacked (seed, ...) arrays
+    their traces are cut from.  `traces()` builds the traces on demand, in
+    seed order, each owning copies of its arrays; `traces(owned=False)`
+    gives views of the batch's arrays instead, for traces that are done
+    with before the batch is."""
+
+    spec: SchemeSpec
+    seeds: tuple[int, ...]
+    sqrt_power: float
+    symbol_values: np.ndarray                   # (seed, symbol)
+    channels: Mapping[str, np.ndarray]          # node -> (seed, slot, antenna)
+    obs_rows: Mapping[str, np.ndarray]          # node -> (seed, slot, symbol), power-free
+    obs_vals: Mapping[str, np.ndarray]          # node -> (seed, slot), sqrt(P)-scaled (+noise)
+    noise_vals: Mapping[str, np.ndarray] | None
+    traces: Callable[..., Iterator[TransmissionTrace]]
 
 
 # -- legality -------------------------------------------------------------------
@@ -327,12 +366,6 @@ class _Slot(NamedTuple):
 class _Program(NamedTuple):
     nulls: dict[int, _Nulls]    # by ref count
     slots: tuple[_Slot, ...]
-
-
-def _norms(a: np.ndarray) -> np.ndarray:
-    """2-norm over the last axis, bit for bit `np.linalg.norm` of each item
-    (which takes `.dot` of the strided real and imaginary views)."""
-    return np.sqrt(np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag))
 
 
 def _indices(items) -> np.ndarray:
@@ -488,7 +521,19 @@ def run_batch(
     mode: str,
     seeds: Sequence[int],
 ) -> Iterator[TransmissionTrace]:
-    """Execute a scheme for several seeds at once, yielding one trace per seed.
+    """Execute a scheme for several seeds at once, yielding one trace per
+    seed; see `execute_batch`."""
+    yield from execute_batch(spec, realizations, power, mode, seeds).traces()
+
+
+def execute_batch(
+    spec: SchemeSpec,
+    realizations: Sequence[ChannelRealization],
+    power: PowerBudget,
+    mode: str,
+    seeds: Sequence[int],
+) -> TraceBatch:
+    """Execute a scheme for several seeds at once.
 
     Per slot: resolve beams against the CSI the slot state allows, evaluate
     payloads from strictly legal information sets, normalize the slot to the
@@ -496,7 +541,8 @@ def run_batch(
     and as an exact coefficient row over the drawn symbols.  A slot's
     streams and the seeds run as stacked arrays; each stacked operation
     gives every (stream, seed) the bits its own run would, sums keep the
-    stream order, and every numeric check runs for every seed.  A trace of a
+    stream order, and every numeric check runs for every seed.  The batch
+    keeps the stacked symbols, channels and observations; a trace of a
     multi-seed batch owns copies of its arrays, so a kept trace does not
     keep the batch alive.
     """
@@ -516,8 +562,7 @@ def run_batch(
 
     # (seed, node, slot, antenna)
     chan = np.array([[r.rows(node)[:n_slots] for node in nodes] for r in realizations])
-    s = np.array([rng.complex_normal(rng.stream(seed, "symbols"), n_sym)
-                  for seed in seeds], dtype=complex).reshape(n_seeds, n_sym)
+    s = rng.complex_normals(seeds, [("symbols",)], n_sym)[:, 0]
 
     bases = {}
     for r, nulls in program.nulls.items():
@@ -590,14 +635,13 @@ def run_batch(
     obs_vals = np.sqrt(power.total_power) * obs_clean
     noise = None
     if mode == "noisy":
-        noise = np.array([[rng.complex_normal(rng.stream(seed, "noise", node), n_slots)
-                           for node in nodes] for seed in seeds])
+        noise = rng.complex_normals(seeds, [("noise", node) for node in nodes], n_slots)
         obs_vals = obs_vals + noise
 
-    def own(arr: np.ndarray) -> np.ndarray:
-        return arr if n_seeds == 1 else arr.copy()
+    def trace(i: int, realization: ChannelRealization, owned: bool) -> TransmissionTrace:
+        def own(arr: np.ndarray) -> np.ndarray:
+            return arr.copy() if owned and n_seeds > 1 else arr
 
-    for i, (seed, realization) in enumerate(zip(seeds, realizations)):
         bases_i = {r: own(basis[i]) for r, basis in bases.items()}
         records = []
         for slot, done, (values, x, x_value) in zip(program.slots, sent, executed):
@@ -617,12 +661,12 @@ def run_batch(
                 x_matrix=own(x[i]),
                 x_value=own(x_value[i]),
             ))
-        yield TransmissionTrace(
+        return TransmissionTrace(
             spec=spec,
             realization=realization,
             power=power,
             mode=mode,
-            seed=int(seed),
+            seed=int(seeds[i]),
             symbols=spec.symbols,
             symbol_values=own(s[i]),
             slots=records,
@@ -630,6 +674,22 @@ def run_batch(
             obs_vals=dict(zip(nodes, own(obs_vals[i]))),
             noise_vals=None if noise is None else dict(zip(nodes, own(noise[i]))),
         )
+
+    def by_node(arr: np.ndarray) -> dict[str, np.ndarray]:
+        return {node: arr[:, n] for n, node in enumerate(nodes)}
+
+    return TraceBatch(
+        spec=spec,
+        seeds=tuple(int(seed) for seed in seeds),
+        sqrt_power=float(np.sqrt(power.total_power)),
+        symbol_values=s,
+        channels=by_node(chan),
+        obs_rows=dict(zip(nodes, obs_rows)),
+        obs_vals=by_node(obs_vals),
+        noise_vals=None if noise is None else by_node(noise),
+        traces=lambda owned=True: (trace(i, realization, owned)
+                                   for i, realization in enumerate(realizations)),
+    )
 
 
 def run_scheme(
@@ -651,9 +711,22 @@ def run_seeds(
     mode: str = "noiseless",
 ) -> Iterator[TransmissionTrace]:
     """Sample each seed's channel and execute the scheme on it, yielding the
-    traces in seed order; seeds run in stacked batches of bounded size."""
+    traces in seed order; see `run_seed_batches`."""
+    for batch in run_seed_batches(spec, seeds, power, mode):
+        yield from batch.traces()
+        del batch       # freed before the next batch is built
+
+
+def run_seed_batches(
+    spec: SchemeSpec,
+    seeds: Sequence[int],
+    power: PowerBudget,
+    mode: str = "noiseless",
+) -> Iterator[TraceBatch]:
+    """Sample and execute the seeds in stacked batches of bounded size, in
+    seed order: at most `BATCH_CELLS` (seed, slot, symbol) cells each."""
     step = max(1, BATCH_CELLS // max(1, spec.n_slots * len(spec.symbols)))
     for start in range(0, len(seeds), step):
         batch = seeds[start:start + step]
         realizations = sample_channels(spec.topology, spec.n_slots, batch)
-        yield from run_batch(spec, realizations, power, mode, batch)
+        yield execute_batch(spec, realizations, power, mode, batch)

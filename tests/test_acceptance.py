@@ -6,6 +6,7 @@ implementations; nothing is calibrated at run time.
 """
 
 from sdof_lab import acceptance
+from sdof_lab.schemes import SCHEME_IDS
 
 
 def _check(result):
@@ -81,16 +82,17 @@ def test_criterion_03_lists_every_failing_seed(monkeypatch):
     """A failing seed does not hide the later failing seeds of its scheme."""
     from dataclasses import replace
 
-    true_decode = acceptance.decode
+    true_decode = acceptance.decode_batch
 
-    def failing(trace):
-        report = true_decode(trace)
-        if trace.spec.scheme_id == "WT_PP" and trace.seed in (3, 7):
-            bad = replace(report.nodes["rx1"], max_residual=1.0, success=False)
-            report = replace(report, nodes={**report.nodes, "rx1": bad})
-        return report
+    def failing(batch, systems=None):
+        reports = true_decode(batch, systems)
+        for i, seed in enumerate(batch.seeds):
+            if batch.spec.scheme_id == "WT_PP" and seed in (3, 7):
+                bad = replace(reports[i].nodes["rx1"], max_residual=1.0, success=False)
+                reports[i] = replace(reports[i], nodes={**reports[i].nodes, "rx1": bad})
+        return reports
 
-    monkeypatch.setattr(acceptance, "decode", failing)
+    monkeypatch.setattr(acceptance, "decode_batch", failing)
     result = acceptance.criterion_3(n_seeds=10)
     assert result.status == "FAIL"
     assert result.detail == ("WT_PP seed 3: residual 1.00e+00; "
@@ -113,3 +115,27 @@ def test_criterion_07_projects_the_converse_once_itself(monkeypatch):
     monkeypatch.setattr(regions, "project_to_coordinates", counting)
     _check(acceptance.criterion_7())
     assert calls.count(True) == 2
+
+
+def test_criterion_03_assembles_each_pipeline_once(monkeypatch):
+    """Each (scheme, seed) system is assembled exactly once: the oracles and
+    the decoders share it."""
+    import sys
+    from collections import Counter
+
+    from sdof_lab import precoding
+
+    assembled = Counter()
+    stacked = precoding.assemble_effective_systems
+
+    def counting(batch):
+        assembled.update((batch.spec.scheme_id, seed) for seed in batch.seeds)
+        return stacked(batch)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sdof_lab") and getattr(module, "assemble_effective_systems",
+                                                   None) is stacked:
+            monkeypatch.setattr(module, "assemble_effective_systems", counting)
+    _check(acceptance.criterion_3(n_seeds=4))
+    assert assembled == Counter(
+        {(scheme_id, seed): 1 for scheme_id in SCHEME_IDS for seed in range(4)})

@@ -108,8 +108,8 @@ class TestSimulate:
 
         true_decode = cli.decode
 
-        def failing(trace):
-            report = true_decode(trace)
+        def failing(trace, system=None):
+            report = true_decode(trace, system)
             if trace.seed in (2, 3):
                 bad = replace(report.nodes[RX1], max_residual=1.0, success=False)
                 report = replace(report, nodes={**report.nodes, RX1: bad})
@@ -264,12 +264,21 @@ class TestRegion:
       "--out", "{tmp}/missing/rows.csv"), {}, {}),
     (("region", "--theorem", "thm3", "--out", "{tmp}/missing/r.json"), {}, {}),
     (("simulate", "--scheme", "mr_ddp", "--blocks", "7"), {}, {}),
+    (("simulate", "--scheme", "wt_pp", "--tolerance", "nan"), {}, {}),
+    (("simulate", "--scheme", "wt_pp", "--tolerance", "inf"), {}, {}),
+    (("simulate", "--scheme", "wt_pp", "--tolerance", "-1"), {}, {}),
+    (("simulate", "--config", "{tmp}/c.json"),
+     {"c.json": json.dumps({"scheme": "wt_pp", "tolerance": float("nan")})}, {}),
+    (("fm", "--system", "{tmp}/s.json", "--eliminate", "a", "--check"),
+     {"s.json": json.dumps(system_to_json_dict(converse_alternation_system()))}, {}),
 ], ids=["zero-seeds", "huge-power", "tiny-power", "bad-lambda", "string-seeds",
         "fm-int-variables", "fm-int-coeffs", "fm-zero-denominator", "fm-infeasible",
         "fm-infeasible-no-vars",
         "threads-abc", "threads-zero", "missing-config", "missing-system",
         "invalid-config-json", "invalid-system-json", "config-not-object",
-        "unwritable-out", "unwritable-region-out", "blocks-non-composite"])
+        "unwritable-out", "unwritable-region-out", "blocks-non-composite",
+        "nan-tolerance", "inf-tolerance", "negative-tolerance", "config-nan-tolerance",
+        "fm-check-partial-projection"])
 def test_bad_input_gets_one_error_line(tmp_path, capsys, monkeypatch, argv, files, env):
     for name, text in files.items():
         (tmp_path / name).write_text(text)

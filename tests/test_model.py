@@ -164,6 +164,11 @@ class TestSampleChannel:
     def test_persistent_rank_deficiency(self, monkeypatch):
         from sdof_lab import model
 
+        # every draw is rank one: the first draws (drawn in bulk) and every
+        # redraw that continues a slot's substream
+        monkeypatch.setattr(
+            model.rng, "complex_normals",
+            lambda seeds, tags, shape: np.ones((len(seeds), len(tags), *shape), dtype=complex))
         monkeypatch.setattr(
             model.rng, "complex_normal",
             lambda gen, shape: np.ones(shape, dtype=complex))

@@ -11,12 +11,15 @@ from sdof_lab.errors import IncompleteTrace, OverConstrained, UnknownSymbolId
 from sdof_lab.model import EVE, RX1, RX2, PowerBudget, sample_channel
 from sdof_lab.precoding import (
     assemble_effective_system,
+    assemble_effective_systems,
     identifiability_check,
+    identifiability_checks,
     identifiable_symbols,
+    identifiable_symbols_stacked,
     null_basis,
     null_vector,
 )
-from sdof_lab.schemes import SCHEME_IDS, build_scheme, run_scheme
+from sdof_lab.schemes import SCHEME_IDS, build_scheme, run_scheme, run_seed_batches
 
 
 def _run(scheme_id, seed=0, **params):
@@ -214,3 +217,86 @@ class TestIdentifiability:
             scaled = dataclasses.replace(
                 system, matrices={n: m * scale for n, m in system.matrices.items()})
             assert verdicts(scaled) == reference, scale
+
+
+class TestStacked:
+    """The stacked assembly and oracles give every system of a batch exactly
+    what the one-system functions give it."""
+
+    @pytest.mark.parametrize("mode", ["noiseless", "noisy"])
+    @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+    def test_batch_assembly_equals_single(self, scheme_id, mode):
+        spec = build_scheme(scheme_id)
+        power = PowerBudget(2.0 ** 40)
+        for batch in run_seed_batches(spec, range(6), power, mode):
+            systems = assemble_effective_systems(batch)
+            for i, trace in enumerate(batch.traces()):
+                one = assemble_effective_system(trace)
+                item = systems.item(i)
+                assert item.symbols == one.symbols
+                assert item.slot_of_row == one.slot_of_row
+                for node, mat in one.matrices.items():
+                    assert item.matrices[node].tobytes() == mat.tobytes()
+                    assert not item.matrices[node].flags.writeable
+
+    def test_batch_assembly_names_the_failing_seed(self):
+        spec = build_scheme("MR_PDP")
+        batch = next(run_seed_batches(spec, [4, 5, 6], PowerBudget(1e4)))
+        batch.obs_vals[EVE][1, 0] += 1.0
+        with pytest.raises(AssertionError, match="seed 5: effective system"):
+            assemble_effective_systems(batch)
+
+    @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+    def test_stacked_verdicts_equal_single_verdicts(self, scheme_id):
+        """Every scheme x 20 seeds x node, at scalings 1, 1e-10 and 1e3."""
+        spec = build_scheme(scheme_id)
+        for batch in run_seed_batches(spec, range(20), PowerBudget(1e4)):
+            assembled = assemble_effective_systems(batch)
+            for scale in (1.0, 1e-10, 1e3):
+                systems = dataclasses.replace(assembled, matrices={
+                    n: m * scale for n, m in assembled.matrices.items()})
+                singles = [systems.item(i) for i in range(len(batch.seeds))]
+                for node in spec.topology.nodes():
+                    known = spec.adversary_known.get(node, frozenset())
+                    candidates = [d.sid for d in spec.symbols if d.sid not in known]
+                    stacked = identifiable_symbols_stacked(systems, node, candidates, known)
+                    target_sets = [[sid for sid in spec.message_sids(node) if sid not in known],
+                                   candidates[:1]]
+                    target_sets += [sorted(sids) for adv, sids in spec.protected.items()
+                                    if adv == node]
+                    checks = [identifiability_checks(systems, node, targets, known)
+                              for targets in target_sets]
+                    for i, one in enumerate(singles):
+                        case = (scheme_id, batch.seeds[i], node, scale)
+                        table = identifiable_symbols(one, node, candidates, known)
+                        assert {sid: bool(f[i]) for sid, f in stacked.items()} == table, case
+                        for targets, flags in zip(target_sets, checks):
+                            assert bool(flags[i]) == identifiability_check(
+                                one, node, targets, known), (case, targets)
+
+    @pytest.mark.parametrize("scheme_id", ["MR_DDP", "BC_S1_43", "SUB_SECURE_MULTICAST"])
+    def test_stacked_verdicts_with_mixed_ranks(self, scheme_id):
+        """Systems of different rank in one stack: each is judged against its
+        own null rows and its own scale."""
+        spec = build_scheme(scheme_id)
+        batch = next(run_seed_batches(spec, range(5), PowerBudget(1e4)))
+        assembled = assemble_effective_systems(batch)
+        matrices = {}
+        for node, mats in assembled.matrices.items():
+            mats = mats.copy()
+            mats[1, 1:] = 0.0               # one observation left
+            mats[2, :, 1] = mats[2, :, 0]   # two columns alike
+            mats[3] = 0.0                   # nothing seen
+            mats[4] *= 1e-9
+            matrices[node] = mats
+        systems = dataclasses.replace(assembled, matrices=matrices)
+        for node in spec.topology.nodes():
+            known = spec.adversary_known.get(node, frozenset())
+            candidates = [d.sid for d in spec.symbols if d.sid not in known]
+            stacked = identifiable_symbols_stacked(systems, node, candidates, known)
+            checks = identifiability_checks(systems, node, candidates[:2], known)
+            for i in range(5):
+                one = systems.item(i)
+                table = identifiable_symbols(one, node, candidates, known)
+                assert {sid: bool(f[i]) for sid, f in stacked.items()} == table, (node, i)
+                assert bool(checks[i]) == identifiability_check(one, node, candidates[:2], known)

@@ -31,8 +31,10 @@ from sdof_lab.schemes import (
     build_scheme,
     composite_accounting,
     decode,
+    decode_batch,
     run_batch,
     run_scheme,
+    run_seed_batches,
     run_seeds,
 )
 from sdof_lab.schemes.program import NullOf, SlotPlan
@@ -296,6 +298,33 @@ class TestBatch:
             list(run_batch(spec, realizations, PowerBudget(1e4), "noiseless", [5, 6, 7]))
 
 
+class TestSamplerCost:
+    def test_run_seeds_derives_keys_in_bulk(self, monkeypatch):
+        """No SeedSequence per (seed, slot): every key of a batch comes from
+        one bulk derivation per tag family (channels, symbols, noise)."""
+        from sdof_lab import rng
+
+        made, bulk = [], []
+        sequence, keys = np.random.SeedSequence, rng.keys
+
+        class Counted(sequence):
+            def __init__(self, *args, **kwargs):
+                made.append(args)
+                super().__init__(*args, **kwargs)
+
+        def counted_keys(seeds, tags):
+            bulk.append((len(seeds), len(tags)))
+            return keys(seeds, tags)
+
+        monkeypatch.setattr(np.random, "SeedSequence", Counted)
+        monkeypatch.setattr(rng, "keys", counted_keys)
+        spec = build_scheme("MR_DDP")
+        traces = list(run_seeds(spec, range(30), PowerBudget(1e4), "noisy"))
+        assert len(traces) == 30
+        assert made == []
+        assert bulk == [(30, spec.n_slots), (30, 1), (30, len(spec.topology.nodes()))]
+
+
 class TestDecode:
     @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
     def test_noiseless_decode_all_schemes(self, scheme_id):
@@ -326,6 +355,23 @@ class TestDecode:
         spec, trace = _run("MR_S30_29_B", seed=8)
         report = decode(trace)
         assert report.all_success
+
+    @pytest.mark.parametrize("mode", ["noiseless", "noisy"])
+    @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+    def test_given_system_and_batch_decode_equal_decode(self, scheme_id, mode):
+        """decode(trace, system) and decode_batch give the report decode(trace)
+        gives."""
+        from sdof_lab.precoding import assemble_effective_system, assemble_effective_systems
+
+        spec = build_scheme(scheme_id)
+        power = PowerBudget(2.0 ** 30)
+        for batch in run_seed_batches(spec, range(4), power, mode):
+            batched = decode_batch(batch)
+            given_stack = decode_batch(batch, assemble_effective_systems(batch))
+            for trace, one, other in zip(batch.traces(), batched, given_stack, strict=True):
+                alone = decode(trace)
+                assert decode(trace, assemble_effective_system(trace)) == alone
+                assert one == alone and other == alone, (scheme_id, trace.seed)
 
     def test_composite_side_info_adds_nothing_at_adversary(self):
         """The unicast phases repeat the adversary's own observations, so its
