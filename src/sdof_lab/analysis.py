@@ -1,9 +1,11 @@
 """Closed-form Gaussian information measures and their numerical oracles.
 
 Rates and leakage are exact log-determinant expressions over the effective
-linear systems; prelog slopes are least-squares fits over a power grid; the
-Monte-Carlo estimator re-derives the same mutual information from sampled log
-densities as an independent cross-check.  All entropies are in bits and every
+linear systems, one system or a stack of them (the one-system functions are
+the one-item case of the stacked ones); prelog slopes are least-squares fits
+over a power grid, of one series or a stack of them; the Monte-Carlo
+estimator re-derives the same mutual information from sampled log densities
+as an independent cross-check.  All entropies are in bits and every
 computation treats the channel matrices as known side information.
 """
 
@@ -33,9 +35,9 @@ class MiResult:
 
 @dataclass(frozen=True)
 class SlopeEstimate:
-    slope: float
+    slope: float | np.ndarray
     power_grid: tuple[float, ...]
-    residual: float
+    residual: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -52,28 +54,48 @@ def _power_value(power) -> float:
     return float(power)
 
 
-def _logdet_bits(mat: np.ndarray, powers: Sequence[float]) -> list[float]:
-    """log2 det(I + p * mat @ mat^H) at each p in `powers`, stable to p ~ 2^60.
+def _logdet_bits(mats: np.ndarray, powers: Sequence[float]) -> np.ndarray:
+    """log2 det(I + p * mat @ mat^H) of each matrix of a stack (..., rows,
+    cols) at each p in `powers`, as (..., power); stable to p ~ 2^60.
 
-    One SVD serves every power.  Works from singular values of the matrix
-    rather than eigenvalues of the Gram: a numerically spurious singular value
-    ~1e-16 squares to ~1e-32 and stays invisible at every grid power, where a
-    spurious Gram eigenvalue ~1e-16 would be amplified into fake rate by
-    p = 2^60.
+    One SVD per matrix serves every power.  Works from singular values of
+    the matrix rather than eigenvalues of the Gram: a numerically spurious
+    singular value ~1e-16 squares to ~1e-32 and stays invisible at every
+    grid power, where a spurious Gram eigenvalue ~1e-16 would be amplified
+    into fake rate by p = 2^60.
     """
-    if mat.size == 0:
-        return [0.0] * len(powers)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    return [float(np.sum(np.log2(1.0 + p * sv ** 2))) for p in powers]
+    if not mats.shape[-2] or not mats.shape[-1]:
+        return np.zeros((*mats.shape[:-2], len(powers)))
+    sv = np.linalg.svd(mats, compute_uv=False)
+    # each (matrix, power) sums its own contiguous row of terms, exactly as
+    # a lone matrix's sum would
+    terms = np.log2(1.0 + np.array(powers)[:, None] * sv[..., None, :] ** 2)
+    return np.sum(terms, axis=-1)
 
 
-def _kept_columns(system: EffectiveLinearSystem, node: str,
+def _kept_columns(systems: EffectiveLinearSystem, node: str,
                   secret, known) -> tuple[np.ndarray, np.ndarray]:
-    """node's matrix without the known columns, and the mask of secret columns."""
-    if system.matrices[node].shape[0] == 0:
+    """node's matrices without the known columns, and the mask of secret columns."""
+    if systems.matrices[node].shape[-2] == 0:
         raise EmptySystem(f"node {node} has no observations")
-    kept, is_secret = system.split_columns(node, secret, known)
-    return system.matrices[node][:, kept], is_secret
+    kept, is_secret = systems.split_columns(node, secret, known)
+    return systems.matrices[node][..., kept], is_secret
+
+
+def gaussian_mi_stacked(systems: EffectiveLinearSystem, node: str,
+                        secret: Iterable[str], powers: Sequence,
+                        known: Iterable[str] = ()) -> np.ndarray:
+    """`gaussian_mi` of every system of a stack at every power, in bits, as
+    a (system, power) array: one SVD each of the kept and of the nuisance
+    columns for the whole stack and grid."""
+    powers = [_power_value(p) for p in powers]
+    full, is_secret = _kept_columns(systems, node, secret, known)
+    bits = _logdet_bits(full, powers) - _logdet_bits(full[..., ~is_secret], powers)
+    below = bits < -1e-9
+    if below.any():
+        raise AssertionError(
+            f"mutual information {bits[below][0]} below clamp tolerance")
+    return np.where(bits < 0.0, 0.0, bits)
 
 
 def gaussian_mi(system: EffectiveLinearSystem, node: str, secret: Iterable[str],
@@ -84,31 +106,39 @@ def gaussian_mi(system: EffectiveLinearSystem, node: str, secret: Iterable[str],
     power from one spectrum each of the kept and of the nuisance columns.
     Unit-variance observation noise is always assumed so the expression stays
     finite; with unit-variance Gaussian symbols the two log-determinants are
-    the exact conditional differential entropies.
+    the exact conditional differential entropies.  The one-system case of
+    `gaussian_mi_stacked`.
     """
     single = np.ndim(power) == 0
     powers = [_power_value(p) for p in ([power] if single else power)]
-    full, is_secret = _kept_columns(system, node, secret, known)
-    results = []
-    for p, whole, nuisance in zip(powers, _logdet_bits(full, powers),
-                                  _logdet_bits(full[:, ~is_secret], powers)):
-        bits = whole - nuisance
-        if bits < -1e-9:
-            raise AssertionError(f"mutual information {bits} below clamp tolerance")
-        results.append(MiResult(max(bits, 0.0), conditioning=f"node={node}", power=p))
+    bits = gaussian_mi_stacked(system.stacked(), node, secret, powers, known)[0]
+    results = [MiResult(float(b), conditioning=f"node={node}", power=p)
+               for p, b in zip(powers, bits)]
     return results[0] if single else results
+
+
+def achievable_rate_stacked(systems: EffectiveLinearSystem, node: str,
+                            powers: Sequence) -> np.ndarray:
+    """`achievable_rate` of every system of a stack at every power, in bits,
+    as a (system, power) array."""
+    return gaussian_mi_stacked(systems, node, systems.message_sids(node), powers)
 
 
 def achievable_rate(system: EffectiveLinearSystem, node: str,
                     power) -> MiResult | list[MiResult]:
-    """gaussian_mi with the node's own intended messages as the secret set."""
+    """gaussian_mi with the node's own intended messages as the secret set;
+    the one-system case of `achievable_rate_stacked`."""
     return gaussian_mi(system, node, system.message_sids(node), power)
 
 
-def fit_slope(values: Sequence[float], slots,
-              grid: Sequence[float] = DEFAULT_GRID) -> SlopeEstimate:
+def fit_slope(values, slots, grid: Sequence[float] = DEFAULT_GRID) -> SlopeEstimate:
     """Least-squares prelog of values/slots against log2(P), where values[i]
-    is the metric at power grid[i]."""
+    is the metric at power grid[i].
+
+    A 2-D `values` is a stack of series, one per row (values[j, i] at power
+    grid[i]); its estimate holds an array of slopes and one of residuals,
+    each entry bit for bit that row's own fit.
+    """
     grid = tuple(float(p) for p in grid)
     if len(grid) < 2:
         raise GridTooSmall("slope estimation needs at least two powers")
@@ -117,10 +147,19 @@ def fit_slope(values: Sequence[float], slots,
     slots = float(slots)
     xs = np.log2(np.array(grid))
     ys = np.array(values) / slots
-    coeffs = np.polyfit(xs, ys, 1)
-    fit = np.polyval(coeffs, xs)
-    residual = float(np.sqrt(np.mean((ys - fit) ** 2)))
-    return SlopeEstimate(slope=float(coeffs[0]), power_grid=grid, residual=residual)
+    rows = np.atleast_2d(ys)                        # (series, power)
+    # one polyfit per series: a single polyfit over a 2-D y solves for all
+    # columns at once, which on some grids (2^20..2^60 in steps of 5) moves
+    # the last bits of the slopes away from the lone fits'
+    coeffs = np.stack([np.polyfit(xs, row, 1) for row in rows], axis=1)   # (2, series)
+    fit = np.polyval(coeffs[:, :, None], xs)
+    # each series' squared errors are a contiguous row, summed as a lone
+    # series' would be
+    residual = np.sqrt(np.mean((rows - fit) ** 2, axis=-1))
+    if ys.ndim == 1:
+        return SlopeEstimate(slope=float(coeffs[0, 0]), power_grid=grid,
+                             residual=float(residual[0]))
+    return SlopeEstimate(slope=coeffs[0], power_grid=grid, residual=residual)
 
 
 def rate_slope(system: EffectiveLinearSystem, node: str, slots,

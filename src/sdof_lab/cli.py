@@ -6,20 +6,16 @@ regions as JSON (optionally with a containment comparison and plot data),
 `fm` projects a bounded-term system, and `verify` runs the acceptance suite.
 
 Configuration comes from a JSON file, command-line flags, or both (flags
-win).  Identical configuration and seeds produce byte-identical CSV output;
-the LAB_THREADS environment variable parallelizes independent seeds without
-changing any output byte.
+win).  Identical configuration and seeds produce byte-identical CSV output.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
@@ -30,8 +26,18 @@ from . import analysis, regions
 from .errors import CsitViolation, SdofLabError
 from .fm_oracle import convex_hull, hull_agreement
 from .model import RX1, RX2, PowerBudget, sample_channel, validate_schedule
-from .precoding import assemble_effective_system
-from .schemes import accounting, build_scheme, decode, from_cli_name, run_scheme
+from .precoding import assemble_effective_system, assemble_effective_systems
+from .schemes import (
+    accounting,
+    adversary_verdicts,
+    build_scheme,
+    decode_receivers,
+    decode_reports,
+    from_cli_name,
+    run_scheme,
+    seed_chunks,
+    stack_traces,
+)
 
 CSV_HEADER = ("scheme_id,seed,power,slots,symbols_rx1,symbols_rx2,"
               "rate_rx1_bits,rate_rx2_bits,leakage_bits,decode_residual_max")
@@ -62,17 +68,6 @@ def _write_text(path: str | Path, text: str) -> None:
         raise SdofLabError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _lab_threads() -> int:
-    text = os.environ.get("LAB_THREADS", "1")
-    try:
-        threads = int(text)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise SdofLabError(f"LAB_THREADS must be a positive integer, got {text!r}")
-    return threads
-
-
 def _well_typed(value, annotation: str) -> bool:
     if annotation == "list[int]":
         return isinstance(value, list) and all(_well_typed(v, "int") for v in value)
@@ -86,7 +81,7 @@ class RunConfig:
     seeds: int = 20
     p_exp: list[int] = field(default_factory=lambda: [20, 30, 40, 50, 60])
     mode: str = "noiseless"
-    sub: str = "tjsp53"
+    sub: str | None = None
     blocks: int | None = None
     tolerance: float = 0.05
     out: str | None = None
@@ -123,51 +118,66 @@ def _fmt(x: float) -> str:
 
 
 def _scheme_params(config: RunConfig) -> dict:
-    # `sub` has a default, so only the composites get it; an explicit
-    # `blocks` always goes through and build_scheme rejects it elsewhere
-    params = {}
-    if config.scheme.upper().startswith("MR_S30_29"):
-        params["sub"] = config.sub
-    if config.blocks is not None:
-        params["blocks"] = config.blocks
-    return params
+    # an explicit `sub` or `blocks` always goes through, and build_scheme
+    # rejects it on a scheme that takes no parameters
+    return {name: value for name, value in (("sub", config.sub), ("blocks", config.blocks))
+            if value is not None}
 
 
-def _simulate_one(spec, seed: int, powers: list[float], mode: str):
-    # seed by seed through the single-seed entry points, whose calls the
-    # benchmark's layer tracing (perfbench) counts per simulated seed
-    realization = sample_channel(spec.topology, spec.n_slots, seed)
-    trace = run_scheme(spec, realization, PowerBudget(powers[0]), mode, seed)
-    system = assemble_effective_system(trace)
-    report = decode(trace, system)
-    fit_possible = len(powers) >= 2
+def _simulate_chunk(spec, seeds, powers: list[float], mode: str):
+    """Per seed of one chunk: the seed, its CSV values per power, its rate
+    slopes, its leakage slope and its hard-failure flag.
 
-    def slope(values) -> float:
-        return analysis.fit_slope(values, spec.n_slots, powers).slope
+    Each seed is sampled, executed and hand-decoded on its own, through the
+    single-seed entry points whose calls the benchmark's layer tracing
+    (perfbench) counts per simulated seed.  The chunk is then analysed as a
+    stack: one assembly, one adversary oracle call per adversary, one SVD
+    per (node, column set) for every system and power, and one slope fit.
+    """
+    budget = PowerBudget(powers[0])
+    receivers = []
 
-    # every rate and leakage value once per (node, power), the whole grid
-    # per call; the slopes are fitted from the same floats the rows report
-    rates, slopes = {}, {}
-    for node in (RX1, RX2):
-        if node in spec.topology.nodes() and system.message_sids(node):
-            rates[node] = [r.bits for r in analysis.achievable_rate(system, node, powers)]
-            slopes[node] = slope(rates[node]) if fit_possible else 0.0
-        else:
-            rates[node] = [0.0] * len(powers)
-            slopes[node] = 0.0
-    leaks = [
-        [r.bits for r in analysis.gaussian_mi(
-            system, adv, sorted(spec.protected[adv]), powers,
-            known=spec.adversary_known.get(adv, frozenset()))]
-        for adv in sorted(spec.protected)
-    ]
-    leak_slope = max([0.0] + [slope(values) for values in leaks]) if fit_possible else 0.0
-    rows = [(seed, power, rates[RX1][i], rates[RX2][i],
-             max([0.0] + [values[i] for values in leaks]), report.max_residual)
-            for i, power in enumerate(powers)]
-    hard_failure = (mode == "noiseless" and not report.all_success) \
-        or report.any_protected_identifiable
-    return rows, slopes, leak_slope, hard_failure, trace, system, realization
+    def run(seed):
+        realization = sample_channel(spec.topology, spec.n_slots, seed)
+        trace = run_scheme(spec, realization, budget, mode, seed)
+        receivers.append(decode_receivers(trace))
+        return trace
+
+    systems = assemble_effective_systems(stack_traces(seeds, map(run, seeds)))
+    reports = decode_reports(receivers, adversary_verdicts(spec, systems))
+
+    # every rate and leakage value once per (seed, node, power); the slopes
+    # are fitted from the same floats the rows report
+    rated = [node for node in (RX1, RX2)
+             if node in spec.topology.nodes() and systems.message_sids(node)]
+    rates = {node: analysis.achievable_rate_stacked(systems, node, powers)
+             for node in rated}
+    leaks = [analysis.gaussian_mi_stacked(
+                 systems, adv, sorted(spec.protected[adv]), powers,
+                 known=spec.adversary_known.get(adv, frozenset()))
+             for adv in sorted(spec.protected)]
+    series = [rates[node] for node in rated] + leaks
+    slopes = np.zeros((len(series), len(seeds)))
+    if len(powers) >= 2 and series:
+        slopes = analysis.fit_slope(
+            np.concatenate(series), spec.n_slots, powers).slope.reshape(slopes.shape)
+    # per seed and power, as Python floats
+    zero = [[0.0] * len(powers)] * len(seeds)
+    r1, r2 = (rates[node].tolist() if node in rates else zero for node in (RX1, RX2))
+    leaks = [values.tolist() for values in leaks]
+    rate_slopes = dict(zip(rated, slopes.tolist()))
+    leak_slopes = slopes[len(rated):].tolist()
+
+    for i, (seed, report) in enumerate(zip(seeds, reports)):
+        rows = [(power, r1[i][j], r2[i][j], max([0.0] + [values[i][j] for values in leaks]),
+                 report.max_residual)
+                for j, power in enumerate(powers)]
+        node_slopes = {node: rate_slopes[node][i] if node in rate_slopes else 0.0
+                       for node in (RX1, RX2)}
+        leak_slope = max([0.0] + [values[i] for values in leak_slopes])
+        failed = (mode == "noiseless" and not report.all_success) \
+            or report.any_protected_identifiable
+        yield seed, rows, node_slopes, leak_slope, failed
 
 
 def cmd_simulate(config: RunConfig) -> int:
@@ -187,44 +197,36 @@ def cmd_simulate(config: RunConfig) -> int:
     powers = [float(2.0 ** e) for e in sorted(set(config.p_exp))]
     seeds = list(range(config.seeds))
 
-    dumping = bool(config.dump_trace or config.dump_system or config.dump_channel)
-
-    def work(seed):
-        # only a seed that may be dumped (seed 0, or a failing one) keeps its
-        # trace, system and realization past its own analysis
-        rows, slopes, leak_slope, failed, *case = _simulate_one(
-            spec, seed, powers, config.mode)
-        keep = dumping and (failed or seed == 0)
-        return rows, slopes, leak_slope, failed, case if keep else None
-
-    threads = _lab_threads()
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        results = pool.map(work, seeds) if pool else map(work, seeds)
-        csv_lines = [CSV_HEADER]
-        sym1 = acct.symbols_per_receiver.get(RX1, 0)
-        sym2 = acct.symbols_per_receiver.get(RX2, 0)
-        hard_failure = False
-        slope_acc = {RX1: [], RX2: []}
-        leak_acc = []
-        dumped = None       # the first failing seed's case, else seed 0's
-        for rows, slopes, leak_slope, failed, case in results:
-            if case is not None and (dumped is None or failed and not hard_failure):
-                dumped = case
-            hard_failure |= failed
+    csv_lines = [CSV_HEADER]
+    sym1 = acct.symbols_per_receiver.get(RX1, 0)
+    sym2 = acct.symbols_per_receiver.get(RX2, 0)
+    failing = []
+    slope_acc = {RX1: [], RX2: []}
+    leak_acc = []
+    for chunk in seed_chunks(spec, seeds):
+        for seed, rows, slopes, leak_slope, failed in _simulate_chunk(
+                spec, chunk, powers, config.mode):
+            if failed:
+                failing.append(seed)
             slope_acc[RX1].append(slopes[RX1])
             slope_acc[RX2].append(slopes[RX2])
             leak_acc.append(leak_slope)
-            for seed_, power, r1, r2, leak, resid in rows:
+            for power, r1, r2, leak, resid in rows:
                 csv_lines.append(
-                    f"{scheme_id.lower()},{seed_},{_fmt(power)},{spec.n_slots},"
+                    f"{scheme_id.lower()},{seed},{_fmt(power)},{spec.n_slots},"
                     f"{sym1},{sym2},{_fmt(r1)},{_fmt(r2)},{_fmt(leak)},{_fmt(resid)}")
+    hard_failure = bool(failing)
 
-    if dumping:
-        trace, system, realization = dumped
+    if config.dump_trace or config.dump_system or config.dump_channel:
+        # seeds are deterministic: the dumped case (the first failing seed,
+        # else seed 0) is run again rather than kept
+        seed = failing[0] if failing else 0
+        realization = sample_channel(spec.topology, spec.n_slots, seed)
+        trace = run_scheme(spec, realization, PowerBudget(powers[0]), config.mode, seed)
         if config.dump_trace:
             _write_text(config.dump_trace, trace.to_json())
         if config.dump_system:
-            _write_text(config.dump_system, system.to_json())
+            _write_text(config.dump_system, assemble_effective_system(trace).to_json())
         if config.dump_channel:
             _write_text(config.dump_channel, realization.to_json())
 
@@ -407,9 +409,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import, and reused by every later one
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "simulate":
             overrides = {

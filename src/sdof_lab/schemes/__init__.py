@@ -29,6 +29,8 @@ from .program import (
     run_scheme,
     run_seed_batches,
     run_seeds,
+    seed_chunks,
+    stack_traces,
 )
 
 DECODE_RESIDUAL_TOL = 1e-8
@@ -155,42 +157,59 @@ def decode_batch(batch: TraceBatch,
     stack of the batch's effective systems (`systems` when given, else
     assembled from the batch).
     """
-    spec = batch.spec
-    decoder = _DECODERS.get(spec.scheme_id, _empty_decoder)
-    receivers = [n for n in spec.topology.nodes() if n != EVE]
+    if systems is None and batch.spec.protected:
+        systems = assemble_effective_systems(batch)
+    verdicts = adversary_verdicts(batch.spec, systems)
+    return decode_reports([decode_receivers(trace) for trace in batch.traces(owned=False)],
+                          verdicts)
 
+
+def decode_receivers(trace: TransmissionTrace) -> dict[str, NodeDecode]:
+    """The hand half of `decode`: the scheme's decoder on one trace, scored
+    at every receiver against the drawn symbols."""
+    spec = trace.spec
+    recovered = _DECODERS.get(spec.scheme_id, _empty_decoder)(trace)
+    nodes: dict[str, NodeDecode] = {}
+    for node in spec.topology.nodes():
+        if node == EVE:
+            continue
+        got = recovered.get(node, {})
+        max_res = 0.0
+        for sid in spec.message_sids(node):
+            truth = trace.true_value(sid)
+            if sid not in got:
+                max_res = float("inf")
+                continue
+            err = abs(got[sid] - truth) / max(1.0, abs(truth))
+            max_res = max(max_res, float(err))
+        nodes[node] = NodeDecode(
+            recovered=dict(got),
+            max_residual=max_res,
+            success=max_res <= DECODE_RESIDUAL_TOL,
+        )
+    return nodes
+
+
+def adversary_verdicts(spec: SchemeSpec,
+                       systems: EffectiveLinearSystem | None) -> dict[str, dict]:
+    """The oracle half of `decode_batch`: per adversary, per protected
+    symbol, whether it is identifiable in each system of the stack; one
+    `identifiable_symbols_stacked` call per adversary."""
     verdicts: dict[str, dict] = {}
-    if spec.protected:
-        if systems is None:
-            systems = assemble_effective_systems(batch)
-        for adv, sids in spec.protected.items():
-            known = spec.adversary_known.get(adv, frozenset())
-            verdicts[adv] = identifiable_symbols_stacked(systems, adv, sorted(sids), known)
+    for adv, sids in spec.protected.items():
+        known = spec.adversary_known.get(adv, frozenset())
+        verdicts[adv] = identifiable_symbols_stacked(systems, adv, sorted(sids), known)
+    return verdicts
 
-    reports = []
-    for i, trace in enumerate(batch.traces(owned=False)):
-        recovered = decoder(trace)
-        nodes: dict[str, NodeDecode] = {}
-        for node in receivers:
-            intended = spec.message_sids(node)
-            got = recovered.get(node, {})
-            max_res = 0.0
-            for sid in intended:
-                truth = trace.true_value(sid)
-                if sid not in got:
-                    max_res = float("inf")
-                    continue
-                err = abs(got[sid] - truth) / max(1.0, abs(truth))
-                max_res = max(max_res, float(err))
-            nodes[node] = NodeDecode(
-                recovered=dict(got),
-                max_residual=max_res,
-                success=max_res <= DECODE_RESIDUAL_TOL,
-            )
-        adversary = {adv: {sid: bool(flags[i]) for sid, flags in table.items()}
-                     for adv, table in verdicts.items()}
-        reports.append(DecodeReport(nodes=nodes, adversary=adversary))
-    return reports
+
+def decode_reports(receivers: list[dict[str, NodeDecode]],
+                   verdicts: Mapping[str, Mapping]) -> list[DecodeReport]:
+    """Each seed's DecodeReport from its `decode_receivers` result and its
+    entries of the stack's `adversary_verdicts`."""
+    return [DecodeReport(nodes=nodes,
+                         adversary={adv: {sid: bool(flags[i]) for sid, flags in table.items()}
+                                    for adv, table in verdicts.items()})
+            for i, nodes in enumerate(receivers)]
 
 
 __all__ = [
@@ -210,15 +229,20 @@ __all__ = [
     "TraceBatch",
     "TransmissionTrace",
     "accounting",
+    "adversary_verdicts",
     "build_scheme",
     "cli_name",
     "composite_accounting",
     "decode",
     "decode_batch",
+    "decode_receivers",
+    "decode_reports",
     "from_cli_name",
     "make_report",
     "run_batch",
     "run_scheme",
     "run_seed_batches",
     "run_seeds",
+    "seed_chunks",
+    "stack_traces",
 ]

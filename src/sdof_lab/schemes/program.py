@@ -25,7 +25,9 @@ compiled program for many seeds at once on stacked arrays, giving each seed
 exactly the bits of its own run, and returns a `TraceBatch`: the stacked
 arrays and the per-seed traces cut from them.  `run_batch` yields those
 traces, `run_scheme` is its one-seed case, and `run_seed_batches` /
-`run_seeds` sample the channels and run memory-bounded batches.
+`run_seeds` sample the channels and run memory-bounded batches
+(`seed_chunks`).  `stack_traces` builds the batch of runs made one seed at
+a time.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -717,16 +719,65 @@ def run_seeds(
         del batch       # freed before the next batch is built
 
 
+def seed_chunks(spec: SchemeSpec, seeds: Sequence[int]) -> Iterator[Sequence[int]]:
+    """The seeds in consecutive chunks, in seed order, each as large as a
+    stacked pass may be: at most `BATCH_CELLS` (seed, slot, symbol) cells,
+    and at least one seed."""
+    step = max(1, BATCH_CELLS // max(1, spec.n_slots * len(spec.symbols)))
+    for start in range(0, len(seeds), step):
+        yield seeds[start:start + step]
+
+
 def run_seed_batches(
     spec: SchemeSpec,
     seeds: Sequence[int],
     power: PowerBudget,
     mode: str = "noiseless",
 ) -> Iterator[TraceBatch]:
-    """Sample and execute the seeds in stacked batches of bounded size, in
-    seed order: at most `BATCH_CELLS` (seed, slot, symbol) cells each."""
-    step = max(1, BATCH_CELLS // max(1, spec.n_slots * len(spec.symbols)))
-    for start in range(0, len(seeds), step):
-        batch = seeds[start:start + step]
+    """Sample and execute the seeds in stacked batches of bounded size
+    (`seed_chunks`), in seed order."""
+    for batch in seed_chunks(spec, seeds):
         realizations = sample_channels(spec.topology, spec.n_slots, batch)
         yield execute_batch(spec, realizations, power, mode, batch)
+
+
+def _released(owned: bool = True) -> Iterator[TransmissionTrace]:
+    raise ValueError("a batch stacked from single runs keeps no traces")
+
+
+_STACKED = ("symbol_values", "channels", "obs_rows", "obs_vals", "noise_vals")
+
+
+def stack_traces(seeds: Sequence[int],
+                 traces: Iterable[TransmissionTrace]) -> TraceBatch:
+    """The batch of the traces of `seeds`, which arrive one at a time (say,
+    from `run_scheme`), for the stacked assembly and oracles.
+
+    Only each trace's observation arrays are held until the stack is built;
+    the trace itself is let go as the next one arrives, so the batch keeps
+    no traces (its `traces()` raises).  A single seed's batch is its trace's
+    `as_batch()`: views of the trace's own arrays, no copies.
+    """
+    if len(seeds) == 1:
+        (trace,) = traces
+        return trace.as_batch()
+    held = []
+    for seed, trace in zip(seeds, traces, strict=True):
+        if trace.seed != seed:
+            raise ValueError(f"trace of seed {trace.seed} where seed {seed} belongs")
+        one = trace.as_batch()
+        held.append([getattr(one, name) for name in _STACKED])
+        spec, sqrt_power = one.spec, one.sqrt_power
+        del trace, one      # let go before the next trace arrives
+
+    def stacked(items):
+        if items[0] is None:
+            return None
+        if isinstance(items[0], np.ndarray):
+            return np.concatenate(items)
+        return {node: np.concatenate([item[node] for item in items]) for node in items[0]}
+
+    return TraceBatch(
+        spec=spec, seeds=tuple(int(seed) for seed in seeds), sqrt_power=sqrt_power,
+        traces=_released,
+        **{name: stacked([arrays[k] for arrays in held]) for k, name in enumerate(_STACKED)})

@@ -1,6 +1,8 @@
 """Information measures: closed forms, slopes, oracles, symmetry."""
 
 import math
+from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
@@ -9,9 +11,11 @@ from sdof_lab import analysis
 from sdof_lab.analysis import (
     DEFAULT_GRID,
     achievable_rate,
+    achievable_rate_stacked,
     check_output_symmetry,
     fit_slope,
     gaussian_mi,
+    gaussian_mi_stacked,
     leakage_slope,
     mc_mi_oracle,
     rate_slope,
@@ -19,7 +23,7 @@ from sdof_lab.analysis import (
 from sdof_lab.errors import DimensionTooLarge, EmptySystem, GridTooSmall
 from sdof_lab.model import EVE, RX1, RX2, PowerBudget, Topology, sample_channel
 from sdof_lab.precoding import EffectiveLinearSystem, SymbolDecl, assemble_effective_system
-from sdof_lab.schemes import SCHEME_IDS, build_scheme, run_scheme
+from sdof_lab.schemes import SCHEME_IDS, build_scheme, run_scheme, run_seeds
 
 STEP5_GRID = tuple(2.0 ** e for e in range(20, 61, 5))
 
@@ -29,6 +33,22 @@ def _system(scheme_id, seed=0, **params):
     realization = sample_channel(spec.topology, spec.n_slots, seed)
     trace = run_scheme(spec, realization, PowerBudget(1e4), "noiseless", seed)
     return spec, assemble_effective_system(trace)
+
+
+@cache
+def _systems(scheme_id, n_seeds=20):
+    """Each seed's system, assembled alone, and all of them as one stack."""
+    spec = build_scheme(scheme_id)
+    singles = [assemble_effective_system(trace)
+               for trace in run_seeds(spec, range(n_seeds), PowerBudget(DEFAULT_GRID[0]))]
+    stack = replace(singles[0], matrices={
+        node: np.stack([system.matrices[node] for system in singles])
+        for node in singles[0].matrices})
+    return spec, singles, stack
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
 
 
 def _scalar_system():
@@ -136,6 +156,72 @@ class TestGaussianMi:
                     for p in grid], (node, grid)
 
 
+class TestStacked:
+    """The stacked analysis gives every system the bits of its own call."""
+
+    @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+    def test_stacked_calls_equal_one_item_calls(self, scheme_id):
+        spec, singles, stack = _systems(scheme_id)
+        for node in spec.topology.nodes():
+            secret = sorted(spec.protected.get(node, singles[0].message_sids()))
+            known = spec.adversary_known.get(node, frozenset())
+            for grid in (DEFAULT_GRID, STEP5_GRID):
+                rates = achievable_rate_stacked(stack, node, grid)
+                leaks = gaussian_mi_stacked(stack, node, secret, grid, known)
+                assert rates.shape == leaks.shape == (len(singles), len(grid))
+                for seed, system in enumerate(singles):
+                    assert _bits(rates[seed]) == _bits(
+                        [r.bits for r in achievable_rate(system, node, grid)]), (node, seed)
+                    assert _bits(leaks[seed]) == _bits(
+                        [r.bits for r in gaussian_mi(system, node, secret, grid,
+                                                     known=known)]), (node, seed)
+
+    def test_one_svd_per_column_set_for_a_stack(self, monkeypatch):
+        spec, singles, stack = _systems("BC_S1_43")
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(analysis.np.linalg, "svd", counting)
+        gaussian_mi_stacked(stack, RX1, stack.message_sids(RX1), STEP5_GRID)
+        assert len(calls) == 2 and all(shape[0] == len(singles) for shape in calls)
+
+    def test_empty_stack_raises(self):
+        system = EffectiveLinearSystem(
+            symbols=(SymbolDecl("s", RX1),),
+            matrices={RX1: np.zeros((3, 0, 1), dtype=complex)},
+            slot_of_row=(),
+        )
+        with pytest.raises(EmptySystem):
+            gaussian_mi_stacked(system, RX1, ["s"], DEFAULT_GRID)
+
+    def test_clamp_checked_at_every_system_and_power(self, monkeypatch):
+        """A value below the clamp tolerance at any one (system, power) of a
+        stack fails the call; one within it is clamped to zero."""
+        spec, singles, stack = _systems("MR_PDP")
+        secret = sorted(spec.protected[EVE])
+        known = spec.adversary_known.get(EVE, frozenset())
+        assert gaussian_mi_stacked(stack, EVE, secret, DEFAULT_GRID, known).max() < 1e-11
+        kept, _ = stack.split_columns(EVE, secret, known)
+        logdet = analysis._logdet_bits
+        for at, nudge in [((0, 0), 1e-8), ((7, 2), 1e-8), ((19, 4), 1e-8), ((7, 2), 5e-10)]:
+            def nudged(mats, powers):
+                out = logdet(mats, powers)
+                if mats.shape[-1] < len(kept):        # the nuisance columns
+                    out[at] += nudge
+                return out
+
+            monkeypatch.setattr(analysis, "_logdet_bits", nudged)
+            if nudge > 1e-9:
+                with pytest.raises(AssertionError, match="below clamp tolerance"):
+                    gaussian_mi_stacked(stack, EVE, secret, DEFAULT_GRID, known)
+            else:
+                assert gaussian_mi_stacked(stack, EVE, secret, DEFAULT_GRID, known)[at] == 0.0
+
+
 class TestSlopes:
     def test_analytic_single_stream(self):
         est = fit_slope([math.log2(1 + p) for p in DEFAULT_GRID], 1, DEFAULT_GRID)
@@ -146,6 +232,39 @@ class TestSlopes:
             fit_slope([8.0], 1, [8.0])
         with pytest.raises(GridTooSmall):
             fit_slope([8.0, 4.0], 1, [8.0, 4.0])
+
+    @pytest.mark.parametrize("n_series", [1, 2, 3, 5, 8, 37])
+    def test_2d_fit_equals_per_row_fits(self, n_series):
+        """One polyfit over a stack of series gives each series the slope
+        and residual of its own fit, bit for bit."""
+        gen = np.random.default_rng(n_series)
+        for grid in (DEFAULT_GRID, STEP5_GRID):
+            xs = np.log2(grid)
+            values = gen.normal(size=(n_series, len(grid))) * 3 + gen.uniform(0, 6, (n_series, 1)) * xs
+            est = fit_slope(values, 7, grid)
+            assert est.slope.shape == est.residual.shape == (n_series,)
+            for row, slope, residual in zip(values, est.slope, est.residual):
+                alone = fit_slope(row.tolist(), 7, grid)
+                assert _bits(alone.slope) == _bits(slope)
+                assert _bits(alone.residual) == _bits(residual)
+
+    @pytest.mark.parametrize("scheme_id", ["BC_S2_43", "BC_DD_S1", "MR_S30_29_A"])
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, STEP5_GRID], ids=["5", "9"])
+    def test_2d_fit_of_simulated_values_equals_per_row_fits(self, scheme_id, grid):
+        """Also where one np.polyfit over a 2-D y would not be exact: on the
+        9-power grid its several-right-hand-side solve differs from the lone
+        solves in the last bits for some of these series."""
+        spec, singles, stack = _systems(scheme_id)
+        series = np.concatenate(
+            [achievable_rate_stacked(stack, node, grid) for node in (RX1, RX2)]
+            + [gaussian_mi_stacked(stack, adv, sorted(secret), grid,
+                                   spec.adversary_known.get(adv, frozenset()))
+               for adv, secret in sorted(spec.protected.items())])
+        est = fit_slope(series, spec.n_slots, grid)
+        for row, slope, residual in zip(series, est.slope, est.residual):
+            alone = fit_slope(row.tolist(), spec.n_slots, grid)
+            assert _bits(alone.slope) == _bits(slope)
+            assert _bits(alone.residual) == _bits(residual)
 
     def test_rate_slopes_match_nominal(self):
         spec, system = _system("BC_PP_S2")

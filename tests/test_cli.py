@@ -1,15 +1,17 @@
 """Command-line surface: determinism, formats, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sdof_lab import cli, schemes
 from sdof_lab.analysis import DEFAULT_GRID, leakage_slope, rate_slope
 from sdof_lab.cli import main
 from sdof_lab.model import RX1, RX2, PowerBudget, sample_channel
 from sdof_lab.precoding import assemble_effective_system
-from sdof_lab.schemes import build_scheme, from_cli_name, run_scheme
+from sdof_lab.schemes import SCHEME_IDS, build_scheme, from_cli_name, program, run_scheme
 from sdof_lab.regions import converse_alternation_system, system_to_json_dict
 
 
@@ -41,17 +43,6 @@ class TestSimulate:
                            "--out", str(path),
                            "--summary", str(tmp_path / "s.json")) == 0
         assert a.read_bytes() == b.read_bytes()
-
-    def test_threaded_run_matches_serial(self, tmp_path, monkeypatch):
-        serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
-        assert run_cli("simulate", "--scheme", "wt_dd_23", "--seeds", "4",
-                       "--out", str(serial),
-                       "--summary", str(tmp_path / "s1.json")) == 0
-        monkeypatch.setenv("LAB_THREADS", "4")
-        assert run_cli("simulate", "--scheme", "wt_dd_23", "--seeds", "4",
-                       "--out", str(threaded),
-                       "--summary", str(tmp_path / "s2.json")) == 0
-        assert serial.read_bytes() == threaded.read_bytes()
 
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "config.json"
@@ -106,16 +97,16 @@ class TestSimulate:
 
         from sdof_lab import cli
 
-        true_decode = cli.decode
+        true_decode = cli.decode_receivers
 
-        def failing(trace, system=None):
-            report = true_decode(trace, system)
+        def failing(trace):
+            nodes = true_decode(trace)
             if trace.seed in (2, 3):
-                bad = replace(report.nodes[RX1], max_residual=1.0, success=False)
-                report = replace(report, nodes={**report.nodes, RX1: bad})
-            return report
+                bad = replace(nodes[RX1], max_residual=1.0, success=False)
+                nodes = {**nodes, RX1: bad}
+            return nodes
 
-        monkeypatch.setattr(cli, "decode", failing)
+        monkeypatch.setattr(cli, "decode_receivers", failing)
         paths = {name: tmp_path / f"{name}.json" for name in ("trace", "system", "chan")}
         code = run_cli("simulate", "--scheme", "mr_ppd", "--seeds", "5",
                        "--out", str(tmp_path / "rows.csv"),
@@ -139,6 +130,84 @@ class TestSimulate:
                        "--dump-trace", str(trace_p))
         assert code == 0
         assert json.loads(trace_p.read_text())["seed"] == 0
+
+    def test_oracle_failure_in_a_later_chunk_is_dumped(self, tmp_path, monkeypatch):
+        spec = build_scheme("MR_PPD")
+        monkeypatch.setattr(program, "BATCH_CELLS", 2 * spec.n_slots * len(spec.symbols))
+        true_verdicts = cli.adversary_verdicts
+        chunks = []
+
+        def flagging(spec_, systems):
+            # chunks of two seeds: the second chunk holds seeds 2 and 3
+            verdicts = true_verdicts(spec_, systems)
+            chunks.append(len(systems.matrices[RX1]))
+            if len(chunks) >= 2:
+                for table in verdicts.values():
+                    for flags in table.values():
+                        flags[-1] = True
+            return verdicts
+
+        monkeypatch.setattr(cli, "adversary_verdicts", flagging)
+        trace_p = tmp_path / "trace.json"
+        summary_p = tmp_path / "s.json"
+        code = run_cli("simulate", "--scheme", "mr_ppd", "--seeds", "6",
+                       "--out", str(tmp_path / "rows.csv"), "--summary", str(summary_p),
+                       "--dump-trace", str(trace_p))
+        assert code == 2
+        assert chunks == [2, 2, 2]
+        assert json.loads(trace_p.read_text())["seed"] == 3
+        assert json.loads(summary_p.read_text())["decode_ok"] is False
+
+    def test_analysis_runs_once_per_chunk(self, tmp_path, monkeypatch):
+        """A 20-seed run assembles its systems and calls the adversary
+        oracle once per chunk; only sampling, execution and the hand
+        decoders run per seed."""
+        calls = {name: 0 for name in (
+            "assemble_effective_systems", "assemble_effective_system",
+            "identifiable_symbols_stacked", "run_scheme", "decode_receivers")}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("assemble_effective_systems", "assemble_effective_system",
+                     "run_scheme", "decode_receivers"):
+            counting(cli, name)
+        counting(schemes, "identifiable_symbols_stacked")
+        spec = build_scheme("MR_DDP")
+        assert len(list(schemes.seed_chunks(spec, range(20)))) == 1
+        assert run_cli("simulate", "--scheme", "mr_ddp", "--seeds", "20",
+                       "--out", str(tmp_path / "r.csv"),
+                       "--summary", str(tmp_path / "s.json")) == 0
+        assert calls == {"assemble_effective_systems": 1, "assemble_effective_system": 0,
+                         "identifiable_symbols_stacked": len(spec.protected),
+                         "run_scheme": 20, "decode_receivers": 20}
+
+    @pytest.mark.parametrize("argv", [
+        *(pytest.param(("--scheme", s.lower()), id=s.lower()) for s in SCHEME_IDS),
+        pytest.param(("--scheme", "mr_s30_29_a", "--sub", "fallback32"),
+                     id="mr_s30_29_a-fallback32"),
+    ])
+    def test_one_seed_chunks_give_the_same_bytes(self, tmp_path, monkeypatch, argv):
+        """Stacking a chunk's analysis changes no output byte: runs whose
+        chunks hold one seed each write what the default chunks write (the
+        composites' 20 seeds span several default chunks)."""
+        def outputs(mode, tag):
+            paths = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json"
+            run_cli("simulate", *argv, "--mode", mode,
+                    "--out", str(paths[0]), "--summary", str(paths[1]))
+            return [path.read_bytes() for path in paths]
+
+        for mode in ("noiseless", "noisy"):
+            chunked = outputs(mode, "chunked")
+            with monkeypatch.context() as patch:
+                patch.setattr(program, "BATCH_CELLS", 1)
+                alone = outputs(mode, "alone")
+            assert chunked == alone, mode
 
     @pytest.mark.parametrize("scheme", ["mr_ddp", "bc_s1_43", "wt_dd_23"])
     def test_summary_slopes_match_analysis(self, tmp_path, scheme):
@@ -234,62 +303,79 @@ class TestRegion:
         assert plot.read_text().splitlines()[1:] == ["0 0", "1 0", "1 0.5", "0 1"]
 
 
-@pytest.mark.parametrize("argv, files, env", [
-    (("simulate", "--scheme", "wt_pp", "--seeds", "0"), {}, {}),
-    (("simulate", "--scheme", "wt_pp", "--p-exp", "2000"), {}, {}),
-    (("simulate", "--scheme", "wt_pp", "--p-exp", "-2000"), {}, {}),
-    (("region", "--theorem", "thm1", "--lambda", "dd=abc"), {}, {}),
+@pytest.mark.parametrize("argv, files", [
+    (("simulate", "--scheme", "wt_pp", "--seeds", "0"), {}),
+    (("simulate", "--scheme", "wt_pp", "--p-exp", "2000"), {}),
+    (("simulate", "--scheme", "wt_pp", "--p-exp", "-2000"), {}),
+    (("region", "--theorem", "thm1", "--lambda", "dd=abc"), {}),
     (("simulate", "--config", "{tmp}/c.json"),
-     {"c.json": json.dumps({"scheme": "wt_pp", "seeds": "3"})}, {}),
-    (("fm", "--system", "{tmp}/s.json"), {"s.json": json.dumps({"variables": 3})}, {}),
+     {"c.json": json.dumps({"scheme": "wt_pp", "seeds": "3"})}),
+    (("fm", "--system", "{tmp}/s.json"), {"s.json": json.dumps({"variables": 3})}),
     (("fm", "--system", "{tmp}/s.json"),
-     {"s.json": json.dumps({"variables": [], "inequalities": [{"coeffs": 1}]})}, {}),
+     {"s.json": json.dumps({"variables": [], "inequalities": [{"coeffs": 1}]})}),
     (("fm", "--system", "{tmp}/s.json"),
      {"s.json": json.dumps({"variables": [], "inequalities": [
-         {"coeffs": {"d1": [1, 0]}, "rhs": [1, 1]}]})}, {}),
+         {"coeffs": {"d1": [1, 0]}, "rhs": [1, 1]}]})}),
     (("fm", "--system", "{tmp}/s.json"),
      {"s.json": json.dumps({"variables": [{"name": "a"}], "inequalities": [
-         {"coeffs": {"a": [1, 1]}, "rhs": [-1, 1]}]})}, {}),
+         {"coeffs": {"a": [1, 1]}, "rhs": [-1, 1]}]})}),
     (("fm", "--system", "{tmp}/s.json"),
      {"s.json": json.dumps({"variables": [], "inequalities": [
-         {"coeffs": {}, "rhs": [-1, 1]}]})}, {}),
-    (("simulate", "--scheme", "wt_pp"), {}, {"LAB_THREADS": "abc"}),
-    (("simulate", "--scheme", "wt_pp"), {}, {"LAB_THREADS": "0"}),
-    (("simulate", "--config", "{tmp}/missing.json"), {}, {}),
-    (("fm", "--system", "{tmp}/missing.json"), {}, {}),
-    (("simulate", "--config", "{tmp}/c.json"), {"c.json": "{"}, {}),
-    (("fm", "--system", "{tmp}/s.json"), {"s.json": "{"}, {}),
-    (("simulate", "--config", "{tmp}/c.json"), {"c.json": "3"}, {}),
+         {"coeffs": {}, "rhs": [-1, 1]}]})}),
+    (("simulate", "--config", "{tmp}/missing.json"), {}),
+    (("fm", "--system", "{tmp}/missing.json"), {}),
+    (("simulate", "--config", "{tmp}/c.json"), {"c.json": "{"}),
+    (("fm", "--system", "{tmp}/s.json"), {"s.json": "{"}),
+    (("simulate", "--config", "{tmp}/c.json"), {"c.json": "3"}),
     (("simulate", "--scheme", "wt_pp", "--seeds", "1",
-      "--out", "{tmp}/missing/rows.csv"), {}, {}),
-    (("region", "--theorem", "thm3", "--out", "{tmp}/missing/r.json"), {}, {}),
-    (("simulate", "--scheme", "mr_ddp", "--blocks", "7"), {}, {}),
-    (("simulate", "--scheme", "wt_pp", "--tolerance", "nan"), {}, {}),
-    (("simulate", "--scheme", "wt_pp", "--tolerance", "inf"), {}, {}),
-    (("simulate", "--scheme", "wt_pp", "--tolerance", "-1"), {}, {}),
+      "--out", "{tmp}/missing/rows.csv"), {}),
+    (("region", "--theorem", "thm3", "--out", "{tmp}/missing/r.json"), {}),
+    (("simulate", "--scheme", "mr_ddp", "--blocks", "7"), {}),
+    (("simulate", "--scheme", "wt_pp", "--tolerance", "nan"), {}),
+    (("simulate", "--scheme", "wt_pp", "--tolerance", "inf"), {}),
+    (("simulate", "--scheme", "wt_pp", "--tolerance", "-1"), {}),
     (("simulate", "--config", "{tmp}/c.json"),
-     {"c.json": json.dumps({"scheme": "wt_pp", "tolerance": float("nan")})}, {}),
+     {"c.json": json.dumps({"scheme": "wt_pp", "tolerance": float("nan")})}),
     (("fm", "--system", "{tmp}/s.json", "--eliminate", "a", "--check"),
-     {"s.json": json.dumps(system_to_json_dict(converse_alternation_system()))}, {}),
+     {"s.json": json.dumps(system_to_json_dict(converse_alternation_system()))}),
+    (("simulate", "--scheme", "wt_pp", "--sub", "fallback32"), {}),
+    (("simulate", "--config", "{tmp}/c.json"),
+     {"c.json": json.dumps({"scheme": "wt_pp", "sub": "tjsp53"})}),
 ], ids=["zero-seeds", "huge-power", "tiny-power", "bad-lambda", "string-seeds",
         "fm-int-variables", "fm-int-coeffs", "fm-zero-denominator", "fm-infeasible",
-        "fm-infeasible-no-vars",
-        "threads-abc", "threads-zero", "missing-config", "missing-system",
-        "invalid-config-json", "invalid-system-json", "config-not-object",
+        "fm-infeasible-no-vars", "missing-config", "missing-system", "invalid-config-json", "invalid-system-json", "config-not-object",
         "unwritable-out", "unwritable-region-out", "blocks-non-composite",
         "nan-tolerance", "inf-tolerance", "negative-tolerance", "config-nan-tolerance",
-        "fm-check-partial-projection"])
-def test_bad_input_gets_one_error_line(tmp_path, capsys, monkeypatch, argv, files, env):
+        "fm-check-partial-projection", "sub-non-composite", "config-sub-non-composite"])
+def test_bad_input_gets_one_error_line(tmp_path, capsys, argv, files):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert run_cli(*argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+def test_parser_is_built_once_on_first_use(capsys, monkeypatch):
+    import subprocess
+    import sys
+
+    probe = "import sdof_lab.cli as cli; print(cli._parser.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert out.stdout.strip() == "0"        # importing builds nothing
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert run_cli("region", "--theorem", "thm1", "--lambda", "dd=1") == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
 
 
 class TestFm:

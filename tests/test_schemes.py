@@ -36,6 +36,8 @@ from sdof_lab.schemes import (
     run_scheme,
     run_seed_batches,
     run_seeds,
+    seed_chunks,
+    stack_traces,
 )
 from sdof_lab.schemes.program import NullOf, SlotPlan
 
@@ -296,6 +298,72 @@ class TestBatch:
         monkeypatch.setattr(program, "_norms", zero_at_seed_6)
         with pytest.raises(BadParams, match="seed 6, slot 0: stream .* payload is zero"):
             list(run_batch(spec, realizations, PowerBudget(1e4), "noiseless", [5, 6, 7]))
+
+
+class TestStackTraces:
+    """Single runs stacked one at a time give the batch a stacked run gives."""
+
+    @staticmethod
+    def _arrays(batch):
+        out = [batch.seeds, batch.sqrt_power, batch.symbol_values.tobytes()]
+        for arrays in (batch.channels, batch.obs_rows, batch.obs_vals, batch.noise_vals):
+            out.append(None if arrays is None else
+                       {node: (arr.shape, arr.tobytes()) for node, arr in arrays.items()})
+        return out
+
+    @pytest.mark.parametrize("mode", ["noiseless", "noisy"])
+    @pytest.mark.parametrize("scheme_id", ["WT_DD_23", "BC_S1_43", "MR_S30_29_B"])
+    def test_stack_equals_the_stacked_run(self, scheme_id, mode):
+        from sdof_lab.precoding import assemble_effective_systems
+
+        spec = build_scheme(scheme_id)
+        power = PowerBudget(2.0 ** 20)
+        seeds = [2, 3, 5, 8]
+        (batch,) = run_seed_batches(spec, seeds, power, mode)
+        stacked = stack_traces(seeds, (
+            run_scheme(spec, sample_channel(spec.topology, spec.n_slots, seed),
+                       power, mode, seed) for seed in seeds))
+        assert self._arrays(stacked) == self._arrays(batch)
+        for node, mat in assemble_effective_systems(batch).matrices.items():
+            assert assemble_effective_systems(stacked).matrices[node].tobytes() == mat.tobytes()
+        with pytest.raises(ValueError, match="keeps no traces"):
+            stacked.traces()
+
+    def test_one_seed_stack_is_views_of_the_trace(self):
+        spec, trace = _run("MR_DDP", seed=4, mode="noisy")
+        batch = stack_traces([4], [trace])
+        assert np.shares_memory(batch.symbol_values, trace.symbol_values)
+        for node in trace.obs_rows:
+            for stacked, own in ((batch.obs_rows, trace.obs_rows),
+                                 (batch.obs_vals, trace.obs_vals),
+                                 (batch.noise_vals, trace.noise_vals)):
+                assert np.shares_memory(stacked[node], own[node])
+        assert list(batch.traces()) == [trace]
+
+    def test_traces_must_match_the_seeds(self):
+        spec = build_scheme("WT_PD")
+        power = PowerBudget(1e4)
+        traces = [run_scheme(spec, sample_channel(spec.topology, spec.n_slots, seed),
+                             power, "noiseless", seed) for seed in (0, 1)]
+        with pytest.raises(ValueError, match="seed 1 where seed 0 belongs"):
+            stack_traces([0, 1], traces[::-1])
+        with pytest.raises(ValueError):
+            stack_traces([0, 1, 2], traces)
+
+    def test_chunks_share_the_batch_bound(self, monkeypatch):
+        from sdof_lab.schemes import program
+
+        spec = build_scheme("MR_S30_29_A")
+        seeds = list(range(12))
+        chunks = list(seed_chunks(spec, seeds))
+        assert [seed for chunk in chunks for seed in chunk] == seeds
+        assert [b.seeds for b in run_seed_batches(spec, seeds[:6], PowerBudget(1e4))] == \
+            [tuple(chunk) for chunk in seed_chunks(spec, seeds[:6])]
+        cells = spec.n_slots * len(spec.symbols)
+        assert all(len(chunk) * cells <= program.BATCH_CELLS for chunk in chunks)
+        assert len(chunks[0]) * cells + cells > program.BATCH_CELLS
+        monkeypatch.setattr(program, "BATCH_CELLS", 1)
+        assert list(seed_chunks(spec, seeds)) == [[seed] for seed in seeds]
 
 
 class TestSamplerCost:
