@@ -140,7 +140,7 @@ def _simulate_chunk(spec, seeds, powers: list[float], mode: str):
     def run(seed):
         realization = sample_channel(spec.topology, spec.n_slots, seed)
         trace = run_scheme(spec, realization, budget, mode, seed)
-        receivers.append(decode_receivers(trace))
+        receivers.append(decode_receivers(trace.view()))
         return trace
 
     systems = assemble_effective_systems(stack_traces(seeds, map(run, seeds)))
@@ -358,8 +358,17 @@ def cmd_verify(sub: str, fast: bool) -> int:
     return 2 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose bad input is a one-line error with exit 1, like every
+    other bad input (exit 2 is a failed invariant); its subcommand parsers
+    are of this class too."""
+
+    def error(self, message: str):
+        raise SdofLabError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sdof-lab",
         description="secure-degrees-of-freedom simulation and region lab",
     )
@@ -416,8 +425,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         if args.command == "simulate":
             overrides = {
                 "scheme": args.scheme, "seeds": args.seeds, "p_exp": args.p_exp,

@@ -19,6 +19,7 @@ from .program import (
     Comb,
     NullOf,
     ObsPart,
+    ReceiverView,
     SchemeSpec,
     SlotPlan,
     StreamRecipe,
@@ -150,25 +151,25 @@ def decode(trace: TransmissionTrace,
 
 def decode_batch(batch: TraceBatch,
                  systems: EffectiveLinearSystem | None = None) -> list[DecodeReport]:
-    """`decode` of every trace of a batch, in seed order.
+    """`decode` of every seed of a batch, in seed order.
 
-    The hand decoder runs on each trace as the batch builds it (views of
-    the batch's arrays, no copies); the adversary oracle runs once on the
-    stack of the batch's effective systems (`systems` when given, else
-    assembled from the batch).
+    The hand decoder runs on each seed's `ReceiverView`, cut from the
+    batch's arrays without building a trace; the adversary oracle runs once
+    on the stack of the batch's effective systems (`systems` when given,
+    else assembled from the batch).
     """
     if systems is None and batch.spec.protected:
         systems = assemble_effective_systems(batch)
     verdicts = adversary_verdicts(batch.spec, systems)
-    return decode_reports([decode_receivers(trace) for trace in batch.traces(owned=False)],
-                          verdicts)
+    return decode_reports([decode_receivers(view) for view in batch.views()], verdicts)
 
 
-def decode_receivers(trace: TransmissionTrace) -> dict[str, NodeDecode]:
-    """The hand half of `decode`: the scheme's decoder on one trace, scored
-    at every receiver against the drawn symbols."""
-    spec = trace.spec
-    recovered = _DECODERS.get(spec.scheme_id, _empty_decoder)(trace)
+def decode_receivers(view: ReceiverView) -> dict[str, NodeDecode]:
+    """The hand half of `decode`: the scheme's decoder on one seed's view
+    (a trace's is `trace.view()`), scored at every receiver against the drawn
+    symbols."""
+    spec = view.spec
+    recovered = _DECODERS.get(spec.scheme_id, _empty_decoder)(view)
     nodes: dict[str, NodeDecode] = {}
     for node in spec.topology.nodes():
         if node == EVE:
@@ -176,7 +177,7 @@ def decode_receivers(trace: TransmissionTrace) -> dict[str, NodeDecode]:
         got = recovered.get(node, {})
         max_res = 0.0
         for sid in spec.message_sids(node):
-            truth = trace.true_value(sid)
+            truth = view.true_value(sid)
             if sid not in got:
                 max_res = float("inf")
                 continue
@@ -220,6 +221,7 @@ __all__ = [
     "NodeDecode",
     "NullOf",
     "ObsPart",
+    "ReceiverView",
     "SCHEME_IDS",
     "SUB_PROTOCOLS",
     "SchemeSpec",

@@ -79,26 +79,26 @@ def build_unicast_half(plans: list, t0: int, lead: str,
             "a_labels": a_labels, "m": _MIX}
 
 
-def decode_unicast_half(trace, meta) -> tuple[list[complex], list[complex]]:
+def decode_unicast_half(view, meta) -> tuple[list[complex], list[complex]]:
     """Recover the 3 lead-side and 2 trail-side payload values."""
     t0, lead, trail, tag = meta["t0"], meta["lead"], meta["trail"], meta["tag"]
     a_labels, m = meta["a_labels"], meta["m"]
-    xi_hat = trace.rv(lead, t0 + 1) / trace.rc(lead, t0 + 1, f"{tag}xi")
-    mu_hat = (trace.rv(lead, t0 + 2)
-              - trace.rc(lead, t0 + 2, f"{tag}nu") * xi_hat) \
-        / trace.rc(lead, t0 + 2, f"{tag}mu")
+    xi_hat = view.rv(lead, t0 + 1) / view.rc(lead, t0 + 1, f"{tag}xi")
+    mu_hat = (view.rv(lead, t0 + 2)
+              - view.rc(lead, t0 + 2, f"{tag}nu") * xi_hat) \
+        / view.rc(lead, t0 + 2, f"{tag}mu")
     rows = [
-        [trace.rc(lead, t0, lab) for lab in a_labels],
-        [trace.rc(trail, t0, lab) for lab in a_labels],
+        [view.rc(lead, t0, lab) for lab in a_labels],
+        [view.rc(trail, t0, lab) for lab in a_labels],
         list(m),
     ]
-    lead_vals = list(_solve(rows, [trace.rv(lead, t0), xi_hat, mu_hat]))
+    lead_vals = list(_solve(rows, [view.rv(lead, t0), xi_hat, mu_hat]))
 
-    xi_trail = trace.rv(trail, t0 + 2) / trace.rc(trail, t0 + 2, f"{tag}nu")
-    qa = (trace.rv(trail, t0) - xi_trail) / trace.rc(trail, t0, f"{tag}qa")
-    qb = (trace.rv(trail, t0 + 1)
-          - trace.rc(trail, t0 + 1, f"{tag}xi") * xi_trail) \
-        / trace.rc(trail, t0 + 1, f"{tag}qb")
+    xi_trail = view.rv(trail, t0 + 2) / view.rc(trail, t0 + 2, f"{tag}nu")
+    qa = (view.rv(trail, t0) - xi_trail) / view.rc(trail, t0, f"{tag}qa")
+    qb = (view.rv(trail, t0 + 1)
+          - view.rc(trail, t0 + 1, f"{tag}xi") * xi_trail) \
+        / view.rc(trail, t0 + 1, f"{tag}qb")
     return lead_vals, [qa, qb]
 
 
@@ -115,11 +115,11 @@ def build_unicast_block(plans: list, t0: int, first: str,
     return {"halves": (half_a, half_b), "first": first}
 
 
-def decode_unicast_block(trace, meta) -> tuple[list[complex], list[complex]]:
+def decode_unicast_block(view, meta) -> tuple[list[complex], list[complex]]:
     """Values delivered to (first, second), in payload order."""
     half_a, half_b = meta["halves"]
-    lead_a, trail_a = decode_unicast_half(trace, half_a)
-    lead_b, trail_b = decode_unicast_half(trace, half_b)
+    lead_a, trail_a = decode_unicast_half(view, half_a)
+    lead_b, trail_b = decode_unicast_half(view, half_b)
     return lead_a + trail_b, trail_a + lead_b
 
 
@@ -153,26 +153,26 @@ def build_fallback_block(plans: list, t0: int, first: str,
             "a_labels": a_labels, "b_labels": b_labels}
 
 
-def decode_fallback_block(trace, meta) -> tuple[list[complex], list[complex]]:
+def decode_fallback_block(view, meta) -> tuple[list[complex], list[complex]]:
     t0, first, second, tag = meta["t0"], meta["first"], meta["second"], meta["tag"]
     a_labels, b_labels = meta["a_labels"], meta["b_labels"]
-    xi1_first = trace.rv(first, t0 + 1) / trace.rc(first, t0 + 1, f"{tag}xi1")
+    xi1_first = view.rv(first, t0 + 1) / view.rc(first, t0 + 1, f"{tag}xi1")
     rows = [
-        [trace.rc(first, t0, lab) for lab in a_labels],
-        [trace.rc(second, t0, lab) for lab in a_labels],
+        [view.rc(first, t0, lab) for lab in a_labels],
+        [view.rc(second, t0, lab) for lab in a_labels],
     ]
-    p0, p1 = _solve(rows, [trace.rv(first, t0), xi1_first])
-    xi2_first = trace.rv(first, t0 + 3) / trace.rc(first, t0 + 3, f"{tag}xi2")
-    p2 = (trace.rv(first, t0 + 2) - xi2_first) / trace.rc(first, t0 + 2, f"{tag}p2")
+    p0, p1 = _solve(rows, [view.rv(first, t0), xi1_first])
+    xi2_first = view.rv(first, t0 + 3) / view.rc(first, t0 + 3, f"{tag}xi2")
+    p2 = (view.rv(first, t0 + 2) - xi2_first) / view.rc(first, t0 + 2, f"{tag}p2")
 
-    xi1_second = trace.rv(second, t0 + 1) / trace.rc(second, t0 + 1, f"{tag}xi1")
-    q0 = (trace.rv(second, t0) - xi1_second) / trace.rc(second, t0, f"{tag}q0")
-    xi2_second = trace.rv(second, t0 + 3) / trace.rc(second, t0 + 3, f"{tag}xi2")
+    xi1_second = view.rv(second, t0 + 1) / view.rc(second, t0 + 1, f"{tag}xi1")
+    q0 = (view.rv(second, t0) - xi1_second) / view.rc(second, t0, f"{tag}q0")
+    xi2_second = view.rv(second, t0 + 3) / view.rc(second, t0 + 3, f"{tag}xi2")
     rows = [
-        [trace.rc(second, t0 + 2, lab) for lab in b_labels],
-        [trace.rc(first, t0 + 2, lab) for lab in b_labels],
+        [view.rc(second, t0 + 2, lab) for lab in b_labels],
+        [view.rc(first, t0 + 2, lab) for lab in b_labels],
     ]
-    q1, q2 = _solve(rows, [trace.rv(second, t0 + 2), xi2_second])
+    q1, q2 = _solve(rows, [view.rv(second, t0 + 2), xi2_second])
     return [p0, p1, p2], [q0, q1, q2]
 
 
@@ -212,7 +212,7 @@ def build_mc_pair(plans: list, t0: int, first: str,
     return {"t0": t0, "first": first, "second": second, "tag": tag}
 
 
-def decode_mc_pair(trace, meta, zeta_first: complex, zeta_second: complex) -> tuple:
+def decode_mc_pair(view, meta, zeta_first: complex, zeta_second: complex) -> tuple:
     """Both common values at each receiver.
 
     `zeta_second` is the eavesdropper's slot-1 observation (unicast to the
@@ -220,19 +220,19 @@ def decode_mc_pair(trace, meta, zeta_first: complex, zeta_second: complex) -> tu
     first).  Returns ((val_a, val_b) as seen by first, same by second).
     """
     t0, first, second, tag = meta["t0"], meta["first"], meta["second"], meta["tag"]
-    a_first = trace.rv(first, t0) / trace.rc(first, t0, f"{tag}v")
+    a_first = view.rv(first, t0) / view.rc(first, t0, f"{tag}v")
     rows = [
-        [trace.rc(first, t0 + 1, f"{tag}w"), trace.rc(first, t0 + 1, f"{tag}qb")],
-        [trace.rc(EVE, t0 + 1, f"{tag}w"), trace.rc(EVE, t0 + 1, f"{tag}qb")],
+        [view.rc(first, t0 + 1, f"{tag}w"), view.rc(first, t0 + 1, f"{tag}qb")],
+        [view.rc(EVE, t0 + 1, f"{tag}w"), view.rc(EVE, t0 + 1, f"{tag}qb")],
     ]
-    b_first, _ = _solve(rows, [trace.rv(first, t0 + 1), zeta_first])
+    b_first, _ = _solve(rows, [view.rv(first, t0 + 1), zeta_first])
 
-    b_second = trace.rv(second, t0 + 1) / trace.rc(second, t0 + 1, f"{tag}w")
+    b_second = view.rv(second, t0 + 1) / view.rc(second, t0 + 1, f"{tag}w")
     rows = [
-        [trace.rc(second, t0, f"{tag}v"), trace.rc(second, t0, f"{tag}qa")],
-        [trace.rc(EVE, t0, f"{tag}v"), trace.rc(EVE, t0, f"{tag}qa")],
+        [view.rc(second, t0, f"{tag}v"), view.rc(second, t0, f"{tag}qa")],
+        [view.rc(EVE, t0, f"{tag}v"), view.rc(EVE, t0, f"{tag}qa")],
     ]
-    a_second, _ = _solve(rows, [trace.rv(second, t0), zeta_second])
+    a_second, _ = _solve(rows, [view.rv(second, t0), zeta_second])
     return (a_first, b_first), (a_second, b_second)
 
 
@@ -261,8 +261,8 @@ def build_sub_pd_dp_unicast() -> SchemeSpec:
     )
 
 
-def decode_sub_pd_dp_unicast(trace) -> dict:
-    first_vals, second_vals = decode_unicast_block(trace, trace.spec.layout["unit"])
+def decode_sub_pd_dp_unicast(view) -> dict:
+    first_vals, second_vals = decode_unicast_block(view, view.spec.layout["unit"])
     return {
         RX1: {f"a{i}": first_vals[i] for i in range(5)},
         RX2: {f"b{i}": second_vals[i] for i in range(5)},
@@ -303,13 +303,13 @@ def build_sub_secure_multicast() -> SchemeSpec:
     )
 
 
-def decode_sub_secure_multicast(trace) -> dict:
-    layout = trace.spec.layout
-    zeta_first, zeta_second = decode_unicast_block(trace, layout["unit"])
+def decode_sub_secure_multicast(view) -> dict:
+    layout = view.spec.layout
+    zeta_first, zeta_second = decode_unicast_block(view, layout["unit"])
     out1, out2 = {}, {}
     for j, meta in enumerate(layout["pairs"]):
         (a1, b1), (a2, b2) = decode_mc_pair(
-            trace, meta, zeta_first[j], zeta_second[j])
+            view, meta, zeta_first[j], zeta_second[j])
         out1[f"c{2 * j}"], out1[f"c{2 * j + 1}"] = a1, b1
         out2[f"c{2 * j}"], out2[f"c{2 * j + 1}"] = a2, b2
     return {RX1: out1, RX2: out2}
@@ -437,15 +437,15 @@ def build_mr_s30_29(scheme_id: str, first: str, sub: str = "tjsp53",
     )
 
 
-def decode_mr_s30_29(trace) -> dict:
-    layout = trace.spec.layout
+def decode_mr_s30_29(view) -> dict:
+    layout = view.spec.layout
     first, second = layout["first"], layout["second"]
     rules = _SUB_BLOCKS[layout["sub"]]
 
     zeta_first: list[complex] = []
     zeta_second: list[complex] = []
     for meta in layout["mc_units"]:
-        f_vals, s_vals = rules["decode"](trace, meta)
+        f_vals, s_vals = rules["decode"](view, meta)
         zeta_first += f_vals
         zeta_second += s_vals
 
@@ -453,14 +453,14 @@ def decode_mr_s30_29(trace) -> dict:
     w_second: list[complex] = []
     for j, meta in enumerate(layout["pairs"]):
         (a1, b1), (a2, b2) = decode_mc_pair(
-            trace, meta, zeta_first[j], zeta_second[j])
+            view, meta, zeta_first[j], zeta_second[j])
         w_first += [a1, b1]
         w_second += [a2, b2]
 
     z_first: list[complex] = []     # adversary-side observations, unicast back
     z_second: list[complex] = []
     for meta in layout["si_units"]:
-        f_vals, s_vals = rules["decode"](trace, meta)
+        f_vals, s_vals = rules["decode"](view, meta)
         z_first += f_vals
         z_second += s_vals
 
@@ -470,29 +470,29 @@ def decode_mr_s30_29(trace) -> dict:
         t0 = bm["t0"]
         t1, t2 = t0 + 1, t0 + 2
         # receiver `first`: its own noise-slot output unlocks every equation
-        seed = trace.rv(first, t0)
+        seed = view.rv(first, t0)
         rows = []
         vals = []
-        rows.append([trace.rc(first, t1, s) for s in bm["first_sids"]])
-        vals.append(trace.rv(first, t1) - trace.rc(first, t1, f"fbx{k}") * seed)
-        rows.append([trace.rc(EVE, t1, s) for s in bm["first_sids"]])
-        vals.append(z_first[k] - trace.rc(EVE, t1, f"fbx{k}") * seed)
-        rows.append([trace.rc(second, t1, s) for s in bm["first_sids"]])
-        vals.append((w_first[k] - trace.rv(first, t2))
-                    - trace.rc(second, t1, f"fbx{k}") * seed)
+        rows.append([view.rc(first, t1, s) for s in bm["first_sids"]])
+        vals.append(view.rv(first, t1) - view.rc(first, t1, f"fbx{k}") * seed)
+        rows.append([view.rc(EVE, t1, s) for s in bm["first_sids"]])
+        vals.append(z_first[k] - view.rc(EVE, t1, f"fbx{k}") * seed)
+        rows.append([view.rc(second, t1, s) for s in bm["first_sids"]])
+        vals.append((w_first[k] - view.rv(first, t2))
+                    - view.rc(second, t1, f"fbx{k}") * seed)
         for sid, val in zip(bm["first_sids"], _solve(rows, vals)):
             out_first[sid] = val
         # receiver `second`, mirrored
-        seed2 = trace.rv(second, t0)
+        seed2 = view.rv(second, t0)
         rows = []
         vals = []
-        rows.append([trace.rc(second, t2, s) for s in bm["second_sids"]])
-        vals.append(trace.rv(second, t2) - trace.rc(second, t2, f"fby{k}") * seed2)
-        rows.append([trace.rc(EVE, t2, s) for s in bm["second_sids"]])
-        vals.append(z_second[k] - trace.rc(EVE, t2, f"fby{k}") * seed2)
-        rows.append([trace.rc(first, t2, s) for s in bm["second_sids"]])
-        vals.append((w_second[k] - trace.rv(second, t1))
-                    - trace.rc(first, t2, f"fby{k}") * seed2)
+        rows.append([view.rc(second, t2, s) for s in bm["second_sids"]])
+        vals.append(view.rv(second, t2) - view.rc(second, t2, f"fby{k}") * seed2)
+        rows.append([view.rc(EVE, t2, s) for s in bm["second_sids"]])
+        vals.append(z_second[k] - view.rc(EVE, t2, f"fby{k}") * seed2)
+        rows.append([view.rc(first, t2, s) for s in bm["second_sids"]])
+        vals.append((w_second[k] - view.rv(second, t1))
+                    - view.rc(first, t2, f"fby{k}") * seed2)
         for sid, val in zip(bm["second_sids"], _solve(rows, vals)):
             out_second[sid] = val
 

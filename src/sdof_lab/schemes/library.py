@@ -6,7 +6,8 @@ reconstructed and retransmitted, and which joint CSIT state each slot
 declares.  Each decoder replays the receiver-side steps (subtract known side
 information, then invert) using only information that receiver legally has:
 its own observations, the full CSI tables (available to everyone one slot
-late, and decoding happens at block end), beams and gains.
+late, and decoding happens at block end), beams and gains.  A decoder reads
+one seed's run through its `ReceiverView`.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ def build_wt_zf(scheme_id: str, state: str) -> SchemeSpec:
     return _spec(scheme_id, topo, plans, symbols, protected={EVE: {"v"}})
 
 
-def decode_wt_zf(trace) -> dict:
+def decode_wt_zf(view) -> dict:
     """Receiver 1 divides out its one symbol `v` (also WT_PD and MR_PDD)."""
-    v = trace.rv(RX1, 0) / trace.rc(RX1, 0, "v")
+    v = view.rv(RX1, 0) / view.rc(RX1, 0, "v")
     return {RX1: {"v": v}}
 
 
@@ -96,15 +97,15 @@ def build_wt_dd_23() -> SchemeSpec:
     return _spec("WT_DD_23", topo, plans, symbols, protected={EVE: {"v1", "v2"}})
 
 
-def decode_wt_dd_23(trace) -> dict:
-    y11 = trace.rv(RX1, 0)
-    eq1 = trace.rv(RX1, 1) - trace.rc(RX1, 1, "fb1") * y11
-    row1 = [trace.rc(RX1, 1, "v1"), trace.rc(RX1, 1, "v2")]
+def decode_wt_dd_23(view) -> dict:
+    y11 = view.rv(RX1, 0)
+    eq1 = view.rv(RX1, 1) - view.rc(RX1, 1, "fb1") * y11
+    row1 = [view.rc(RX1, 1, "v1"), view.rc(RX1, 1, "v2")]
     # slot 3 repeats the eavesdropper's slot-2 output; recover it, strip the
     # (known) noise feedback term, and a second equation in (v1, v2) remains
-    z2 = trace.rv(RX1, 2) / trace.rc(RX1, 2, "fb2")
-    eq2 = z2 - trace.rc(EVE, 1, "fb1") * y11
-    row2 = [trace.rc(EVE, 1, "v1"), trace.rc(EVE, 1, "v2")]
+    z2 = view.rv(RX1, 2) / view.rc(RX1, 2, "fb2")
+    eq2 = z2 - view.rc(EVE, 1, "fb1") * y11
+    row2 = [view.rc(EVE, 1, "v1"), view.rc(EVE, 1, "v2")]
     v1, v2 = _solve([row1, row2], [eq1, eq2])
     return {RX1: {"v1": v1, "v2": v2}}
 
@@ -126,10 +127,10 @@ def build_mr_ppd() -> SchemeSpec:
     return _spec("MR_PPD", topo, plans, symbols, protected={EVE: {"v", "w"}})
 
 
-def decode_mr_ppd(trace) -> dict:
+def decode_mr_ppd(view) -> dict:
     """Each receiver divides out its one symbol, `v` or `w` (also BC_PP_S2)."""
-    v = trace.rv(RX1, 0) / trace.rc(RX1, 0, "v")
-    w = trace.rv(RX2, 0) / trace.rc(RX2, 0, "w")
+    v = view.rv(RX1, 0) / view.rc(RX1, 0, "v")
+    w = view.rv(RX2, 0) / view.rc(RX2, 0, "w")
     return {RX1: {"v": v}, RX2: {"w": w}}
 
 
@@ -154,14 +155,14 @@ def build_mr_pdp() -> SchemeSpec:
     return _spec("MR_PDP", topo, plans, symbols, protected={EVE: {"v1", "v2", "w"}})
 
 
-def decode_mr_pdp(trace) -> dict:
-    row1 = [trace.rc(RX1, 0, "v1"), trace.rc(RX1, 0, "v2")]
+def decode_mr_pdp(view) -> dict:
+    row1 = [view.rc(RX1, 0, "v1"), view.rc(RX1, 0, "v2")]
     # the retransmitted quantity equals receiver 2's slot-1 interference
-    xi = trace.rv(RX1, 1) / trace.rc(RX1, 1, "fb")
-    row2 = [trace.rc(RX2, 0, "v1"), trace.rc(RX2, 0, "v2")]
-    v1, v2 = _solve([row1, row2], [trace.rv(RX1, 0), xi])
-    xi2 = trace.rv(RX2, 1) / trace.rc(RX2, 1, "fb")
-    w = (trace.rv(RX2, 0) - xi2) / trace.rc(RX2, 0, "w")
+    xi = view.rv(RX1, 1) / view.rc(RX1, 1, "fb")
+    row2 = [view.rc(RX2, 0, "v1"), view.rc(RX2, 0, "v2")]
+    v1, v2 = _solve([row1, row2], [view.rv(RX1, 0), xi])
+    xi2 = view.rv(RX2, 1) / view.rc(RX2, 1, "fb")
+    w = (view.rv(RX2, 0) - xi2) / view.rc(RX2, 0, "w")
     return {RX1: {"v1": v1, "v2": v2}, RX2: {"w": w}}
 
 
@@ -187,21 +188,21 @@ def build_mr_ddp() -> SchemeSpec:
                  protected={EVE: {"v1", "v2", "w1", "w2"}})
 
 
-def decode_mr_ddp(trace) -> dict:
-    c1 = trace.rc(RX1, 2, "fb")
-    xi = trace.rv(RX1, 2) / c1 - trace.rv(RX1, 1)   # leaves rx2's slot-1 output
+def decode_mr_ddp(view) -> dict:
+    c1 = view.rc(RX1, 2, "fb")
+    xi = view.rv(RX1, 2) / c1 - view.rv(RX1, 1)   # leaves rx2's slot-1 output
     rows_v = [
-        [trace.rc(RX1, 0, "v1"), trace.rc(RX1, 0, "v2")],
-        [trace.rc(RX2, 0, "v1"), trace.rc(RX2, 0, "v2")],
+        [view.rc(RX1, 0, "v1"), view.rc(RX1, 0, "v2")],
+        [view.rc(RX2, 0, "v1"), view.rc(RX2, 0, "v2")],
     ]
-    v1, v2 = _solve(rows_v, [trace.rv(RX1, 0), xi])
-    c2 = trace.rc(RX2, 2, "fb")
-    eta = trace.rv(RX2, 2) / c2 - trace.rv(RX2, 0)  # leaves rx1's slot-2 output
+    v1, v2 = _solve(rows_v, [view.rv(RX1, 0), xi])
+    c2 = view.rc(RX2, 2, "fb")
+    eta = view.rv(RX2, 2) / c2 - view.rv(RX2, 0)  # leaves rx1's slot-2 output
     rows_w = [
-        [trace.rc(RX2, 1, "w1"), trace.rc(RX2, 1, "w2")],
-        [trace.rc(RX1, 1, "w1"), trace.rc(RX1, 1, "w2")],
+        [view.rc(RX2, 1, "w1"), view.rc(RX2, 1, "w2")],
+        [view.rc(RX1, 1, "w1"), view.rc(RX1, 1, "w2")],
     ]
-    w1, w2 = _solve(rows_w, [trace.rv(RX2, 1), eta])
+    w1, w2 = _solve(rows_w, [view.rv(RX2, 1), eta])
     return {RX1: {"v1": v1, "v2": v2}, RX2: {"w1": w1, "w2": w2}}
 
 
@@ -262,25 +263,25 @@ def build_bc_dd_s1() -> SchemeSpec:
                  known={RX1: {"v1", "v2"}, RX2: {"w1", "w2"}})
 
 
-def decode_bc_dd_s1(trace) -> dict:
-    y11 = trace.rv(RX1, 0)
-    z1 = trace.rv(RX2, 0)
+def decode_bc_dd_s1(view) -> dict:
+    y11 = view.rv(RX1, 0)
+    z1 = view.rv(RX2, 0)
     # receiver 1: multicast minus its own slot-3 output reveals rx2's slot-2
     # output, giving the second v equation
-    z2 = trace.rv(RX1, 3) / trace.rc(RX1, 3, "mc") - trace.rv(RX1, 2)
-    eq1 = trace.rv(RX1, 1) - trace.rc(RX1, 1, "fb1") * y11
-    eq2 = z2 - trace.rc(RX2, 1, "fb1") * y11
+    z2 = view.rv(RX1, 3) / view.rc(RX1, 3, "mc") - view.rv(RX1, 2)
+    eq1 = view.rv(RX1, 1) - view.rc(RX1, 1, "fb1") * y11
+    eq2 = z2 - view.rc(RX2, 1, "fb1") * y11
     rows_v = [
-        [trace.rc(RX1, 1, "v1"), trace.rc(RX1, 1, "v2")],
-        [trace.rc(RX2, 1, "v1"), trace.rc(RX2, 1, "v2")],
+        [view.rc(RX1, 1, "v1"), view.rc(RX1, 1, "v2")],
+        [view.rc(RX2, 1, "v1"), view.rc(RX2, 1, "v2")],
     ]
     v1, v2 = _solve(rows_v, [eq1, eq2])
-    y13 = trace.rv(RX2, 3) / trace.rc(RX2, 3, "mc") - trace.rv(RX2, 1)
-    eq3 = trace.rv(RX2, 2) - trace.rc(RX2, 2, "fb2") * z1
-    eq4 = y13 - trace.rc(RX1, 2, "fb2") * z1
+    y13 = view.rv(RX2, 3) / view.rc(RX2, 3, "mc") - view.rv(RX2, 1)
+    eq3 = view.rv(RX2, 2) - view.rc(RX2, 2, "fb2") * z1
+    eq4 = y13 - view.rc(RX1, 2, "fb2") * z1
     rows_w = [
-        [trace.rc(RX2, 2, "w1"), trace.rc(RX2, 2, "w2")],
-        [trace.rc(RX1, 2, "w1"), trace.rc(RX1, 2, "w2")],
+        [view.rc(RX2, 2, "w1"), view.rc(RX2, 2, "w2")],
+        [view.rc(RX1, 2, "w1"), view.rc(RX1, 2, "w2")],
     ]
     w1, w2 = _solve(rows_w, [eq3, eq4])
     return {RX1: {"v1": v1, "v2": v2}, RX2: {"w1": w1, "w2": w2}}
@@ -336,35 +337,35 @@ def build_bc_s2_43() -> SchemeSpec:
     return _build_bc_43("BC_S2_43", ["DD", "DD", "DP", "PD", "DP", "PD"])
 
 
-def decode_bc_43(trace) -> dict:
-    y11 = trace.rv(RX1, 0)
-    z1 = trace.rv(RX2, 0)
+def decode_bc_43(view) -> dict:
+    y11 = view.rv(RX1, 0)
+    z1 = view.rv(RX2, 0)
     # receiver 1
-    eq1 = trace.rv(RX1, 1) - trace.rc(RX1, 1, "fb1") * y11
-    z2 = trace.rv(RX1, 3) / trace.rc(RX1, 3, "fb3")
-    eq2 = z2 - trace.rc(RX2, 1, "fb1") * y11
+    eq1 = view.rv(RX1, 1) - view.rc(RX1, 1, "fb1") * y11
+    z2 = view.rv(RX1, 3) / view.rc(RX1, 3, "fb3")
+    eq2 = z2 - view.rc(RX2, 1, "fb1") * y11
     rows_v = [
-        [trace.rc(RX1, 1, "v1"), trace.rc(RX1, 1, "v2")],
-        [trace.rc(RX2, 1, "v1"), trace.rc(RX2, 1, "v2")],
+        [view.rc(RX1, 1, "v1"), view.rc(RX1, 1, "v2")],
+        [view.rc(RX2, 1, "v1"), view.rc(RX2, 1, "v2")],
     ]
     v1, v2 = _solve(rows_v, [eq1, eq2])
-    xi = trace.rv(RX1, 5) / trace.rc(RX1, 5, "fb5")
-    v3 = (trace.rv(RX1, 2) - xi) / trace.rc(RX1, 2, "v3")
-    v4 = (trace.rv(RX1, 4) - trace.rc(RX1, 4, "fb4") * xi) \
-        / trace.rc(RX1, 4, "v4")
+    xi = view.rv(RX1, 5) / view.rc(RX1, 5, "fb5")
+    v3 = (view.rv(RX1, 2) - xi) / view.rc(RX1, 2, "v3")
+    v4 = (view.rv(RX1, 4) - view.rc(RX1, 4, "fb4") * xi) \
+        / view.rc(RX1, 4, "v4")
     # receiver 2
-    eq3 = trace.rv(RX2, 2) - trace.rc(RX2, 2, "fb2") * z1
-    xi2 = trace.rv(RX2, 4) / trace.rc(RX2, 4, "fb4")
-    eq4 = xi2 - trace.rc(RX1, 2, "fb2") * z1
+    eq3 = view.rv(RX2, 2) - view.rc(RX2, 2, "fb2") * z1
+    xi2 = view.rv(RX2, 4) / view.rc(RX2, 4, "fb4")
+    eq4 = xi2 - view.rc(RX1, 2, "fb2") * z1
     rows_w = [
-        [trace.rc(RX2, 2, "w1"), trace.rc(RX2, 2, "w2")],
-        [trace.rc(RX1, 2, "w1"), trace.rc(RX1, 2, "w2")],
+        [view.rc(RX2, 2, "w1"), view.rc(RX2, 2, "w2")],
+        [view.rc(RX1, 2, "w1"), view.rc(RX1, 2, "w2")],
     ]
     w1, w2 = _solve(rows_w, [eq3, eq4])
-    w3 = (trace.rv(RX2, 3) - trace.rc(RX2, 3, "fb3") * trace.rv(RX2, 1)) \
-        / trace.rc(RX2, 3, "w3")
-    w4 = (trace.rv(RX2, 5) - trace.rc(RX2, 5, "fb5") * xi2) \
-        / trace.rc(RX2, 5, "w4")
+    w3 = (view.rv(RX2, 3) - view.rc(RX2, 3, "fb3") * view.rv(RX2, 1)) \
+        / view.rc(RX2, 3, "w3")
+    w4 = (view.rv(RX2, 5) - view.rc(RX2, 5, "fb5") * xi2) \
+        / view.rc(RX2, 5, "w4")
     return {
         RX1: {"v1": v1, "v2": v2, "v3": v3, "v4": v4},
         RX2: {"w1": w1, "w2": w2, "w3": w3, "w4": w4},

@@ -326,6 +326,41 @@ class TestMcOracle:
         with pytest.raises(DimensionTooLarge):
             mc_mi_oracle(system, RX1, ["x0.0"], 1e4, n_samples=1000)
 
+    def test_whitened_forms_match_solved_forms(self, monkeypatch):
+        """On criterion 9's cases, every quadratic form y^H C^-1 y the oracle
+        takes by whitening matches a per-sample `solve` within 1e-12 of the
+        case's largest form (both carry cond(C) * eps of error, up to 1.2e-12
+        of a sample's own form where that form is small)."""
+        from sdof_lab import acceptance
+
+        quad = analysis._quad
+        errors = []
+
+        def checked(values, cov):
+            got = quad(values, cov)
+            solved = np.linalg.solve(cov, values.T).T
+            want = np.einsum("ij,ij->i", values.conj(), solved).real
+            errors.append(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+            return got
+
+        monkeypatch.setattr(analysis, "_quad", checked)
+        assert acceptance.criterion_9().status == "PASS"
+        assert len(errors) == 20 and max(errors) <= 1e-12, errors
+
+    @pytest.mark.parametrize("shift", [0.1, -0.1])
+    def test_criterion_9_catches_a_shifted_closed_form(self, monkeypatch, shift):
+        from sdof_lab import acceptance
+
+        exact = analysis.gaussian_mi
+        monkeypatch.setattr(analysis, "gaussian_mi", lambda *args, **kwargs: replace(
+            exact(*args, **kwargs), bits=exact(*args, **kwargs).bits + shift))
+        result = acceptance.criterion_9()
+        assert result.status == "FAIL"
+        # every case whose tolerance is the 0.05-bit floor
+        failed = [case.split(":")[0] for case in result.detail.split("; ")]
+        assert failed == ["WT_PD/eve", "WT_DD_23/eve", "MR_PPD/eve", "MR_DDP/eve",
+                          "BC_S1_43/rx2", "BC_PP_S2/rx1"]
+
 
 class TestOutputSymmetry:
     def test_independent_twin_within_three_se(self):

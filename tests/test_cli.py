@@ -341,12 +341,22 @@ class TestRegion:
     (("simulate", "--scheme", "wt_pp", "--sub", "fallback32"), {}),
     (("simulate", "--config", "{tmp}/c.json"),
      {"c.json": json.dumps({"scheme": "wt_pp", "sub": "tjsp53"})}),
+    (("simulate", "--scheme", "wt_pp", "--mode", "bogus"), {}),
+    (("simulate", "--scheme", "wt_pp", "--seeds", "abc"), {}),
+    (("simulate", "--scheme", "wt_pp", "--p-exp", "nan"), {}),
+    (("simulate", "--scheme", "wt_pp", "--bogus"), {}),
+    (("verify", "--sub", "bogus"), {}),
+    (("bogus",), {}),
+    ((), {}),
+    (("fm",), {}),
 ], ids=["zero-seeds", "huge-power", "tiny-power", "bad-lambda", "string-seeds",
         "fm-int-variables", "fm-int-coeffs", "fm-zero-denominator", "fm-infeasible",
         "fm-infeasible-no-vars", "missing-config", "missing-system", "invalid-config-json", "invalid-system-json", "config-not-object",
         "unwritable-out", "unwritable-region-out", "blocks-non-composite",
         "nan-tolerance", "inf-tolerance", "negative-tolerance", "config-nan-tolerance",
-        "fm-check-partial-projection", "sub-non-composite", "config-sub-non-composite"])
+        "fm-check-partial-projection", "sub-non-composite", "config-sub-non-composite",
+        "bad-mode", "non-int-seeds", "nan-p-exp", "unknown-flag", "verify-bad-sub",
+        "unknown-command", "no-command", "fm-without-system"])
 def test_bad_input_gets_one_error_line(tmp_path, capsys, argv, files):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -356,6 +366,15 @@ def test_bad_input_gets_one_error_line(tmp_path, capsys, argv, files):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("simulate", "--help"), ("fm", "--help")])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*argv)
+    assert exit_info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: sdof-lab") and captured.err == ""
 
 
 def test_parser_is_built_once_on_first_use(capsys, monkeypatch):

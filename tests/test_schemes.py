@@ -14,6 +14,7 @@ from sdof_lab.errors import (
     NonPositiveSubDof,
     RealizationTooShort,
     UnknownScheme,
+    UnknownSymbolId,
 )
 from sdof_lab.model import (
     EVE,
@@ -40,6 +41,16 @@ from sdof_lab.schemes import (
     stack_traces,
 )
 from sdof_lab.schemes.program import NullOf, SlotPlan
+
+
+# every scheme, plus the composites' other sub-protocol and a longer superframe
+DECODE_CASES = [(scheme_id, {}) for scheme_id in SCHEME_IDS] + [
+    ("MR_S30_29_A", {"blocks": 10}),
+    ("MR_S30_29_A", {"sub": "fallback32"}),
+    ("MR_S30_29_B", {"sub": "fallback32"}),
+]
+DECODE_IDS = [scheme_id + "".join(f"-{k}={v}" for k, v in params.items())
+              for scheme_id, params in DECODE_CASES]
 
 
 def _run(scheme_id, seed=0, power=1e4, mode="noiseless", **params):
@@ -366,6 +377,62 @@ class TestStackTraces:
         assert list(seed_chunks(spec, seeds)) == [[seed] for seed in seeds]
 
 
+def _bits(z) -> tuple:
+    return type(z), z.real.hex(), z.imag.hex()
+
+
+class TestReceiverView:
+    """A seed's view, cut from its batch or built from its trace, reads bit
+    for bit what the trace's slot records, channels, observations and
+    symbols give."""
+
+    @pytest.mark.parametrize("mode", ["noiseless", "noisy"])
+    @pytest.mark.parametrize("scheme_id, params", DECODE_CASES, ids=DECODE_IDS)
+    def test_view_equals_the_trace(self, scheme_id, params, mode):
+        spec = build_scheme(scheme_id, **params)
+        for batch in run_seed_batches(spec, range(20), PowerBudget(2.0 ** 30), mode):
+            for view, trace in zip(batch.views(), batch.traces(), strict=True):
+                own = trace.view()
+                assert view.seed == own.seed == trace.seed and view.spec is spec
+                for node in spec.topology.nodes():
+                    chan = trace.realization.rows(node)
+                    for t, slot in enumerate(trace.slots):
+                        # the payload-scale value and coefficients as computed
+                        # straight from the slot records
+                        want = _bits(complex(trace.obs_vals[node][t]) / trace.sqrt_power)
+                        assert _bits(view.rv(node, t)) == want
+                        assert _bits(own.rv(node, t)) == want
+                        for label, stream in slot.streams.items():
+                            want = _bits(complex(stream.gain * (chan[t] @ stream.beam)))
+                            assert _bits(view.rc(node, t, label)) == want, (node, t, label)
+                            assert _bits(own.rc(node, t, label)) == want, (node, t, label)
+                for sid, i in spec.symbol_index.items():
+                    want = _bits(complex(trace.symbol_values[i]))
+                    assert _bits(view.true_value(sid)) == want
+                    assert _bits(own.true_value(sid)) == want
+
+    def test_unknown_stream_or_symbol(self):
+        spec = build_scheme("MR_PDP")
+        (batch,) = run_seed_batches(spec, [0, 1], PowerBudget(1e4))
+        (trace, _), (view, _) = batch.traces(), batch.views()
+        for reader in (view, trace.view()):
+            with pytest.raises(KeyError, match=r"slot 1 has no stream 'v1'"):
+                reader.rc(RX1, 1, "v1")
+            with pytest.raises(KeyError, match=r"slot 7 has no stream 'fb'"):
+                reader.rc(RX1, 7, "fb")
+            with pytest.raises(UnknownSymbolId):
+                reader.true_value("nope")
+
+    def test_views_build_no_traces(self, monkeypatch):
+        from sdof_lab.schemes import program
+
+        spec = build_scheme("MR_S30_29_A")
+        (batch,) = run_seed_batches(spec, [0, 1], PowerBudget(1e4))
+        monkeypatch.setattr(program, "TransmissionTrace", None)
+        assert [view.seed for view in batch.views()] == [0, 1]
+        assert [report.all_success for report in decode_batch(batch)] == [True, True]
+
+
 class TestSamplerCost:
     def test_run_seeds_derives_keys_in_bulk(self, monkeypatch):
         """No SeedSequence per (seed, slot): every key of a batch comes from
@@ -425,13 +492,13 @@ class TestDecode:
         assert report.all_success
 
     @pytest.mark.parametrize("mode", ["noiseless", "noisy"])
-    @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
-    def test_given_system_and_batch_decode_equal_decode(self, scheme_id, mode):
+    @pytest.mark.parametrize("scheme_id, params", DECODE_CASES, ids=DECODE_IDS)
+    def test_given_system_and_batch_decode_equal_decode(self, scheme_id, params, mode):
         """decode(trace, system) and decode_batch give the report decode(trace)
         gives."""
         from sdof_lab.precoding import assemble_effective_system, assemble_effective_systems
 
-        spec = build_scheme(scheme_id)
+        spec = build_scheme(scheme_id, **params)
         power = PowerBudget(2.0 ** 30)
         for batch in run_seed_batches(spec, range(4), power, mode):
             batched = decode_batch(batch)
