@@ -37,12 +37,11 @@ from .schemes import (
     AccountingReport,
     DecodeReport,
     SchemeSpec,
-    TransmissionTrace,
+    TraceBatch,
     accounting,
     build_scheme,
     composite_accounting,
     decode,
-    run_batch,
     run_scheme,
     run_seeds,
 )

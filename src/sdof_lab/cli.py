@@ -25,18 +25,16 @@ import numpy as np
 from . import analysis, regions
 from .errors import CsitViolation, SdofLabError
 from .fm_oracle import convex_hull, hull_agreement
-from .model import RX1, RX2, PowerBudget, sample_channel, validate_schedule
+from .model import RX1, RX2, PowerBudget, StateLabel, sample_channel, validate_schedule
 from .precoding import assemble_effective_system, assemble_effective_systems
 from .schemes import (
+    TraceBatch,
     accounting,
-    adversary_verdicts,
     build_scheme,
-    decode_receivers,
-    decode_reports,
+    decode_batch,
     from_cli_name,
     run_scheme,
     seed_chunks,
-    stack_traces,
 )
 
 CSV_HEADER = ("scheme_id,seed,power,slots,symbols_rx1,symbols_rx2,"
@@ -128,23 +126,21 @@ def _simulate_chunk(spec, seeds, powers: list[float], mode: str):
     """Per seed of one chunk: the seed, its CSV values per power, its rate
     slopes, its leakage slope and its hard-failure flag.
 
-    Each seed is sampled, executed and hand-decoded on its own, through the
-    single-seed entry points whose calls the benchmark's layer tracing
-    (perfbench) counts per simulated seed.  The chunk is then analysed as a
-    stack: one assembly, one adversary oracle call per adversary, one SVD
-    per (node, column set) for every system and power, and one slope fit.
+    Each seed is sampled and executed on its own, through the single-seed
+    entry points whose calls the benchmark's layer tracing (perfbench)
+    counts per simulated seed.  The chunk's runs are then concatenated and
+    analysed as a stack with the calls criterion 3 makes: one assembly, one
+    `decode_batch` (the hand decoder per seed, one adversary oracle call per
+    adversary), then one SVD per (node, column set) for every system and
+    power, and one slope fit.
     """
     budget = PowerBudget(powers[0])
-    receivers = []
-
-    def run(seed):
-        realization = sample_channel(spec.topology, spec.n_slots, seed)
-        trace = run_scheme(spec, realization, budget, mode, seed)
-        receivers.append(decode_receivers(trace.view()))
-        return trace
-
-    systems = assemble_effective_systems(stack_traces(seeds, map(run, seeds)))
-    reports = decode_reports(receivers, adversary_verdicts(spec, systems))
+    batch = TraceBatch.concatenate([
+        run_scheme(spec, sample_channel(spec.topology, spec.n_slots, seed), budget, mode, seed)
+        for seed in seeds])
+    systems = assemble_effective_systems(batch)
+    reports = decode_batch(batch, systems)
+    del batch       # the analysis reads the systems alone
 
     # every rate and leakage value once per (seed, node, power); the slopes
     # are fitted from the same floats the rows report
@@ -276,9 +272,14 @@ def _parse_lambda(text: str | None):
     for item in text.split(","):
         key, _, value = item.partition("=")
         try:
-            fractions[key.strip().upper()] = Fraction(value.strip())
+            label = StateLabel.parse(key.strip())
+            fraction = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
-            raise SdofLabError(f"bad lambda entry {item!r}; use state=p/q") from None
+            raise SdofLabError(
+                f"bad lambda entry {item!r}; use state=p/q with states of P and D") from None
+        if label in fractions:
+            raise SdofLabError(f"lambda gives state {label} twice")
+        fractions[label] = fraction
     return validate_schedule(fractions)
 
 

@@ -2,7 +2,7 @@
 
 `null_basis`/`null_vector` build unit-norm beams orthogonal to given channel
 rows with a deterministic phase convention.  `assemble_effective_system`
-extracts, from an executed transmission trace, the exact matrices mapping
+extracts, from an executed run, the exact matrices mapping
 (message, noise) symbols to each node's observations; those matrices drive
 the decodability oracle and all mutual-information computations.
 
@@ -181,27 +181,30 @@ class EffectiveLinearSystem:
 
 
 def assemble_effective_system(trace) -> EffectiveLinearSystem:
-    """Exact symbol-to-observation matrices for every node of a trace; the
-    one-seed case of `assemble_effective_systems`."""
-    n_slots = len(trace.slots)
-    if n_slots != len(trace.spec.slot_plans):
-        raise IncompleteTrace(
-            f"trace has {n_slots} of {len(trace.spec.slot_plans)} slots"
-        )
-    return assemble_effective_systems(trace.as_batch()).item(0)
+    """Exact symbol-to-observation matrices for every node of a one-seed run
+    (a `TraceBatch` of one seed); the one-seed case of
+    `assemble_effective_systems`."""
+    return assemble_effective_systems(trace).item(0)
 
 
 def assemble_effective_systems(batch) -> EffectiveLinearSystem:
-    """The stack of every seed's effective system in a batch of traces,
-    taken from the batch's stacked observation rows.
+    """The stack of every seed's effective system in a `TraceBatch`, taken
+    from the batch's stacked observation rows.
 
+    A batch that misses slots of its scheme raises IncompleteTrace.
     Validates that re-simulating the recorded observations from the matrices
-    and the drawn symbol values reproduces every trace.  The comparison is on
-    the power-free scale, where the rounding of slot t's observation is
+    and the drawn symbol values reproduces every seed's run.  The comparison
+    is on the power-free scale, where the rounding of slot t's observation is
     bounded by |h_t| |s| (the slot's transmit matrix has unit norm), plus
     |n_t| / sqrt(P) for the removed noise, so the 1e-10 relative bound holds
-    at every power, zero-forced nodes included.
+    at every power, zero-forced nodes included.  The matrices are read-only
+    views of the batch's observation rows, not copies, so while the batch is
+    alive (as it is decoded) its systems take no memory of their own.
     """
+    n_slots = batch.spec.n_slots
+    recorded = {len(batch.x_value), *(rows.shape[1] for rows in batch.obs_rows.values())}
+    if recorded != {n_slots}:
+        raise IncompleteTrace(f"trace has {min(recorded)} of {n_slots} slots")
     s = batch.symbol_values                         # (seed, symbol)
     s_norm = vector_norms(s)[:, None]
     matrices = {}
@@ -216,12 +219,12 @@ def assemble_effective_systems(batch) -> EffectiveLinearSystem:
         if bad.any():
             raise AssertionError(f"seed {batch.seeds[int(np.argmax(bad))]}: "
                                  "effective system does not reproduce the trace")
-        matrices[node] = rows.copy()
+        matrices[node] = rows.view()
         matrices[node].setflags(write=False)
     return EffectiveLinearSystem(
         symbols=batch.spec.symbols,
         matrices=matrices,
-        slot_of_row=tuple(range(batch.spec.n_slots)),
+        slot_of_row=tuple(range(n_slots)),
     )
 
 

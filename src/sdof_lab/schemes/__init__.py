@@ -25,13 +25,10 @@ from .program import (
     StreamRecipe,
     Sym,
     TraceBatch,
-    TransmissionTrace,
-    run_batch,
     run_scheme,
     run_seed_batches,
     run_seeds,
     seed_chunks,
-    stack_traces,
 )
 
 DECODE_RESIDUAL_TOL = 1e-8
@@ -135,39 +132,44 @@ def _empty_decoder(trace) -> dict:
     return {}
 
 
-def decode(trace: TransmissionTrace,
+def decode(trace: TraceBatch,
            system: EffectiveLinearSystem | None = None) -> DecodeReport:
-    """Run the scheme's decoder and the adversary identifiability oracle.
+    """Run the scheme's decoder and the adversary identifiability oracle on
+    a one-seed run.
 
     In noiseless mode every intended receiver must recover its symbols with
     relative residual at most 1e-8; protected symbols must stay unresolvable
     at their adversaries.  Failures are reported, never raised.  The oracle
-    uses `system` when given (the trace's effective system), else assembles
+    uses `system` when given (the run's effective system), else assembles
     it.  The one-seed case of `decode_batch`.
     """
     systems = None if system is None else system.stacked()
-    return decode_batch(trace.as_batch(), systems)[0]
+    return decode_batch(trace, systems)[0]
 
 
 def decode_batch(batch: TraceBatch,
                  systems: EffectiveLinearSystem | None = None) -> list[DecodeReport]:
     """`decode` of every seed of a batch, in seed order.
 
-    The hand decoder runs on each seed's `ReceiverView`, cut from the
-    batch's arrays without building a trace; the adversary oracle runs once
-    on the stack of the batch's effective systems (`systems` when given,
-    else assembled from the batch).
+    The hand decoder runs on each seed's `ReceiverView`; the adversary
+    oracle runs once per adversary on the stack of the batch's effective
+    systems (`systems` when given, else assembled from the batch).
     """
-    if systems is None and batch.spec.protected:
+    spec = batch.spec
+    if systems is None and spec.protected:
         systems = assemble_effective_systems(batch)
-    verdicts = adversary_verdicts(batch.spec, systems)
-    return decode_reports([decode_receivers(view) for view in batch.views()], verdicts)
+    verdicts = {adv: identifiable_symbols_stacked(
+                    systems, adv, sorted(sids), spec.adversary_known.get(adv, frozenset()))
+                for adv, sids in spec.protected.items()}
+    return [DecodeReport(nodes=_decode_receivers(view),
+                         adversary={adv: {sid: bool(flags[i]) for sid, flags in table.items()}
+                                    for adv, table in verdicts.items()})
+            for i, view in enumerate(batch.views())]
 
 
-def decode_receivers(view: ReceiverView) -> dict[str, NodeDecode]:
-    """The hand half of `decode`: the scheme's decoder on one seed's view
-    (a trace's is `trace.view()`), scored at every receiver against the drawn
-    symbols."""
+def _decode_receivers(view: ReceiverView) -> dict[str, NodeDecode]:
+    """The hand half of `decode_batch`: the scheme's decoder on one seed's
+    view, scored at every receiver against the drawn symbols."""
     spec = view.spec
     recovered = _DECODERS.get(spec.scheme_id, _empty_decoder)(view)
     nodes: dict[str, NodeDecode] = {}
@@ -191,28 +193,6 @@ def decode_receivers(view: ReceiverView) -> dict[str, NodeDecode]:
     return nodes
 
 
-def adversary_verdicts(spec: SchemeSpec,
-                       systems: EffectiveLinearSystem | None) -> dict[str, dict]:
-    """The oracle half of `decode_batch`: per adversary, per protected
-    symbol, whether it is identifiable in each system of the stack; one
-    `identifiable_symbols_stacked` call per adversary."""
-    verdicts: dict[str, dict] = {}
-    for adv, sids in spec.protected.items():
-        known = spec.adversary_known.get(adv, frozenset())
-        verdicts[adv] = identifiable_symbols_stacked(systems, adv, sorted(sids), known)
-    return verdicts
-
-
-def decode_reports(receivers: list[dict[str, NodeDecode]],
-                   verdicts: Mapping[str, Mapping]) -> list[DecodeReport]:
-    """Each seed's DecodeReport from its `decode_receivers` result and its
-    entries of the stack's `adversary_verdicts`."""
-    return [DecodeReport(nodes=nodes,
-                         adversary={adv: {sid: bool(flags[i]) for sid, flags in table.items()}
-                                    for adv, table in verdicts.items()})
-            for i, nodes in enumerate(receivers)]
-
-
 __all__ = [
     "AccountingReport",
     "Axis",
@@ -229,22 +209,16 @@ __all__ = [
     "StreamRecipe",
     "Sym",
     "TraceBatch",
-    "TransmissionTrace",
     "accounting",
-    "adversary_verdicts",
     "build_scheme",
     "cli_name",
     "composite_accounting",
     "decode",
     "decode_batch",
-    "decode_receivers",
-    "decode_reports",
     "from_cli_name",
     "make_report",
-    "run_batch",
     "run_scheme",
     "run_seed_batches",
     "run_seeds",
     "seed_chunks",
-    "stack_traces",
 ]

@@ -15,19 +15,19 @@ mutated plan in tests).
 Execution keeps two synchronized views of every quantity: the numeric value
 and its exact coefficient row over the drawn symbols.  The rows are the
 substrate for the effective linear systems used by decoding checks and
-closed-form mutual information.  An executed slot keeps each stream's beam,
-gain and payload row, keyed by the stream's label (unique within the slot);
-a retransmitted past observation is rebuilt from those on demand.
+closed-form mutual information.
 
 A spec is compiled once, on first use: the legality checks and everything
 else no seed changes are resolved then.  `execute_batch` executes the
 compiled program for many seeds at once on stacked arrays, giving each seed
-exactly the bits of its own run, and returns a `TraceBatch`: the stacked
-arrays, the per-seed traces cut from them, and the per-seed `ReceiverView`s
-the hand decoders read.  `run_batch` yields those traces, `run_scheme` is
-its one-seed case, and `run_seed_batches` / `run_seeds` sample the channels
-and run memory-bounded batches (`seed_chunks`).  `stack_traces` builds the
-batch of runs made one seed at a time.
+exactly the bits of its own run, and returns a `TraceBatch`, the one record
+of a run: the stacked symbols, channels and observations, and each slot's
+beams, gains, payload rows and transmit matrices.  `run_scheme` runs one
+seed, and its record is a batch of one seed.  A batch splits into its
+seeds' batches, batches of one scheme concatenate, and `views()` gives each
+seed's `ReceiverView`, which the hand decoders read.  `run_seed_batches` /
+`run_seeds` sample the channels and run memory-bounded batches
+(`seed_chunks`).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -161,108 +161,7 @@ class SchemeSpec:
         return replace(self, slot_plans=tuple(plans))
 
 
-# -- executed trace -------------------------------------------------------------
-
-@dataclass
-class StreamInstance:
-    label: str
-    beam: np.ndarray          # (n_tx,)
-    gain: float               # multiplier on the payload value, post normalization
-    row: np.ndarray           # payload coefficient row over symbols (pre-gain)
-    value: complex            # payload value = row @ symbols
-
-
-@dataclass
-class SlotRecord:
-    state: StateLabel
-    streams: dict[str, StreamInstance]     # label -> stream, in plan order
-    x_matrix: np.ndarray          # (n_tx, n_sym), Frobenius norm exactly 1
-    x_value: np.ndarray           # (n_tx,), numeric dual path, power-normalized
-
-
-@dataclass
-class TransmissionTrace:
-    spec: SchemeSpec
-    realization: ChannelRealization
-    power: PowerBudget
-    mode: str
-    seed: int
-    symbols: tuple[SymbolDecl, ...]
-    symbol_values: np.ndarray
-    slots: list[SlotRecord]
-    obs_rows: dict[str, np.ndarray]    # node -> (n_slots, n_sym), power-free
-    obs_vals: dict[str, np.ndarray]    # node -> (n_slots,), sqrt(P)-scaled (+noise)
-    noise_vals: dict[str, np.ndarray] | None
-
-    @property
-    def n_slots(self) -> int:
-        return len(self.slots)
-
-    @property
-    def sqrt_power(self) -> float:
-        return float(np.sqrt(self.power.total_power))
-
-    def view(self) -> "ReceiverView":
-        """This run as its hand decoder reads it, from the trace's own arrays."""
-        nodes = self.spec.topology.nodes()
-        streams = [slot.streams.values() for slot in self.slots]
-        coefficients = _coefficients(
-            np.array([[self.realization.rows(node)[:self.n_slots] for node in nodes]]),
-            [np.array([[stream.beam] for stream in slot]) for slot in streams],
-            [np.array([[stream.gain] for stream in slot]) for slot in streams],
-            self.spec.compiled.column_slots)
-        (view,) = _receiver_views(self.spec, (self.seed,), self.sqrt_power,
-                                  self.symbol_values[None],
-                                  np.array([[self.obs_vals[node] for node in nodes]]),
-                                  coefficients)
-        return view
-
-    def as_batch(self) -> "TraceBatch":
-        """This trace as a batch of one seed, of views of its own arrays."""
-        def one(arrays):
-            return {node: arr[None] for node, arr in arrays.items()}
-
-        return TraceBatch(
-            spec=self.spec,
-            seeds=(self.seed,),
-            sqrt_power=self.sqrt_power,
-            symbol_values=self.symbol_values[None],
-            channels={node: self.realization.rows(node)[None, :self.n_slots]
-                      for node in self.obs_rows},
-            obs_rows=one(self.obs_rows),
-            obs_vals=one(self.obs_vals),
-            noise_vals=None if self.noise_vals is None else one(self.noise_vals),
-            traces=lambda: iter((self,)),
-            views=lambda: iter((self.view(),)),
-        )
-
-    def slot_power(self, t: int) -> float:
-        """Expected transmit power of slot t given the channel draw."""
-        return float(self.power.total_power * np.linalg.norm(self.slots[t].x_matrix) ** 2)
-
-    def to_json(self) -> str:
-        def cplx(z):
-            return [float(np.real(z)), float(np.imag(z))]
-
-        payload = {
-            "scheme": self.spec.scheme_id,
-            "seed": self.seed,
-            "mode": self.mode,
-            "power": self.power.total_power,
-            "slots": [
-                {
-                    "state": str(slot.state),
-                    "streams": list(slot.streams),
-                    "x": [cplx(v) for v in self.sqrt_power * slot.x_value],
-                }
-                for slot in self.slots
-            ],
-            "observations": {
-                node: [cplx(v) for v in vals] for node, vals in self.obs_vals.items()
-            },
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
+# -- executed run ---------------------------------------------------------------
 
 class ReceiverView(NamedTuple):
     """One seed's run as a hand decoder reads it: the observations, every
@@ -319,34 +218,118 @@ def _coefficients(chan: np.ndarray, beams: Sequence[np.ndarray],
     return np.concatenate(gains).T[:, None, :] * (h @ b)[..., 0, 0]
 
 
-def _receiver_views(spec: SchemeSpec, seeds: Sequence[int], sqrt_power: float,
-                    symbol_values: np.ndarray, obs_vals: np.ndarray,
-                    coefficients: np.ndarray) -> Iterator[ReceiverView]:
-    """The views of a run's seeds, from its (seed, symbol) symbols, (seed,
-    node, slot) observations and (seed, node, column) coefficients."""
-    nodes = spec.topology.nodes()
-    for seed, symbols, observed, coefs in zip(
-            seeds, symbol_values.tolist(), obs_vals.tolist(), coefficients.tolist()):
-        yield ReceiverView(spec, int(seed), sqrt_power, dict(zip(nodes, observed)),
-                           dict(zip(nodes, coefs)), symbols)
+# The per-seed fields of a TraceBatch and the axis of their arrays that runs
+# over the seeds.
+_SEED_AXES = {"symbol_values": 0, "channels": 0, "obs_rows": 0, "obs_vals": 0,
+              "noise_vals": 0, "beams": 1, "gains": 1, "payload_rows": 1,
+              "x_matrix": 0, "x_value": 0}
+
+
+def _per_seed_fields(batches: Sequence["TraceBatch"], combine: Callable) -> dict:
+    """Every per-seed field made by `combine(arrays, seed_axis)` from the
+    batches' arrays of that field, node by node or slot by slot."""
+    fields = {}
+    for name, axis in _SEED_AXES.items():
+        items = [getattr(batch, name) for batch in batches]
+        if items[0] is None:
+            fields[name] = None
+        elif isinstance(items[0], np.ndarray):
+            fields[name] = combine(items, axis)
+        elif isinstance(items[0], tuple):
+            fields[name] = tuple(combine(arrays, axis) for arrays in zip(*items))
+        else:
+            fields[name] = {node: combine([item[node] for item in items], axis)
+                            for node in items[0]}
+    return fields
 
 
 class TraceBatch(NamedTuple):
-    """Several seeds' runs of one scheme as the stacked (seed, ...) arrays
-    their traces are cut from.  `traces()` builds the traces on demand, in
-    seed order, each owning copies of its arrays; `views()` gives each
-    seed's `ReceiverView` instead, without building a trace."""
+    """The record of an executed scheme: the runs of one or more seeds as
+    stacked arrays, in seed order.  A single run (`run_scheme`) is a batch of
+    one seed.  Per slot, the streams are in plan order."""
 
     spec: SchemeSpec
     seeds: tuple[int, ...]
-    sqrt_power: float
+    power: PowerBudget
+    mode: str
     symbol_values: np.ndarray                   # (seed, symbol)
     channels: Mapping[str, np.ndarray]          # node -> (seed, slot, antenna)
     obs_rows: Mapping[str, np.ndarray]          # node -> (seed, slot, symbol), power-free
     obs_vals: Mapping[str, np.ndarray]          # node -> (seed, slot), sqrt(P)-scaled (+noise)
-    noise_vals: Mapping[str, np.ndarray] | None
-    traces: Callable[[], Iterator[TransmissionTrace]]
-    views: Callable[[], Iterator[ReceiverView]]
+    noise_vals: Mapping[str, np.ndarray] | None     # node -> (seed, slot)
+    beams: tuple[np.ndarray, ...]               # per slot: (stream, seed, antenna)
+    gains: tuple[np.ndarray, ...]               # per slot: (stream, seed), post normalization
+    payload_rows: tuple[np.ndarray, ...]        # per slot: (stream, seed, symbol), pre-gain
+    x_matrix: tuple[np.ndarray, ...]            # per slot: (seed, antenna, symbol), unit norm
+    x_value: tuple[np.ndarray, ...]             # per slot: (seed, antenna), power-normalized
+
+    @property
+    def sqrt_power(self) -> float:
+        return float(np.sqrt(self.power.total_power))
+
+    def views(self) -> Iterator[ReceiverView]:
+        """Each seed's `ReceiverView`, in seed order."""
+        nodes = self.spec.topology.nodes()
+        coefficients = _coefficients(
+            np.stack([self.channels[node] for node in nodes], axis=1),
+            self.beams, self.gains, self.spec.compiled.column_slots)
+        observed = zip(*(self.obs_vals[node].tolist() for node in nodes))
+        for seed, symbols, obs, coefs in zip(self.seeds, self.symbol_values.tolist(),
+                                             observed, coefficients.tolist()):
+            yield ReceiverView(self.spec, seed, self.sqrt_power, dict(zip(nodes, obs)),
+                               dict(zip(nodes, coefs)), symbols)
+
+    def split(self) -> Iterator["TraceBatch"]:
+        """Each seed's batch of one, in seed order.  A seed of a larger batch
+        owns copies of its arrays, so keeping it does not keep the batch."""
+        if len(self.seeds) == 1:
+            yield self
+            return
+        for i, seed in enumerate(self.seeds):
+            yield self._replace(seeds=(seed,), **_per_seed_fields(
+                [self], lambda arrays, axis: arrays[0].take([i], axis=axis)))
+
+    @classmethod
+    def concatenate(cls, batches: Sequence["TraceBatch"]) -> "TraceBatch":
+        """The batch of every seed of `batches`, in order, which must share
+        their spec, power and mode; a lone batch is returned as it is."""
+        first, *rest = batches
+        for batch in rest:
+            if (batch.spec, batch.power, batch.mode) != (first.spec, first.power, first.mode):
+                raise ValueError("only runs of one spec, power and mode concatenate")
+        if not rest:
+            return first
+        return first._replace(
+            seeds=tuple(seed for batch in batches for seed in batch.seeds),
+            **_per_seed_fields(batches, lambda arrays, axis: np.concatenate(arrays, axis)))
+
+    def to_json(self) -> str:
+        """A one-seed run as JSON: every slot's transmitted vector and every
+        node's observations."""
+        if len(self.seeds) != 1:
+            raise ValueError(f"to_json writes a one-seed run, not {len(self.seeds)} seeds")
+
+        def cplx(z):
+            return [float(np.real(z)), float(np.imag(z))]
+
+        payload = {
+            "scheme": self.spec.scheme_id,
+            "seed": self.seeds[0],
+            "mode": self.mode,
+            "power": self.power.total_power,
+            "slots": [
+                {
+                    "state": str(slot.state),
+                    "streams": list(slot.labels),
+                    "x": [cplx(v) for v in self.sqrt_power * x_value[0]],
+                }
+                for slot, x_value in zip(self.spec.compiled.slots, self.x_value)
+            ],
+            "observations": {
+                node: [cplx(v) for v in vals[0]] for node, vals in self.obs_vals.items()
+            },
+        }
+        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 # -- legality -------------------------------------------------------------------
@@ -579,18 +562,6 @@ def _retransmitted_row(payload: _Obs | _Mix, chan: np.ndarray,
     return total
 
 
-def run_batch(
-    spec: SchemeSpec,
-    realizations: Sequence[ChannelRealization],
-    power: PowerBudget,
-    mode: str,
-    seeds: Sequence[int],
-) -> Iterator[TransmissionTrace]:
-    """Execute a scheme for several seeds at once, yielding one trace per
-    seed; see `execute_batch`."""
-    yield from execute_batch(spec, realizations, power, mode, seeds).traces()
-
-
 def execute_batch(
     spec: SchemeSpec,
     realizations: Sequence[ChannelRealization],
@@ -607,9 +578,8 @@ def execute_batch(
     streams and the seeds run as stacked arrays; each stacked operation
     gives every (stream, seed) the bits its own run would, sums keep the
     stream order, and every numeric check runs for every seed.  The batch
-    keeps the stacked symbols, channels and observations; a trace of a
-    multi-seed batch owns copies of its arrays, so a kept trace does not
-    keep the batch alive.
+    keeps the stacked symbols, channels and observations, and each slot's
+    beams, gains, payload rows and transmit matrices.
     """
     if mode not in ("noiseless", "noisy"):
         raise BadParams(f"unknown mode {mode!r}")
@@ -653,7 +623,7 @@ def execute_batch(
     # made the allocator return them to the system and fault them in again on
     # the next run (measured at --blocks 40: ~3500 page faults per seed).
     sent: list[_Sent] = []
-    executed = []       # per slot: the stream values, x_matrix, x_value
+    transmitted = []    # per slot: x_matrix, x_value
     obs_rows = [np.empty((n_seeds, n_slots, n_sym), dtype=complex) for _ in nodes]
     obs_clean = np.empty((n_seeds, len(nodes), n_slots), dtype=complex)
     for t, slot in enumerate(program.slots):
@@ -691,7 +661,7 @@ def execute_batch(
         for term in (gains * values)[:, :, None] * beams:
             x_value += term
         sent.append(_Sent(beams, gains, rows))
-        executed.append((values, x, x_value))
+        transmitted.append((x, x_value))
         for n in range(len(nodes)):
             ch = chan[:, n, t, None, :]
             obs_rows[n][:, t] = (ch @ x)[:, 0]
@@ -703,62 +673,24 @@ def execute_batch(
         noise = rng.complex_normals(seeds, [("noise", node) for node in nodes], n_slots)
         obs_vals = obs_vals + noise
 
-    def trace(i: int, realization: ChannelRealization) -> TransmissionTrace:
-        def own(arr: np.ndarray) -> np.ndarray:
-            return arr.copy() if n_seeds > 1 else arr
-
-        bases_i = {r: own(basis[i]) for r, basis in bases.items()}
-        records = []
-        for slot, done, (values, x, x_value) in zip(program.slots, sent, executed):
-            beams = dict(slot.fixed)      # the shared, read-only axes
-            for pos, r, key, column in slot.steered:
-                # a column view, strided as a lone nullspace basis's column is
-                beams[pos] = bases_i[r][key, :, column]
-            rows = own(done.rows[:, i])
-            records.append(SlotRecord(
-                state=slot.state,
-                streams={
-                    label: StreamInstance(
-                        label=label, beam=beams[pos], gain=done.gains[pos, i],
-                        row=rows[pos], value=complex(values[pos, i]))
-                    for pos, label in enumerate(slot.labels)
-                },
-                x_matrix=own(x[i]),
-                x_value=own(x_value[i]),
-            ))
-        return TransmissionTrace(
-            spec=spec,
-            realization=realization,
-            power=power,
-            mode=mode,
-            seed=int(seeds[i]),
-            symbols=spec.symbols,
-            symbol_values=own(s[i]),
-            slots=records,
-            obs_rows={node: own(rows[i]) for node, rows in zip(nodes, obs_rows)},
-            obs_vals=dict(zip(nodes, own(obs_vals[i]))),
-            noise_vals=None if noise is None else dict(zip(nodes, own(noise[i]))),
-        )
-
     def by_node(arr: np.ndarray) -> dict[str, np.ndarray]:
         return {node: arr[:, n] for n, node in enumerate(nodes)}
-
-    sqrt_power = float(np.sqrt(power.total_power))
 
     return TraceBatch(
         spec=spec,
         seeds=tuple(int(seed) for seed in seeds),
-        sqrt_power=sqrt_power,
+        power=power,
+        mode=mode,
         symbol_values=s,
         channels=by_node(chan),
         obs_rows=dict(zip(nodes, obs_rows)),
         obs_vals=by_node(obs_vals),
         noise_vals=None if noise is None else by_node(noise),
-        traces=lambda: (trace(i, realization) for i, realization in enumerate(realizations)),
-        views=lambda: _receiver_views(
-            spec, seeds, sqrt_power, s, obs_vals, _coefficients(
-                chan, [done.beams for done in sent], [done.gains for done in sent],
-                program.column_slots)),
+        beams=tuple(done.beams for done in sent),
+        gains=tuple(done.gains for done in sent),
+        payload_rows=tuple(done.rows for done in sent),
+        x_matrix=tuple(x for x, _ in transmitted),
+        x_value=tuple(x_value for _, x_value in transmitted),
     )
 
 
@@ -768,10 +700,10 @@ def run_scheme(
     power: PowerBudget,
     mode: str = "noiseless",
     seed: int = 0,
-) -> TransmissionTrace:
-    """Execute a scheme slot by slot over one channel realization; the
-    one-seed case of `run_batch`."""
-    return next(run_batch(spec, [realization], power, mode, [seed]))
+) -> TraceBatch:
+    """Execute a scheme slot by slot over one channel realization: the batch
+    of one seed of `execute_batch`."""
+    return execute_batch(spec, [realization], power, mode, [seed])
 
 
 def run_seeds(
@@ -779,11 +711,11 @@ def run_seeds(
     seeds: Sequence[int],
     power: PowerBudget,
     mode: str = "noiseless",
-) -> Iterator[TransmissionTrace]:
-    """Sample each seed's channel and execute the scheme on it, yielding the
-    traces in seed order; see `run_seed_batches`."""
+) -> Iterator[TraceBatch]:
+    """Sample each seed's channel and execute the scheme on it, yielding each
+    seed's batch of one in seed order; see `run_seed_batches`."""
     for batch in run_seed_batches(spec, seeds, power, mode):
-        yield from batch.traces()
+        yield from batch.split()
         del batch       # freed before the next batch is built
 
 
@@ -807,45 +739,3 @@ def run_seed_batches(
     for batch in seed_chunks(spec, seeds):
         realizations = sample_channels(spec.topology, spec.n_slots, batch)
         yield execute_batch(spec, realizations, power, mode, batch)
-
-
-def _released() -> Iterator:
-    raise ValueError("a batch stacked from single runs keeps no traces or views")
-
-
-_STACKED = ("symbol_values", "channels", "obs_rows", "obs_vals", "noise_vals")
-
-
-def stack_traces(seeds: Sequence[int],
-                 traces: Iterable[TransmissionTrace]) -> TraceBatch:
-    """The batch of the traces of `seeds`, which arrive one at a time (say,
-    from `run_scheme`), for the stacked assembly and oracles.
-
-    Only each trace's observation arrays are held until the stack is built;
-    the trace itself is let go as the next one arrives, so the batch keeps
-    no traces (its `traces()` raises).  A single seed's batch is its trace's
-    `as_batch()`: views of the trace's own arrays, no copies.
-    """
-    if len(seeds) == 1:
-        (trace,) = traces
-        return trace.as_batch()
-    held = []
-    for seed, trace in zip(seeds, traces, strict=True):
-        if trace.seed != seed:
-            raise ValueError(f"trace of seed {trace.seed} where seed {seed} belongs")
-        one = trace.as_batch()
-        held.append([getattr(one, name) for name in _STACKED])
-        spec, sqrt_power = one.spec, one.sqrt_power
-        del trace, one      # let go before the next trace arrives
-
-    def stacked(items):
-        if items[0] is None:
-            return None
-        if isinstance(items[0], np.ndarray):
-            return np.concatenate(items)
-        return {node: np.concatenate([item[node] for item in items]) for node in items[0]}
-
-    return TraceBatch(
-        spec=spec, seeds=tuple(int(seed) for seed in seeds), sqrt_power=sqrt_power,
-        traces=_released, views=_released,
-        **{name: stacked([arrays[k] for arrays in held]) for k, name in enumerate(_STACKED)})

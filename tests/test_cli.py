@@ -1,5 +1,6 @@
 """Command-line surface: determinism, formats, exit codes."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -17,6 +18,22 @@ from sdof_lab.regions import converse_alternation_system, system_to_json_dict
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+# SHA-256 of the three --dump-* files of two runs: a noisy multi-seed run
+# and a composite superframe
+DUMP_DIGESTS = {
+    ("--scheme", "mr_ddp", "--seeds", "3", "--mode", "noisy"): {
+        "trace": "c153c4cbec6d462fcc5046c4fbabb59d5f190158c436f6fdc02437b3f4daf967",
+        "system": "c19170e0eabcb0975b9af910a4a72cf2027f664042cb8582e5e13842f2f15100",
+        "channel": "324de73f469eb41aa586f4459205a34360f3cb6ba4e6bd581f18dbdb7a6be2dd",
+    },
+    ("--scheme", "mr_s30_29_a", "--blocks", "10", "--seeds", "1"): {
+        "trace": "8cd6123c35a3f8d6128619ebf369e5f90a5a64c0277e0c261ed4d7211d5853a1",
+        "system": "51852905dc52336f917e19c6762091cf40e954bc8aaa5435aa00055dee1d0ca8",
+        "channel": "653a575d2520c78dbe138323e07043285825800be74f7c7218166ff80219e1f9",
+    },
+}
 
 
 class TestSimulate:
@@ -92,21 +109,30 @@ class TestSimulate:
         chan = json.loads(chan_p.read_text())
         assert chan["topology"] == "multi_receiver"
 
+    @pytest.mark.parametrize("argv", list(DUMP_DIGESTS), ids=["mr_ddp-noisy", "composite-b10"])
+    def test_dump_bytes_are_pinned(self, tmp_path, argv):
+        paths = {name: tmp_path / f"{name}.json" for name in DUMP_DIGESTS[argv]}
+        assert run_cli("simulate", *argv,
+                       "--out", str(tmp_path / "rows.csv"),
+                       "--summary", str(tmp_path / "s.json"),
+                       *(arg for name, path in paths.items()
+                         for arg in (f"--dump-{name}", str(path)))) == 0
+        assert {name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for name, path in paths.items()} == DUMP_DIGESTS[argv]
+
     def test_dumps_the_first_failing_seed(self, tmp_path, monkeypatch):
         from dataclasses import replace
 
-        from sdof_lab import cli
+        true_decode = schemes._decode_receivers
 
-        true_decode = cli.decode_receivers
-
-        def failing(trace):
-            nodes = true_decode(trace)
-            if trace.seed in (2, 3):
+        def failing(view):
+            nodes = true_decode(view)
+            if view.seed in (2, 3):
                 bad = replace(nodes[RX1], max_residual=1.0, success=False)
                 nodes = {**nodes, RX1: bad}
             return nodes
 
-        monkeypatch.setattr(cli, "decode_receivers", failing)
+        monkeypatch.setattr(schemes, "_decode_receivers", failing)
         paths = {name: tmp_path / f"{name}.json" for name in ("trace", "system", "chan")}
         code = run_cli("simulate", "--scheme", "mr_ppd", "--seeds", "5",
                        "--out", str(tmp_path / "rows.csv"),
@@ -134,20 +160,20 @@ class TestSimulate:
     def test_oracle_failure_in_a_later_chunk_is_dumped(self, tmp_path, monkeypatch):
         spec = build_scheme("MR_PPD")
         monkeypatch.setattr(program, "BATCH_CELLS", 2 * spec.n_slots * len(spec.symbols))
-        true_verdicts = cli.adversary_verdicts
+        true_oracle = schemes.identifiable_symbols_stacked
         chunks = []
 
-        def flagging(spec_, systems):
-            # chunks of two seeds: the second chunk holds seeds 2 and 3
-            verdicts = true_verdicts(spec_, systems)
+        def flagging(systems, *args):
+            # chunks of two seeds: the second chunk holds seeds 2 and 3; the
+            # scheme has one adversary, so one call per chunk
+            verdict = true_oracle(systems, *args)
             chunks.append(len(systems.matrices[RX1]))
             if len(chunks) >= 2:
-                for table in verdicts.values():
-                    for flags in table.values():
-                        flags[-1] = True
-            return verdicts
+                for flags in verdict.values():
+                    flags[-1] = True
+            return verdict
 
-        monkeypatch.setattr(cli, "adversary_verdicts", flagging)
+        monkeypatch.setattr(schemes, "identifiable_symbols_stacked", flagging)
         trace_p = tmp_path / "trace.json"
         summary_p = tmp_path / "s.json"
         code = run_cli("simulate", "--scheme", "mr_ppd", "--seeds", "6",
@@ -159,12 +185,12 @@ class TestSimulate:
         assert json.loads(summary_p.read_text())["decode_ok"] is False
 
     def test_analysis_runs_once_per_chunk(self, tmp_path, monkeypatch):
-        """A 20-seed run assembles its systems and calls the adversary
-        oracle once per chunk; only sampling, execution and the hand
-        decoders run per seed."""
+        """A 20-seed run assembles its systems, decodes them and calls the
+        adversary oracle once per chunk; only sampling, execution and the
+        hand decoders run per seed."""
         calls = {name: 0 for name in (
-            "assemble_effective_systems", "assemble_effective_system",
-            "identifiable_symbols_stacked", "run_scheme", "decode_receivers")}
+            "assemble_effective_systems", "assemble_effective_system", "decode_batch",
+            "identifiable_symbols_stacked", "run_scheme", "_decode_receivers")}
 
         def counting(module, name):
             original = getattr(module, name)
@@ -175,17 +201,19 @@ class TestSimulate:
             monkeypatch.setattr(module, name, counted)
 
         for name in ("assemble_effective_systems", "assemble_effective_system",
-                     "run_scheme", "decode_receivers"):
+                     "decode_batch", "run_scheme"):
             counting(cli, name)
-        counting(schemes, "identifiable_symbols_stacked")
+        for name in ("identifiable_symbols_stacked", "_decode_receivers"):
+            counting(schemes, name)
         spec = build_scheme("MR_DDP")
         assert len(list(schemes.seed_chunks(spec, range(20)))) == 1
         assert run_cli("simulate", "--scheme", "mr_ddp", "--seeds", "20",
                        "--out", str(tmp_path / "r.csv"),
                        "--summary", str(tmp_path / "s.json")) == 0
         assert calls == {"assemble_effective_systems": 1, "assemble_effective_system": 0,
+                         "decode_batch": 1,
                          "identifiable_symbols_stacked": len(spec.protected),
-                         "run_scheme": 20, "decode_receivers": 20}
+                         "run_scheme": 20, "_decode_receivers": 20}
 
     @pytest.mark.parametrize("argv", [
         *(pytest.param(("--scheme", s.lower()), id=s.lower()) for s in SCHEME_IDS),
@@ -277,6 +305,10 @@ class TestRegion:
         vb = json.loads(b.read_text())["region"]["vertices"]
         assert va == vb
 
+    def test_repeated_lambda_state_is_named(self, capsys):
+        assert run_cli("region", "--theorem", "thm1", "--lambda", "pp=1,pd=0,pp=0") == 1
+        assert capsys.readouterr().err == "error: lambda gives state PP twice\n"
+
     def test_unknown_theorem(self):
         assert run_cli("region", "--theorem", "thm99") == 1
 
@@ -308,6 +340,10 @@ class TestRegion:
     (("simulate", "--scheme", "wt_pp", "--p-exp", "2000"), {}),
     (("simulate", "--scheme", "wt_pp", "--p-exp", "-2000"), {}),
     (("region", "--theorem", "thm1", "--lambda", "dd=abc"), {}),
+    (("region", "--theorem", "thm1", "--lambda", "xx=1"), {}),
+    (("region", "--theorem", "thm1", "--lambda", "pp=1,pp=0"), {}),
+    (("region", "--config", "{tmp}/c.json"),
+     {"c.json": json.dumps({"theorem": "thm1", "lam": "pd=1/2,qq=1/2"})}),
     (("simulate", "--config", "{tmp}/c.json"),
      {"c.json": json.dumps({"scheme": "wt_pp", "seeds": "3"})}),
     (("fm", "--system", "{tmp}/s.json"), {"s.json": json.dumps({"variables": 3})}),
@@ -349,7 +385,8 @@ class TestRegion:
     (("bogus",), {}),
     ((), {}),
     (("fm",), {}),
-], ids=["zero-seeds", "huge-power", "tiny-power", "bad-lambda", "string-seeds",
+], ids=["zero-seeds", "huge-power", "tiny-power", "bad-lambda", "bad-state", "dup-state",
+        "config-bad-state", "string-seeds",
         "fm-int-variables", "fm-int-coeffs", "fm-zero-denominator", "fm-infeasible",
         "fm-infeasible-no-vars", "missing-config", "missing-system", "invalid-config-json", "invalid-system-json", "config-not-object",
         "unwritable-out", "unwritable-region-out", "blocks-non-composite",

@@ -118,10 +118,19 @@ class TestAssemble:
         assert report.all_success
 
     def test_incomplete_trace_rejected(self):
+        def without_last_slot(run):
+            return run._replace(**{
+                name: {node: arr[:, :-1] for node, arr in getattr(run, name).items()}
+                for name in ("channels", "obs_rows", "obs_vals")}, **{
+                name: getattr(run, name)[:-1]
+                for name in ("beams", "gains", "payload_rows", "x_matrix", "x_value")})
+
         spec, trace = _run("MR_DDP")
-        trace.slots.pop()
-        with pytest.raises(IncompleteTrace):
-            assemble_effective_system(trace)
+        with pytest.raises(IncompleteTrace, match="trace has 2 of 3 slots"):
+            assemble_effective_system(without_last_slot(trace))
+        batch = next(run_seed_batches(spec, [0, 1], PowerBudget(1e4)))
+        with pytest.raises(IncompleteTrace, match="trace has 2 of 3 slots"):
+            assemble_effective_systems(without_last_slot(batch))
 
     @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
     def test_trace_check_holds_at_every_power(self, scheme_id):
@@ -230,7 +239,7 @@ class TestStacked:
         power = PowerBudget(2.0 ** 40)
         for batch in run_seed_batches(spec, range(6), power, mode):
             systems = assemble_effective_systems(batch)
-            for i, trace in enumerate(batch.traces()):
+            for i, trace in enumerate(batch.split()):
                 one = assemble_effective_system(trace)
                 item = systems.item(i)
                 assert item.symbols == one.symbols

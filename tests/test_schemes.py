@@ -28,19 +28,18 @@ from sdof_lab.model import (
 )
 from sdof_lab.schemes import (
     SCHEME_IDS,
+    TraceBatch,
     accounting,
     build_scheme,
     composite_accounting,
     decode,
     decode_batch,
-    run_batch,
     run_scheme,
     run_seed_batches,
     run_seeds,
     seed_chunks,
-    stack_traces,
 )
-from sdof_lab.schemes.program import NullOf, SlotPlan
+from sdof_lab.schemes.program import NullOf, SlotPlan, execute_batch
 
 
 # every scheme, plus the composites' other sub-protocol and a longer superframe
@@ -131,8 +130,8 @@ class TestRun:
         spec, trace = _run("MR_PPD")
         # each receiver sees only its own stream
         for node, own in ((RX1, "v"), (RX2, "w")):
-            row = trace.obs_rows[node][0]
-            for i, decl in enumerate(trace.symbols):
+            row = trace.obs_rows[node][0, 0]
+            for i, decl in enumerate(spec.symbols):
                 if decl.sid != own:
                     assert abs(row[i]) <= 1e-10
 
@@ -174,8 +173,10 @@ class TestRun:
     def test_per_slot_power(self):
         for scheme_id in ("MR_DDP", "BC_S1_43", "MR_S30_29_A", "WT_DD_23"):
             spec, trace = _run(scheme_id, seed=2, power=256.0)
-            for t in range(trace.n_slots):
-                assert trace.slot_power(t) <= 256.0 * (1 + 1e-9)
+            assert len(trace.x_matrix) == spec.n_slots
+            for x in trace.x_matrix:
+                slot_power = trace.power.total_power * np.linalg.norm(x[0]) ** 2
+                assert slot_power <= 256.0 * (1 + 1e-9)
 
     def test_trace_determinism(self):
         _, a = _run("BC_DD_S1", seed=9)
@@ -223,19 +224,20 @@ class TestRun:
 
 
 def _trace_bytes(trace) -> list:
-    """Every number a trace records, as bytes, in a fixed order."""
-    out = [trace.seed, trace.symbol_values.tobytes()]
+    """Every number a one-seed run records, with its shape, as bytes, in a
+    fixed order."""
+    def record(arr):
+        return arr.shape, arr.tobytes()
+
+    out = [trace.seeds, trace.power, trace.mode, record(trace.symbol_values)]
     for node in trace.spec.topology.nodes():
-        out += [trace.realization.rows(node).tobytes(), trace.obs_rows[node].tobytes(),
-                trace.obs_vals[node].tobytes()]
+        out += [record(trace.channels[node]), record(trace.obs_rows[node]),
+                record(trace.obs_vals[node])]
         if trace.noise_vals is not None:
-            out.append(trace.noise_vals[node].tobytes())
-    for slot in trace.slots:
-        out += [slot.x_matrix.tobytes(), slot.x_value.tobytes()]
-        for label, stream in slot.streams.items():
-            out += [label, stream.beam.tobytes(), stream.beam.strides,
-                    np.float64(stream.gain).tobytes(), stream.row.tobytes(),
-                    complex(stream.value)]
+            out.append(record(trace.noise_vals[node]))
+    for per_slot in (trace.beams, trace.gains, trace.payload_rows,
+                     trace.x_matrix, trace.x_value):
+        out += [record(arr) for arr in per_slot]
     return out
 
 
@@ -250,8 +252,8 @@ class TestBatch:
         power = PowerBudget(2.0 ** 30)
         single = [run_scheme(spec, sample_channel(spec.topology, spec.n_slots, seed),
                              power, mode, seed) for seed in seeds]
-        whole = list(run_batch(spec, sample_channels(spec.topology, spec.n_slots, seeds),
-                               power, mode, seeds))
+        whole = list(execute_batch(spec, sample_channels(spec.topology, spec.n_slots, seeds),
+                                   power, mode, seeds).split())
         chunked = list(run_seeds(spec, seeds, power, mode))
         for one, batched, seeded in zip(single, whole, chunked, strict=True):
             assert _trace_bytes(batched) == _trace_bytes(one)
@@ -262,8 +264,8 @@ class TestBatch:
         spec = build_scheme("MR_S30_29_A", blocks=40)
         seeds = [3, 4]
         power = PowerBudget(1e4)
-        whole = run_batch(spec, sample_channels(spec.topology, spec.n_slots, seeds),
-                          power, mode, seeds)
+        whole = execute_batch(spec, sample_channels(spec.topology, spec.n_slots, seeds),
+                              power, mode, seeds).split()
         for seed, batched in zip(seeds, whole, strict=True):
             one = run_scheme(spec, sample_channel(spec.topology, spec.n_slots, seed),
                              power, mode, seed)
@@ -274,7 +276,8 @@ class TestBatch:
         first, second = run_seeds(spec, [0, 1], PowerBudget(1e4))
         for a, b in ((first.symbol_values, second.symbol_values),
                      (first.obs_rows[RX1], second.obs_rows[RX1]),
-                     (first.slots[0].x_matrix, second.slots[0].x_matrix)):
+                     (first.beams[1], second.beams[1]),
+                     (first.x_matrix[0], second.x_matrix[0])):
             assert not np.shares_memory(a, b)
 
     def test_compiled_on_first_use_only(self):
@@ -308,18 +311,21 @@ class TestBatch:
 
         monkeypatch.setattr(program, "_norms", zero_at_seed_6)
         with pytest.raises(BadParams, match="seed 6, slot 0: stream .* payload is zero"):
-            list(run_batch(spec, realizations, PowerBudget(1e4), "noiseless", [5, 6, 7]))
+            execute_batch(spec, realizations, PowerBudget(1e4), "noiseless", [5, 6, 7])
 
 
 class TestStackTraces:
-    """Single runs stacked one at a time give the batch a stacked run gives."""
+    """Single runs concatenated give the batch a stacked run gives."""
 
     @staticmethod
     def _arrays(batch):
-        out = [batch.seeds, batch.sqrt_power, batch.symbol_values.tobytes()]
+        out = [batch.seeds, batch.power, batch.mode, batch.symbol_values.tobytes()]
         for arrays in (batch.channels, batch.obs_rows, batch.obs_vals, batch.noise_vals):
             out.append(None if arrays is None else
                        {node: (arr.shape, arr.tobytes()) for node, arr in arrays.items()})
+        for per_slot in (batch.beams, batch.gains, batch.payload_rows,
+                         batch.x_matrix, batch.x_value):
+            out.append([(arr.shape, arr.tobytes()) for arr in per_slot])
         return out
 
     @pytest.mark.parametrize("mode", ["noiseless", "noisy"])
@@ -331,35 +337,30 @@ class TestStackTraces:
         power = PowerBudget(2.0 ** 20)
         seeds = [2, 3, 5, 8]
         (batch,) = run_seed_batches(spec, seeds, power, mode)
-        stacked = stack_traces(seeds, (
-            run_scheme(spec, sample_channel(spec.topology, spec.n_slots, seed),
-                       power, mode, seed) for seed in seeds))
+        singles = [run_scheme(spec, sample_channel(spec.topology, spec.n_slots, seed),
+                              power, mode, seed) for seed in seeds]
+        stacked = TraceBatch.concatenate(singles)
         assert self._arrays(stacked) == self._arrays(batch)
         for node, mat in assemble_effective_systems(batch).matrices.items():
             assert assemble_effective_systems(stacked).matrices[node].tobytes() == mat.tobytes()
-        with pytest.raises(ValueError, match="keeps no traces"):
-            stacked.traces()
+        assert decode_batch(stacked) == decode_batch(batch)
+        for one, again in zip(singles, stacked.split(), strict=True):
+            assert _trace_bytes(again) == _trace_bytes(one)
 
     def test_one_seed_stack_is_views_of_the_trace(self):
         spec, trace = _run("MR_DDP", seed=4, mode="noisy")
-        batch = stack_traces([4], [trace])
-        assert np.shares_memory(batch.symbol_values, trace.symbol_values)
-        for node in trace.obs_rows:
-            for stacked, own in ((batch.obs_rows, trace.obs_rows),
-                                 (batch.obs_vals, trace.obs_vals),
-                                 (batch.noise_vals, trace.noise_vals)):
-                assert np.shares_memory(stacked[node], own[node])
-        assert list(batch.traces()) == [trace]
+        batch = TraceBatch.concatenate([trace])
+        assert batch is trace
+        assert [one is trace for one in batch.split()] == [True]
 
-    def test_traces_must_match_the_seeds(self):
-        spec = build_scheme("WT_PD")
-        power = PowerBudget(1e4)
-        traces = [run_scheme(spec, sample_channel(spec.topology, spec.n_slots, seed),
-                             power, "noiseless", seed) for seed in (0, 1)]
-        with pytest.raises(ValueError, match="seed 1 where seed 0 belongs"):
-            stack_traces([0, 1], traces[::-1])
-        with pytest.raises(ValueError):
-            stack_traces([0, 1, 2], traces)
+    def test_only_runs_of_one_spec_power_and_mode_concatenate(self):
+        spec, trace = _run("WT_PD", seed=0)
+        others = [_run("WT_PD", seed=1)[1], _run("WT_PP", seed=1)[1],
+                  _run("WT_PD", seed=1, power=1e5)[1], _run("WT_PD", seed=1, mode="noisy")[1]]
+        assert TraceBatch.concatenate([trace, others[0]]).seeds == (0, 1)
+        for other in others[1:]:
+            with pytest.raises(ValueError, match="one spec, power and mode"):
+                TraceBatch.concatenate([trace, other])
 
     def test_chunks_share_the_batch_bound(self, monkeypatch):
         from sdof_lab.schemes import program
@@ -382,8 +383,8 @@ def _bits(z) -> tuple:
 
 
 class TestReceiverView:
-    """A seed's view, cut from its batch or built from its trace, reads bit
-    for bit what the trace's slot records, channels, observations and
+    """A seed's view, cut from its batch or from its own batch of one, reads
+    bit for bit what the run's per-slot arrays, channels, observations and
     symbols give."""
 
     @pytest.mark.parametrize("mode", ["noiseless", "noisy"])
@@ -391,31 +392,32 @@ class TestReceiverView:
     def test_view_equals_the_trace(self, scheme_id, params, mode):
         spec = build_scheme(scheme_id, **params)
         for batch in run_seed_batches(spec, range(20), PowerBudget(2.0 ** 30), mode):
-            for view, trace in zip(batch.views(), batch.traces(), strict=True):
-                own = trace.view()
-                assert view.seed == own.seed == trace.seed and view.spec is spec
+            for view, trace in zip(batch.views(), batch.split(), strict=True):
+                (own,) = trace.views()
+                assert view.seed == own.seed == trace.seeds[0] and view.spec is spec
                 for node in spec.topology.nodes():
-                    chan = trace.realization.rows(node)
-                    for t, slot in enumerate(trace.slots):
+                    chan = trace.channels[node][0]
+                    for t, slot in enumerate(spec.compiled.slots):
                         # the payload-scale value and coefficients as computed
-                        # straight from the slot records
-                        want = _bits(complex(trace.obs_vals[node][t]) / trace.sqrt_power)
+                        # straight from the slot's arrays
+                        want = _bits(complex(trace.obs_vals[node][0, t]) / trace.sqrt_power)
                         assert _bits(view.rv(node, t)) == want
                         assert _bits(own.rv(node, t)) == want
-                        for label, stream in slot.streams.items():
-                            want = _bits(complex(stream.gain * (chan[t] @ stream.beam)))
+                        for pos, label in enumerate(slot.labels):
+                            gain, beam = trace.gains[t][pos, 0], trace.beams[t][pos, 0]
+                            want = _bits(complex(gain * (chan[t] @ beam)))
                             assert _bits(view.rc(node, t, label)) == want, (node, t, label)
                             assert _bits(own.rc(node, t, label)) == want, (node, t, label)
                 for sid, i in spec.symbol_index.items():
-                    want = _bits(complex(trace.symbol_values[i]))
+                    want = _bits(complex(trace.symbol_values[0, i]))
                     assert _bits(view.true_value(sid)) == want
                     assert _bits(own.true_value(sid)) == want
 
     def test_unknown_stream_or_symbol(self):
         spec = build_scheme("MR_PDP")
         (batch,) = run_seed_batches(spec, [0, 1], PowerBudget(1e4))
-        (trace, _), (view, _) = batch.traces(), batch.views()
-        for reader in (view, trace.view()):
+        (trace, _), (view, _) = batch.split(), batch.views()
+        for reader in (view, next(trace.views())):
             with pytest.raises(KeyError, match=r"slot 1 has no stream 'v1'"):
                 reader.rc(RX1, 1, "v1")
             with pytest.raises(KeyError, match=r"slot 7 has no stream 'fb'"):
@@ -428,7 +430,7 @@ class TestReceiverView:
 
         spec = build_scheme("MR_S30_29_A")
         (batch,) = run_seed_batches(spec, [0, 1], PowerBudget(1e4))
-        monkeypatch.setattr(program, "TransmissionTrace", None)
+        monkeypatch.setattr(program.TraceBatch, "split", None)
         assert [view.seed for view in batch.views()] == [0, 1]
         assert [report.all_success for report in decode_batch(batch)] == [True, True]
 
@@ -503,10 +505,10 @@ class TestDecode:
         for batch in run_seed_batches(spec, range(4), power, mode):
             batched = decode_batch(batch)
             given_stack = decode_batch(batch, assemble_effective_systems(batch))
-            for trace, one, other in zip(batch.traces(), batched, given_stack, strict=True):
+            for trace, one, other in zip(batch.split(), batched, given_stack, strict=True):
                 alone = decode(trace)
                 assert decode(trace, assemble_effective_system(trace)) == alone
-                assert one == alone and other == alone, (scheme_id, trace.seed)
+                assert one == alone and other == alone, (scheme_id, trace.seeds)
 
     def test_composite_side_info_adds_nothing_at_adversary(self):
         """The unicast phases repeat the adversary's own observations, so its
