@@ -128,16 +128,16 @@ def _simulate_chunk(spec, seeds, powers: list[float], mode: str):
 
     Each seed is sampled and executed on its own, through the single-seed
     entry points whose calls the benchmark's layer tracing (perfbench)
-    counts per simulated seed.  The chunk's runs are then concatenated and
-    analysed as a stack with the calls criterion 3 makes: one assembly, one
-    `decode_batch` (the hand decoder per seed, one adversary oracle call per
-    adversary), then one SVD per (node, column set) for every system and
-    power, and one slope fit.
+    counts per simulated seed.  Each run is copied into the chunk's stacked
+    arrays as it arrives, and the chunk is analysed as a stack with the
+    calls criterion 3 makes: one assembly, one `decode_batch` (the hand
+    decoder per seed, one adversary oracle call per adversary), then one SVD
+    per (node, column set) for every system and power, and one slope fit.
     """
     budget = PowerBudget(powers[0])
-    batch = TraceBatch.concatenate([
+    batch = TraceBatch.concatenate((
         run_scheme(spec, sample_channel(spec.topology, spec.n_slots, seed), budget, mode, seed)
-        for seed in seeds])
+        for seed in seeds), len(seeds))
     systems = assemble_effective_systems(batch)
     reports = decode_batch(batch, systems)
     del batch       # the analysis reads the systems alone
@@ -191,7 +191,10 @@ def cmd_simulate(config: RunConfig) -> int:
         raise SdofLabError(
             f"tolerance must be a finite number >= 0, got {config.tolerance}")
     powers = [float(2.0 ** e) for e in sorted(set(config.p_exp))]
-    seeds = list(range(config.seeds))
+    try:
+        seeds = list(range(config.seeds))
+    except MemoryError:
+        raise SdofLabError(f"{config.seeds} seeds do not fit in memory") from None
 
     csv_lines = [CSV_HEADER]
     sym1 = acct.symbols_per_receiver.get(RX1, 0)

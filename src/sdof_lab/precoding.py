@@ -8,8 +8,11 @@ the decodability oracle and all mutual-information computations.
 
 A system may also be a stack: matrices with a leading axis, one item per
 seed of a batch.  The assembly and the two identifiability oracles have
-stacked forms that run one SVD per (node, column set) for the whole stack;
-each single-system function is the one-item case of its stacked form.
+stacked forms; each single-system function is the one-item case of its
+stacked form.  The oracles work block by block: a stack's `blocks` are the
+connected components of its exact nonzero pattern, found once per stack,
+and each oracle runs one SVD per (block, node, column set) for the whole
+stack, with every cutoff taken from the whole matrix.
 """
 
 from __future__ import annotations
@@ -143,6 +146,17 @@ class EffectiveLinearSystem:
     def symbol_index(self) -> dict[str, int]:
         return {decl.sid: i for i, decl in enumerate(self.symbols)}
 
+    @cached_property
+    def blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The (slot rows, symbol columns) of each connected component of the
+        exact nonzero pattern, which links a row and a column that share a
+        nonzero entry in any node's matrix of any system of the stack.  Every
+        entry outside the blocks is an exact zero, so each matrix is block
+        diagonal over them; a column that no row sees is in no block."""
+        pattern = np.any([m.any(axis=tuple(range(m.ndim - 2)))
+                          for m in self.matrices.values()], axis=0)
+        return _components(pattern)
+
     @property
     def n_obs(self) -> int:
         return len(self.slot_of_row)
@@ -178,6 +192,40 @@ class EffectiveLinearSystem:
             "matrices": {node: encode(mat) for node, mat in self.matrices.items()},
         }
         return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _components(pattern: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Connected components of a bipartite (row, column) bool pattern, as
+    ascending (rows, columns) pairs in order of their first column; rows and
+    columns without an entry belong to none.
+
+    Label propagation: each column starts labelled with its own index; then
+    each row takes the least label of its columns, each column the least
+    label of its rows, and each column the label of the column its label
+    names, until nothing changes.  A component ends labelled with its first
+    column."""
+    rows, cols = np.nonzero(pattern)                # row-major: rows ascend
+    if not len(rows):
+        return ()
+    row_starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    row_sizes = np.diff(row_starts, append=len(rows))
+    by_col = np.argsort(cols, kind="stable")
+    col_starts = np.flatnonzero(np.diff(cols[by_col], prepend=-1))
+    seen_cols = cols[by_col[col_starts]]
+    label = np.arange(pattern.shape[1])
+    while True:
+        row_label = np.minimum.reduceat(label[cols], row_starts)
+        new = label.copy()
+        new[seen_cols] = np.minimum.reduceat(
+            np.repeat(row_label, row_sizes)[by_col], col_starts)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    seen_rows = rows[row_starts]
+    col_label = label[seen_cols]
+    return tuple((seen_rows[row_label == first], seen_cols[col_label == first])
+                 for first in sorted(set(col_label.tolist())))
 
 
 def assemble_effective_system(trace) -> EffectiveLinearSystem:
@@ -267,8 +315,11 @@ def identifiability_checks(
     targets: Iterable[str],
     known: Iterable[str] = (),
 ) -> np.ndarray:
-    """`identifiability_check` of every system of a stack, as a bool array;
-    two stacked SVDs in all."""
+    """`identifiability_check` of every system of a stack, as a bool array.
+
+    Each rank is the sum of the ranks of the node's matrix on the stack's
+    `blocks`, every one measured against the scale of its whole system:
+    two stacked SVDs per block in all."""
     targets = tuple(dict.fromkeys(targets))
     known = frozenset(known)
     if set(targets) & known:
@@ -280,14 +331,17 @@ def identifiability_checks(
     mats = systems.matrices[node]
     if not targets:
         return np.ones(len(mats), dtype=bool)
-    target_cols = [index[sid] for sid in targets]
-    nuis_cols = [
-        i for d, i in ((d, index[d.sid]) for d in systems.symbols)
-        if d.sid not in known and i not in target_cols
-    ]
+    is_target = np.zeros(len(systems.symbols), dtype=bool)
+    is_target[[index[sid] for sid in targets]] = True
+    is_nuisance = ~is_target
+    is_nuisance[[index[sid] for sid in known]] = False
     scale = _system_scale(systems)
-    return (_ranks(mats[..., target_cols + nuis_cols], scale)
-            - _ranks(mats[..., nuis_cols], scale) == len(targets))
+    gained = np.zeros(len(mats), dtype=int)
+    for rows, cols in systems.blocks:
+        block = mats[:, rows[:, None], cols]
+        gained += (_ranks(block[..., is_target[cols] | is_nuisance[cols]], scale)
+                   - _ranks(block[..., is_nuisance[cols]], scale))
+    return gained == len(targets)
 
 
 def identifiable_symbols(
@@ -313,28 +367,40 @@ def identifiable_symbols_stacked(
     known: Iterable[str] = (),
 ) -> dict[str, np.ndarray]:
     """`identifiable_symbols` of every system of a stack: per candidate, a
-    bool array over the systems; one stacked SVD in all."""
+    bool array over the systems; one stacked SVD per block of the stack.
+
+    The null rows of a block-diagonal matrix are those of its blocks, so
+    each block's null rows are found alone, with the rank cutoff of the
+    whole kept matrix: RANK_REL_TOL times its largest singular value, the
+    largest over its blocks.  A kept column in no block is unseen."""
     candidates = tuple(candidates)
-    kept, is_candidate = systems.split_columns(node, candidates, known)
-    mats = systems.matrices[node][..., kept]       # (system, obs, kept column)
-    if not mats.shape[-2] or not mats.shape[-1]:
-        return {sid: np.zeros(len(mats), dtype=bool) for sid in candidates}
-    sv, vh = np.linalg.svd(mats, full_matrices=True)[1:]
-    rank = np.sum(sv > RANK_REL_TOL * sv[:, :1], axis=-1)
+    kept, _ = systems.split_columns(node, candidates, known)
+    is_kept = np.zeros(len(systems.symbols), dtype=bool)
+    is_kept[kept] = True
+    index = systems.symbol_index
+    for sid in candidates:
+        if not is_kept[index[sid]]:     # a candidate the node already knows
+            raise UnknownSymbolId(sid)
+    mats = systems.matrices[node]
+    factors = []
+    for rows, cols in systems.blocks:
+        cols = cols[is_kept[cols]]
+        if len(cols):
+            sv, vh = np.linalg.svd(mats[:, rows[:, None], cols], full_matrices=True)[1:]
+            factors.append((cols, sv, vh))
+    cutoff = RANK_REL_TOL * np.max([sv[:, 0] for _, sv, _ in factors], axis=0,
+                                   initial=0.0)
     # a column is touched when the null rows (rows of vh past the rank) have
     # weight on it; systems are grouped by rank, so every norm runs over
     # exactly the null rows of its own system
-    touched = np.zeros((len(mats), mats.shape[-1]), dtype=bool)
-    for r in set(rank.tolist()):      # (np.unique would import numpy.ma)
-        if r < mats.shape[-1]:
-            group = rank == r
-            null = vh[:, r:] if group.all() else vh[group, r:]
-            touched[group] = vector_norms(null, axis=-2) > 1e-6
+    touched = np.zeros((len(mats), len(systems.symbols)), dtype=bool)
+    for cols, sv, vh in factors:
+        rank = np.sum(sv > cutoff[:, None], axis=-1)
+        for r in set(rank.tolist()):      # (np.unique would import numpy.ma)
+            if r < len(cols):
+                group = rank == r
+                null = vh[:, r:] if group.all() else vh[group, r:]
+                touched[np.ix_(group, cols)] = vector_norms(null, axis=-2) > 1e-6
     seen = vector_norms(mats, axis=-2) > (RANK_REL_TOL * _system_scale(systems))[:, None]
     identifiable = seen & ~touched
-    verdict = {systems.symbols[kept[j]].sid: identifiable[:, j]
-               for j in np.flatnonzero(is_candidate)}
-    for sid in candidates:
-        if sid not in verdict:      # a candidate the node already knows
-            raise UnknownSymbolId(sid)
-    return {sid: verdict[sid] for sid in candidates}
+    return {sid: identifiable[:, index[sid]] for sid in candidates}

@@ -36,7 +36,7 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -290,18 +290,45 @@ class TraceBatch(NamedTuple):
                 [self], lambda arrays, axis: arrays[0].take([i], axis=axis)))
 
     @classmethod
-    def concatenate(cls, batches: Sequence["TraceBatch"]) -> "TraceBatch":
+    def concatenate(cls, batches: Iterable["TraceBatch"],
+                    n_seeds: int | None = None) -> "TraceBatch":
         """The batch of every seed of `batches`, in order, which must share
-        their spec, power and mode; a lone batch is returned as it is."""
-        first, *rest = batches
-        for batch in rest:
+        their spec, power and mode; a lone batch is returned as it is.
+
+        The stacked arrays are allocated for `n_seeds` seeds (by default the
+        batches' total) and each batch is copied in as it arrives, so an
+        iterator of runs keeps one run alive at a time."""
+        if n_seeds is None:
+            batches = list(batches)
+            n_seeds = sum(len(batch.seeds) for batch in batches)
+        batches = iter(batches)
+        first = stack = next(batches)
+        seeds = list(first.seeds)
+        at = slice(0, len(seeds))       # where the batch being put goes
+
+        def put(arrays, axis):
+            into, array = arrays
+            into[(slice(None),) * axis + (at,)] = array
+            return into
+
+        def allocate(arrays, axis):
+            shape = list(arrays[0].shape)
+            shape[axis] = n_seeds
+            return put((np.empty(shape, arrays[0].dtype), arrays[0]), axis)
+
+        if len(seeds) < n_seeds:
+            stack = first._replace(**_per_seed_fields([first], allocate))
+        for batch in batches:
             if (batch.spec, batch.power, batch.mode) != (first.spec, first.power, first.mode):
                 raise ValueError("only runs of one spec, power and mode concatenate")
-        if not rest:
-            return first
-        return first._replace(
-            seeds=tuple(seed for batch in batches for seed in batch.seeds),
-            **_per_seed_fields(batches, lambda arrays, axis: np.concatenate(arrays, axis)))
+            if len(seeds) + len(batch.seeds) > n_seeds:
+                raise ValueError(f"more than the {n_seeds} seeds to concatenate")
+            at = slice(len(seeds), len(seeds) + len(batch.seeds))
+            _per_seed_fields([stack, batch], put)
+            seeds += batch.seeds
+        if len(seeds) < n_seeds:
+            raise ValueError(f"{len(seeds)} of the {n_seeds} seeds to concatenate")
+        return first if stack is first else stack._replace(seeds=tuple(seeds))
 
     def to_json(self) -> str:
         """A one-seed run as JSON: every slot's transmitted vector and every

@@ -335,8 +335,20 @@ class TestRegion:
         assert plot.read_text().splitlines()[1:] == ["0 0", "1 0", "1 0.5", "0 1"]
 
 
+class _Unlistable:
+    def __iter__(self):
+        raise MemoryError
+
+
+def _range_listed_below_a_million(n):
+    """`range`, except that listing a million or more items fails as the
+    allocation would on a machine without the memory, without allocating."""
+    return range(n) if n < 10 ** 6 else _Unlistable()
+
+
 @pytest.mark.parametrize("argv, files", [
     (("simulate", "--scheme", "wt_pp", "--seeds", "0"), {}),
+    (("simulate", "--scheme", "wt_pp", "--seeds", "1000000000000"), {}),
     (("simulate", "--scheme", "wt_pp", "--p-exp", "2000"), {}),
     (("simulate", "--scheme", "wt_pp", "--p-exp", "-2000"), {}),
     (("region", "--theorem", "thm1", "--lambda", "dd=abc"), {}),
@@ -385,7 +397,7 @@ class TestRegion:
     (("bogus",), {}),
     ((), {}),
     (("fm",), {}),
-], ids=["zero-seeds", "huge-power", "tiny-power", "bad-lambda", "bad-state", "dup-state",
+], ids=["zero-seeds", "huge-seeds", "huge-power", "tiny-power", "bad-lambda", "bad-state", "dup-state",
         "config-bad-state", "string-seeds",
         "fm-int-variables", "fm-int-coeffs", "fm-zero-denominator", "fm-infeasible",
         "fm-infeasible-no-vars", "missing-config", "missing-system", "invalid-config-json", "invalid-system-json", "config-not-object",
@@ -394,9 +406,10 @@ class TestRegion:
         "fm-check-partial-projection", "sub-non-composite", "config-sub-non-composite",
         "bad-mode", "non-int-seeds", "nan-p-exp", "unknown-flag", "verify-bad-sub",
         "unknown-command", "no-command", "fm-without-system"])
-def test_bad_input_gets_one_error_line(tmp_path, capsys, argv, files):
+def test_bad_input_gets_one_error_line(tmp_path, capsys, monkeypatch, argv, files):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
+    monkeypatch.setattr(cli, "range", _range_listed_below_a_million, raising=False)
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert run_cli(*argv) == 1
     captured = capsys.readouterr()

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from sdof_lab.errors import IncompleteTrace, OverConstrained, UnknownSymbolId
 from sdof_lab.model import EVE, RX1, RX2, PowerBudget, sample_channel
 from sdof_lab.precoding import (
+    RANK_REL_TOL,
+    EffectiveLinearSystem,
+    SymbolDecl,
     assemble_effective_system,
     assemble_effective_systems,
     identifiability_check,
@@ -19,13 +22,59 @@ from sdof_lab.precoding import (
     null_basis,
     null_vector,
 )
-from sdof_lab.schemes import SCHEME_IDS, build_scheme, run_scheme, run_seed_batches
+from sdof_lab.schemes import (
+    SCHEME_IDS,
+    TraceBatch,
+    build_scheme,
+    run_scheme,
+    run_seed_batches,
+)
 
 
 def _run(scheme_id, seed=0, **params):
     spec = build_scheme(scheme_id, **params)
     realization = sample_channel(spec.topology, spec.n_slots, seed)
     return spec, run_scheme(spec, realization, PowerBudget(1e4), "noiseless", seed)
+
+
+def _scale(systems):
+    return np.max([np.abs(m).max(axis=(-2, -1), initial=0.0)
+                   for m in systems.matrices.values()], axis=0)
+
+
+def _whole_matrix_symbols(systems, node, candidates, known=()):
+    """`identifiable_symbols_stacked` without blocks: one SVD of each
+    system's whole kept matrix, ranked against its largest singular value."""
+    kept, is_candidate = systems.split_columns(node, candidates, known)
+    mats = systems.matrices[node][..., kept]
+    if not mats.shape[-2] or not mats.shape[-1]:
+        return {sid: np.zeros(len(mats), dtype=bool) for sid in candidates}
+    sv, vh = np.linalg.svd(mats, full_matrices=True)[1:]
+    rank = np.sum(sv > RANK_REL_TOL * sv[:, :1], axis=-1)
+    touched = np.array([np.linalg.norm(v[r:], axis=0) > 1e-6 for v, r in zip(vh, rank)])
+    seen = np.linalg.norm(mats, axis=-2) > RANK_REL_TOL * _scale(systems)[:, None]
+    verdict = seen & ~touched
+    return {systems.symbols[kept[j]].sid: verdict[:, j] for j in np.flatnonzero(is_candidate)}
+
+
+def _whole_matrix_checks(systems, node, target_sets, known=()):
+    """`identifiability_checks` of each target set without blocks: ranks of
+    the whole matrices."""
+    index = systems.symbol_index
+    scale = _scale(systems)
+
+    def ranks(cols):
+        mats = systems.matrices[node][..., cols]
+        if not mats.shape[-2] or not mats.shape[-1]:
+            return np.zeros(len(mats), dtype=int)
+        sv = np.linalg.svd(mats, compute_uv=False)
+        return np.sum(sv > RANK_REL_TOL * scale[:, None], axis=-1)
+
+    # the targets and nuisance together are every unknown column
+    unknown = ranks([index[d.sid] for d in systems.symbols if d.sid not in known])
+    return [unknown - ranks([index[d.sid] for d in systems.symbols
+                             if d.sid not in known and d.sid not in targets]) == len(targets)
+            for targets in target_sets]
 
 
 complex_rows = st.lists(
@@ -228,6 +277,9 @@ class TestIdentifiability:
             assert verdicts(scaled) == reference, scale
 
 
+SCALINGS = (1.0, 1e-10, 1e3)
+
+
 class TestStacked:
     """The stacked assembly and oracles give every system of a batch exactly
     what the one-system functions give it."""
@@ -255,13 +307,21 @@ class TestStacked:
         with pytest.raises(AssertionError, match="seed 5: effective system"):
             assemble_effective_systems(batch)
 
-    @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
-    def test_stacked_verdicts_equal_single_verdicts(self, scheme_id):
-        """Every scheme x 20 seeds x node, at scalings 1, 1e-10 and 1e3."""
-        spec = build_scheme(scheme_id)
-        for batch in run_seed_batches(spec, range(20), PowerBudget(1e4)):
+    @pytest.mark.parametrize("scheme_id, params, runs", [
+        *((scheme_id, {}, [(range(20), SCALINGS)]) for scheme_id in SCHEME_IDS),
+        *(("MR_S30_29_A", {"blocks": blocks}, [([i], [scale]) for i, scale in enumerate(SCALINGS)])
+          for blocks in (20, 40)),
+    ], ids=[*SCHEME_IDS, "MR_S30_29_A-blocks20", "MR_S30_29_A-blocks40"])
+    def test_stacked_verdicts_equal_single_verdicts(self, scheme_id, params, runs):
+        """Every scheme x 20 seeds x node, at scalings 1, 1e-10 and 1e3, and
+        `--blocks` 20 and 40 x 3 seeds, each at one of the scalings: the
+        stacked, single and whole-matrix verdicts agree."""
+        spec = build_scheme(scheme_id, **params)
+        batches = [(batch, scalings) for seeds, scalings in runs
+                   for batch in run_seed_batches(spec, seeds, PowerBudget(1e4))]
+        for batch, scalings in batches:
             assembled = assemble_effective_systems(batch)
-            for scale in (1.0, 1e-10, 1e3):
+            for scale in scalings:
                 systems = dataclasses.replace(assembled, matrices={
                     n: m * scale for n, m in assembled.matrices.items()})
                 singles = [systems.item(i) for i in range(len(batch.seeds))]
@@ -269,12 +329,18 @@ class TestStacked:
                     known = spec.adversary_known.get(node, frozenset())
                     candidates = [d.sid for d in spec.symbols if d.sid not in known]
                     stacked = identifiable_symbols_stacked(systems, node, candidates, known)
+                    whole = _whole_matrix_symbols(systems, node, candidates, known)
+                    assert {sid: f.tolist() for sid, f in stacked.items()} == \
+                        {sid: f.tolist() for sid, f in whole.items()}, (batch.seeds, node, scale)
                     target_sets = [[sid for sid in spec.message_sids(node) if sid not in known],
                                    candidates[:1]]
                     target_sets += [sorted(sids) for adv, sids in spec.protected.items()
                                     if adv == node]
                     checks = [identifiability_checks(systems, node, targets, known)
                               for targets in target_sets]
+                    whole = _whole_matrix_checks(systems, node, target_sets, known)
+                    assert [flags.tolist() for flags in checks] == \
+                        [flags.tolist() for flags in whole], (batch.seeds, node, scale)
                     for i, one in enumerate(singles):
                         case = (scheme_id, batch.seeds[i], node, scale)
                         table = identifiable_symbols(one, node, candidates, known)
@@ -283,13 +349,19 @@ class TestStacked:
                             assert bool(flags[i]) == identifiability_check(
                                 one, node, targets, known), (case, targets)
 
-    @pytest.mark.parametrize("scheme_id", ["MR_DDP", "BC_S1_43", "SUB_SECURE_MULTICAST"])
-    def test_stacked_verdicts_with_mixed_ranks(self, scheme_id):
+    @pytest.mark.parametrize("scheme_id, params", [
+        ("MR_DDP", {}), ("BC_S1_43", {}), ("SUB_SECURE_MULTICAST", {}),
+        ("SUB_PD_DP_UNICAST", {}), ("MR_S30_29_A", {"blocks": 20}),
+    ], ids=["MR_DDP", "BC_S1_43", "SUB_SECURE_MULTICAST", "SUB_PD_DP_UNICAST",
+            "MR_S30_29_A-blocks20"])
+    def test_stacked_verdicts_with_mixed_ranks(self, scheme_id, params):
         """Systems of different rank in one stack: each is judged against its
-        own null rows and its own scale."""
-        spec = build_scheme(scheme_id)
-        batch = next(run_seed_batches(spec, range(5), PowerBudget(1e4)))
+        own null rows and its own scale, block by block against the scale of
+        its whole matrix, as the whole-matrix reference judges it."""
+        spec = build_scheme(scheme_id, **params)
+        batch = TraceBatch.concatenate(list(run_seed_batches(spec, range(6), PowerBudget(1e4))))
         assembled = assemble_effective_systems(batch)
+        rows, cols = assembled.blocks[-1]
         matrices = {}
         for node, mats in assembled.matrices.items():
             mats = mats.copy()
@@ -297,15 +369,93 @@ class TestStacked:
             mats[2, :, 1] = mats[2, :, 0]   # two columns alike
             mats[3] = 0.0                   # nothing seen
             mats[4] *= 1e-9
+            mats[5, rows[:, None], cols] *= 1e-6    # one block faint
             matrices[node] = mats
         systems = dataclasses.replace(assembled, matrices=matrices)
         for node in spec.topology.nodes():
             known = spec.adversary_known.get(node, frozenset())
             candidates = [d.sid for d in spec.symbols if d.sid not in known]
             stacked = identifiable_symbols_stacked(systems, node, candidates, known)
+            whole = _whole_matrix_symbols(systems, node, candidates, known)
             checks = identifiability_checks(systems, node, candidates[:2], known)
-            for i in range(5):
+            (whole_checks,) = _whole_matrix_checks(systems, node, [candidates[:2]], known)
+            assert checks.tolist() == whole_checks.tolist(), node
+            for i in range(6):
                 one = systems.item(i)
                 table = identifiable_symbols(one, node, candidates, known)
                 assert {sid: bool(f[i]) for sid, f in stacked.items()} == table, (node, i)
+                assert {sid: bool(f[i]) for sid, f in whole.items()} == table, (node, i)
                 assert bool(checks[i]) == identifiability_check(one, node, candidates[:2], known)
+
+
+BLOCK_COUNTS = [
+    *((scheme_id, {}, 1) for scheme_id in SCHEME_IDS
+      if scheme_id not in ("SUB_PD_DP_UNICAST", "SUB_SECURE_MULTICAST")),
+    ("SUB_PD_DP_UNICAST", {}, 2),
+    ("SUB_SECURE_MULTICAST", {}, 2),
+    ("MR_S30_29_A", {"sub": "fallback32"}, 1),
+    ("MR_S30_29_B", {"sub": "fallback32"}, 1),
+    ("MR_S30_29_A", {"blocks": 20}, 2),
+    ("MR_S30_29_A", {"blocks": 40}, 4),
+]
+
+
+class TestBlocks:
+    """The stack's blocks: the connected components of its exact nonzero
+    pattern."""
+
+    @pytest.mark.parametrize("scheme_id, params, n_blocks", BLOCK_COUNTS, ids=[
+        scheme_id + "".join(f"-{k}{v}" for k, v in params.items())
+        for scheme_id, params, _ in BLOCK_COUNTS])
+    def test_block_counts(self, scheme_id, params, n_blocks):
+        spec = build_scheme(scheme_id, **params)
+        batch = next(run_seed_batches(spec, range(3), PowerBudget(1e4)))
+        systems = assemble_effective_systems(batch)
+        assert len(systems.blocks) == n_blocks
+        rows = np.concatenate([rows for rows, _ in systems.blocks])
+        cols = np.concatenate([cols for _, cols in systems.blocks])
+        assert sorted(rows.tolist()) == list(range(systems.n_obs))
+        assert sorted(cols.tolist()) == list(range(len(systems.symbols)))
+        for node, mats in systems.matrices.items():
+            outside = mats.copy()
+            for rows, cols in systems.blocks:
+                outside[:, rows[:, None], cols] = 0.0
+            assert not outside.any(), node
+
+    @staticmethod
+    def _system(*matrices):
+        n_symbols = matrices[0].shape[-1]
+        return EffectiveLinearSystem(
+            symbols=tuple(SymbolDecl(f"s{i}", "rx1") for i in range(n_symbols)),
+            matrices={f"n{i}": np.asarray(m, dtype=complex) for i, m in enumerate(matrices)},
+            slot_of_row=tuple(range(matrices[0].shape[-2])))
+
+    def test_one_entry_couples_two_blocks(self):
+        apart = np.array([[1.0, 2.0, 0.0, 0.0, 0.0],
+                          [0.0, 3.0, 0.0, 0.0, 0.0],
+                          [0.0, 0.0, 0.0, 4.0, 5.0],
+                          [0.0, 0.0, 0.0, 0.0, 0.0]])
+        blocks = self._system(apart).blocks
+        assert [(r.tolist(), c.tolist()) for r, c in blocks] == [([0, 1], [0, 1]), ([2], [3, 4])]
+        coupled = apart.copy()
+        coupled[1, 4] = 1e-300
+        (block,) = self._system(coupled).blocks
+        assert [block[0].tolist(), block[1].tolist()] == [[0, 1, 2], [0, 1, 3, 4]]
+
+    def test_blocks_span_every_node_and_system(self):
+        first = np.diag([1.0, 2.0, 0.0])
+        second = np.zeros((3, 3))
+        second[0, 1] = 1.0
+        assert len(self._system(first).blocks) == 2
+        assert len(self._system(first, second).blocks) == 1
+        assert len(self._system(np.stack([first, second])).blocks) == 1
+
+    def test_unseen_column_is_not_identifiable(self):
+        mat = np.array([[1.0, 0.0, 0.0],
+                        [0.0, 1.0, 0.0]])
+        system = self._system(mat)
+        assert [c.tolist() for _, c in system.blocks] == [[0], [1]]
+        assert identifiable_symbols(system, "n0", ["s0", "s1", "s2"]) == \
+            {"s0": True, "s1": True, "s2": False}
+        assert identifiability_check(system, "n0", ["s0", "s1"])
+        assert not identifiability_check(system, "n0", ["s2"])

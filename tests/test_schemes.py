@@ -362,6 +362,21 @@ class TestStackTraces:
             with pytest.raises(ValueError, match="one spec, power and mode"):
                 TraceBatch.concatenate([trace, other])
 
+    def test_runs_are_copied_in_as_they_arrive(self):
+        spec = build_scheme("BC_S1_43")
+        power = PowerBudget(2.0 ** 20)
+
+        def runs(seeds):
+            return (run_scheme(spec, sample_channel(spec.topology, spec.n_slots, seed),
+                               power, "noisy", seed) for seed in seeds)
+
+        (batch,) = run_seed_batches(spec, [3, 1, 4], power, "noisy")
+        assert self._arrays(TraceBatch.concatenate(runs([3, 1, 4]), 3)) == self._arrays(batch)
+        with pytest.raises(ValueError, match="more than the 2 seeds"):
+            TraceBatch.concatenate(runs([3, 1, 4]), 2)
+        with pytest.raises(ValueError, match="2 of the 3 seeds"):
+            TraceBatch.concatenate(runs([3, 1]), 3)
+
     def test_chunks_share_the_batch_bound(self, monkeypatch):
         from sdof_lab.schemes import program
 
