@@ -311,32 +311,44 @@ def criterion_8() -> CriterionResult:
                    not failures, "; ".join(failures))
 
 
-def criterion_9() -> CriterionResult:
-    """Closed-form mutual information against the Monte-Carlo oracle."""
-    cases = [
-        ("WT_PP", RX1, None), ("WT_PD", EVE, None), ("WT_PD", RX1, None),
-        ("WT_DD_23", EVE, None), ("WT_DD_23", RX1, None),
-        ("MR_PPD", EVE, None), ("MR_PDP", RX1, None), ("MR_DDP", EVE, None),
-        ("BC_S1_43", RX2, None), ("BC_PP_S2", RX1, None),
-    ]
-    failures = []
-    power = 1e4
-    for idx, (scheme_id, node, _) in enumerate(cases):
+# criterion 9's (scheme, node) cases: case i runs scheme seed 1000 + i and
+# Monte-Carlo seed i
+_MC_CASES = (
+    ("WT_PP", RX1), ("WT_PD", EVE), ("WT_PD", RX1), ("WT_DD_23", EVE),
+    ("WT_DD_23", RX1), ("MR_PPD", EVE), ("MR_PDP", RX1), ("MR_DDP", EVE),
+    ("BC_S1_43", RX2), ("BC_PP_S2", RX1),
+)
+_MC_POWER = 1e4
+_MC_SAMPLES = 200_000
+
+
+def _mc_cases() -> list[tuple]:
+    """Criterion 9's cases as (label, system, node, secret, known, mc seed)."""
+    cases = []
+    for idx, (scheme_id, node) in enumerate(_MC_CASES):
         spec = build_scheme(scheme_id)
-        trace, = run_seeds(spec, [1000 + idx], PowerBudget(power))
+        trace, = run_seeds(spec, [1000 + idx], PowerBudget(_MC_POWER))
         system = assemble_effective_system(trace)
         secret = spec.protected.get(node) or system.message_sids(node)
         secret = sorted(secret)
         if not secret:
             secret = sorted(system.message_sids())
         known = spec.adversary_known.get(node, frozenset())
-        exact = analysis.gaussian_mi(system, node, secret, power, known=known).bits
-        mc = analysis.mc_mi_oracle(system, node, secret, power,
-                                   n_samples=200_000, seed=idx, known=known)
+        cases.append((f"{scheme_id}/{node}", system, node, secret, known, idx))
+    return cases
+
+
+def criterion_9() -> CriterionResult:
+    """Closed-form mutual information against the Monte-Carlo oracle."""
+    failures = []
+    for label, system, node, secret, known, seed in _mc_cases():
+        exact = analysis.gaussian_mi(system, node, secret, _MC_POWER, known=known).bits
+        mc = analysis.mc_mi_oracle(system, node, secret, _MC_POWER,
+                                   n_samples=_MC_SAMPLES, seed=seed, known=known)
         tol = max(0.02 * abs(exact), 0.05)
-        if abs(mc.bits - exact) > tol:
-            failures.append(
-                f"{scheme_id}/{node}: exact {exact:.4f}, mc {mc.bits:.4f}")
+        # written so that a NaN estimate fails
+        if not abs(mc.bits - exact) <= tol:
+            failures.append(f"{label}: exact {exact:.4f}, mc {mc.bits:.4f}")
     return _result(9, "gaussian_mi vs Monte-Carlo oracle within max(2%, 0.05 bits)",
                    not failures, "; ".join(failures))
 

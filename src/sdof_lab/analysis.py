@@ -174,11 +174,23 @@ def leakage_slope(system: EffectiveLinearSystem, node: str, secret, slots,
     return fit_slope([r.bits for r in leaks], slots, grid)
 
 
-def _quad(values: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Per row y of `values`, the quadratic form y^H cov^-1 y of a Hermitian
-    positive definite d x d `cov`: |L^-1 y|^2 with cov = L L^H, whitening
-    every sample with one small inverse instead of solving per sample."""
-    w = values @ np.linalg.inv(np.linalg.cholesky(cov)).T
+# Rows of Monte-Carlo samples the oracle forms at a time: a chunk's complex
+# samples, observations and quadratic forms take a few MB at the desk cap,
+# whatever the sample count.
+MC_CHUNK_ROWS = 1 << 12
+
+
+def _whitener(cov: np.ndarray) -> np.ndarray:
+    """(L^-1)^T of a Hermitian positive definite `cov` = L L^H, so that a
+    row y of samples whitens to y @ (L^-1)^T = (L^-1 y)^T."""
+    return np.linalg.inv(np.linalg.cholesky(cov)).T
+
+
+def _quad(values: np.ndarray, whitener: np.ndarray) -> np.ndarray:
+    """Per row y of `values`, the quadratic form y^H cov^-1 y = |L^-1 y|^2
+    of the covariance that `whitener` came from (`_whitener`): one small
+    product per sample instead of a solve."""
+    w = values @ whitener
     return np.sum(np.square(w.real) + np.square(w.imag), axis=1)
 
 
@@ -190,30 +202,45 @@ def mc_mi_oracle(system: EffectiveLinearSystem, node: str, secret: Iterable[str]
     Samples the forward model y = sqrt(P) R s + n and averages the log ratio
     of the conditional to the marginal Gaussian density at the sampled points;
     converges to the log-det expression but exercises none of its code.
+
+    Only the variates and the per-sample terms exist whole: the real and
+    imaginary standard normal draws of `s`, then of the noise, exactly as
+    `rng.complex_normal` draws them, and one float per sample.  The complex
+    samples, `y`, the conditional mean and both quadratic forms are formed
+    `MC_CHUNK_ROWS` rows at a time; the whitening factors and log-dets are
+    taken once.  Each sample's term depends only on its own row, so it has
+    the bits of one whole-array pass (tests pin this against that formula),
+    and the mean and standard deviation read the same full array.
     """
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2")
     p = _power_value(power)
     r_keep, secret_mask = _kept_columns(system, node, secret, known)
-    d = r_keep.shape[0]
+    d, k = r_keep.shape
     if d > 8:
         raise DimensionTooLarge(f"observation dimension {d} exceeds the desk cap 8")
 
     gen = rng.stream(seed, "mc-mi", node)
-    s = rng.complex_normal(gen, (n_samples, r_keep.shape[1]))
-    noise = rng.complex_normal(gen, (n_samples, d))
-    y = math.sqrt(p) * (s @ r_keep.T) + noise
+    s_parts = gen.standard_normal((2, n_samples, k))        # real, then imaginary
+    noise_parts = gen.standard_normal((2, n_samples, d))
 
     c_full = np.eye(d) + p * (r_keep @ r_keep.conj().T)
     r_nuis = r_keep[:, ~secret_mask]
     c_cond = np.eye(d) + p * (r_nuis @ r_nuis.conj().T)
-    mean = math.sqrt(p) * (s[:, secret_mask] @ r_keep[:, secret_mask].T)
+    w_full, w_cond = _whitener(c_full), _whitener(c_cond)
+    r_secret = r_keep[:, secret_mask]
 
     ln2 = math.log(2.0)
-    sign_f, logdet_f = np.linalg.slogdet(c_full)
-    sign_c, logdet_c = np.linalg.slogdet(c_cond)
-    per_sample = (
-        (_quad(y, c_full) - _quad(y - mean, c_cond)) / ln2
-        + (logdet_f - logdet_c) / ln2
-    )
+    offset = (np.linalg.slogdet(c_full)[1] - np.linalg.slogdet(c_cond)[1]) / ln2
+    amplitude = math.sqrt(p)
+    per_sample = np.empty(n_samples)
+    for start in range(0, n_samples, MC_CHUNK_ROWS):
+        rows = slice(start, start + MC_CHUNK_ROWS)
+        s = rng.complex_from_parts(*s_parts[:, rows])
+        noise = rng.complex_from_parts(*noise_parts[:, rows])
+        y = amplitude * (s @ r_keep.T) + noise
+        mean = amplitude * (s[:, secret_mask] @ r_secret.T)
+        per_sample[rows] = (_quad(y, w_full) - _quad(y - mean, w_cond)) / ln2 + offset
     bits = float(np.mean(per_sample))
     stderr = float(np.std(per_sample, ddof=1) / math.sqrt(n_samples))
     return MiResult(bits=bits, conditioning=f"node={node}", power=p, std_error=stderr)

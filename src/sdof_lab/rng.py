@@ -140,11 +140,18 @@ def _keyed(key: list[int]) -> np.random.Generator:
     return gen
 
 
+def complex_from_parts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex values (re + 1j*im) / sqrt(2) of real and imaginary
+    standard normal draws: circularly-symmetric, unit variance."""
+    return (re + 1j * im) / _SQRT2
+
+
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """I.i.d. circularly-symmetric complex Gaussian, zero mean, unit variance."""
+    """I.i.d. circularly-symmetric complex Gaussian, zero mean, unit variance:
+    every real part is drawn, then every imaginary part."""
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)
-    return (re + 1j * im) / _SQRT2
+    return complex_from_parts(re, im)
 
 
 def complex_normals(seeds, tags, shape) -> np.ndarray:
@@ -156,5 +163,5 @@ def complex_normals(seeds, tags, shape) -> np.ndarray:
     both = np.empty((len(seeds) * len(tags), 2, size))    # real parts, then imaginary
     for key, out in zip(keys(seeds, tags).reshape(-1, 2).tolist(), both):
         _keyed(key).standard_normal(out=out)
-    draws = (both[:, 0] + 1j * both[:, 1]) / _SQRT2
+    draws = complex_from_parts(both[:, 0], both[:, 1])
     return draws.reshape(len(seeds), len(tags), *shape)

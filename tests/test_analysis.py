@@ -7,7 +7,7 @@ from functools import cache
 import numpy as np
 import pytest
 
-from sdof_lab import analysis
+from sdof_lab import analysis, rng
 from sdof_lab.analysis import (
     DEFAULT_GRID,
     achievable_rate,
@@ -302,6 +302,54 @@ class TestSlopes:
                     (scheme_id, node, est.slope)
 
 
+MC_PINNED = [
+    ("0x1.713818f7b2cb5p+3", "0x1.2961d09e0c0a0p-8"),
+    ("0x1.be56bab21376bp-1", "0x1.938e73fe42f78p-9"),
+    ("0x1.4a03e4e02a834p+3", "0x1.2b1ee44309090p-8"),
+    ("0x1.1db8079ca9582p+1", "0x1.09599b0e8476ap-8"),
+    ("0x1.7e1cc2c895e5fp+4", "0x1.a6673ffc21bcdp-8"),
+    ("0x1.cfda3a9781473p-1", "0x1.9878f756523f0p-9"),
+    ("0x1.9fd555823576bp+4", "0x1.a716806d05bd4p-8"),
+    ("-0x1.7fa7a47a55e5fp-54", "0x1.439b24ff04b7ap-53"),
+    ("0x1.15f4162c9ce87p+1", "0x1.0713e8e836dc5p-8"),
+    ("0x1.8fb045da6ef74p-58", "0x1.4a448937b5185p-55"),
+]
+
+
+def _whole_array_oracle(system, node, secret, p, n_samples, seed, known):
+    """(bits, std_error) of the Monte-Carlo oracle with every sample's
+    array formed whole, as one pass over all rows."""
+    r_keep, secret_mask = analysis._kept_columns(system, node, secret, known)
+    d = r_keep.shape[0]
+    gen = rng.stream(seed, "mc-mi", node)
+    s = rng.complex_normal(gen, (n_samples, r_keep.shape[1]))
+    noise = rng.complex_normal(gen, (n_samples, d))
+    y = math.sqrt(p) * (s @ r_keep.T) + noise
+    c_full = np.eye(d) + p * (r_keep @ r_keep.conj().T)
+    r_nuis = r_keep[:, ~secret_mask]
+    c_cond = np.eye(d) + p * (r_nuis @ r_nuis.conj().T)
+    mean = math.sqrt(p) * (s[:, secret_mask] @ r_keep[:, secret_mask].T)
+
+    def quad(values, cov):
+        w = values @ np.linalg.inv(np.linalg.cholesky(cov)).T
+        return np.sum(np.square(w.real) + np.square(w.imag), axis=1)
+
+    ln2 = math.log(2.0)
+    per_sample = (
+        (quad(y, c_full) - quad(y - mean, c_cond)) / ln2
+        + (np.linalg.slogdet(c_full)[1] - np.linalg.slogdet(c_cond)[1]) / ln2
+    )
+    return (float(np.mean(per_sample)),
+            float(np.std(per_sample, ddof=1) / math.sqrt(n_samples)))
+
+
+@pytest.fixture(scope="module")
+def mc_cases():
+    from sdof_lab import acceptance
+
+    return acceptance._mc_cases()
+
+
 class TestMcOracle:
     def test_scalar_channel(self):
         system = _scalar_system()
@@ -330,22 +378,96 @@ class TestMcOracle:
         """On criterion 9's cases, every quadratic form y^H C^-1 y the oracle
         takes by whitening matches a per-sample `solve` within 1e-12 of the
         case's largest form (both carry cond(C) * eps of error, up to 1.2e-12
-        of a sample's own form where that form is small)."""
+        of a sample's own form where that form is small).  The forms come in
+        row chunks; every row of both forms of all 10 cases is checked."""
         from sdof_lab import acceptance
 
-        quad = analysis._quad
-        errors = []
+        whitener, quad = analysis._whitener, analysis._quad
+        # id(whitener) -> that form's covariance and running counts; holding
+        # the whitener keeps its id unique
+        forms = {}
 
-        def checked(values, cov):
-            got = quad(values, cov)
-            solved = np.linalg.solve(cov, values.T).T
-            want = np.einsum("ij,ij->i", values.conj(), solved).real
-            errors.append(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+        def recorded(cov):
+            got = whitener(cov)
+            forms[id(got)] = {"cov": cov, "whitener": got, "rows": 0,
+                              "error": 0.0, "largest": 0.0}
             return got
 
+        def checked(values, factor):
+            got = quad(values, factor)
+            form = forms[id(factor)]
+            solved = np.linalg.solve(form["cov"], values.T).T
+            want = np.einsum("ij,ij->i", values.conj(), solved).real
+            form["rows"] += len(values)
+            form["error"] = max(form["error"], np.max(np.abs(got - want)))
+            form["largest"] = max(form["largest"], np.max(np.abs(want)))
+            return got
+
+        monkeypatch.setattr(analysis, "_whitener", recorded)
         monkeypatch.setattr(analysis, "_quad", checked)
         assert acceptance.criterion_9().status == "PASS"
-        assert len(errors) == 20 and max(errors) <= 1e-12, errors
+        assert [form["rows"] for form in forms.values()] == [200_000] * 20
+        errors = [form["error"] / form["largest"] for form in forms.values()]
+        assert max(errors) <= 1e-12, errors
+
+    def test_pinned_bits(self, mc_cases):
+        """`float.hex` of (bits, std_error) of criterion 9's 10 cases, as
+        the whole-array oracle gave them before it ran in row chunks."""
+        from sdof_lab import acceptance
+
+        got = [tuple(value.hex() for value in (est.bits, est.std_error))
+               for est in (mc_mi_oracle(system, node, secret, acceptance._MC_POWER,
+                                        n_samples=acceptance._MC_SAMPLES,
+                                        seed=seed, known=known)
+                           for _, system, node, secret, known, seed in mc_cases)]
+        assert got == MC_PINNED
+
+    @pytest.mark.parametrize("n_samples", [
+        analysis.MC_CHUNK_ROWS // 4, analysis.MC_CHUNK_ROWS, 3 * analysis.MC_CHUNK_ROWS + 77])
+    def test_chunks_equal_whole_array_reference(self, mc_cases, n_samples):
+        """Below one chunk, exactly one chunk, and a count that is not a
+        multiple of the chunk, the oracle's bits are the whole-array
+        formula's for every case of criterion 9."""
+        for label, system, node, secret, known, seed in mc_cases:
+            want = _whole_array_oracle(system, node, secret, 1e4, n_samples, seed, known)
+            est = mc_mi_oracle(system, node, secret, 1e4, n_samples=n_samples,
+                               seed=seed, known=known)
+            assert (est.bits, est.std_error) == want, label
+
+    def test_peak_memory_is_the_variates(self, mc_cases):
+        """On the largest case (BC_S1_43/rx2, 200k samples) the traced peak
+        stays within the variates' own bytes plus 8 MB."""
+        import tracemalloc
+
+        from sdof_lab import acceptance
+
+        (_, system, node, secret, known, seed), = [
+            case for case in mc_cases if case[0] == "BC_S1_43/rx2"]
+        kept, _ = analysis._kept_columns(system, node, secret, known)
+        variates = 2 * acceptance._MC_SAMPLES * sum(kept.shape) * 8
+        tracemalloc.start()
+        try:
+            mc_mi_oracle(system, node, secret, acceptance._MC_POWER,
+                         n_samples=acceptance._MC_SAMPLES, seed=seed, known=known)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= variates + 8 * 2**20, (peak, variates)
+
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_too_few_samples_raise(self, n_samples):
+        with pytest.raises(ValueError):
+            mc_mi_oracle(_scalar_system(), RX1, ["s"], 100.0, n_samples=n_samples)
+
+    @pytest.mark.parametrize("estimate", [math.nan, math.inf])
+    def test_criterion_9_fails_on_a_non_finite_estimate(self, monkeypatch, estimate):
+        from sdof_lab import acceptance
+
+        monkeypatch.setattr(analysis, "mc_mi_oracle", lambda *args, **kwargs: analysis.MiResult(
+            bits=estimate, conditioning="", power=1e4, std_error=estimate))
+        result = acceptance.criterion_9()
+        assert result.status == "FAIL"
+        assert len(result.detail.split("; ")) == 10
 
     @pytest.mark.parametrize("shift", [0.1, -0.1])
     def test_criterion_9_catches_a_shifted_closed_form(self, monkeypatch, shift):

@@ -42,14 +42,25 @@ def test_thousand_keys_in_one_call():
         [reference_key(seed, ("chan", 7)).tolist() for seed in seeds]
 
 
+def reference_draw(seed: int, tag: tuple, shape) -> np.ndarray:
+    """The first complex draw of a substream, built from its real draws by
+    the literal formula rather than by `rng`'s builder."""
+    gen = reference_stream(seed, *tag)
+    re = gen.standard_normal(shape)
+    im = gen.standard_normal(shape)
+    return (re + 1j * im) / np.sqrt(2.0)
+
+
 @pytest.mark.parametrize("shape", [(3, 3), 5, (2, 1, 2)], ids=str)
 def test_bulk_draws_equal_stream_draws(shape):
     draws = rng.complex_normals(SEEDS, TAGS, shape)
     assert draws.shape == (len(SEEDS), len(TAGS), *np.atleast_1d(shape))
     for i, seed in enumerate(SEEDS):
         for j, tag in enumerate(TAGS):
-            want = rng.complex_normal(reference_stream(seed, *tag), shape)
+            want = reference_draw(seed, tag, shape)
             assert draws[i, j].tobytes() == want.tobytes(), (seed, tag)
+            alone = rng.complex_normal(reference_stream(seed, *tag), shape)
+            assert alone.tobytes() == want.tobytes(), (seed, tag)
             one = rng.complex_normals([seed], [tag], shape)[0, 0]
             assert one.tobytes() == want.tobytes(), (seed, tag)
 
@@ -57,7 +68,7 @@ def test_bulk_draws_equal_stream_draws(shape):
 def test_thousand_draws_in_one_call():
     draws = rng.complex_normals(range(1000), [("symbols",)], 4)
     for seed in range(1000):
-        want = rng.complex_normal(reference_stream(seed, "symbols"), 4)
+        want = reference_draw(seed, ("symbols",), 4)
         assert draws[seed, 0].tobytes() == want.tobytes()
 
 
