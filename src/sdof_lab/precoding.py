@@ -239,7 +239,7 @@ def assemble_effective_systems(batch) -> EffectiveLinearSystem:
     """The stack of every seed's effective system in a `TraceBatch`, taken
     from the batch's stacked observation rows.
 
-    A batch that misses slots of its scheme raises IncompleteTrace.
+    A batch missing slots or stream columns raises IncompleteTrace.
     Validates that re-simulating the recorded observations from the matrices
     and the drawn symbol values reproduces every seed's run.  The comparison
     is on the power-free scale, where the rounding of slot t's observation is
@@ -250,9 +250,13 @@ def assemble_effective_systems(batch) -> EffectiveLinearSystem:
     alive (as it is decoded) its systems take no memory of their own.
     """
     n_slots = batch.spec.n_slots
-    recorded = {len(batch.x_value), *(rows.shape[1] for rows in batch.obs_rows.values())}
+    recorded = {batch.x_value.shape[1], *(rows.shape[1] for rows in batch.obs_rows.values())}
     if recorded != {n_slots}:
         raise IncompleteTrace(f"trace has {min(recorded)} of {n_slots} slots")
+    n_columns = len(batch.spec.compiled.column_slots)
+    recorded = {len(batch.beams), len(batch.gains)}
+    if recorded != {n_columns}:
+        raise IncompleteTrace(f"trace has {min(recorded)} of {n_columns} stream columns")
     s = batch.symbol_values                         # (seed, symbol)
     s_norm = vector_norms(s)[:, None]
     matrices = {}

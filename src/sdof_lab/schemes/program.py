@@ -21,12 +21,12 @@ A spec is compiled once, on first use: the legality checks and everything
 else no seed changes are resolved then.  `execute_batch` executes the
 compiled program for many seeds at once on stacked arrays, giving each seed
 exactly the bits of its own run, and returns a `TraceBatch`, the one record
-of a run: the stacked symbols, channels and observations, and each slot's
-beams, gains, payload rows and transmit matrices.  `run_scheme` runs one
-seed, and its record is a batch of one seed.  A batch splits into its
-seeds' batches, batches of one scheme concatenate, and `views()` gives each
-seed's `ReceiverView`, which the hand decoders read.  `run_seed_batches` /
-`run_seeds` sample the channels and run memory-bounded batches
+of a run: one stacked array per field, for the symbols, channels,
+observations, stream beams and gains, and transmitted vectors.  `run_scheme`
+runs one seed, and its record is a batch of one seed.  A batch splits into
+its seeds' batches, batches of one scheme concatenate, and `views()` gives
+each seed's `ReceiverView`, which the hand decoders read.  `run_seed_batches`
+/ `run_seeds` sample the channels and run memory-bounded batches
 (`seed_chunks`).
 """
 
@@ -205,29 +205,26 @@ class ReceiverView(NamedTuple):
         return self.symbol_values[index[sid]]
 
 
-def _coefficients(chan: np.ndarray, beams: Sequence[np.ndarray],
-                  gains: Sequence[np.ndarray], column_slots: np.ndarray) -> np.ndarray:
+def _coefficients(chan: np.ndarray, beams: np.ndarray, gains: np.ndarray,
+                  column_slots: np.ndarray) -> np.ndarray:
     """(seed, node, column) payload-scale coefficients gain * (h_t @ beam)
-    of every stream column, from (seed, node, slot, antenna) channels and
-    each slot's (stream, seed, antenna) beams and (stream, seed) gains; each
-    entry has the bits of the lone product."""
-    if not len(column_slots):
-        return np.zeros((*chan.shape[:2], 0), dtype=complex)
+    of every stream column, from (seed, node, slot, antenna) channels,
+    (column, seed, antenna) beams and (column, seed) gains; each entry has
+    the bits of the lone product."""
     h = chan[:, :, column_slots, None, :]                   # (seed, node, column, 1, antenna)
-    b = np.concatenate(beams).transpose(1, 0, 2)[:, None, :, :, None]
-    return np.concatenate(gains).T[:, None, :] * (h @ b)[..., 0, 0]
+    b = beams.transpose(1, 0, 2)[:, None, :, :, None]
+    return gains.T[:, None, :] * (h @ b)[..., 0, 0]
 
 
 # The per-seed fields of a TraceBatch and the axis of their arrays that runs
 # over the seeds.
 _SEED_AXES = {"symbol_values": 0, "channels": 0, "obs_rows": 0, "obs_vals": 0,
-              "noise_vals": 0, "beams": 1, "gains": 1, "payload_rows": 1,
-              "x_matrix": 0, "x_value": 0}
+              "noise_vals": 0, "beams": 1, "gains": 1, "x_value": 0}
 
 
 def _per_seed_fields(batches: Sequence["TraceBatch"], combine: Callable) -> dict:
     """Every per-seed field made by `combine(arrays, seed_axis)` from the
-    batches' arrays of that field, node by node or slot by slot."""
+    batches' arrays of that field, node by node for the per-node fields."""
     fields = {}
     for name, axis in _SEED_AXES.items():
         items = [getattr(batch, name) for batch in batches]
@@ -235,8 +232,6 @@ def _per_seed_fields(batches: Sequence["TraceBatch"], combine: Callable) -> dict
             fields[name] = None
         elif isinstance(items[0], np.ndarray):
             fields[name] = combine(items, axis)
-        elif isinstance(items[0], tuple):
-            fields[name] = tuple(combine(arrays, axis) for arrays in zip(*items))
         else:
             fields[name] = {node: combine([item[node] for item in items], axis)
                             for node in items[0]}
@@ -244,9 +239,9 @@ def _per_seed_fields(batches: Sequence["TraceBatch"], combine: Callable) -> dict
 
 
 class TraceBatch(NamedTuple):
-    """The record of an executed scheme: the runs of one or more seeds as
-    stacked arrays, in seed order.  A single run (`run_scheme`) is a batch of
-    one seed.  Per slot, the streams are in plan order."""
+    """The record of an executed scheme: one array per field (per node for
+    the per-node fields), seeds stacked in order, stream columns numbered as
+    `spec.compiled.columns`.  `run_scheme` records a batch of one seed."""
 
     spec: SchemeSpec
     seeds: tuple[int, ...]
@@ -257,11 +252,9 @@ class TraceBatch(NamedTuple):
     obs_rows: Mapping[str, np.ndarray]          # node -> (seed, slot, symbol), power-free
     obs_vals: Mapping[str, np.ndarray]          # node -> (seed, slot), sqrt(P)-scaled (+noise)
     noise_vals: Mapping[str, np.ndarray] | None     # node -> (seed, slot)
-    beams: tuple[np.ndarray, ...]               # per slot: (stream, seed, antenna)
-    gains: tuple[np.ndarray, ...]               # per slot: (stream, seed), post normalization
-    payload_rows: tuple[np.ndarray, ...]        # per slot: (stream, seed, symbol), pre-gain
-    x_matrix: tuple[np.ndarray, ...]            # per slot: (seed, antenna, symbol), unit norm
-    x_value: tuple[np.ndarray, ...]             # per slot: (seed, antenna), power-normalized
+    beams: np.ndarray                           # (stream column, seed, antenna)
+    gains: np.ndarray                           # (stream column, seed), post normalization
+    x_value: np.ndarray                         # (seed, slot, antenna), power-normalized
 
     @property
     def sqrt_power(self) -> float:
@@ -348,9 +341,9 @@ class TraceBatch(NamedTuple):
                 {
                     "state": str(slot.state),
                     "streams": list(slot.labels),
-                    "x": [cplx(v) for v in self.sqrt_power * x_value[0]],
+                    "x": [cplx(v) for v in self.sqrt_power * x_value],
                 }
-                for slot, x_value in zip(self.spec.compiled.slots, self.x_value)
+                for slot, x_value in zip(self.spec.compiled.slots, self.x_value[0])
             ],
             "observations": {
                 node: [cplx(v) for v in vals[0]] for node, vals in self.obs_vals.items()
@@ -604,9 +597,10 @@ def execute_batch(
     and as an exact coefficient row over the drawn symbols.  A slot's
     streams and the seeds run as stacked arrays; each stacked operation
     gives every (stream, seed) the bits its own run would, sums keep the
-    stream order, and every numeric check runs for every seed.  The batch
-    keeps the stacked symbols, channels and observations, and each slot's
-    beams, gains, payload rows and transmit matrices.
+    stream order, and every numeric check, slot power included, runs for
+    every seed.  The batch keeps the symbols, channels, observations, beams,
+    gains and transmitted vectors; payload rows and transmit matrices die
+    with the run.
     """
     if mode not in ("noiseless", "noisy"):
         raise BadParams(f"unknown mode {mode!r}")
@@ -645,17 +639,21 @@ def execute_batch(
     def failing_seed(bad: np.ndarray) -> int:
         return seeds[int(np.flatnonzero(bad)[0])]
 
-    # Per-slot arrays and one observation array per node, not whole-program
-    # stacks: freeing a few blocks of several MB together at the end of a run
-    # made the allocator return them to the system and fault them in again on
-    # the next run (measured at --blocks 40: ~3500 page faults per seed).
+    # Per-slot payload rows and transmit matrices (the whole-run beams, gains
+    # and x_value are tens of KB), not whole-program stacks: freeing a few
+    # blocks of several MB together at the end of a run made the allocator
+    # return them to the system and fault them in again on the next run
+    # (measured at --blocks 40: ~3500 page faults per seed).
     sent: list[_Sent] = []
-    transmitted = []    # per slot: x_matrix, x_value
+    all_beams = np.empty((len(program.column_slots), n_seeds, n_tx), dtype=complex)
+    all_gains = np.empty(all_beams.shape[:2])
+    x_values = np.zeros((n_seeds, n_slots, n_tx), dtype=complex)
     obs_rows = [np.empty((n_seeds, n_slots, n_sym), dtype=complex) for _ in nodes]
     obs_clean = np.empty((n_seeds, len(nodes), n_slots), dtype=complex)
+    start = 0       # the slot's first stream column
     for t, slot in enumerate(program.slots):
         k = len(slot.labels)
-        beams = np.empty((k, n_seeds, n_tx), dtype=complex)
+        beams = all_beams[start:start + k]
         rows = np.zeros((k, n_seeds, n_sym), dtype=complex)
         for pos, axis in slot.fixed:
             beams[pos] = axis
@@ -683,12 +681,17 @@ def execute_batch(
         # Correlated payloads make nominal shares sum away from one; rescale
         # the whole slot so the expected power is exactly the budget.
         x /= fro[:, None, None]
-        gains = gains / fro
-        x_value = np.zeros((n_seeds, n_tx), dtype=complex)
+        flat = x.reshape(n_seeds, -1)
+        over = power.total_power * np.vecdot(flat, flat).real > power.total_power * (1 + 1e-9)
+        if over.any():
+            raise AssertionError(f"seed {failing_seed(over)}, slot {t}: "
+                                 "transmit power above the budget")
+        gains = np.divide(gains, fro, out=all_gains[start:start + k])
+        start += k
+        x_value = x_values[:, t]
         for term in (gains * values)[:, :, None] * beams:
             x_value += term
         sent.append(_Sent(beams, gains, rows))
-        transmitted.append((x, x_value))
         for n in range(len(nodes)):
             ch = chan[:, n, t, None, :]
             obs_rows[n][:, t] = (ch @ x)[:, 0]
@@ -713,11 +716,9 @@ def execute_batch(
         obs_rows=dict(zip(nodes, obs_rows)),
         obs_vals=by_node(obs_vals),
         noise_vals=None if noise is None else by_node(noise),
-        beams=tuple(done.beams for done in sent),
-        gains=tuple(done.gains for done in sent),
-        payload_rows=tuple(done.rows for done in sent),
-        x_matrix=tuple(x for x, _ in transmitted),
-        x_value=tuple(x_value for _, x_value in transmitted),
+        beams=all_beams,
+        gains=all_gains,
+        x_value=x_values,
     )
 
 

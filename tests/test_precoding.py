@@ -168,18 +168,25 @@ class TestAssemble:
 
     def test_incomplete_trace_rejected(self):
         def without_last_slot(run):
+            last = len(run.spec.slot_plans[-1].streams)
             return run._replace(**{
                 name: {node: arr[:, :-1] for node, arr in getattr(run, name).items()}
-                for name in ("channels", "obs_rows", "obs_vals")}, **{
-                name: getattr(run, name)[:-1]
-                for name in ("beams", "gains", "payload_rows", "x_matrix", "x_value")})
+                for name in ("channels", "obs_rows", "obs_vals")},
+                beams=run.beams[:-last], gains=run.gains[:-last], x_value=run.x_value[:, :-1])
+
+        def without_last_beam(run):
+            return run._replace(beams=run.beams[:-1])
 
         spec, trace = _run("MR_DDP")
-        with pytest.raises(IncompleteTrace, match="trace has 2 of 3 slots"):
-            assemble_effective_system(without_last_slot(trace))
         batch = next(run_seed_batches(spec, [0, 1], PowerBudget(1e4)))
-        with pytest.raises(IncompleteTrace, match="trace has 2 of 3 slots"):
-            assemble_effective_systems(without_last_slot(batch))
+        n_columns = len(spec.compiled.columns)
+        for run, assemble in ((trace, assemble_effective_system),
+                              (batch, assemble_effective_systems)):
+            with pytest.raises(IncompleteTrace, match="trace has 2 of 3 slots"):
+                assemble(without_last_slot(run))
+            with pytest.raises(IncompleteTrace, match=f"trace has {n_columns - 1} of "
+                                                      f"{n_columns} stream columns"):
+                assemble(without_last_beam(run))
 
     @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
     def test_trace_check_holds_at_every_power(self, scheme_id):

@@ -170,13 +170,25 @@ class TestRun:
             residuals.append(decode(trace).max_residual)
         assert residuals[1] < residuals[0]
 
-    def test_per_slot_power(self):
-        for scheme_id in ("MR_DDP", "BC_S1_43", "MR_S30_29_A", "WT_DD_23"):
+    def test_per_slot_power(self, monkeypatch):
+        """The executor checks every slot's power against the budget; a
+        normalization short by 1e-6 trips the check."""
+        from sdof_lab.schemes import program
+
+        cases = ("MR_DDP", "BC_S1_43", "MR_S30_29_A", "WT_DD_23")
+        for scheme_id in cases:
             spec, trace = _run(scheme_id, seed=2, power=256.0)
-            assert len(trace.x_matrix) == spec.n_slots
-            for x in trace.x_matrix:
-                slot_power = trace.power.total_power * np.linalg.norm(x[0]) ** 2
-                assert slot_power <= 256.0 * (1 + 1e-9)
+            assert trace.x_value.shape[1] == spec.n_slots
+        norms = program._norms
+
+        def short_frobenius_norms(a):
+            out = norms(a)
+            return out * (1 - 1e-6) if out.ndim == 1 else out   # the (seed,) slot norms
+
+        monkeypatch.setattr(program, "_norms", short_frobenius_norms)
+        for scheme_id in cases:
+            with pytest.raises(AssertionError, match="seed 2, slot 0: transmit power above"):
+                _run(scheme_id, seed=2, power=256.0)
 
     def test_trace_determinism(self):
         _, a = _run("BC_DD_S1", seed=9)
@@ -235,9 +247,7 @@ def _trace_bytes(trace) -> list:
                 record(trace.obs_vals[node])]
         if trace.noise_vals is not None:
             out.append(record(trace.noise_vals[node]))
-    for per_slot in (trace.beams, trace.gains, trace.payload_rows,
-                     trace.x_matrix, trace.x_value):
-        out += [record(arr) for arr in per_slot]
+    out += [record(trace.beams), record(trace.gains), record(trace.x_value)]
     return out
 
 
@@ -271,13 +281,29 @@ class TestBatch:
                              power, mode, seed)
             assert _trace_bytes(batched) == _trace_bytes(one)
 
+    def test_record_is_its_observation_rows(self):
+        """A run's record holds little beside its nodes' observation rows: no
+        payload row or transmit matrix outlives the run."""
+        def nbytes(value):
+            if isinstance(value, np.ndarray):
+                return value.nbytes
+            if isinstance(value, dict):
+                return sum(map(nbytes, value.values()))
+            if isinstance(value, tuple):
+                return sum(map(nbytes, value))
+            return 0
+
+        _, trace = _run("MR_S30_29_A", blocks=40)
+        total, rows = nbytes(tuple(trace)), nbytes(trace.obs_rows)
+        assert total <= rows + (1 << 20)
+
     def test_batched_traces_own_their_arrays(self):
         spec = build_scheme("BC_S1_43")
         first, second = run_seeds(spec, [0, 1], PowerBudget(1e4))
         for a, b in ((first.symbol_values, second.symbol_values),
                      (first.obs_rows[RX1], second.obs_rows[RX1]),
-                     (first.beams[1], second.beams[1]),
-                     (first.x_matrix[0], second.x_matrix[0])):
+                     (first.beams, second.beams), (first.gains, second.gains),
+                     (first.x_value, second.x_value)):
             assert not np.shares_memory(a, b)
 
     def test_compiled_on_first_use_only(self):
@@ -323,9 +349,8 @@ class TestStackTraces:
         for arrays in (batch.channels, batch.obs_rows, batch.obs_vals, batch.noise_vals):
             out.append(None if arrays is None else
                        {node: (arr.shape, arr.tobytes()) for node, arr in arrays.items()})
-        for per_slot in (batch.beams, batch.gains, batch.payload_rows,
-                         batch.x_matrix, batch.x_value):
-            out.append([(arr.shape, arr.tobytes()) for arr in per_slot])
+        for arr in (batch.beams, batch.gains, batch.x_value):
+            out.append((arr.shape, arr.tobytes()))
         return out
 
     @pytest.mark.parametrize("mode", ["noiseless", "noisy"])
@@ -399,7 +424,7 @@ def _bits(z) -> tuple:
 
 class TestReceiverView:
     """A seed's view, cut from its batch or from its own batch of one, reads
-    bit for bit what the run's per-slot arrays, channels, observations and
+    bit for bit what the run's beams, gains, channels, observations and
     symbols give."""
 
     @pytest.mark.parametrize("mode", ["noiseless", "noisy"])
@@ -414,12 +439,13 @@ class TestReceiverView:
                     chan = trace.channels[node][0]
                     for t, slot in enumerate(spec.compiled.slots):
                         # the payload-scale value and coefficients as computed
-                        # straight from the slot's arrays
+                        # straight from the record's arrays
                         want = _bits(complex(trace.obs_vals[node][0, t]) / trace.sqrt_power)
                         assert _bits(view.rv(node, t)) == want
                         assert _bits(own.rv(node, t)) == want
-                        for pos, label in enumerate(slot.labels):
-                            gain, beam = trace.gains[t][pos, 0], trace.beams[t][pos, 0]
+                        for label in slot.labels:
+                            column = spec.compiled.columns[t, label]
+                            gain, beam = trace.gains[column, 0], trace.beams[column, 0]
                             want = _bits(complex(gain * (chan[t] @ beam)))
                             assert _bits(view.rc(node, t, label)) == want, (node, t, label)
                             assert _bits(own.rc(node, t, label)) == want, (node, t, label)
