@@ -12,6 +12,7 @@ computation treats the channel matrices as known side information.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -148,10 +149,19 @@ def fit_slope(values, slots, grid: Sequence[float] = DEFAULT_GRID) -> SlopeEstim
     xs = np.log2(np.array(grid))
     ys = np.array(values) / slots
     rows = np.atleast_2d(ys)                        # (series, power)
-    # one polyfit per series: a single polyfit over a 2-D y solves for all
-    # columns at once, which on some grids (2^20..2^60 in steps of 5) moves
-    # the last bits of the slopes away from the lone fits'
-    coeffs = np.stack([np.polyfit(xs, row, 1) for row in rows], axis=1)   # (2, series)
+    # np.polyfit(xs, row, 1) of each series, with the scaled design matrix
+    # and cutoff it would rebuild per call made once.  One solve per series:
+    # a single solve over all columns at once, as a 2-D polyfit makes, moves
+    # the last bits of the slopes on some grids (2^20..2^60 in steps of 5).
+    lhs = np.vander(xs, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    rcond = len(xs) * np.finfo(xs.dtype).eps
+    solved = [np.linalg.lstsq(lhs, row + 0.0, rcond) for row in rows]
+    if solved[0][2] != 2:          # the rank, which lhs alone sets
+        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning,
+                      stacklevel=2)
+    coeffs = np.stack([c for c, *_ in solved], axis=1) / scale[:, None]   # (2, series)
     fit = np.polyval(coeffs[:, :, None], xs)
     # each series' squared errors are a contiguous row, summed as a lone
     # series' would be

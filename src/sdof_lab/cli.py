@@ -25,7 +25,8 @@ import numpy as np
 from . import analysis, regions
 from .errors import CsitViolation, SdofLabError
 from .fm_oracle import convex_hull, hull_agreement
-from .model import RX1, RX2, PowerBudget, StateLabel, sample_channel, validate_schedule
+from .model import (RX1, RX2, PowerBudget, StateLabel, sample_channel, sample_channels,
+                    validate_schedule)
 from .precoding import assemble_effective_system, assemble_effective_systems
 from .schemes import (
     TraceBatch,
@@ -126,18 +127,21 @@ def _simulate_chunk(spec, seeds, powers: list[float], mode: str):
     """Per seed of one chunk: the seed, its CSV values per power, its rate
     slopes, its leakage slope and its hard-failure flag.
 
-    Each seed is sampled and executed on its own, through the single-seed
-    entry points whose calls the benchmark's layer tracing (perfbench)
-    counts per simulated seed.  Each run is copied into the chunk's stacked
-    arrays as it arrives, and the chunk is analysed as a stack with the
-    calls criterion 3 makes: one assembly, one `decode_batch` (the hand
-    decoder per seed, one adversary oracle call per adversary), then one SVD
-    per (node, column set) for every system and power, and one slope fit.
+    The chunk's channels are sampled in one pass, which gives each seed the
+    bits of its own draw.  Each seed is then executed on its own, through
+    the single-seed entry point whose calls the benchmark's layer tracing
+    (perfbench) counts per simulated seed.  Each run is copied into the
+    chunk's stacked arrays as it arrives, and the chunk is analysed as a
+    stack with the calls criterion 3 makes: one assembly, one `decode_batch`
+    (the hand decoder per seed, one adversary oracle call per adversary),
+    then one SVD per (node, column set) for every system and power, and one
+    slope fit.
     """
     budget = PowerBudget(powers[0])
+    realizations = sample_channels(spec.topology, spec.n_slots, seeds)
     batch = TraceBatch.concatenate((
-        run_scheme(spec, sample_channel(spec.topology, spec.n_slots, seed), budget, mode, seed)
-        for seed in seeds), len(seeds))
+        run_scheme(spec, realization, budget, mode, seed)
+        for seed, realization in zip(seeds, realizations)), len(seeds))
     systems = assemble_effective_systems(batch)
     reports = decode_batch(batch, systems)
     del batch       # the analysis reads the systems alone

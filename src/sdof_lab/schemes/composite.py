@@ -176,6 +176,12 @@ def decode_fallback_block(view, meta) -> tuple[list[complex], list[complex]]:
     return [p0, p1, p2], [q0, q1, q2]
 
 
+# The largest superframe built, five times the largest documented size
+# (40): under tjsp53 one seed's record alone takes 2784 * blocks^2 bytes
+# (111 MB at the bound), so a larger size is refused before anything is
+# allocated.
+MAX_BLOCKS = 200
+
 _SUB_BLOCKS = {
     "tjsp53": {
         "per_side": 5,
@@ -323,7 +329,7 @@ def build_mr_s30_29(scheme_id: str, first: str, sub: str = "tjsp53",
 
     `first` is the receiver favoured by the dissemination phase state choice;
     the mirrored variant simply swaps the two receiver roles.  `blocks` must
-    keep every sub-protocol batch integral.
+    keep every sub-protocol batch integral and be at most `MAX_BLOCKS`.
     """
     if sub not in _SUB_BLOCKS:
         raise BadParams(f"unknown sub-protocol {sub!r}")
@@ -331,6 +337,8 @@ def build_mr_s30_29(scheme_id: str, first: str, sub: str = "tjsp53",
     per_side = rules["per_side"]
     if blocks is None:
         blocks = 2 * per_side
+    if blocks > MAX_BLOCKS:
+        raise BadParams(f"blocks={blocks} is above the largest superframe, {MAX_BLOCKS} blocks")
     if blocks <= 0 or blocks % per_side or blocks % 2 or (blocks // 2) % per_side:
         raise BadParams(
             f"blocks={blocks} does not pack into {sub} batches of {per_side} "

@@ -649,7 +649,6 @@ def execute_batch(
     all_gains = np.empty(all_beams.shape[:2])
     x_values = np.zeros((n_seeds, n_slots, n_tx), dtype=complex)
     obs_rows = [np.empty((n_seeds, n_slots, n_sym), dtype=complex) for _ in nodes]
-    obs_clean = np.empty((n_seeds, len(nodes), n_slots), dtype=complex)
     start = 0       # the slot's first stream column
     for t, slot in enumerate(program.slots):
         k = len(slot.labels)
@@ -692,11 +691,15 @@ def execute_batch(
         for term in (gains * values)[:, :, None] * beams:
             x_value += term
         sent.append(_Sent(beams, gains, rows))
-        for n in range(len(nodes)):
-            ch = chan[:, n, t, None, :]
-            obs_rows[n][:, t] = (ch @ x)[:, 0]
-            obs_clean[:, n, t] = (ch @ x_value[:, :, None])[:, 0, 0]
+        # every node's observation rows from one product, each (seed, node)
+        # entry a lone row-times-matrix product
+        observed = chan[:, :, t, None, :] @ x[:, None]
+        for n, node_rows in enumerate(obs_rows):
+            node_rows[:, t] = observed[:, n, 0]
 
+    # every (seed, node, slot) clean observation h_t @ x_value_t at once,
+    # each a lone row-times-column product
+    obs_clean = (chan[:, :, :, None, :] @ x_values[:, None, :, :, None])[..., 0, 0]
     obs_vals = np.sqrt(power.total_power) * obs_clean
     noise = None
     if mode == "noisy":

@@ -26,6 +26,8 @@ from sdof_lab.precoding import EffectiveLinearSystem, SymbolDecl, assemble_effec
 from sdof_lab.schemes import SCHEME_IDS, build_scheme, run_scheme, run_seeds
 
 STEP5_GRID = tuple(2.0 ** e for e in range(20, 61, 5))
+# the CLI's whole exponent range, negative exponents included
+WIDE_GRID = tuple(2.0 ** e for e in (-1000, -300, -7, 0, 12, 300, 1000))
 
 
 def _system(scheme_id, seed=0, **params):
@@ -265,6 +267,37 @@ class TestSlopes:
             alone = fit_slope(row.tolist(), spec.n_slots, grid)
             assert _bits(alone.slope) == _bits(slope)
             assert _bits(alone.residual) == _bits(residual)
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, STEP5_GRID, WIDE_GRID],
+                             ids=["5", "9", "wide"])
+    def test_slopes_are_polyfits(self, grid):
+        """Every slope, of a lone series and of each row of a stack, is
+        np.polyfit's slope of that series over log2(P), bit for bit."""
+        gen = np.random.default_rng(len(grid))
+        xs = np.log2(grid)
+        random = gen.normal(size=(6, len(grid))) * 3 + gen.uniform(0, 6, (6, 1)) * xs
+        simulated = []
+        for scheme_id in ("BC_S2_43", "MR_S30_29_A"):
+            spec, _, stack = _systems(scheme_id)
+            simulated += [achievable_rate_stacked(stack, node, grid)
+                          for node in (RX1, RX2)]
+            simulated += [gaussian_mi_stacked(stack, adv, sorted(secret), grid,
+                                              spec.adversary_known.get(adv, frozenset()))
+                          for adv, secret in sorted(spec.protected.items())]
+        for series, slots in ((random, 7), (np.concatenate(simulated), 29)):
+            want = [np.polyfit(xs, row / slots, 1)[0].hex() for row in series]
+            assert [slope.hex() for slope in fit_slope(series, slots, grid).slope.tolist()] \
+                == want
+            assert [fit_slope(row.tolist(), slots, grid).slope.hex() for row in series] \
+                == want
+
+    def test_degenerate_fit_warns_as_polyfit_does(self):
+        # two powers one ulp apart share their log2, so the fit has rank one
+        grid = (2.0 ** 60, np.nextafter(2.0 ** 60, math.inf))
+        with pytest.warns(np.exceptions.RankWarning):
+            np.polyfit(np.log2(grid), [1.0, 2.0], 1)
+        with pytest.warns(np.exceptions.RankWarning):
+            fit_slope([1.0, 2.0], 1, grid)
 
     def test_rate_slopes_match_nominal(self):
         spec, system = _system("BC_PP_S2")

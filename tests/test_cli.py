@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,9 @@ from sdof_lab.analysis import DEFAULT_GRID, leakage_slope, rate_slope
 from sdof_lab.cli import main
 from sdof_lab.model import RX1, RX2, PowerBudget, sample_channel
 from sdof_lab.precoding import assemble_effective_system
-from sdof_lab.schemes import SCHEME_IDS, build_scheme, from_cli_name, program, run_scheme
+from sdof_lab.schemes import (
+    SCHEME_IDS, build_scheme, composite, from_cli_name, program, run_scheme,
+)
 from sdof_lab.regions import converse_alternation_system, system_to_json_dict
 
 
@@ -34,6 +37,17 @@ DUMP_DIGESTS = {
         "channel": "653a575d2520c78dbe138323e07043285825800be74f7c7218166ff80219e1f9",
     },
 }
+
+
+# The benchmark's recorded output digests, keyed by command line.  Its
+# composite command is left out: its bytes depend on the BLAS thread count
+# (they match with one OpenBLAS thread, not with two).
+BENCH_DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text())
+COMPOSITES = ("MR_S30_29_A", "MR_S30_29_B")
+SIMULATE_DIGEST_KEYS = sorted(
+    key for key in BENCH_DIGESTS
+    if key.startswith("simulate ") and from_cli_name(key.split()[2]) not in COMPOSITES)
 
 
 class TestSimulate:
@@ -276,6 +290,40 @@ class TestSimulate:
         summary = json.loads(summary_path.read_text())
         assert summary["nominal_sdof"]["rx1"] == [1, 2]
         assert summary["slots"] == 36
+
+    def test_oversized_superframe_is_refused_before_it_is_built(self, capsys):
+        """A superframe above the bound is one error line and exit 1; the
+        bound is checked before anything is built, so nothing large is
+        allocated."""
+        blocks = composite.MAX_BLOCKS + 1
+        tracemalloc.start()
+        try:
+            code = run_cli("simulate", "--scheme", "mr_s30_29_a", "--blocks", str(blocks),
+                           "--seeds", "1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: blocks={blocks} is above the largest superframe, "
+                                f"{composite.MAX_BLOCKS} blocks\n")
+        assert peak < 1 << 20
+
+    def test_digest_gate_covers_every_small_scheme(self):
+        assert sorted(from_cli_name(key.split()[2]) for key in SIMULATE_DIGEST_KEYS) \
+            == sorted(set(SCHEME_IDS) - set(COMPOSITES))
+
+    @pytest.mark.parametrize("key", SIMULATE_DIGEST_KEYS)
+    def test_outputs_match_the_benchmark_digests(self, capsys, key):
+        """The CSV and summary of each small-scheme `simulate` command the
+        benchmark runs hash to the digests its output gate records."""
+        assert main(key.split()) == 0
+        out = capsys.readouterr().out
+        cut = out.find("\n{") + 1     # the CSV, then the summary
+        assert {"csv": hashlib.sha256(out[:cut].encode()).hexdigest(),
+                "summary": hashlib.sha256(out[cut:].encode()).hexdigest()} \
+            == BENCH_DIGESTS[key]
 
 
 class TestRegion:

@@ -340,6 +340,79 @@ class TestBatch:
             execute_batch(spec, realizations, PowerBudget(1e4), "noiseless", [5, 6, 7])
 
 
+def _assert_same_with_signed_zeros(got: np.ndarray, want: np.ndarray, what: str) -> None:
+    assert got.shape == want.shape, what
+    assert np.array_equal(got, want), what
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want))), what
+
+
+class TestRecordedProducts:
+    """The executor's observation rows, observations and transmitted vectors
+    against a slot-by-slot reference kept here: a `+=` per stream for the
+    transmitted vector, and per node one product with the slot's transmit
+    matrix and one with the transmitted vector.  Values and the sign of every
+    zero must agree: LAPACK's reflectors read the sign of zero."""
+
+    @staticmethod
+    def _check(spec, seeds, mode, monkeypatch):
+        from sdof_lab.schemes import program
+
+        # _norms sees each slot's payload rows, then its transmit matrix as a
+        # flat view, which the executor then normalizes in place
+        seen = []
+        norms = program._norms
+
+        def recording(a):
+            seen.append(a)
+            return norms(a)
+
+        power = PowerBudget(2.0 ** 40)
+        with monkeypatch.context() as patch:
+            patch.setattr(program, "_norms", recording)
+            batch = execute_batch(spec, sample_channels(spec.topology, spec.n_slots, seeds),
+                                  power, mode, seeds)
+        assert len(seen) == 2 * spec.n_slots
+        n_seeds, n_tx = len(seeds), spec.topology.n_tx
+        x_values = np.zeros((n_seeds, spec.n_slots, n_tx), dtype=complex)
+        zeros = 0
+        for t in range(spec.n_slots):
+            rows, flat = seen[2 * t], seen[2 * t + 1]
+            x = flat.reshape(n_seeds, n_tx, -1)
+            columns = np.flatnonzero(spec.compiled.column_slots == t)
+            gains, beams = batch.gains[columns], batch.beams[columns]
+            values = (rows[:, :, None, :] @ batch.symbol_values[None, :, :, None])[..., 0, 0]
+            x_value = x_values[:, t]
+            for term in (gains * values)[:, :, None] * beams:
+                x_value += term
+            _assert_same_with_signed_zeros(batch.x_value[:, t], x_value, f"slot {t} x_value")
+            for node in spec.topology.nodes():
+                ch = batch.channels[node][:, t, None, :]
+                observed = (ch @ x)[:, 0]
+                clean = np.sqrt(power.total_power) * (ch @ x_value[:, :, None])[:, 0, 0]
+                if mode == "noisy":
+                    clean = clean + batch.noise_vals[node][:, t]
+                got = batch.obs_rows[node][:, t]
+                _assert_same_with_signed_zeros(got, observed, f"slot {t} {node} obs_rows")
+                _assert_same_with_signed_zeros(batch.obs_vals[node][:, t], clean,
+                                               f"slot {t} {node} obs_vals")
+                zeros += int(np.sum(got.real == 0) + np.sum(got.imag == 0))
+        return zeros
+
+    @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+    def test_one_seed(self, scheme_id, monkeypatch):
+        self._check(build_scheme(scheme_id), [5], "noiseless", monkeypatch)
+
+    @pytest.mark.parametrize("mode", ["noiseless", "noisy"])
+    @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+    def test_many_seeds(self, scheme_id, mode, monkeypatch):
+        self._check(build_scheme(scheme_id), [0, 1, 2, 7, 11], mode, monkeypatch)
+
+    def test_composite_blocks_20(self, monkeypatch):
+        zeros = self._check(build_scheme("MR_S30_29_A", blocks=20), [3], "noisy", monkeypatch)
+        assert zeros > 10_000       # most of a superframe's row entries are zeros
+
+
 class TestStackTraces:
     """Single runs concatenated give the batch a stacked run gives."""
 
