@@ -11,16 +11,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from sdof_lab import (
-    RX1,
-    PowerBudget,
-    accounting,
-    assemble_effective_system,
-    build_scheme,
-    composite_accounting,
-    rate_slope,
-    run_seeds,
-)
+from sdof_lab import RX1, PowerBudget, accounting, build_scheme, composite_accounting
+from sdof_lab.analysis import DEFAULT_GRID, achievable_rate_stacked, fit_slope
+from sdof_lab.precoding import assemble_effective_systems
+from sdof_lab.schemes import run_seed_batches
 
 SUB_RATES = {"tjsp53": Fraction(5, 3), "fallback32": Fraction(3, 2)}
 
@@ -34,8 +28,10 @@ def main():
         spec = build_scheme("MR_S30_29_A", sub=sub)
         measured = accounting(spec)
         predicted = composite_accounting(sub_rate)
-        slopes = [rate_slope(assemble_effective_system(trace), RX1, spec.n_slots).slope
-                  for trace in run_seeds(spec, range(args.seeds), PowerBudget(1e4))]
+        slopes = np.concatenate([
+            fit_slope(achievable_rate_stacked(assemble_effective_systems(batch), RX1,
+                                              DEFAULT_GRID), spec.n_slots).slope
+            for batch in run_seed_batches(spec, range(args.seeds), PowerBudget(1e4))])
         print(f"sub-protocol {sub}: superframe {spec.n_slots} slots, "
               f"{measured.symbols_per_receiver[RX1]} symbols/receiver")
         print(f"  accounting: measured {measured.nominal_sdof[RX1]}, "

@@ -8,19 +8,19 @@ import argparse
 
 import numpy as np
 
-from sdof_lab import (
-    RX1,
-    RX2,
-    SCHEME_IDS,
-    PowerBudget,
-    accounting,
-    assemble_effective_system,
-    build_scheme,
-    decode,
-    rate_slope,
-    run_seeds,
+from sdof_lab import RX1, RX2, SCHEME_IDS, PowerBudget, accounting, build_scheme
+from sdof_lab.analysis import (
+    DEFAULT_GRID,
+    achievable_rate_stacked,
+    fit_slope,
+    gaussian_mi_stacked,
 )
-from sdof_lab.analysis import leakage_slope
+from sdof_lab.precoding import assemble_effective_systems
+from sdof_lab.schemes import decode_batch, run_seed_batches
+
+
+def _mean(slopes) -> float:
+    return np.mean(np.concatenate(slopes)) if slopes else 0.0
 
 
 def main():
@@ -38,23 +38,24 @@ def main():
         slopes = {RX1: [], RX2: []}
         leaks = []
         ok = True
-        for trace in run_seeds(spec, range(args.seeds), PowerBudget(1e4)):
-            ok &= decode(trace).all_success
-            system = assemble_effective_system(trace)
+        for batch in run_seed_batches(spec, range(args.seeds), PowerBudget(1e4)):
+            systems = assemble_effective_systems(batch)
+            ok &= all(decoded.all_success for decoded in decode_batch(batch, systems))
             for node in (RX1, RX2):
-                if system.message_sids(node):
-                    slopes[node].append(
-                        rate_slope(system, node, spec.n_slots).slope)
-            for adv, secret in spec.protected.items():
-                known = spec.adversary_known.get(adv, frozenset())
-                leaks.append(leakage_slope(
-                    system, adv, sorted(secret), spec.n_slots, known).slope)
-        s1 = np.mean(slopes[RX1]) if slopes[RX1] else 0.0
-        s2 = np.mean(slopes[RX2]) if slopes[RX2] else 0.0
-        lk = np.mean(leaks) if leaks else 0.0
+                if spec.message_sids(node):
+                    rates = achievable_rate_stacked(systems, node, DEFAULT_GRID)
+                    slopes[node].append(fit_slope(rates, spec.n_slots).slope)
+            per_adversary = [
+                fit_slope(gaussian_mi_stacked(
+                    systems, adv, sorted(secret), DEFAULT_GRID,
+                    spec.adversary_known.get(adv, frozenset())), spec.n_slots).slope
+                for adv, secret in spec.protected.items()]
+            if per_adversary:       # seed-major, adversary-minor
+                leaks.append(np.stack(per_adversary, axis=1).ravel())
         print(f"{scheme_id.lower():<22} {spec.n_slots:>5} "
-              f"{str(report.nominal_sdof[RX1]):>12} {s1:>10.4f} {s2:>10.4f} "
-              f"{lk:>11.2e} {'ok' if ok else 'FAIL':>7}")
+              f"{str(report.nominal_sdof[RX1]):>12} {_mean(slopes[RX1]):>10.4f} "
+              f"{_mean(slopes[RX2]):>10.4f} {_mean(leaks):>11.2e} "
+              f"{'ok' if ok else 'FAIL':>7}")
 
 
 if __name__ == "__main__":

@@ -22,14 +22,11 @@ from .model import (
     validate_schedule,
 )
 from .precoding import (
-    Beamformer,
     EffectiveLinearSystem,
     SymbolDecl,
     assemble_effective_system,
     identifiability_check,
     identifiable_symbols,
-    null_basis,
-    null_vector,
 )
 from .schemes import (
     SCHEME_IDS,
@@ -43,7 +40,6 @@ from .schemes import (
     composite_accounting,
     decode,
     run_scheme,
-    run_seeds,
 )
 from .analysis import (
     MiResult,

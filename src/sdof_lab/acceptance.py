@@ -28,7 +28,6 @@ from .schemes import (
     composite_accounting,
     decode_batch,
     run_seed_batches,
-    run_seeds,
 )
 
 SLOPE_TOL = 0.05
@@ -57,12 +56,21 @@ def _result(number, name, ok, detail="") -> CriterionResult:
 
 
 def _systems(spec, n_seeds: int) -> list:
-    """Effective systems of seeds 0..n_seeds-1 at the reference power."""
-    out = []
-    for batch in run_seed_batches(spec, range(n_seeds), REFERENCE_POWER):
-        systems = assemble_effective_systems(batch)
-        out += [systems.item(i) for i in range(len(batch.seeds))]
-    return out
+    """Effective systems of seeds 0..n_seeds-1 at the reference power, one
+    stack per batch."""
+    return [assemble_effective_systems(batch)
+            for batch in run_seed_batches(spec, range(n_seeds), REFERENCE_POWER)]
+
+
+def _prelogs(values: list, slots: int) -> np.ndarray:
+    """Per-system prelogs of the (system, power) values of every stack over
+    GRID, in system order, from one fit."""
+    return analysis.fit_slope(np.concatenate(values), slots, GRID).slope
+
+
+def _rate_prelogs(stacks: list, node: str, slots: int) -> np.ndarray:
+    return _prelogs([analysis.achievable_rate_stacked(systems, node, GRID)
+                     for systems in stacks], slots)
 
 
 def _pair_schedule(**fractions):
@@ -166,11 +174,9 @@ def criterion_4(n_seeds: int = 5) -> CriterionResult:
     failures = []
     for scheme_id, targets in _NOMINAL_SLOPES.items():
         spec = build_scheme(scheme_id)
-        systems = _systems(spec, n_seeds)
+        stacks = _systems(spec, n_seeds)
         for node, nominal in targets.items():
-            slopes = [analysis.rate_slope(system, node, spec.n_slots, GRID).slope
-                      for system in systems]
-            mean = float(np.mean(slopes))
+            mean = float(np.mean(_rate_prelogs(stacks, node, spec.n_slots)))
             if abs(mean - float(nominal)) > SLOPE_TOL:
                 failures.append(f"{scheme_id}/{node}: {mean:.4f} vs {nominal}")
     return _result(4, "per-slot rate prelogs within 0.05 of nominal",
@@ -183,19 +189,18 @@ def criterion_5(n_seeds: int = 5) -> CriterionResult:
     secure = [sid for sid in SCHEME_IDS if build_scheme(sid).protected]
     for scheme_id in secure:
         spec = build_scheme(scheme_id)
-        systems = _systems(spec, n_seeds)
+        stacks = _systems(spec, n_seeds)
         for adv, secret in spec.protected.items():
             known = spec.adversary_known.get(adv, frozenset())
-            slopes = []
-            for system in systems:
-                slopes.append(analysis.leakage_slope(
-                    system, adv, sorted(secret), spec.n_slots, known, GRID).slope)
-                if scheme_id in ("MR_PDP", "MR_DDP"):
-                    bits = analysis.gaussian_mi(
-                        system, adv, sorted(secret), 2.0 ** 60, known=known).bits
-                    if bits > 1e-6:
-                        failures.append(f"{scheme_id}: nulled leakage {bits:.2e}")
-            mean = float(np.mean(slopes))
+            leaks = [analysis.gaussian_mi_stacked(systems, adv, sorted(secret), GRID, known)
+                     for systems in stacks]
+            if scheme_id in ("MR_PDP", "MR_DDP"):
+                for systems in stacks:
+                    nulled = analysis.gaussian_mi_stacked(
+                        systems, adv, sorted(secret), [2.0 ** 60], known)[:, 0]
+                    failures += [f"{scheme_id}: nulled leakage {bits:.2e}"
+                                 for bits in nulled if bits > 1e-6]
+            mean = float(np.mean(_prelogs(leaks, spec.n_slots)))
             if abs(mean) > SLOPE_TOL:
                 failures.append(f"{scheme_id}/{adv}: leakage slope {mean:.4f}")
     return _result(5, "leakage prelogs <= 0.05; nulled schemes exactly zero",
@@ -220,13 +225,11 @@ def criterion_6(sub: str = "tjsp53", n_seeds: int = 3) -> CriterionResult:
         formula = composite_accounting(Fraction(3, 2)).nominal_sdof[RX1]
         if report.nominal_sdof[RX1] != formula or formula != expect:
             failures.append(f"fallback accounting {report.nominal_sdof[RX1]}")
-    systems = _systems(spec, n_seeds)
+    stacks = _systems(spec, n_seeds)
     for node in (RX1, RX2):
         if report.nominal_sdof[node] != expect:
             failures.append(f"accounting {node}: {report.nominal_sdof[node]}")
-        slopes = [analysis.rate_slope(system, node, spec.n_slots, GRID).slope
-                  for system in systems]
-        mean = float(np.mean(slopes))
+        mean = float(np.mean(_rate_prelogs(stacks, node, spec.n_slots)))
         if abs(mean - float(expect)) > SLOPE_TOL:
             failures.append(f"slope {node}: {mean:.4f} vs {expect}")
     return _result(6, f"composite accounting and slopes ({sub})",
@@ -327,8 +330,8 @@ def _mc_cases() -> list[tuple]:
     cases = []
     for idx, (scheme_id, node) in enumerate(_MC_CASES):
         spec = build_scheme(scheme_id)
-        trace, = run_seeds(spec, [1000 + idx], PowerBudget(_MC_POWER))
-        system = assemble_effective_system(trace)
+        batch, = run_seed_batches(spec, [1000 + idx], PowerBudget(_MC_POWER))
+        system = assemble_effective_system(batch)
         secret = spec.protected.get(node) or system.message_sids(node)
         secret = sorted(secret)
         if not secret:

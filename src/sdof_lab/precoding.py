@@ -1,10 +1,11 @@
-"""Zero-forcing beamformers and per-node effective linear systems.
+"""Zero-forcing beams and per-node effective linear systems.
 
-`null_basis`/`null_vector` build unit-norm beams orthogonal to given channel
-rows with a deterministic phase convention.  `assemble_effective_system`
-extracts, from an executed run, the exact matrices mapping
-(message, noise) symbols to each node's observations; those matrices drive
-the decodability oracle and all mutual-information computations.
+`null_bases` builds orthonormal bases orthogonal to given channel rows, for
+a whole stack of row sets at once, with a deterministic phase convention.
+`assemble_effective_system` extracts, from an executed run, the exact
+matrices mapping (message, noise) symbols to each node's observations;
+those matrices drive the decodability oracle and all mutual-information
+computations.
 
 A system may also be a stack: matrices with a leading axis, one item per
 seed of a batch.  The assembly and the two identifiability oracles have
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -28,18 +29,6 @@ from .errors import IncompleteTrace, OverConstrained, UnknownSymbolId
 
 DEGENERATE_ROW_TOL = 1e-12
 RANK_REL_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class Beamformer:
-    """Unit-norm beam with the channel rows it annihilates."""
-
-    vector: np.ndarray
-    constraints: tuple
-    degenerate: bool = False
-
-    def __post_init__(self):
-        self.vector.setflags(write=False)
 
 
 def vector_norms(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -65,9 +54,12 @@ def canonical_phase(vecs: np.ndarray) -> np.ndarray:
 
 
 def null_bases(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked `null_basis`: for constraint rows (..., r, dim), the
-    (..., dim, dim - r) bases and the degenerate flags; each item is bit for
-    bit the single-matrix result."""
+    """Orthonormal bases (columns) of the joint nullspace of each set of
+    constraint rows (..., r, dim) in C^dim, as (..., dim, dim - r), and the
+    degenerate flags, set where the rows are numerically rank deficient
+    (which the channel sampler excludes but fuzz inputs may produce).
+    Requires r < dim.  Each item of a stack is bit for bit the result for
+    its rows alone."""
     *stack, r, dim = mats.shape
     if r >= dim:
         raise OverConstrained(f"{r} constraint rows leave no nullspace in dim {dim}")
@@ -80,33 +72,6 @@ def null_bases(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # C-contiguous so a column (a beam) has the same strides as always
     basis = canonical_phase(vh[..., r:, :].conj())
     return np.ascontiguousarray(np.swapaxes(basis, -1, -2)), degenerate
-
-
-def null_basis(rows: Sequence[np.ndarray], dim: int) -> tuple[np.ndarray, bool]:
-    """Orthonormal basis (columns) of the joint nullspace of `rows` in C^dim.
-
-    Returns (basis, degenerate_flag); the flag is set when the rows are
-    numerically rank deficient, which the channel sampler excludes but fuzz
-    inputs may produce.  Requires len(rows) < dim.
-    """
-    rows = [np.asarray(r, dtype=complex) for r in rows]
-    if len(rows) >= dim:
-        raise OverConstrained(f"{len(rows)} constraint rows leave no nullspace in dim {dim}")
-    mat = np.vstack(rows) if rows else np.zeros((0, dim), dtype=complex)
-    if mat.shape[1] != dim:
-        raise ValueError("constraint rows have wrong length")
-    basis, degenerate = null_bases(mat)
-    return basis, bool(degenerate)
-
-
-def null_vector(rows: Sequence[np.ndarray], dim: int) -> Beamformer:
-    """Single unit beam orthogonal to all `rows`, canonical phase."""
-    basis, degenerate = null_basis(rows, dim)
-    return Beamformer(
-        vector=basis[:, 0].copy(),
-        constraints=tuple(np.asarray(r, dtype=complex).copy() for r in rows),
-        degenerate=degenerate,
-    )
 
 
 @dataclass(frozen=True)
@@ -139,8 +104,12 @@ class EffectiveLinearSystem:
         return replace(self, matrices={node: m[i] for node, m in self.matrices.items()})
 
     def stacked(self) -> "EffectiveLinearSystem":
-        """This system as a stack of one."""
-        return replace(self, matrices={node: m[None] for node, m in self.matrices.items()})
+        """This system as a stack of one.  The stack has this system's
+        nonzero pattern, so it shares the system's `symbol_index` and
+        `blocks`, found once per system however often it is stacked."""
+        stack = replace(self, matrices={node: m[None] for node, m in self.matrices.items()})
+        stack.__dict__.update(symbol_index=self.symbol_index, blocks=self.blocks)
+        return stack
 
     @cached_property
     def symbol_index(self) -> dict[str, int]:

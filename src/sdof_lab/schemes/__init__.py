@@ -27,7 +27,6 @@ from .program import (
     TraceBatch,
     run_scheme,
     run_seed_batches,
-    run_seeds,
     seed_chunks,
 )
 
@@ -219,6 +218,5 @@ __all__ = [
     "make_report",
     "run_scheme",
     "run_seed_batches",
-    "run_seeds",
     "seed_chunks",
 ]

@@ -23,11 +23,10 @@ compiled program for many seeds at once on stacked arrays, giving each seed
 exactly the bits of its own run, and returns a `TraceBatch`, the one record
 of a run: one stacked array per field, for the symbols, channels,
 observations, stream beams and gains, and transmitted vectors.  `run_scheme`
-runs one seed, and its record is a batch of one seed.  A batch splits into
-its seeds' batches, batches of one scheme concatenate, and `views()` gives
-each seed's `ReceiverView`, which the hand decoders read.  `run_seed_batches`
-/ `run_seeds` sample the channels and run memory-bounded batches
-(`seed_chunks`).
+runs one seed, and its record is a batch of one seed.  Batches of one
+scheme concatenate, and `views()` gives each seed's `ReceiverView`, which
+the hand decoders read.  `run_seed_batches` samples the channels and runs
+memory-bounded batches (`seed_chunks`).
 """
 
 from __future__ import annotations
@@ -271,16 +270,6 @@ class TraceBatch(NamedTuple):
                                              observed, coefficients.tolist()):
             yield ReceiverView(self.spec, seed, self.sqrt_power, dict(zip(nodes, obs)),
                                dict(zip(nodes, coefs)), symbols)
-
-    def split(self) -> Iterator["TraceBatch"]:
-        """Each seed's batch of one, in seed order.  A seed of a larger batch
-        owns copies of its arrays, so keeping it does not keep the batch."""
-        if len(self.seeds) == 1:
-            yield self
-            return
-        for i, seed in enumerate(self.seeds):
-            yield self._replace(seeds=(seed,), **_per_seed_fields(
-                [self], lambda arrays, axis: arrays[0].take([i], axis=axis)))
 
     @classmethod
     def concatenate(cls, batches: Iterable["TraceBatch"],
@@ -735,19 +724,6 @@ def run_scheme(
     """Execute a scheme slot by slot over one channel realization: the batch
     of one seed of `execute_batch`."""
     return execute_batch(spec, [realization], power, mode, [seed])
-
-
-def run_seeds(
-    spec: SchemeSpec,
-    seeds: Sequence[int],
-    power: PowerBudget,
-    mode: str = "noiseless",
-) -> Iterator[TraceBatch]:
-    """Sample each seed's channel and execute the scheme on it, yielding each
-    seed's batch of one in seed order; see `run_seed_batches`."""
-    for batch in run_seed_batches(spec, seeds, power, mode):
-        yield from batch.split()
-        del batch       # freed before the next batch is built
 
 
 def seed_chunks(spec: SchemeSpec, seeds: Sequence[int]) -> Iterator[Sequence[int]]:

@@ -139,3 +139,33 @@ def test_criterion_03_assembles_each_pipeline_once(monkeypatch):
     _check(acceptance.criterion_3(n_seeds=4))
     assert assembled == Counter(
         {(scheme_id, seed): 1 for scheme_id in SCHEME_IDS for seed in range(4)})
+
+
+def test_slope_criteria_fail_lines_show_every_slope(monkeypatch):
+    """A PASS line carries no numbers; with a tolerance no slope meets, every
+    case of criteria 4-6 fails, and their lines pin the slopes' digits."""
+    monkeypatch.setattr(acceptance, "SLOPE_TOL", -1.0)
+    rates = "; ".join([
+        "MR_PPD/rx1: 1.0000 vs 1", "MR_PPD/rx2: 1.0000 vs 1",
+        "MR_PDP/rx1: 1.0000 vs 1", "MR_PDP/rx2: 0.5000 vs 1/2",
+        "MR_DDP/rx1: 0.6667 vs 2/3", "MR_DDP/rx2: 0.6667 vs 2/3",
+        "MR_PDD/rx1: 1.0000 vs 1", "MR_PDD/rx2: 0.0000 vs 0",
+        "BC_PP_S2/rx1: 1.0000 vs 1", "BC_PP_S2/rx2: 1.0000 vs 1",
+        "BC_DD_S1/rx1: 0.5000 vs 1/2", "BC_DD_S1/rx2: 0.5000 vs 1/2",
+        "BC_S1_43/rx1: 0.6667 vs 2/3", "BC_S1_43/rx2: 0.6667 vs 2/3",
+        "BC_S2_43/rx1: 0.6667 vs 2/3", "BC_S2_43/rx2: 0.6667 vs 2/3",
+        "WT_DD_23/rx1: 0.6667 vs 2/3",
+        "SUB_SECURE_MULTICAST/rx1: 0.6250 vs 5/8", "SUB_SECURE_MULTICAST/rx2: 0.6250 vs 5/8",
+    ])
+    assert acceptance.criterion_4().line() == (
+        "criterion 04 [FAIL] per-slot rate prelogs within 0.05 of nominal -- " + rates)
+    assert acceptance.criterion_5().line() == (
+        "criterion 05 [FAIL] leakage prelogs <= 0.05; nulled schemes exactly zero -- "
+        "WT_PP/eve: leakage slope 0.0000; WT_DP/eve: leakage slope 0.0000; "
+        "WT_PD/eve: leakage slope 0.0000; WT_DD_23/eve: leakage slope 0.0000")
+    assert acceptance.criterion_6().line() == (
+        "criterion 06 [FAIL] composite accounting and slopes (tjsp53) -- "
+        "slope rx1: 0.5171 vs 15/29; slope rx2: 0.5172 vs 15/29")
+    assert acceptance.criterion_6("fallback32").line() == (
+        "criterion 06 [FAIL] composite accounting and slopes (fallback32) -- "
+        "slope rx1: 0.5000 vs 1/2; slope rx2: 0.5000 vs 1/2")

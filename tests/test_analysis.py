@@ -23,7 +23,7 @@ from sdof_lab.analysis import (
 from sdof_lab.errors import DimensionTooLarge, EmptySystem, GridTooSmall
 from sdof_lab.model import EVE, RX1, RX2, PowerBudget, Topology, sample_channel
 from sdof_lab.precoding import EffectiveLinearSystem, SymbolDecl, assemble_effective_system
-from sdof_lab.schemes import SCHEME_IDS, build_scheme, run_scheme, run_seeds
+from sdof_lab.schemes import SCHEME_IDS, build_scheme, run_scheme
 
 STEP5_GRID = tuple(2.0 ** e for e in range(20, 61, 5))
 # the CLI's whole exponent range, negative exponents included
@@ -41,8 +41,11 @@ def _system(scheme_id, seed=0, **params):
 def _systems(scheme_id, n_seeds=20):
     """Each seed's system, assembled alone, and all of them as one stack."""
     spec = build_scheme(scheme_id)
-    singles = [assemble_effective_system(trace)
-               for trace in run_seeds(spec, range(n_seeds), PowerBudget(DEFAULT_GRID[0]))]
+    power = PowerBudget(DEFAULT_GRID[0])
+    singles = [assemble_effective_system(run_scheme(
+                   spec, sample_channel(spec.topology, spec.n_slots, seed), power,
+                   "noiseless", seed))
+               for seed in range(n_seeds)]
     stack = replace(singles[0], matrices={
         node: np.stack([system.matrices[node] for system in singles])
         for node in singles[0].matrices})

@@ -1,4 +1,4 @@
-"""Beamformers and effective linear systems."""
+"""Nullspace bases and effective linear systems."""
 
 import dataclasses
 
@@ -19,8 +19,7 @@ from sdof_lab.precoding import (
     identifiability_checks,
     identifiable_symbols,
     identifiable_symbols_stacked,
-    null_basis,
-    null_vector,
+    null_bases,
 )
 from sdof_lab.schemes import (
     SCHEME_IDS,
@@ -84,27 +83,37 @@ complex_rows = st.lists(
                     for a, b, c, d, e, f in rows])
 
 
+def _null_beam(rows):
+    """The first column of `null_bases` for one set of constraint rows in C^3,
+    and its degenerate flag."""
+    basis, degenerate = null_bases(np.array(rows, dtype=complex).reshape(-1, 3))
+    return basis[:, 0], bool(degenerate)
+
+
 class TestNullVector:
+    """`null_bases`, the one nullspace builder: its beams, its bases and
+    its stacks."""
+
     def test_single_axis_row(self):
-        beam = null_vector([np.array([1.0 + 0j, 0, 0])], 3)
-        assert abs(beam.vector[0]) < 1e-12
-        assert np.isclose(np.linalg.norm(beam.vector), 1.0)
+        beam, _ = _null_beam([np.array([1.0 + 0j, 0, 0])])
+        assert abs(beam[0]) < 1e-12
+        assert np.isclose(np.linalg.norm(beam), 1.0)
 
     def test_two_axis_rows(self):
-        beam = null_vector(
-            [np.array([1.0 + 0j, 0, 0]), np.array([0, 1.0 + 0j, 0])], 3)
-        assert np.allclose(beam.vector, [0, 0, 1.0])
+        beam, _ = _null_beam([np.array([1.0 + 0j, 0, 0]), np.array([0, 1.0 + 0j, 0])])
+        assert np.allclose(beam, [0, 0, 1.0])
 
     def test_over_constrained(self):
-        rows = [np.eye(3, dtype=complex)[i] for i in range(3)]
         with pytest.raises(OverConstrained):
-            null_vector(rows, 3)
+            null_bases(np.eye(3, dtype=complex))
+        with pytest.raises(OverConstrained):
+            null_bases(np.zeros((4, 3, 3), dtype=complex))
 
     def test_degenerate_rows_flagged(self):
         row = np.array([1.0 + 1j, 0.5, -2.0])
-        beam = null_vector([row, row], 3)
-        assert beam.degenerate
-        assert abs(row @ beam.vector) <= 1e-10 * np.linalg.norm(row)
+        beam, degenerate = _null_beam([row, row])
+        assert degenerate
+        assert abs(row @ beam) <= 1e-10 * np.linalg.norm(row)
 
     @given(complex_rows)
     @settings(max_examples=50, deadline=None)
@@ -112,28 +121,41 @@ class TestNullVector:
         rows = [r for r in rows if np.linalg.norm(r) > 1e-6]
         if len(rows) >= 3:
             rows = rows[:2]
-        beam = null_vector(rows, 3)
+        beam, _ = _null_beam(rows)
         for row in rows:
-            assert abs(row @ beam.vector) <= 1e-10 * max(np.linalg.norm(row), 1e-9)
-        assert np.isclose(np.linalg.norm(beam.vector), 1.0)
+            assert abs(row @ beam) <= 1e-10 * max(np.linalg.norm(row), 1e-9)
+        assert np.isclose(np.linalg.norm(beam), 1.0)
 
     def test_pure_function(self):
         rows = [np.array([0.3 + 0.4j, -1.2, 0.9j])]
-        a = null_vector(rows, 3).vector
-        b = null_vector(rows, 3).vector
+        a, _ = _null_beam(rows)
+        b, _ = _null_beam(rows)
         assert a.tobytes() == b.tobytes()
 
     def test_canonical_phase(self):
-        rows = [np.array([0.8 - 0.1j, 0.2 + 0.3j, -0.5j])]
-        vec = null_vector(rows, 3).vector
-        pivot = vec[int(np.argmax(np.abs(vec)))]
+        beam, _ = _null_beam([np.array([0.8 - 0.1j, 0.2 + 0.3j, -0.5j])])
+        pivot = beam[int(np.argmax(np.abs(beam)))]
         assert abs(pivot.imag) < 1e-12 and pivot.real >= 0
 
     def test_basis_orthonormal(self):
-        basis, degenerate = null_basis([np.array([1.0 + 2j, 0.4, -1.1])], 3)
+        basis, degenerate = null_bases(np.array([[1.0 + 2j, 0.4, -1.1]]))
         assert not degenerate
         assert basis.shape == (3, 2)
         assert np.allclose(basis.conj().T @ basis, np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 2])
+    def test_stack_equals_one_item_calls(self, n_rows):
+        gen = np.random.default_rng(7)
+        stack = gen.standard_normal((6, n_rows, 3)) + 1j * gen.standard_normal((6, n_rows, 3))
+        stack[2, -1:] = stack[2, :1]            # a degenerate item, when it has two rows
+        bases, degenerate = null_bases(stack)
+        assert bases.shape == (6, 3, 3 - n_rows)
+        assert degenerate.tolist() == [n_rows == 2 and i == 2 for i in range(6)]
+        for rows, basis, flag in zip(stack, bases, degenerate, strict=True):
+            alone, alone_flag = null_bases(rows)
+            assert basis.tobytes() == alone.tobytes()
+            assert alone.flags.c_contiguous
+            assert flag == alone_flag
 
 
 class TestAssemble:
@@ -298,8 +320,9 @@ class TestStacked:
         power = PowerBudget(2.0 ** 40)
         for batch in run_seed_batches(spec, range(6), power, mode):
             systems = assemble_effective_systems(batch)
-            for i, trace in enumerate(batch.split()):
-                one = assemble_effective_system(trace)
+            for i, seed in enumerate(batch.seeds):
+                one = assemble_effective_system(run_scheme(
+                    spec, sample_channel(spec.topology, spec.n_slots, seed), power, mode, seed))
                 item = systems.item(i)
                 assert item.symbols == one.symbols
                 assert item.slot_of_row == one.slot_of_row
@@ -466,3 +489,23 @@ class TestBlocks:
             {"s0": True, "s1": True, "s2": False}
         assert identifiability_check(system, "n0", ["s0", "s1"])
         assert not identifiability_check(system, "n0", ["s2"])
+
+    def test_one_system_finds_its_blocks_once(self, monkeypatch):
+        """The one-system oracles and `decode(trace, system)` stack their
+        system through `stacked()`, which carries its partition over; an item
+        of a stack finds its own, not the stack's."""
+        from sdof_lab import precoding
+        from sdof_lab.schemes import decode
+
+        spec, trace = _run("MR_S30_29_A")
+        system = assemble_effective_system(trace)
+        found, calls = precoding._components, []
+        monkeypatch.setattr(precoding, "_components",
+                            lambda pattern: calls.append(pattern.shape) or found(pattern))
+        for _ in range(3):
+            identifiable_symbols(system, EVE, sorted(spec.protected[EVE]),
+                                 spec.adversary_known.get(EVE, ()))
+            identifiability_check(system, RX1, spec.message_sids(RX1))
+            assert decode(trace, system).all_success
+        assert len(calls) == 1
+        assert "blocks" not in vars(system.stacked().item(0))

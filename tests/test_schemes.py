@@ -36,7 +36,6 @@ from sdof_lab.schemes import (
     decode_batch,
     run_scheme,
     run_seed_batches,
-    run_seeds,
     seed_chunks,
 )
 from sdof_lab.schemes.program import NullOf, SlotPlan, execute_batch
@@ -260,14 +259,14 @@ class TestBatch:
         spec = build_scheme(scheme_id)
         seeds = [0, 1, 2, 7, 11]
         power = PowerBudget(2.0 ** 30)
-        single = [run_scheme(spec, sample_channel(spec.topology, spec.n_slots, seed),
-                             power, mode, seed) for seed in seeds]
-        whole = list(execute_batch(spec, sample_channels(spec.topology, spec.n_slots, seeds),
-                                   power, mode, seeds).split())
-        chunked = list(run_seeds(spec, seeds, power, mode))
-        for one, batched, seeded in zip(single, whole, chunked, strict=True):
-            assert _trace_bytes(batched) == _trace_bytes(one)
-            assert _trace_bytes(seeded) == _trace_bytes(one)
+        single = TraceBatch.concatenate(
+            [run_scheme(spec, sample_channel(spec.topology, spec.n_slots, seed),
+                        power, mode, seed) for seed in seeds])
+        whole = execute_batch(spec, sample_channels(spec.topology, spec.n_slots, seeds),
+                              power, mode, seeds)
+        chunked = TraceBatch.concatenate(run_seed_batches(spec, seeds, power, mode))
+        assert _trace_bytes(whole) == _trace_bytes(single)
+        assert _trace_bytes(chunked) == _trace_bytes(single)
 
     @pytest.mark.parametrize("mode", ["noiseless", "noisy"])
     def test_composite_blocks_40_batch_equals_single_runs(self, mode):
@@ -275,11 +274,11 @@ class TestBatch:
         seeds = [3, 4]
         power = PowerBudget(1e4)
         whole = execute_batch(spec, sample_channels(spec.topology, spec.n_slots, seeds),
-                              power, mode, seeds).split()
-        for seed, batched in zip(seeds, whole, strict=True):
-            one = run_scheme(spec, sample_channel(spec.topology, spec.n_slots, seed),
-                             power, mode, seed)
-            assert _trace_bytes(batched) == _trace_bytes(one)
+                              power, mode, seeds)
+        single = TraceBatch.concatenate(
+            run_scheme(spec, sample_channel(spec.topology, spec.n_slots, seed),
+                       power, mode, seed) for seed in seeds)
+        assert _trace_bytes(whole) == _trace_bytes(single)
 
     def test_record_is_its_observation_rows(self):
         """A run's record holds little beside its nodes' observation rows: no
@@ -297,15 +296,6 @@ class TestBatch:
         total, rows = nbytes(tuple(trace)), nbytes(trace.obs_rows)
         assert total <= rows + (1 << 20)
 
-    def test_batched_traces_own_their_arrays(self):
-        spec = build_scheme("BC_S1_43")
-        first, second = run_seeds(spec, [0, 1], PowerBudget(1e4))
-        for a, b in ((first.symbol_values, second.symbol_values),
-                     (first.obs_rows[RX1], second.obs_rows[RX1]),
-                     (first.beams, second.beams), (first.gains, second.gains),
-                     (first.x_value, second.x_value)):
-            assert not np.shares_memory(a, b)
-
     def test_compiled_on_first_use_only(self):
         spec = build_scheme("MR_DDP")
         assert "compiled" not in vars(spec)
@@ -320,7 +310,7 @@ class TestBatch:
         mutated = spec.with_slot_state(0, StateLabel.parse("PDD"))
         spec.compiled       # the original's compiled form is not reused
         with pytest.raises(CsitViolation):
-            list(run_seeds(mutated, range(4), PowerBudget(1e4)))
+            list(run_seed_batches(mutated, range(4), PowerBudget(1e4)))
 
     def test_numeric_failure_names_the_seed(self, monkeypatch):
         from sdof_lab.schemes import program
@@ -442,14 +432,11 @@ class TestStackTraces:
         for node, mat in assemble_effective_systems(batch).matrices.items():
             assert assemble_effective_systems(stacked).matrices[node].tobytes() == mat.tobytes()
         assert decode_batch(stacked) == decode_batch(batch)
-        for one, again in zip(singles, stacked.split(), strict=True):
-            assert _trace_bytes(again) == _trace_bytes(one)
 
     def test_one_seed_stack_is_views_of_the_trace(self):
         spec, trace = _run("MR_DDP", seed=4, mode="noisy")
         batch = TraceBatch.concatenate([trace])
         assert batch is trace
-        assert [one is trace for one in batch.split()] == [True]
 
     def test_only_runs_of_one_spec_power_and_mode_concatenate(self):
         spec, trace = _run("WT_PD", seed=0)
@@ -504,8 +491,11 @@ class TestReceiverView:
     @pytest.mark.parametrize("scheme_id, params", DECODE_CASES, ids=DECODE_IDS)
     def test_view_equals_the_trace(self, scheme_id, params, mode):
         spec = build_scheme(scheme_id, **params)
-        for batch in run_seed_batches(spec, range(20), PowerBudget(2.0 ** 30), mode):
-            for view, trace in zip(batch.views(), batch.split(), strict=True):
+        power = PowerBudget(2.0 ** 30)
+        for batch in run_seed_batches(spec, range(20), power, mode):
+            for view, seed in zip(batch.views(), batch.seeds, strict=True):
+                trace = run_scheme(spec, sample_channel(spec.topology, spec.n_slots, seed),
+                                   power, mode, seed)
                 (own,) = trace.views()
                 assert view.seed == own.seed == trace.seeds[0] and view.spec is spec
                 for node in spec.topology.nodes():
@@ -530,7 +520,8 @@ class TestReceiverView:
     def test_unknown_stream_or_symbol(self):
         spec = build_scheme("MR_PDP")
         (batch,) = run_seed_batches(spec, [0, 1], PowerBudget(1e4))
-        (trace, _), (view, _) = batch.split(), batch.views()
+        _, trace = _run("MR_PDP", seed=0)
+        view, _ = batch.views()
         for reader in (view, next(trace.views())):
             with pytest.raises(KeyError, match=r"slot 1 has no stream 'v1'"):
                 reader.rc(RX1, 1, "v1")
@@ -544,13 +535,13 @@ class TestReceiverView:
 
         spec = build_scheme("MR_S30_29_A")
         (batch,) = run_seed_batches(spec, [0, 1], PowerBudget(1e4))
-        monkeypatch.setattr(program.TraceBatch, "split", None)
+        monkeypatch.setattr(program, "_per_seed_fields", None)
         assert [view.seed for view in batch.views()] == [0, 1]
         assert [report.all_success for report in decode_batch(batch)] == [True, True]
 
 
 class TestSamplerCost:
-    def test_run_seeds_derives_keys_in_bulk(self, monkeypatch):
+    def test_seed_batches_derive_keys_in_bulk(self, monkeypatch):
         """No SeedSequence per (seed, slot): every key of a batch comes from
         one bulk derivation per tag family (channels, symbols, noise)."""
         from sdof_lab import rng
@@ -570,8 +561,8 @@ class TestSamplerCost:
         monkeypatch.setattr(np.random, "SeedSequence", Counted)
         monkeypatch.setattr(rng, "keys", counted_keys)
         spec = build_scheme("MR_DDP")
-        traces = list(run_seeds(spec, range(30), PowerBudget(1e4), "noisy"))
-        assert len(traces) == 30
+        batches = list(run_seed_batches(spec, range(30), PowerBudget(1e4), "noisy"))
+        assert [seed for batch in batches for seed in batch.seeds] == list(range(30))
         assert made == []
         assert bulk == [(30, spec.n_slots), (30, 1), (30, len(spec.topology.nodes()))]
 
@@ -619,7 +610,9 @@ class TestDecode:
         for batch in run_seed_batches(spec, range(4), power, mode):
             batched = decode_batch(batch)
             given_stack = decode_batch(batch, assemble_effective_systems(batch))
-            for trace, one, other in zip(batch.split(), batched, given_stack, strict=True):
+            for seed, one, other in zip(batch.seeds, batched, given_stack, strict=True):
+                trace = run_scheme(spec, sample_channel(spec.topology, spec.n_slots, seed),
+                                   power, mode, seed)
                 alone = decode(trace)
                 assert decode(trace, assemble_effective_system(trace)) == alone
                 assert one == alone and other == alone, (scheme_id, trace.seeds)

@@ -1,5 +1,7 @@
-"""The scripts under scripts/ run to completion."""
+"""The scripts under scripts/ run to completion, and print what they
+printed when their output was pinned."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,18 +12,34 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _run(script, argv, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 @pytest.mark.parametrize("script, args", [
     ("run_all_schemes.py", ["--seeds", "1"]),
     ("compare_sub_protocols.py", ["--seeds", "1"]),
     ("emit_regions.py", ["--out-dir", "{tmp}"]),
 ])
 def test_script_exits_zero(tmp_path, script, args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in args]
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *argv],
-                          cwd=tmp_path, env=env, capture_output=True, text=True,
-                          timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout
+    assert _run(script, argv, tmp_path)
+
+
+# SHA-256 of the scripts' stdout; the same with one and with two BLAS threads
+@pytest.mark.parametrize("script, args, digest", [
+    ("run_all_schemes.py", ["--seeds", "2"],
+     "d39d6161c9dd4d75509e41be41e352d829ebf975c5277a475861cd42b5086778"),
+    ("compare_sub_protocols.py", ["--seeds", "1"],
+     "c1c198c5f5fa310b9a25ff8174d1392f07598840561580e521dda9ba127f8949"),
+])
+def test_script_output_is_pinned(tmp_path, script, args, digest):
+    stdout = _run(script, args, tmp_path)
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest, stdout
