@@ -62,7 +62,6 @@ from .regions import (
     fm_eliminate,
     region_from_theorem,
     time_share,
-    vertices,
 )
 
 __version__ = "0.1.0"

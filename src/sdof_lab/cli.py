@@ -6,7 +6,9 @@ regions as JSON (optionally with a containment comparison and plot data),
 `fm` projects a bounded-term system, and `verify` runs the acceptance suite.
 
 Configuration comes from a JSON file, command-line flags, or both (flags
-win).  Identical configuration and seeds produce byte-identical CSV output.
+win).  Identical configuration and seeds produce byte-identical CSV output
+at a fixed BLAS thread count: with two OpenBLAS threads instead of one, the
+composites' rates move in the last digits.
 """
 
 from __future__ import annotations
@@ -130,18 +132,18 @@ def _simulate_chunk(spec, seeds, powers: list[float], mode: str):
     The chunk's channels are sampled in one pass, which gives each seed the
     bits of its own draw.  Each seed is then executed on its own, through
     the single-seed entry point whose calls the benchmark's layer tracing
-    (perfbench) counts per simulated seed.  Each run is copied into the
-    chunk's stacked arrays as it arrives, and the chunk is analysed as a
-    stack with the calls criterion 3 makes: one assembly, one `decode_batch`
-    (the hand decoder per seed, one adversary oracle call per adversary),
-    then one SVD per (node, column set) for every system and power, and one
-    slope fit.
+    (perfbench) counts per simulated seed.  The runs are concatenated into
+    the chunk's batch, which `seed_chunks` caps at `BATCH_CELLS` cells, and
+    the chunk is analysed as a stack with the calls criterion 3 makes: one
+    assembly, one `decode_batch` (the hand decoder per seed, one adversary
+    oracle call per adversary), then one SVD per (node, column set) for
+    every system and power, and one slope fit.
     """
     budget = PowerBudget(powers[0])
     realizations = sample_channels(spec.topology, spec.n_slots, seeds)
-    batch = TraceBatch.concatenate((
+    batch = TraceBatch.concatenate([
         run_scheme(spec, realization, budget, mode, seed)
-        for seed, realization in zip(seeds, realizations)), len(seeds))
+        for seed, realization in zip(seeds, realizations)])
     systems = assemble_effective_systems(batch)
     reports = decode_batch(batch, systems)
     del batch       # the analysis reads the systems alone
@@ -435,24 +437,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
+        # the flags a subcommand has, by their RunConfig names
+        overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
         if args.command == "simulate":
-            overrides = {
-                "scheme": args.scheme, "seeds": args.seeds, "p_exp": args.p_exp,
-                "mode": args.mode, "sub": args.sub, "blocks": args.blocks,
-                "tolerance": args.tolerance, "out": args.out,
-                "summary": args.summary, "dump_trace": args.dump_trace,
-                "dump_system": args.dump_system, "dump_channel": args.dump_channel,
-            }
             config = RunConfig.load(args.config, overrides)
             if not config.scheme:
                 raise SdofLabError("simulate needs --scheme (or a config file)")
             return cmd_simulate(config)
         if args.command == "region":
-            overrides = {
-                "theorem": args.theorem, "lam": args.lam,
-                "compare": args.compare, "out": args.out,
-                "plot_data": args.plot_data,
-            }
             config = RunConfig.load(args.config, overrides)
             if not config.theorem:
                 raise SdofLabError("region needs --theorem (or a config file)")

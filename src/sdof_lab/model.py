@@ -333,17 +333,11 @@ def sample_channel(topology: Topology, n_slots: int, seed: int) -> ChannelRealiz
 
 @dataclass(frozen=True)
 class PowerBudget:
-    """Total per-slot transmit power and the rule splitting it among streams.
-
-    Only the equal split is implemented: every active stream of a slot gets
-    the same share, which preserves all rate and leakage slopes.
-    """
+    """Total per-slot transmit power, split equally among a slot's active
+    streams, which preserves all rate and leakage slopes."""
 
     total_power: float
-    split_policy: str = "equal"
 
     def __post_init__(self):
         if self.total_power <= 0:
             raise ValueError("total power must be positive")
-        if self.split_policy != "equal":
-            raise ValueError(f"unknown split policy {self.split_policy!r}")

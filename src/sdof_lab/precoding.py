@@ -219,7 +219,7 @@ def assemble_effective_systems(batch) -> EffectiveLinearSystem:
     alive (as it is decoded) its systems take no memory of their own.
     """
     n_slots = batch.spec.n_slots
-    recorded = {batch.x_value.shape[1], *(rows.shape[1] for rows in batch.obs_rows.values())}
+    recorded = {batch.x_value.shape[1], batch.obs_rows.shape[2]}
     if recorded != {n_slots}:
         raise IncompleteTrace(f"trace has {min(recorded)} of {n_slots} slots")
     n_columns = len(batch.spec.compiled.column_slots)
@@ -229,12 +229,13 @@ def assemble_effective_systems(batch) -> EffectiveLinearSystem:
     s = batch.symbol_values                         # (seed, symbol)
     s_norm = vector_norms(s)[:, None]
     matrices = {}
-    for node, rows in batch.obs_rows.items():       # (seed, slot, symbol)
-        observed = batch.obs_vals[node]
-        scale = s_norm * np.linalg.norm(batch.channels[node], axis=-1)
+    for n, node in enumerate(batch.spec.topology.nodes()):
+        rows = batch.obs_rows[n]                    # (seed, slot, symbol)
+        observed = batch.obs_vals[:, n]
+        scale = s_norm * np.linalg.norm(batch.channels[:, n], axis=-1)
         if batch.noise_vals is not None:
-            observed = observed - batch.noise_vals[node]
-            scale = scale + np.abs(batch.noise_vals[node]) / batch.sqrt_power
+            observed = observed - batch.noise_vals[:, n]
+            scale = scale + np.abs(batch.noise_vals[:, n]) / batch.sqrt_power
         residual = np.abs((rows @ s[:, :, None])[..., 0] - observed / batch.sqrt_power)
         bad = (residual > 1e-10 * scale).any(axis=1)
         if bad.any():

@@ -45,17 +45,6 @@ class HalfPlane:
     def holds(self, point: Point) -> bool:
         return self.a1 * point[0] + self.a2 * point[1] <= self.b
 
-    def normalized(self) -> "HalfPlane":
-        """Scale to coprime integer coefficients (positive scaling only)."""
-        denom = self.a1.denominator * self.a2.denominator * self.b.denominator
-        ints = [self.a1 * denom, self.a2 * denom, self.b * denom]
-        from math import gcd
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v.numerator))
-        g = g or 1
-        return HalfPlane(*(Fraction(v.numerator // g) for v in ints))
-
 
 _NONNEG = (
     HalfPlane(Fraction(-1), Fraction(0), Fraction(0)),
@@ -125,10 +114,6 @@ class RegionPolytope:
                 for v in self.vertices
             ],
         }
-
-
-def vertices(region: RegionPolytope) -> list[Point]:
-    return list(region.vertices)
 
 
 def contains(region: RegionPolytope, point) -> bool:

@@ -13,7 +13,7 @@ from ..precoding import (
     identifiable_symbols_stacked,
 )
 from . import composite, library
-from .accounting import AccountingReport, accounting, composite_accounting, make_report
+from .accounting import AccountingReport, accounting, composite_accounting
 from .program import (
     Axis,
     Comb,
@@ -215,7 +215,6 @@ __all__ = [
     "decode",
     "decode_batch",
     "from_cli_name",
-    "make_report",
     "run_scheme",
     "run_seed_batches",
     "seed_chunks",

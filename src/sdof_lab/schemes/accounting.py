@@ -23,24 +23,6 @@ class AccountingReport:
     nominal_sdof: Mapping[str, Fraction]
     sub_dof_assumptions: Mapping[str, Fraction] = field(default_factory=dict)
 
-    def sdof(self, node: str) -> Fraction:
-        return self.nominal_sdof[node]
-
-
-def make_report(
-    slots: int | Fraction,
-    symbols: Mapping[str, int],
-    sub_dof: Mapping[str, Fraction] | None = None,
-) -> AccountingReport:
-    slots = Fraction(slots)
-    nominal = {node: Fraction(count, 1) / slots for node, count in symbols.items()}
-    return AccountingReport(
-        slots_total=slots,
-        symbols_per_receiver=dict(symbols),
-        nominal_sdof=nominal,
-        sub_dof_assumptions=dict(sub_dof or {}),
-    )
-
 
 def composite_accounting(
     sub_dof: Fraction,

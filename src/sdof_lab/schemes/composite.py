@@ -185,14 +185,12 @@ MAX_BLOCKS = 200
 _SUB_BLOCKS = {
     "tjsp53": {
         "per_side": 5,
-        "slots": 6,
         "build": build_unicast_block,
         "decode": decode_unicast_block,
         "sum_dof": Fraction(10, 6),
     },
     "fallback32": {
         "per_side": 3,
-        "slots": 4,
         "build": build_fallback_block,
         "decode": decode_fallback_block,
         "sum_dof": Fraction(6, 4),
@@ -441,7 +439,6 @@ def build_mr_s30_29(scheme_id: str, first: str, sub: str = "tjsp53",
                 "sdof_common": Fraction(2) / (2 + Fraction(2) / rules["sum_dof"]),
             },
         },
-        sub_protocol=sub,
     )
 
 

@@ -22,11 +22,12 @@ else no seed changes are resolved then.  `execute_batch` executes the
 compiled program for many seeds at once on stacked arrays, giving each seed
 exactly the bits of its own run, and returns a `TraceBatch`, the one record
 of a run: one stacked array per field, for the symbols, channels,
-observations, stream beams and gains, and transmitted vectors.  `run_scheme`
-runs one seed, and its record is a batch of one seed.  Batches of one
-scheme concatenate, and `views()` gives each seed's `ReceiverView`, which
-the hand decoders read.  `run_seed_batches` samples the channels and runs
-memory-bounded batches (`seed_chunks`).
+observations, stream beams and gains, and transmitted vectors, with a node
+axis in the per-node fields.  `run_scheme` runs one seed, and its record is
+a batch of one seed.  Batches of one scheme concatenate, one
+`np.concatenate` per field, and `views()` gives each seed's
+`ReceiverView`, which the hand decoders read.  `run_seed_batches` samples
+the channels and runs memory-bounded batches (`seed_chunks`).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -127,7 +128,6 @@ class SchemeSpec:
     protected: Mapping[str, frozenset]        # adversary node -> protected sids
     adversary_known: Mapping[str, frozenset]  # adversary node -> a-priori known sids
     layout: Mapping = field(default_factory=dict)   # decoder metadata
-    sub_protocol: str | None = None
 
     @property
     def n_slots(self) -> int:
@@ -217,40 +217,26 @@ def _coefficients(chan: np.ndarray, beams: np.ndarray, gains: np.ndarray,
 
 # The per-seed fields of a TraceBatch and the axis of their arrays that runs
 # over the seeds.
-_SEED_AXES = {"symbol_values": 0, "channels": 0, "obs_rows": 0, "obs_vals": 0,
+_SEED_AXES = {"symbol_values": 0, "channels": 0, "obs_rows": 1, "obs_vals": 0,
               "noise_vals": 0, "beams": 1, "gains": 1, "x_value": 0}
 
 
-def _per_seed_fields(batches: Sequence["TraceBatch"], combine: Callable) -> dict:
-    """Every per-seed field made by `combine(arrays, seed_axis)` from the
-    batches' arrays of that field, node by node for the per-node fields."""
-    fields = {}
-    for name, axis in _SEED_AXES.items():
-        items = [getattr(batch, name) for batch in batches]
-        if items[0] is None:
-            fields[name] = None
-        elif isinstance(items[0], np.ndarray):
-            fields[name] = combine(items, axis)
-        else:
-            fields[name] = {node: combine([item[node] for item in items], axis)
-                            for node in items[0]}
-    return fields
-
-
 class TraceBatch(NamedTuple):
-    """The record of an executed scheme: one array per field (per node for
-    the per-node fields), seeds stacked in order, stream columns numbered as
-    `spec.compiled.columns`.  `run_scheme` records a batch of one seed."""
+    """The record of an executed scheme: one array per field, seeds stacked
+    in order, nodes in `spec.topology.nodes()` order, stream columns
+    numbered as `spec.compiled.columns`.  Each node's observation rows are
+    one contiguous block (node axis first), the matrices the effective
+    systems view.  `run_scheme` records a batch of one seed."""
 
     spec: SchemeSpec
     seeds: tuple[int, ...]
     power: PowerBudget
     mode: str
     symbol_values: np.ndarray                   # (seed, symbol)
-    channels: Mapping[str, np.ndarray]          # node -> (seed, slot, antenna)
-    obs_rows: Mapping[str, np.ndarray]          # node -> (seed, slot, symbol), power-free
-    obs_vals: Mapping[str, np.ndarray]          # node -> (seed, slot), sqrt(P)-scaled (+noise)
-    noise_vals: Mapping[str, np.ndarray] | None     # node -> (seed, slot)
+    channels: np.ndarray                        # (seed, node, slot, antenna)
+    obs_rows: np.ndarray                        # (node, seed, slot, symbol), power-free
+    obs_vals: np.ndarray                        # (seed, node, slot), sqrt(P)-scaled (+noise)
+    noise_vals: np.ndarray | None               # (seed, node, slot)
     beams: np.ndarray                           # (stream column, seed, antenna)
     gains: np.ndarray                           # (stream column, seed), post normalization
     x_value: np.ndarray                         # (seed, slot, antenna), power-normalized
@@ -262,55 +248,29 @@ class TraceBatch(NamedTuple):
     def views(self) -> Iterator[ReceiverView]:
         """Each seed's `ReceiverView`, in seed order."""
         nodes = self.spec.topology.nodes()
-        coefficients = _coefficients(
-            np.stack([self.channels[node] for node in nodes], axis=1),
-            self.beams, self.gains, self.spec.compiled.column_slots)
-        observed = zip(*(self.obs_vals[node].tolist() for node in nodes))
+        coefficients = _coefficients(self.channels, self.beams, self.gains,
+                                     self.spec.compiled.column_slots)
         for seed, symbols, obs, coefs in zip(self.seeds, self.symbol_values.tolist(),
-                                             observed, coefficients.tolist()):
+                                             self.obs_vals.tolist(), coefficients.tolist()):
             yield ReceiverView(self.spec, seed, self.sqrt_power, dict(zip(nodes, obs)),
                                dict(zip(nodes, coefs)), symbols)
 
     @classmethod
-    def concatenate(cls, batches: Iterable["TraceBatch"],
-                    n_seeds: int | None = None) -> "TraceBatch":
+    def concatenate(cls, batches: Iterable["TraceBatch"]) -> "TraceBatch":
         """The batch of every seed of `batches`, in order, which must share
-        their spec, power and mode; a lone batch is returned as it is.
-
-        The stacked arrays are allocated for `n_seeds` seeds (by default the
-        batches' total) and each batch is copied in as it arrives, so an
-        iterator of runs keeps one run alive at a time."""
-        if n_seeds is None:
-            batches = list(batches)
-            n_seeds = sum(len(batch.seeds) for batch in batches)
-        batches = iter(batches)
-        first = stack = next(batches)
-        seeds = list(first.seeds)
-        at = slice(0, len(seeds))       # where the batch being put goes
-
-        def put(arrays, axis):
-            into, array = arrays
-            into[(slice(None),) * axis + (at,)] = array
-            return into
-
-        def allocate(arrays, axis):
-            shape = list(arrays[0].shape)
-            shape[axis] = n_seeds
-            return put((np.empty(shape, arrays[0].dtype), arrays[0]), axis)
-
-        if len(seeds) < n_seeds:
-            stack = first._replace(**_per_seed_fields([first], allocate))
-        for batch in batches:
+        their spec, power and mode; a lone batch is returned as it is."""
+        batches = list(batches)
+        first = batches[0]
+        for batch in batches[1:]:
             if (batch.spec, batch.power, batch.mode) != (first.spec, first.power, first.mode):
                 raise ValueError("only runs of one spec, power and mode concatenate")
-            if len(seeds) + len(batch.seeds) > n_seeds:
-                raise ValueError(f"more than the {n_seeds} seeds to concatenate")
-            at = slice(len(seeds), len(seeds) + len(batch.seeds))
-            _per_seed_fields([stack, batch], put)
-            seeds += batch.seeds
-        if len(seeds) < n_seeds:
-            raise ValueError(f"{len(seeds)} of the {n_seeds} seeds to concatenate")
-        return first if stack is first else stack._replace(seeds=tuple(seeds))
+        if len(batches) == 1:
+            return first
+        return first._replace(
+            seeds=tuple(seed for batch in batches for seed in batch.seeds),
+            **{name: None if getattr(first, name) is None else
+               np.concatenate([getattr(batch, name) for batch in batches], axis)
+               for name, axis in _SEED_AXES.items()})
 
     def to_json(self) -> str:
         """A one-seed run as JSON: every slot's transmitted vector and every
@@ -335,7 +295,8 @@ class TraceBatch(NamedTuple):
                 for slot, x_value in zip(self.spec.compiled.slots, self.x_value[0])
             ],
             "observations": {
-                node: [cplx(v) for v in vals[0]] for node, vals in self.obs_vals.items()
+                node: [cplx(v) for v in vals] for node, vals in
+                zip(self.spec.topology.nodes(), self.obs_vals[0])
             },
         }
         return json.dumps(payload, indent=2, sort_keys=True)
@@ -637,7 +598,7 @@ def execute_batch(
     all_beams = np.empty((len(program.column_slots), n_seeds, n_tx), dtype=complex)
     all_gains = np.empty(all_beams.shape[:2])
     x_values = np.zeros((n_seeds, n_slots, n_tx), dtype=complex)
-    obs_rows = [np.empty((n_seeds, n_slots, n_sym), dtype=complex) for _ in nodes]
+    obs_rows = np.empty((len(nodes), n_seeds, n_slots, n_sym), dtype=complex)
     start = 0       # the slot's first stream column
     for t, slot in enumerate(program.slots):
         k = len(slot.labels)
@@ -682,9 +643,7 @@ def execute_batch(
         sent.append(_Sent(beams, gains, rows))
         # every node's observation rows from one product, each (seed, node)
         # entry a lone row-times-matrix product
-        observed = chan[:, :, t, None, :] @ x[:, None]
-        for n, node_rows in enumerate(obs_rows):
-            node_rows[:, t] = observed[:, n, 0]
+        obs_rows[:, :, t] = (chan[:, :, t, None, :] @ x[:, None])[:, :, 0].swapaxes(0, 1)
 
     # every (seed, node, slot) clean observation h_t @ x_value_t at once,
     # each a lone row-times-column product
@@ -695,19 +654,16 @@ def execute_batch(
         noise = rng.complex_normals(seeds, [("noise", node) for node in nodes], n_slots)
         obs_vals = obs_vals + noise
 
-    def by_node(arr: np.ndarray) -> dict[str, np.ndarray]:
-        return {node: arr[:, n] for n, node in enumerate(nodes)}
-
     return TraceBatch(
         spec=spec,
         seeds=tuple(int(seed) for seed in seeds),
         power=power,
         mode=mode,
         symbol_values=s,
-        channels=by_node(chan),
-        obs_rows=dict(zip(nodes, obs_rows)),
-        obs_vals=by_node(obs_vals),
-        noise_vals=None if noise is None else by_node(noise),
+        channels=chan,
+        obs_rows=obs_rows,
+        obs_vals=obs_vals,
+        noise_vals=noise,
         beams=all_beams,
         gains=all_gains,
         x_value=x_values,

@@ -171,7 +171,8 @@ class TestAssemble:
         spec, trace = _run("MR_PDP")
         system = assemble_effective_system(trace)
         scale = np.sqrt(trace.power.total_power)
-        assert np.max(np.abs(trace.obs_vals[EVE])) <= 1e-10 * scale
+        eve = trace.obs_vals[:, spec.topology.nodes().index(EVE)]
+        assert np.max(np.abs(eve)) <= 1e-10 * scale
         assert np.max(np.abs(system.matrices[EVE])) <= 1e-10
 
     def test_empty_scheme(self):
@@ -191,9 +192,9 @@ class TestAssemble:
     def test_incomplete_trace_rejected(self):
         def without_last_slot(run):
             last = len(run.spec.slot_plans[-1].streams)
-            return run._replace(**{
-                name: {node: arr[:, :-1] for node, arr in getattr(run, name).items()}
-                for name in ("channels", "obs_rows", "obs_vals")},
+            return run._replace(
+                channels=run.channels[:, :, :-1], obs_rows=run.obs_rows[:, :, :-1],
+                obs_vals=run.obs_vals[:, :, :-1],
                 beams=run.beams[:-last], gains=run.gains[:-last], x_value=run.x_value[:, :-1])
 
         def without_last_beam(run):
@@ -209,6 +210,18 @@ class TestAssemble:
             with pytest.raises(IncompleteTrace, match=f"trace has {n_columns - 1} of "
                                                       f"{n_columns} stream columns"):
                 assemble(without_last_beam(run))
+
+    @pytest.mark.parametrize("scheme_id, params, seeds", [
+        ("BC_S1_43", {}, [0, 1, 2]), ("MR_S30_29_A", {"blocks": 20}, [3]),
+    ], ids=["BC_S1_43", "MR_S30_29_A-blocks20"])
+    def test_matrices_are_views_of_the_observation_rows(self, scheme_id, params, seeds):
+        spec = build_scheme(scheme_id, **params)
+        (batch,) = run_seed_batches(spec, seeds, PowerBudget(1e4), "noisy")
+        matrices = assemble_effective_systems(batch).matrices
+        for n, node in enumerate(spec.topology.nodes()):
+            assert matrices[node].flags.c_contiguous, node
+            assert not matrices[node].flags.writeable, node
+            assert np.shares_memory(matrices[node], batch.obs_rows[n]), node
 
     @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
     def test_trace_check_holds_at_every_power(self, scheme_id):
@@ -333,7 +346,7 @@ class TestStacked:
     def test_batch_assembly_names_the_failing_seed(self):
         spec = build_scheme("MR_PDP")
         batch = next(run_seed_batches(spec, [4, 5, 6], PowerBudget(1e4)))
-        batch.obs_vals[EVE][1, 0] += 1.0
+        batch.obs_vals[1, spec.topology.nodes().index(EVE), 0] += 1.0
         with pytest.raises(AssertionError, match="seed 5: effective system"):
             assemble_effective_systems(batch)
 

@@ -42,7 +42,6 @@ from sdof_lab.regions import (
     system_from_json_dict,
     system_to_json_dict,
     time_share,
-    vertices,
 )
 
 F = Fraction
