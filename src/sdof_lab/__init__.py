@@ -10,7 +10,6 @@ from .model import (
     EVE,
     RX1,
     RX2,
-    ChannelRealization,
     CsitState,
     PowerBudget,
     StateLabel,
@@ -18,7 +17,6 @@ from .model import (
     Topology,
     sample_channel,
     sample_channels,
-    schedule_to_slot_states,
     validate_schedule,
 )
 from .precoding import (

@@ -297,6 +297,9 @@ def criterion_8() -> CriterionResult:
         schedule = validate_schedule(lam) if lam else None
         region = regions.region_from_theorem(theorem, schedule)
         spec = build_scheme(scheme_id)
+        # the theorem's lambda is the scheme's own slot program's
+        if schedule and spec.state_fractions() != schedule.fractions:
+            failures.append(f"{scheme_id} state fractions differ from lambda {lam}")
         report = accounting(spec)
         nominal = (report.nominal_sdof.get(RX1, Fraction(0)),
                    report.nominal_sdof.get(RX2, Fraction(0)))

@@ -27,8 +27,8 @@ import numpy as np
 from . import analysis, regions
 from .errors import CsitViolation, SdofLabError
 from .fm_oracle import convex_hull, hull_agreement
-from .model import (RX1, RX2, PowerBudget, StateLabel, sample_channel, sample_channels,
-                    validate_schedule)
+from .model import (RX1, RX2, PowerBudget, StateLabel, channel_to_json, sample_channel,
+                    sample_channels, validate_schedule)
 from .precoding import assemble_effective_system, assemble_effective_systems
 from .schemes import (
     TraceBatch,
@@ -129,10 +129,11 @@ def _simulate_chunk(spec, seeds, powers: list[float], mode: str):
     """Per seed of one chunk: the seed, its CSV values per power, its rate
     slopes, its leakage slope and its hard-failure flag.
 
-    The chunk's channels are sampled in one pass, which gives each seed the
-    bits of its own draw.  Each seed is then executed on its own, through
-    the single-seed entry point whose calls the benchmark's layer tracing
-    (perfbench) counts per simulated seed.  The runs are concatenated into
+    The chunk's channels are sampled in one pass, one (seed, node, slot,
+    antenna) array that gives each seed the bits of its own draw.  Each
+    seed is then executed on its own item of it, through the single-seed
+    entry point whose calls the benchmark's layer tracing (perfbench)
+    counts per simulated seed.  The runs are concatenated into
     the chunk's batch, which `seed_chunks` caps at `BATCH_CELLS` cells, and
     the chunk is analysed as a stack with the calls criterion 3 makes: one
     assembly, one `decode_batch` (the hand decoder per seed, one adversary
@@ -140,10 +141,10 @@ def _simulate_chunk(spec, seeds, powers: list[float], mode: str):
     every system and power, and one slope fit.
     """
     budget = PowerBudget(powers[0])
-    realizations = sample_channels(spec.topology, spec.n_slots, seeds)
+    channels = sample_channels(spec.topology, spec.n_slots, seeds)
     batch = TraceBatch.concatenate([
-        run_scheme(spec, realization, budget, mode, seed)
-        for seed, realization in zip(seeds, realizations)])
+        run_scheme(spec, seed_channels, budget, mode, seed)
+        for seed, seed_channels in zip(seeds, channels)])
     systems = assemble_effective_systems(batch)
     reports = decode_batch(batch, systems)
     del batch       # the analysis reads the systems alone
@@ -226,14 +227,14 @@ def cmd_simulate(config: RunConfig) -> int:
         # seeds are deterministic: the dumped case (the first failing seed,
         # else seed 0) is run again rather than kept
         seed = failing[0] if failing else 0
-        realization = sample_channel(spec.topology, spec.n_slots, seed)
-        trace = run_scheme(spec, realization, PowerBudget(powers[0]), config.mode, seed)
+        channels = sample_channel(spec.topology, spec.n_slots, seed)
+        trace = run_scheme(spec, channels, PowerBudget(powers[0]), config.mode, seed)
         if config.dump_trace:
             _write_text(config.dump_trace, trace.to_json())
         if config.dump_system:
             _write_text(config.dump_system, assemble_effective_system(trace).to_json())
         if config.dump_channel:
-            _write_text(config.dump_channel, realization.to_json())
+            _write_text(config.dump_channel, channel_to_json(spec.topology, seed, channels))
 
     csv_text = "\n".join(csv_lines) + "\n"
     if config.out:

@@ -27,10 +27,6 @@ class MixedArity(ScheduleError):
     pass
 
 
-class NonIntegralBlock(ScheduleError):
-    pass
-
-
 class RankDeficiencyPersistent(SdofLabError):
     pass
 

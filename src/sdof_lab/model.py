@@ -1,7 +1,7 @@
 """Channel and state data model.
 
 Defines the CSIT state alphabet, schedules of state fractions, the three
-supported node topologies, fading realizations and power budgets.  All values
+supported node topologies, fading draws and power budgets.  All values
 are immutable after construction; sampling is a pure function of its inputs
 and a seed, so everything here is safe to share across threads.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Mapping
 
@@ -21,7 +20,6 @@ from . import rng
 from .errors import (
     MixedArity,
     NegativeFraction,
-    NonIntegralBlock,
     RankDeficiencyPersistent,
     SumNotOne,
     SymmetryViolated,
@@ -154,35 +152,6 @@ def validate_schedule(fractions: Mapping, symmetry_mode: bool = False) -> StateS
     return StateSchedule(fractions=dict(norm), symmetry_mode=symmetry_mode)
 
 
-def schedule_to_slot_states(schedule: StateSchedule, n_slots: int) -> list[StateLabel]:
-    """Materialize a schedule onto a block of `n_slots` slots.
-
-    Every fraction times `n_slots` must be an integer.  The canonical
-    arrangement interleaves states by largest remaining quota, which makes
-    equal-fraction schedules alternate; schemes are free to reorder.
-    """
-    quotas: dict[StateLabel, Fraction] = {}
-    for label in schedule.labels():
-        quota = schedule.fraction(label) * n_slots
-        if quota.denominator != 1:
-            raise NonIntegralBlock(
-                f"{label} needs {quota} slots out of {n_slots}; not an integer"
-            )
-        quotas[label] = quota
-    used = {label: 0 for label in quotas}
-    out: list[StateLabel] = []
-    for _ in range(n_slots):
-        label = max(
-            quotas,
-            key=lambda l: (quotas[l] - used[l], tuple(-k for k in l.sort_key())),
-        )
-        if quotas[label] - used[label] <= 0:
-            raise NonIntegralBlock("quota bookkeeping exhausted early")
-        used[label] += 1
-        out.append(label)
-    return out
-
-
 @dataclass(frozen=True)
 class Topology:
     """Antenna/node configuration; only the three canonical setups exist."""
@@ -228,82 +197,27 @@ class Topology:
                 (2, 2, False): "broadcast"}[(self.n_tx, self.receivers, self.has_eavesdropper)]
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Per-slot fading rows for every node, plus the seed that produced them."""
+def sample_channels(topology: Topology, n_slots: int, seeds) -> np.ndarray:
+    """Draw every seed's fading: one read-only, C-contiguous (seed, node,
+    slot, antenna) array of i.i.d. unit-variance complex Gaussian entries,
+    nodes in `topology.nodes()` order, so `channels[i, :, t]` is seed i's
+    state matrix at slot t.
 
-    topology: Topology
-    n_slots: int
-    h: np.ndarray                    # (n_slots, n_tx) rows of receiver 1
-    h_acute: np.ndarray | None       # rows of receiver 2 (absent in wiretap runs)
-    g: np.ndarray                    # rows of the eavesdropper / second receiver
-    seed: int
-
-    def __post_init__(self):
-        for arr in (self.h, self.h_acute, self.g):
-            if arr is not None:
-                arr.setflags(write=False)
-
-    @cached_property
-    def by_node(self) -> dict[str, np.ndarray]:
-        """node -> (n_slots, n_tx) channel rows, for every node of the topology."""
-        nodes = self.topology.nodes()
-        rows = (self.h, self.g) if len(nodes) == 2 else (self.h, self.h_acute, self.g)
-        return dict(zip(nodes, rows))
-
-    def rows(self, node: str) -> np.ndarray:
-        """(n_slots, n_tx) channel rows of one node."""
-        try:
-            return self.by_node[node]
-        except KeyError:
-            raise KeyError(f"{self.topology.name} topology has no node {node!r}") from None
-
-    def row(self, node: str, t: int) -> np.ndarray:
-        return self.rows(node)[t]
-
-    def stacked(self, t: int) -> np.ndarray:
-        return np.vstack([self.row(node, t) for node in self.topology.nodes()])
-
-    def to_json(self) -> str:
-        def encode(arr):
-            if arr is None:
-                return None
-            return [[[float(c.real), float(c.imag)] for c in slot] for slot in arr]
-
-        payload = {
-            "topology": self.topology.name,
-            "n_slots": self.n_slots,
-            "seed": self.seed,
-            "h": encode(self.h),
-            "h_acute": encode(self.h_acute),
-            "g": encode(self.g),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def sample_channels(topology: Topology, n_slots: int, seeds) -> list[ChannelRealization]:
-    """Draw one fading realization per seed: i.i.d. unit-variance complex
-    Gaussian entries.
-
-    Each slot's stacked state matrix is kept full row rank with condition
-    number at most 1e6 by rejection resampling inside that slot's own
-    substream, so realizations are deterministic in (topology, n_slots, seed)
-    and independent across slots and seeds.  Every slot's first draw is
-    checked in one stacked SVD; only rejected slots draw again.
+    Each slot's state matrix is kept full row rank with condition number at
+    most 1e6 by rejection resampling inside that slot's own substream, so
+    draws are deterministic in (topology, n_slots, seed) and independent
+    across slots and seeds.  Every slot's first draw is checked in one
+    stacked SVD; only rejected slots draw again.
     """
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
     shape = (topology.state_arity, topology.n_tx)
-    rows = rng.complex_normals(seeds, [("chan", t) for t in range(n_slots)], shape)
-    for i, t in zip(*np.nonzero(~_well_conditioned(rows))):
-        rows[i, t] = _redraw(int(seeds[i]), int(t), shape)
-    # node order: (rx1, eve), (rx1, rx2, eve) or (rx1, rx2) -> (h, h_acute, g)
-    picks = (0, 1, 2) if topology.state_arity == 3 else (0, None, 1)
-    return [
-        ChannelRealization(topology, n_slots,
-                           *(None if k is None else draw[:, k] for k in picks), int(seed))
-        for seed, draw in zip(seeds, rows)
-    ]
+    mats = rng.complex_normals(seeds, [("chan", t) for t in range(n_slots)], shape)
+    for i, t in zip(*np.nonzero(~_well_conditioned(mats))):
+        mats[i, t] = _redraw(int(seeds[i]), int(t), shape)
+    channels = np.ascontiguousarray(mats.swapaxes(1, 2))
+    channels.setflags(write=False)
+    return channels
 
 
 def _well_conditioned(mats: np.ndarray) -> np.ndarray:
@@ -326,9 +240,28 @@ def _redraw(seed: int, t: int, shape) -> np.ndarray:
     )
 
 
-def sample_channel(topology: Topology, n_slots: int, seed: int) -> ChannelRealization:
-    """One seed's realization; see `sample_channels`."""
+def sample_channel(topology: Topology, n_slots: int, seed: int) -> np.ndarray:
+    """One seed's (node, slot, antenna) draw; see `sample_channels`."""
     return sample_channels(topology, n_slots, [seed])[0]
+
+
+def channel_to_json(topology: Topology, seed: int, channels: np.ndarray) -> str:
+    """One seed's (node, slot, antenna) draw as JSON: receiver 1's rows as
+    `h`, receiver 2's as `h_acute` (null without an eavesdropper next to
+    it) and the last node's, the eavesdropper or the broadcast receiver 2,
+    as `g`."""
+    def encode(arr):
+        return [[[float(c.real), float(c.imag)] for c in slot] for slot in arr]
+
+    payload = {
+        "topology": topology.name,
+        "n_slots": channels.shape[1],
+        "seed": seed,
+        "h": encode(channels[0]),
+        "h_acute": encode(channels[1]) if len(channels) == 3 else None,
+        "g": encode(channels[-1]),
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 @dataclass(frozen=True)

@@ -219,8 +219,8 @@ def build_mr_pdd() -> SchemeSpec:
 
 # -- two-user broadcast, receivers eavesdrop on each other -----------------------
 #
-# State labels are pairs (receiver 1, receiver 2); receiver 2 rides the
-# realization's g rows.
+# State labels are pairs (receiver 1, receiver 2); receiver 2 is node row 1
+# of the channel draw.
 
 def build_bc_pp_s2() -> SchemeSpec:
     """One slot, each symbol zero-forced at the other receiver."""

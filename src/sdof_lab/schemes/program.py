@@ -19,12 +19,14 @@ closed-form mutual information.
 
 A spec is compiled once, on first use: the legality checks and everything
 else no seed changes are resolved then.  `execute_batch` executes the
-compiled program for many seeds at once on stacked arrays, giving each seed
-exactly the bits of its own run, and returns a `TraceBatch`, the one record
-of a run: one stacked array per field, for the symbols, channels,
-observations, stream beams and gains, and transmitted vectors, with a node
-axis in the per-node fields.  `run_scheme` runs one seed, and its record is
-a batch of one seed.  Batches of one scheme concatenate, one
+compiled program for many seeds at once on stacked arrays, over the seeds'
+(seed, node, slot, antenna) channel draw from `model.sample_channels`,
+giving each seed exactly the bits of its own run.  It returns a
+`TraceBatch`, the one record of a run: one stacked array per field, for the
+symbols, channels (the draw itself), observations, stream beams and gains,
+and transmitted vectors, with a node axis in the per-node fields.
+`run_scheme` runs one seed on its (node, slot, antenna) draw, and its
+record is a batch of one seed.  Batches of one scheme concatenate, one
 `np.concatenate` per field, and `views()` gives each seed's
 `ReceiverView`, which the hand decoders read.  `run_seed_batches` samples
 the channels and runs memory-bounded batches (`seed_chunks`).
@@ -49,7 +51,6 @@ from ..errors import (
     UnknownSymbolId,
 )
 from ..model import (
-    ChannelRealization,
     CsitState,
     PowerBudget,
     StateLabel,
@@ -534,12 +535,13 @@ def _retransmitted_row(payload: _Obs | _Mix, chan: np.ndarray,
 
 def execute_batch(
     spec: SchemeSpec,
-    realizations: Sequence[ChannelRealization],
+    channels: np.ndarray,
     power: PowerBudget,
     mode: str,
     seeds: Sequence[int],
 ) -> TraceBatch:
-    """Execute a scheme for several seeds at once.
+    """Execute a scheme for several seeds at once over their (seed, node,
+    slot, antenna) channel draw (`sample_channels`).
 
     Per slot: resolve beams against the CSI the slot state allows, evaluate
     payloads from strictly legal information sets, normalize the slot to the
@@ -554,20 +556,22 @@ def execute_batch(
     """
     if mode not in ("noiseless", "noisy"):
         raise BadParams(f"unknown mode {mode!r}")
-    for realization in realizations:
-        if realization.n_slots < spec.n_slots:
-            raise RealizationTooShort(
-                f"realization has {realization.n_slots} slots, scheme needs {spec.n_slots}"
-            )
-        if realization.topology != spec.topology:
-            raise BadParams("realization topology does not match the scheme")
     program = spec.compiled
     nodes = spec.topology.nodes()
     n_seeds, n_slots, n_sym = len(seeds), spec.n_slots, len(spec.symbols)
     n_tx = spec.topology.n_tx
+    # the three topologies' (node, antenna) shapes differ, so the shape
+    # check is the topology check
+    shape = channels.shape
+    if len(shape) != 4 or (shape[0], shape[1], shape[3]) != (n_seeds, len(nodes), n_tx):
+        raise BadParams(
+            f"channels of shape {shape} do not fit {n_seeds} seeds of the "
+            f"{spec.topology.name} topology, ({n_seeds}, {len(nodes)}, slots, {n_tx})")
+    if shape[2] < n_slots:
+        raise RealizationTooShort(f"channels have {shape[2]} slots, scheme needs {n_slots}")
 
     # (seed, node, slot, antenna)
-    chan = np.array([[r.rows(node)[:n_slots] for node in nodes] for r in realizations])
+    chan = np.ascontiguousarray(channels[:, :, :n_slots])
     s = rng.complex_normals(seeds, [("symbols",)], n_sym)[:, 0]
 
     bases = {}
@@ -672,14 +676,15 @@ def execute_batch(
 
 def run_scheme(
     spec: SchemeSpec,
-    realization: ChannelRealization,
+    channels: np.ndarray,
     power: PowerBudget,
     mode: str = "noiseless",
     seed: int = 0,
 ) -> TraceBatch:
-    """Execute a scheme slot by slot over one channel realization: the batch
-    of one seed of `execute_batch`."""
-    return execute_batch(spec, [realization], power, mode, [seed])
+    """Execute a scheme slot by slot over one seed's (node, slot, antenna)
+    channel draw (`sample_channel`): the batch of one seed of
+    `execute_batch`."""
+    return execute_batch(spec, channels[None], power, mode, [seed])
 
 
 def seed_chunks(spec: SchemeSpec, seeds: Sequence[int]) -> Iterator[Sequence[int]]:
@@ -700,5 +705,5 @@ def run_seed_batches(
     """Sample and execute the seeds in stacked batches of bounded size
     (`seed_chunks`), in seed order."""
     for batch in seed_chunks(spec, seeds):
-        realizations = sample_channels(spec.topology, spec.n_slots, batch)
-        yield execute_batch(spec, realizations, power, mode, batch)
+        channels = sample_channels(spec.topology, spec.n_slots, batch)
+        yield execute_batch(spec, channels, power, mode, batch)

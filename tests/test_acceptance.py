@@ -5,13 +5,28 @@ Run with `pytest tests/test_acceptance.py -s` for the live table, or use the
 implementations; nothing is calibrated at run time.
 """
 
+import hashlib
+import json
+from pathlib import Path
+
 from sdof_lab import acceptance
 from sdof_lab.schemes import SCHEME_IDS
 
+# SHA-256 of each criterion's `verify` line, as the benchmark's output gate
+# records it
+VERIFY_DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text()
+)["verify"]["criteria"]
 
-def _check(result):
+
+def _check(result, pinned=True):
+    """The criterion passes, and a run with `verify`'s own arguments prints
+    the line whose digest the benchmark records."""
     print(result.line())
     assert result.ok, result.detail
+    if pinned:
+        assert hashlib.sha256(result.line().encode()).hexdigest() \
+            == VERIFY_DIGESTS[f"{result.number:02d}"], result.line()
 
 
 def test_criterion_01_wiretap_ceiling_formula():
@@ -39,7 +54,7 @@ def test_criterion_06_composite_accounting_tjsp53():
 
 
 def test_criterion_06b_composite_accounting_fallback():
-    _check(acceptance.criterion_6(sub="fallback32"))
+    _check(acceptance.criterion_6(sub="fallback32"), pinned=False)
 
 
 def test_criterion_07_converse_projection():
@@ -136,7 +151,7 @@ def test_criterion_03_assembles_each_pipeline_once(monkeypatch):
         if name.startswith("sdof_lab") and getattr(module, "assemble_effective_systems",
                                                    None) is stacked:
             monkeypatch.setattr(module, "assemble_effective_systems", counting)
-    _check(acceptance.criterion_3(n_seeds=4))
+    _check(acceptance.criterion_3(n_seeds=4), pinned=False)
     assert assembled == Counter(
         {(scheme_id, seed): 1 for scheme_id in SCHEME_IDS for seed in range(4)})
 

@@ -32,8 +32,8 @@ WIDE_GRID = tuple(2.0 ** e for e in (-1000, -300, -7, 0, 12, 300, 1000))
 
 def _system(scheme_id, seed=0, **params):
     spec = build_scheme(scheme_id, **params)
-    realization = sample_channel(spec.topology, spec.n_slots, seed)
-    trace = run_scheme(spec, realization, PowerBudget(1e4), "noiseless", seed)
+    channels = sample_channel(spec.topology, spec.n_slots, seed)
+    trace = run_scheme(spec, channels, PowerBudget(1e4), "noiseless", seed)
     return spec, assemble_effective_system(trace)
 
 

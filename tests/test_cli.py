@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -40,8 +43,9 @@ DUMP_DIGESTS = {
 
 
 # The benchmark's recorded output digests, keyed by command line.  Its
-# composite command is left out: its bytes depend on the BLAS thread count
-# (they match with one OpenBLAS thread, not with two).
+# composite command's bytes depend on the BLAS thread count (they match with
+# one OpenBLAS thread, not with two), so it runs in a fresh interpreter with
+# one BLAS thread, as the benchmark runs it.
 BENCH_DIGESTS = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text())
 COMPOSITES = ("MR_S30_29_A", "MR_S30_29_B")
@@ -158,8 +162,8 @@ class TestSimulate:
         assert json.loads(paths["trace"].read_text())["seed"] == 2
         assert json.loads(paths["chan"].read_text())["seed"] == 2
         spec = build_scheme("MR_PPD")
-        realization = sample_channel(spec.topology, spec.n_slots, 2)
-        trace = run_scheme(spec, realization, PowerBudget(DEFAULT_GRID[0]), "noiseless", 2)
+        channels = sample_channel(spec.topology, spec.n_slots, 2)
+        trace = run_scheme(spec, channels, PowerBudget(DEFAULT_GRID[0]), "noiseless", 2)
         assert paths["system"].read_text() == assemble_effective_system(trace).to_json()
 
     def test_dumps_seed_zero_when_nothing_fails(self, tmp_path):
@@ -263,8 +267,8 @@ class TestSimulate:
         rates = {RX1: [], RX2: []}
         leaks = []
         for seed in range(3):
-            realization = sample_channel(spec.topology, spec.n_slots, seed)
-            trace = run_scheme(spec, realization, PowerBudget(DEFAULT_GRID[0]),
+            channels = sample_channel(spec.topology, spec.n_slots, seed)
+            trace = run_scheme(spec, channels, PowerBudget(DEFAULT_GRID[0]),
                                "noiseless", seed)
             system = assemble_effective_system(trace)
             for node, acc in rates.items():
@@ -321,6 +325,20 @@ class TestSimulate:
         assert main(key.split()) == 0
         out = capsys.readouterr().out
         cut = out.find("\n{") + 1     # the CSV, then the summary
+        assert {"csv": hashlib.sha256(out[:cut].encode()).hexdigest(),
+                "summary": hashlib.sha256(out[cut:].encode()).hexdigest()} \
+            == BENCH_DIGESTS[key]
+
+    def test_composite_output_matches_the_benchmark_digest_at_one_blas_thread(self):
+        key = "simulate --scheme mr_s30_29_a --blocks 40 --seeds 1"
+        threads = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                 "MKL_NUM_THREADS"), "1")
+        out = subprocess.run(
+            [sys.executable, "-m", "sdof_lab.cli", *key.split()], capture_output=True,
+            text=True, check=True,
+            env={**os.environ, **threads, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        ).stdout
+        cut = out.find("\n{") + 1
         assert {"csv": hashlib.sha256(out[:cut].encode()).hexdigest(),
                 "summary": hashlib.sha256(out[cut:].encode()).hexdigest()} \
             == BENCH_DIGESTS[key]
@@ -476,9 +494,6 @@ def test_help_exits_zero(capsys, argv):
 
 
 def test_parser_is_built_once_on_first_use(capsys, monkeypatch):
-    import subprocess
-    import sys
-
     probe = "import sdof_lab.cli as cli; print(cli._parser.cache_info().currsize)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={"PYTHONPATH": str(Path(cli.__file__).parents[1])})

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from sdof_lab.errors import (
     MixedArity,
     NegativeFraction,
-    NonIntegralBlock,
     RankDeficiencyPersistent,
     SumNotOne,
     SymmetryViolated,
@@ -20,9 +19,9 @@ from sdof_lab.model import (
     CsitState,
     StateLabel,
     Topology,
+    channel_to_json,
     sample_channel,
     sample_channels,
-    schedule_to_slot_states,
     validate_schedule,
 )
 
@@ -91,32 +90,6 @@ class TestValidateSchedule:
                                "DD": Fraction(1, 2) + Fraction(1, bump * 101)})
 
 
-class TestSlotStates:
-    def test_exact_alternation(self):
-        sched = validate_schedule({"PD": Fraction(1, 2), "DP": Fraction(1, 2)})
-        states = schedule_to_slot_states(sched, 6)
-        assert [str(s) for s in states] == ["PD", "DP", "PD", "DP", "PD", "DP"]
-
-    def test_asymmetric_block(self):
-        sched = validate_schedule(
-            {"PDD": Fraction(22, 29), "DPD": Fraction(7, 29)})
-        states = schedule_to_slot_states(sched, 29)
-        counts = {str(s): 0 for s in states}
-        for s in states:
-            counts[str(s)] += 1
-        assert counts == {"PDD": 22, "DPD": 7}
-
-    def test_single_state_block(self):
-        sched = validate_schedule({"DD": 1})
-        states = schedule_to_slot_states(sched, 5)
-        assert [str(s) for s in states] == ["DD"] * 5
-
-    def test_non_integral(self):
-        sched = validate_schedule({"PD": Fraction(1, 2), "DP": Fraction(1, 2)})
-        with pytest.raises(NonIntegralBlock):
-            schedule_to_slot_states(sched, 5)
-
-
 class TestTopology:
     def test_canonical_configs(self):
         assert Topology.wiretap().nodes() == ("rx1", "eve")
@@ -131,33 +104,30 @@ class TestTopology:
 class TestSampleChannel:
     def test_broadcast_full_rank(self):
         real = sample_channel(Topology.broadcast(), 6, seed=7)
-        assert real.h.shape == (6, 2) and real.g.shape == (6, 2)
+        assert real.shape == (2, 6, 2)
         for t in range(6):
-            sv = np.linalg.svd(real.stacked(t), compute_uv=False)
+            sv = np.linalg.svd(real[:, t], compute_uv=False)
             assert sv[-1] > 0
 
     def test_multi_receiver_condition_cap(self):
         real = sample_channel(Topology.multi_receiver(), 58, seed=1)
         for t in range(58):
-            sv = np.linalg.svd(real.stacked(t), compute_uv=False)
+            sv = np.linalg.svd(real[:, t], compute_uv=False)
             assert sv[0] / sv[-1] <= CONDITION_CAP
 
     def test_deterministic(self):
         a = sample_channel(Topology.multi_receiver(), 12, seed=42)
         b = sample_channel(Topology.multi_receiver(), 12, seed=42)
-        assert a.h.tobytes() == b.h.tobytes()
-        assert a.h_acute.tobytes() == b.h_acute.tobytes()
-        assert a.g.tobytes() == b.g.tobytes()
+        assert a.tobytes() == b.tobytes()
 
     def test_seed_sensitivity(self):
         a = sample_channel(Topology.broadcast(), 4, seed=1)
         b = sample_channel(Topology.broadcast(), 4, seed=2)
-        assert a.h.tobytes() != b.h.tobytes()
+        assert a[0].tobytes() != b[0].tobytes()
 
     def test_statistics(self):
         real = sample_channel(Topology.multi_receiver(), 10_000, seed=5)
-        entries = np.concatenate(
-            [real.h.ravel(), real.h_acute.ravel(), real.g.ravel()])
+        entries = real.ravel()
         assert abs(entries.mean()) <= 0.05
         assert 0.9 <= entries.var() <= 1.1
 
@@ -179,11 +149,11 @@ class TestSampleChannel:
                                           Topology.broadcast()], ids=lambda t: t.name)
     def test_batch_equals_single_draws(self, topology):
         seeds = [0, 3, 9, 1000]
-        for seed, real in zip(seeds, sample_channels(topology, 12, seeds), strict=True):
-            one = sample_channel(topology, 12, seed)
-            assert real.seed == seed
-            for node in topology.nodes():
-                assert real.rows(node).tobytes() == one.rows(node).tobytes()
+        batch = sample_channels(topology, 12, seeds)
+        assert batch.shape == (len(seeds), len(topology.nodes()), 12, topology.n_tx)
+        assert batch.flags.c_contiguous and not batch.flags.writeable
+        for seed, real in zip(seeds, batch, strict=True):
+            assert real.tobytes() == sample_channel(topology, 12, seed).tobytes()
 
     def test_batch_redraws_rejected_slots_from_their_own_substream(self, monkeypatch):
         """With a tight condition cap many first draws are rejected; the
@@ -198,16 +168,17 @@ class TestSampleChannel:
         for seed, real in zip(seeds, batch):
             one = sample_channel(topology, 10, seed)
             for t in range(10):
-                sv = np.linalg.svd(real.stacked(t), compute_uv=False)
+                sv = np.linalg.svd(real[:, t], compute_uv=False)
                 assert sv[0] / sv[-1] <= 4.0
-                assert real.stacked(t).tobytes() == one.stacked(t).tobytes()
+                assert real[:, t].tobytes() == one[:, t].tobytes()
 
     def test_json_dump_roundtrippable(self):
         import json
 
-        real = sample_channel(Topology.wiretap(), 3, seed=9)
-        payload = json.loads(real.to_json())
-        assert payload["n_slots"] == 3
+        topology = Topology.wiretap()
+        real = sample_channel(topology, 3, seed=9)
+        payload = json.loads(channel_to_json(topology, 9, real))
+        assert payload["n_slots"] == 3 and payload["seed"] == 9
         assert payload["h_acute"] is None
-        entry = payload["h"][0][0]
-        assert entry == [real.h[0][0].real, real.h[0][0].imag]
+        assert payload["h"][0][0] == [real[0, 0, 0].real, real[0, 0, 0].imag]
+        assert payload["g"][2][1] == [real[1, 2, 1].real, real[1, 2, 1].imag]

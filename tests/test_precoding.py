@@ -32,8 +32,8 @@ from sdof_lab.schemes import (
 
 def _run(scheme_id, seed=0, **params):
     spec = build_scheme(scheme_id, **params)
-    realization = sample_channel(spec.topology, spec.n_slots, seed)
-    return spec, run_scheme(spec, realization, PowerBudget(1e4), "noiseless", seed)
+    channels = sample_channel(spec.topology, spec.n_slots, seed)
+    return spec, run_scheme(spec, channels, PowerBudget(1e4), "noiseless", seed)
 
 
 def _scale(systems):
@@ -182,8 +182,8 @@ class TestAssemble:
         spec = SchemeSpec(
             scheme_id="EMPTY", topology=Topology.broadcast(), slot_plans=(),
             symbols=(), protected={}, adversary_known={})
-        realization = sample_channel(spec.topology, 1, seed=0)
-        trace = run_scheme(spec, realization, PowerBudget(1.0), "noiseless", 0)
+        channels = sample_channel(spec.topology, 1, seed=0)
+        trace = run_scheme(spec, channels, PowerBudget(1.0), "noiseless", 0)
         system = assemble_effective_system(trace)
         assert system.n_obs == 0
         report = decode(trace)
@@ -229,17 +229,17 @@ class TestAssemble:
         zero-forced observations carry rounding that scales with sqrt(P)."""
         spec = build_scheme(scheme_id)
         for seed in range(2):
-            realization = sample_channel(spec.topology, spec.n_slots, seed)
+            channels = sample_channel(spec.topology, spec.n_slots, seed)
             for exp in range(20, 61, 5):
                 for mode in ("noiseless", "noisy"):
-                    trace = run_scheme(spec, realization, PowerBudget(2.0 ** exp),
+                    trace = run_scheme(spec, channels, PowerBudget(2.0 ** exp),
                                        mode, seed)
                     assemble_effective_system(trace)
 
     def test_noisy_mode_reconstruction(self):
         spec = build_scheme("MR_PPD")
-        realization = sample_channel(spec.topology, spec.n_slots, 3)
-        trace = run_scheme(spec, realization, PowerBudget(100.0), "noisy", 3)
+        channels = sample_channel(spec.topology, spec.n_slots, 3)
+        trace = run_scheme(spec, channels, PowerBudget(100.0), "noisy", 3)
         system = assemble_effective_system(trace)
         assert system.matrices[RX1].shape == (1, 3)
 

@@ -99,7 +99,7 @@ def test_redraws_continue_the_seed_sequence_substream(monkeypatch):
                 if sv[0] / sv[-1] <= 4.0:
                     break
             redrawn += attempt > 0
-            assert real.stacked(t).tobytes() == cand.tobytes(), (seed, t)
+            assert real[:, t].tobytes() == cand.tobytes(), (seed, t)
     assert redrawn > 5
 
 

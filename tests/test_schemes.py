@@ -23,6 +23,7 @@ from sdof_lab.model import (
     CsitState,
     PowerBudget,
     StateLabel,
+    Topology,
     sample_channel,
     sample_channels,
 )
@@ -53,8 +54,8 @@ DECODE_IDS = [scheme_id + "".join(f"-{k}={v}" for k, v in params.items())
 
 def _run(scheme_id, seed=0, power=1e4, mode="noiseless", **params):
     spec = build_scheme(scheme_id, **params)
-    realization = sample_channel(spec.topology, spec.n_slots, seed)
-    return spec, run_scheme(spec, realization, PowerBudget(power), mode, seed)
+    channels = sample_channel(spec.topology, spec.n_slots, seed)
+    return spec, run_scheme(spec, channels, PowerBudget(power), mode, seed)
 
 
 class TestBuild:
@@ -76,9 +77,9 @@ class TestBuild:
         v, u = plan.streams
         dup = replace(spec, slot_plans=(
             SlotPlan(plan.state, (v, u._replace(label=v.label))),))
-        realization = sample_channel(spec.topology, spec.n_slots, 0)
+        channels = sample_channel(spec.topology, spec.n_slots, 0)
         with pytest.raises(BadParams, match="repeated stream label"):
-            run_scheme(dup, realization, PowerBudget(1e4), "noiseless", 0)
+            run_scheme(dup, channels, PowerBudget(1e4), "noiseless", 0)
 
     def test_mr_ddp_structure(self):
         spec = build_scheme("MR_DDP")
@@ -144,30 +145,34 @@ class TestRun:
     def test_csit_violation_on_mutated_state(self):
         spec = build_scheme("MR_PPD")
         mutated = spec.with_slot_state(0, StateLabel.parse("PDD"))
-        realization = sample_channel(spec.topology, 1, seed=0)
+        channels = sample_channel(spec.topology, 1, seed=0)
         with pytest.raises(CsitViolation):
-            run_scheme(mutated, realization, PowerBudget(1e4), "noiseless", 0)
+            run_scheme(mutated, channels, PowerBudget(1e4), "noiseless", 0)
 
     def test_realization_too_short(self):
         spec = build_scheme("MR_DDP")
-        realization = sample_channel(spec.topology, 2, seed=0)
+        channels = sample_channel(spec.topology, 2, seed=0)
         with pytest.raises(RealizationTooShort):
-            run_scheme(spec, realization, PowerBudget(1e4), "noiseless", 0)
+            run_scheme(spec, channels, PowerBudget(1e4), "noiseless", 0)
 
     def test_topology_mismatch(self):
-        from sdof_lab.model import Topology
-
-        spec = build_scheme("BC_PP_S2")
-        realization = sample_channel(Topology.multi_receiver(), 1, seed=0)
-        with pytest.raises(BadParams):
-            run_scheme(spec, realization, PowerBudget(1e4), "noiseless", 0)
+        """Each topology's draw has its own (node, antenna) shape, so every
+        other topology's scheme rejects it."""
+        for scheme_id in ("WT_PP", "MR_PPD", "BC_PP_S2"):
+            spec = build_scheme(scheme_id)
+            for topology in (Topology.wiretap(), Topology.multi_receiver(),
+                             Topology.broadcast()):
+                if topology != spec.topology:
+                    channels = sample_channel(topology, 1, seed=0)
+                    with pytest.raises(BadParams):
+                        run_scheme(spec, channels, PowerBudget(1e4), "noiseless", 0)
 
     def test_noisy_mode_decode_residual_shrinks_with_power(self):
         spec = build_scheme("MR_DDP")
-        realization = sample_channel(spec.topology, spec.n_slots, 12)
+        channels = sample_channel(spec.topology, spec.n_slots, 12)
         residuals = []
         for power in (1e2, 1e8):
-            trace = run_scheme(spec, realization, PowerBudget(power), "noisy", 12)
+            trace = run_scheme(spec, channels, PowerBudget(power), "noisy", 12)
             residuals.append(decode(trace).max_residual)
         assert residuals[1] < residuals[0]
 
@@ -231,9 +236,9 @@ class TestRun:
             return
         states[pos] = CsitState.D
         mutated = spec.with_slot_state(t, StateLabel(tuple(states)))
-        realization = sample_channel(spec.topology, spec.n_slots, 0)
+        channels = sample_channel(spec.topology, spec.n_slots, 0)
         with pytest.raises(CsitViolation):
-            run_scheme(mutated, realization, PowerBudget(1e4), "noiseless", 0)
+            run_scheme(mutated, channels, PowerBudget(1e4), "noiseless", 0)
 
 
 def _batch_bytes(batch) -> list:
@@ -296,10 +301,10 @@ class TestBatch:
     def test_compiled_on_first_use_only(self):
         spec = build_scheme("MR_DDP")
         assert "compiled" not in vars(spec)
-        realization = sample_channel(spec.topology, spec.n_slots, 0)
-        run_scheme(spec, realization, PowerBudget(1e4))
+        channels = sample_channel(spec.topology, spec.n_slots, 0)
+        run_scheme(spec, channels, PowerBudget(1e4))
         compiled = vars(spec)["compiled"]
-        run_scheme(spec, realization, PowerBudget(1e4))
+        run_scheme(spec, channels, PowerBudget(1e4))
         assert vars(spec)["compiled"] is compiled
 
     def test_mutated_state_raises_in_a_batch(self):
@@ -313,7 +318,7 @@ class TestBatch:
         from sdof_lab.schemes import program
 
         spec = build_scheme("MR_PDP")
-        realizations = sample_channels(spec.topology, spec.n_slots, [5, 6, 7])
+        channels = sample_channels(spec.topology, spec.n_slots, [5, 6, 7])
         norms = program._norms
 
         def zero_at_seed_6(a):
@@ -324,7 +329,41 @@ class TestBatch:
 
         monkeypatch.setattr(program, "_norms", zero_at_seed_6)
         with pytest.raises(BadParams, match="seed 6, slot 0: stream .* payload is zero"):
-            execute_batch(spec, realizations, PowerBudget(1e4), "noiseless", [5, 6, 7])
+            execute_batch(spec, channels, PowerBudget(1e4), "noiseless", [5, 6, 7])
+
+
+    @pytest.mark.parametrize("scheme_id", ["WT_DD_23", "BC_S1_43", "MR_S30_29_A"])
+    def test_batch_channels_are_the_sampled_draw(self, scheme_id):
+        spec = build_scheme(scheme_id)
+        seeds = [0, 4, 9]
+        channels = sample_channels(spec.topology, spec.n_slots, seeds)
+        batch, = run_seed_batches(spec, seeds, PowerBudget(1e4))
+        assert batch.channels.flags.c_contiguous
+        assert batch.channels.tobytes() == channels.tobytes()
+        # the record keeps the draw it was given, and a longer draw's slots
+        run = execute_batch(spec, channels, PowerBudget(1e4), "noiseless", seeds)
+        assert np.shares_memory(run.channels, channels)
+        longer = sample_channels(spec.topology, spec.n_slots + 3, seeds)
+        run = execute_batch(spec, longer, PowerBudget(1e4), "noiseless", seeds)
+        assert run.channels.flags.c_contiguous
+        assert run.channels.tobytes() == longer[:, :, :spec.n_slots].tobytes()
+
+    def test_channel_shape_is_checked(self):
+        spec = build_scheme("MR_DDP")
+        seeds = [5, 6, 7]
+        channels = sample_channels(spec.topology, spec.n_slots, seeds)
+        power = PowerBudget(1e4)
+        for bad, bad_seeds in (
+            (channels, [5, 6]),                     # seed count
+            (channels, [5, 6, 7, 8]),
+            (channels[:, :2], seeds),               # node count
+            (channels[..., :2], seeds),             # antenna count
+            (channels[0], seeds),                   # no seed axis
+        ):
+            with pytest.raises(BadParams):
+                execute_batch(spec, bad, power, "noiseless", bad_seeds)
+        with pytest.raises(RealizationTooShort):
+            execute_batch(spec, channels[:, :, :-1], power, "noiseless", seeds)
 
 
 def _assert_same_with_signed_zeros(got: np.ndarray, want: np.ndarray, what: str) -> None:
