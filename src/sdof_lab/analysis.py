@@ -29,7 +29,6 @@ DEFAULT_GRID = tuple(float(2 ** e) for e in (20, 30, 40, 50, 60))
 @dataclass(frozen=True)
 class MiResult:
     bits: float
-    conditioning: str
     power: float
     std_error: float | None = None
 
@@ -37,7 +36,6 @@ class MiResult:
 @dataclass(frozen=True)
 class SlopeEstimate:
     slope: float | np.ndarray
-    power_grid: tuple[float, ...]
     residual: float | np.ndarray
 
 
@@ -113,8 +111,7 @@ def gaussian_mi(system: EffectiveLinearSystem, node: str, secret: Iterable[str],
     single = np.ndim(power) == 0
     powers = [_power_value(p) for p in ([power] if single else power)]
     bits = gaussian_mi_stacked(system.stacked(), node, secret, powers, known)[0]
-    results = [MiResult(float(b), conditioning=f"node={node}", power=p)
-               for p, b in zip(powers, bits)]
+    results = [MiResult(float(b), power=p) for p, b in zip(powers, bits)]
     return results[0] if single else results
 
 
@@ -167,9 +164,8 @@ def fit_slope(values, slots, grid: Sequence[float] = DEFAULT_GRID) -> SlopeEstim
     # series' would be
     residual = np.sqrt(np.mean((rows - fit) ** 2, axis=-1))
     if ys.ndim == 1:
-        return SlopeEstimate(slope=float(coeffs[0, 0]), power_grid=grid,
-                             residual=float(residual[0]))
-    return SlopeEstimate(slope=coeffs[0], power_grid=grid, residual=residual)
+        return SlopeEstimate(slope=float(coeffs[0, 0]), residual=float(residual[0]))
+    return SlopeEstimate(slope=coeffs[0], residual=residual)
 
 
 def rate_slope(system: EffectiveLinearSystem, node: str, slots,
@@ -253,7 +249,7 @@ def mc_mi_oracle(system: EffectiveLinearSystem, node: str, secret: Iterable[str]
         per_sample[rows] = (_quad(y, w_full) - _quad(y - mean, w_cond)) / ln2 + offset
     bits = float(np.mean(per_sample))
     stderr = float(np.std(per_sample, ddof=1) / math.sqrt(n_samples))
-    return MiResult(bits=bits, conditioning=f"node={node}", power=p, std_error=stderr)
+    return MiResult(bits=bits, power=p, std_error=stderr)
 
 
 def check_output_symmetry(topology: Topology, n_trials: int = 1000, seed: int = 0,

@@ -385,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    from .schemes import SCHEME_IDS, cli_name
+    from .schemes import SCHEME_IDS, SUB_PROTOCOLS, cli_name
 
     sim = sub.add_parser("simulate", help="run a scheme over seeds and powers")
     sim.add_argument("--config", help="JSON config file; flags override it")
@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--p-exp", type=int, nargs="+", dest="p_exp",
                      help="power grid as base-2 exponents")
     sim.add_argument("--mode", choices=["noiseless", "noisy"])
-    sim.add_argument("--sub", choices=["tjsp53", "fallback32"],
+    sim.add_argument("--sub", choices=SUB_PROTOCOLS,
                      help="composite sub-protocol switch")
     sim.add_argument("--blocks", type=int)
     sim.add_argument("--tolerance", type=float)
@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "(exact vertex-cycle equality)")
 
     ver = sub.add_parser("verify", help="run the acceptance suite")
-    ver.add_argument("--sub", default="tjsp53", choices=["tjsp53", "fallback32"])
+    ver.add_argument("--sub", default="tjsp53", choices=SUB_PROTOCOLS)
     ver.add_argument("--fast", action="store_true",
                      help="fewer seeds in the decodability criterion")
     return parser

@@ -22,7 +22,6 @@ from .errors import (
     NegativeFraction,
     RankDeficiencyPersistent,
     SumNotOne,
-    SymmetryViolated,
 )
 
 # Node identifiers used throughout the lab.  In the broadcast topology the
@@ -70,9 +69,6 @@ class StateLabel:
     def arity(self) -> int:
         return len(self.states)
 
-    def sort_key(self) -> tuple[int, ...]:
-        return tuple(0 if s is CsitState.P else 1 for s in self.states)
-
     def __iter__(self):
         return iter(self.states)
 
@@ -93,19 +89,11 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"schedule fractions must be exact rationals, got {type(value)!r}")
 
 
-# Labels whose fractions must agree when symmetry is enforced.
-_SYMMETRY_PAIRS = {
-    3: (StateLabel.parse("PDD"), StateLabel.parse("DPD")),
-    2: (StateLabel.parse("PD"), StateLabel.parse("DP")),
-}
-
-
 @dataclass(frozen=True)
 class StateSchedule:
     """Fractions of time spent in each joint CSIT state (exact rationals)."""
 
     fractions: Mapping[StateLabel, Fraction]
-    symmetry_mode: bool = False
 
     @property
     def arity(self) -> int:
@@ -114,11 +102,8 @@ class StateSchedule:
     def fraction(self, label: StateLabel) -> Fraction:
         return self.fractions.get(label, Fraction(0))
 
-    def labels(self) -> list[StateLabel]:
-        return sorted(self.fractions, key=StateLabel.sort_key)
 
-
-def validate_schedule(fractions: Mapping, symmetry_mode: bool = False) -> StateSchedule:
+def validate_schedule(fractions: Mapping) -> StateSchedule:
     """Check and freeze a schedule of state fractions.
 
     Accepts labels as StateLabel or strings and fractions as Fraction, int or
@@ -142,14 +127,7 @@ def validate_schedule(fractions: Mapping, symmetry_mode: bool = False) -> StateS
     total = sum(norm.values(), Fraction(0))
     if total != 1:
         raise SumNotOne(f"fractions sum to {total}, expected 1")
-
-    if symmetry_mode:
-        first, second = _SYMMETRY_PAIRS[next(iter(arities))]
-        if norm.get(first, Fraction(0)) != norm.get(second, Fraction(0)):
-            raise SymmetryViolated(
-                f"symmetry mode requires equal fractions for {first} and {second}"
-            )
-    return StateSchedule(fractions=dict(norm), symmetry_mode=symmetry_mode)
+    return StateSchedule(fractions=dict(norm))
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ _DECODERS: dict[str, Callable] = {
 SCHEME_IDS: tuple[str, ...] = tuple(_BUILDERS)
 
 # Sub-protocol switch values accepted by the composite schemes.
-SUB_PROTOCOLS = ("tjsp53", "fallback32")
+SUB_PROTOCOLS = tuple(composite._SUB_BLOCKS)
 
 
 def cli_name(scheme_id: str) -> str:

@@ -55,27 +55,23 @@ def composite_accounting(
 def accounting(spec) -> AccountingReport:
     """Measured accounting of a built scheme: exact symbols over exact slots.
 
-    For composite schemes the result is cross-checked against the closed-form
-    bookkeeping at the measured sub-protocol rate.
+    For composite schemes, whose layout records their sub-protocol's rate,
+    the result is cross-checked against the closed-form bookkeeping at that
+    rate, whose sub-protocol assumptions it reports.
     """
     symbols = {
         RX1: len(spec.message_sids(RX1)),
         RX2: len(spec.message_sids(RX2)),
     }
     slots = Fraction(spec.n_slots)
-    sub_dof = dict(spec.layout.get("sub_dof_assumptions", {}))
-    report = AccountingReport(
-        slots_total=slots,
-        symbols_per_receiver=symbols,
-        nominal_sdof={node: Fraction(c, 1) / slots for node, c in symbols.items()},
-        sub_dof_assumptions=sub_dof,
-    )
-    if "dof_pd_dp" in sub_dof:
-        predicted = composite_accounting(sub_dof["dof_pd_dp"])
-        for node in (RX1, RX2):
-            if predicted.nominal_sdof[node] != report.nominal_sdof[node]:
-                raise AssertionError(
-                    "composite accounting disagrees with the bookkeeping formula: "
-                    f"{report.nominal_sdof[node]} != {predicted.nominal_sdof[node]}"
-                )
-    return report
+    nominal = {node: Fraction(c, 1) / slots for node, c in symbols.items()}
+    if "sub_dof" not in spec.layout:
+        return AccountingReport(slots, symbols, nominal)
+    predicted = composite_accounting(spec.layout["sub_dof"])
+    for node in (RX1, RX2):
+        if predicted.nominal_sdof[node] != nominal[node]:
+            raise AssertionError(
+                "composite accounting disagrees with the bookkeeping formula: "
+                f"{nominal[node]} != {predicted.nominal_sdof[node]}"
+            )
+    return AccountingReport(slots, symbols, nominal, predicted.sub_dof_assumptions)

@@ -1,22 +1,25 @@
 """Composite schemes built from reusable sub-protocols.
 
-Three building blocks:
+Each sub-protocol has one builder and one decoder, which the standalone
+schemes and the superframe both call:
 
 * a 6-slot unicast block alternating which receiver enjoys current CSIT
   (3 + 3 slots), delivering 5 payload values to each receiver (sum rate 5/3);
 * a 4-slot fallback unicast block delivering 3 payload values to each
   receiver (sum rate 3/2), kept as an always-available alternative behind
-  the ``sub`` switch;
-* a 2-slot secure multicast pair: each slot sends one common value in clear
-  to the receiver whose channel is currently known while artificial noise
-  masks it everywhere else; the eavesdropper's own observations are later
-  unicast back so the other receiver can strip the noise.
+  the ``sub`` switch; either block is run in batches by
+  `build_unicast_batches`;
+* the secure multicast (`build_secure_multicast`): 2-slot pairs, each slot
+  sending one common value in clear to the receiver whose channel is
+  currently known while artificial noise masks it everywhere else, then
+  unicast batches returning the eavesdropper's own observations so the other
+  receiver can strip the noise.
 
 The headline composite superframe spends its first phase disseminating fresh
-triples under noise cover, then uses the unicast block to ship the
-eavesdropper-side observations (already known to the adversary, hence free to
-send in clear) and the multicast pair to deliver the one genuinely secret
-common combination each block needs.
+triples under noise cover, then composes the sub-protocol builders: unicast
+batches ship the eavesdropper-side observations (already known to the
+adversary, hence free to send in clear), and the secure multicast delivers
+the one genuinely secret common combination each block needs.
 """
 
 from __future__ import annotations
@@ -198,7 +201,31 @@ _SUB_BLOCKS = {
 }
 
 
-# -- 2-slot secure multicast pair -------------------------------------------------
+# -- unicast batches ----------------------------------------------------------------
+
+def build_unicast_batches(plans: list, rules: dict, first: str,
+                          to_first: list, to_second: list, tag: str) -> list:
+    """Sub-protocol blocks of `rules["per_side"]` payloads per receiver, in
+    order, delivering `to_first` to `first` and `to_second` to the other
+    receiver; block m's streams are tagged `tag.format(m)`."""
+    per_side = rules["per_side"]
+    return [rules["build"](plans, len(plans), first, to_first[lo:lo + per_side],
+                           to_second[lo:lo + per_side], tag.format(m))
+            for m, lo in enumerate(range(0, len(to_first), per_side))]
+
+
+def decode_unicast_batches(view, rules: dict, metas: list) -> tuple[list, list]:
+    """Values delivered to (first, second), in payload order."""
+    to_first: list[complex] = []
+    to_second: list[complex] = []
+    for meta in metas:
+        f_vals, s_vals = rules["decode"](view, meta)
+        to_first += f_vals
+        to_second += s_vals
+    return to_first, to_second
+
+
+# -- secure multicast: 2-slot pairs, then their keys unicast back -------------------
 
 def build_mc_pair(plans: list, t0: int, first: str,
                   pay_first, pay_second, qa_sid: str, qb_sid: str, tag: str) -> dict:
@@ -240,6 +267,40 @@ def decode_mc_pair(view, meta, zeta_first: complex, zeta_second: complex) -> tup
     return (a_first, b_first), (a_second, b_second)
 
 
+def build_secure_multicast(plans: list, symbols: list, first: str, payloads: list,
+                           rules: dict, pair_tag: str, unit_tag: str) -> dict:
+    """Every payload to both receivers, each seen by the eavesdropper only
+    through fresh noise.
+
+    Pair j carries payloads 2j and 2j+1 under the noise symbols `qa{j}` and
+    `qb{j}` (declared here) with its streams tagged `pair_tag.format(j)`.
+    Unicast batches tagged `unit_tag` then return the eavesdropper's slot-2
+    observations to `first` and its slot-1 observations to the other.
+    """
+    n_pairs = len(payloads) // 2
+    symbols += [SymbolDecl(f"qa{j}", "noise") for j in range(n_pairs)]
+    symbols += [SymbolDecl(f"qb{j}", "noise") for j in range(n_pairs)]
+    pairs = [build_mc_pair(plans, len(plans), first, payloads[2 * j], payloads[2 * j + 1],
+                           f"qa{j}", f"qb{j}", pair_tag.format(j))
+             for j in range(n_pairs)]
+    units = build_unicast_batches(plans, rules, first,
+                                  [ObsPart(EVE, pair["t0"] + 1) for pair in pairs],
+                                  [ObsPart(EVE, pair["t0"]) for pair in pairs], unit_tag)
+    return {"pairs": pairs, "units": units}
+
+
+def decode_secure_multicast(view, meta, rules: dict) -> tuple[list, list]:
+    """The payloads as recovered by (first, second), in order."""
+    zeta_first, zeta_second = decode_unicast_batches(view, rules, meta["units"])
+    w_first: list[complex] = []
+    w_second: list[complex] = []
+    for pair, z_first, z_second in zip(meta["pairs"], zeta_first, zeta_second):
+        (a1, b1), (a2, b2) = decode_mc_pair(view, pair, z_first, z_second)
+        w_first += [a1, b1]
+        w_second += [a2, b2]
+    return w_first, w_second
+
+
 # -- standalone sub-protocol schemes ----------------------------------------------
 
 def build_sub_pd_dp_unicast() -> SchemeSpec:
@@ -279,51 +340,35 @@ def build_sub_secure_multicast() -> SchemeSpec:
     Ten common symbols over 16 slots; both receivers recover all ten, the
     eavesdropper sees every one of them only through fresh noise.
     """
-    topo = Topology.multi_receiver()
-    n_pairs = 5
-    symbols = [SymbolDecl(f"c{i}", "both") for i in range(2 * n_pairs)]
-    symbols += [SymbolDecl(f"qa{j}", "noise") for j in range(n_pairs)]
-    symbols += [SymbolDecl(f"qb{j}", "noise") for j in range(n_pairs)]
+    commons = [f"c{i}" for i in range(10)]
+    symbols = [SymbolDecl(sid, "both") for sid in commons]
     plans: list[SlotPlan] = []
-    pair_metas = []
-    for j in range(n_pairs):
-        pair_metas.append(build_mc_pair(
-            plans, 2 * j, RX1, Sym(f"c{2 * j}"), Sym(f"c{2 * j + 1}"),
-            f"qa{j}", f"qb{j}", f"p{j}",
-        ))
-    # ship the eavesdropper's own pair observations back: slot-2 ones to the
-    # first receiver, slot-1 ones to the second
-    zl = [ObsPart(EVE, 2 * j + 1) for j in range(n_pairs)]
-    zs = [ObsPart(EVE, 2 * j) for j in range(n_pairs)]
-    unit = build_unicast_block(plans, 2 * n_pairs, RX1, zl, zs, "u")
+    multicast = build_secure_multicast(plans, symbols, RX1, [Sym(sid) for sid in commons],
+                                       _SUB_BLOCKS["tjsp53"], "p{}", "u")
     return SchemeSpec(
         scheme_id="SUB_SECURE_MULTICAST",
-        topology=topo,
+        topology=Topology.multi_receiver(),
         slot_plans=tuple(plans),
         symbols=tuple(symbols),
-        protected={EVE: frozenset(f"c{i}" for i in range(2 * n_pairs))},
+        protected={EVE: frozenset(commons)},
         adversary_known={},
-        layout={"pairs": pair_metas, "unit": unit, "n_pairs": n_pairs},
+        layout={"multicast": multicast},
     )
 
 
 def decode_sub_secure_multicast(view) -> dict:
-    layout = view.spec.layout
-    zeta_first, zeta_second = decode_unicast_block(view, layout["unit"])
-    out1, out2 = {}, {}
-    for j, meta in enumerate(layout["pairs"]):
-        (a1, b1), (a2, b2) = decode_mc_pair(
-            view, meta, zeta_first[j], zeta_second[j])
-        out1[f"c{2 * j}"], out1[f"c{2 * j + 1}"] = a1, b1
-        out2[f"c{2 * j}"], out2[f"c{2 * j + 1}"] = a2, b2
-    return {RX1: out1, RX2: out2}
+    commons = view.spec.message_sids(RX1)
+    w_first, w_second = decode_secure_multicast(
+        view, view.spec.layout["multicast"], _SUB_BLOCKS["tjsp53"])
+    return {RX1: dict(zip(commons, w_first)), RX2: dict(zip(commons, w_second))}
 
 
 # -- the two-phase composite superframe --------------------------------------------
 
 def build_mr_s30_29(scheme_id: str, first: str, sub: str = "tjsp53",
                     blocks: int | None = None) -> SchemeSpec:
-    """Dissemination blocks + side-information unicast + secure multicast.
+    """Dissemination blocks, then the sub-protocol's unicast batches and the
+    secure multicast built on it.
 
     `first` is the receiver favoured by the dissemination phase state choice;
     the mirrored variant simply swaps the two receiver roles.  `blocks` must
@@ -343,164 +388,60 @@ def build_mr_s30_29(scheme_id: str, first: str, sub: str = "tjsp53",
             "and multicast pairs"
         )
     second = _other(first)
-    topo = Topology.multi_receiver()
 
+    # phase 1: block k sends noise in slot 3k, then `first`'s triple x and
+    # `second`'s triple y, each over the noise its own receiver heard
     symbols: list[SymbolDecl] = []
-    for k in range(blocks):
-        symbols += [SymbolDecl(f"u{k}.{i}", "noise") for i in range(3)]
-        symbols += [SymbolDecl(f"x{k}.{i}", first) for i in range(3)]
-        symbols += [SymbolDecl(f"y{k}.{i}", second) for i in range(3)]
-    n_pairs = blocks // 2
-    symbols += [SymbolDecl(f"qa{j}", "noise") for j in range(n_pairs)]
-    symbols += [SymbolDecl(f"qb{j}", "noise") for j in range(n_pairs)]
-
     plans: list[SlotPlan] = []
-    block_meta = []
     for k in range(blocks):
-        t0 = 3 * k
-        plans.append(SlotPlan(_state_p_at((first,)), (
-            _st(f"u{k}.0", Sym(f"u{k}.0"), Axis(0)),
-            _st(f"u{k}.1", Sym(f"u{k}.1"), Axis(1)),
-            _st(f"u{k}.2", Sym(f"u{k}.2"), Axis(2)),
-        )))
-        plans.append(SlotPlan(_state_p_at((first,)), (
-            _st(f"x{k}.0", Sym(f"x{k}.0"), Axis(0)),
-            _st(f"x{k}.1", Sym(f"x{k}.1"), Axis(1)),
-            _st(f"x{k}.2", Sym(f"x{k}.2"), Axis(2)),
-            _st(f"fbx{k}", ObsPart(first, t0), Axis(0)),
-        )))
-        plans.append(SlotPlan(_state_p_at((first,)), (
-            _st(f"y{k}.0", Sym(f"y{k}.0"), Axis(0)),
-            _st(f"y{k}.1", Sym(f"y{k}.1"), Axis(1)),
-            _st(f"y{k}.2", Sym(f"y{k}.2"), Axis(2)),
-            _st(f"fby{k}", ObsPart(second, t0), Axis(0)),
-        )))
-        block_meta.append({
-            "t0": t0,
-            "first_sids": [f"x{k}.{i}" for i in range(3)],
-            "second_sids": [f"y{k}.{i}" for i in range(3)],
-        })
+        for name, owner in (("u", "noise"), ("x", first), ("y", second)):
+            sids = [f"{name}{k}.{i}" for i in range(3)]
+            symbols += [SymbolDecl(sid, owner) for sid in sids]
+            streams = tuple(_st(sid, Sym(sid), Axis(i)) for i, sid in enumerate(sids))
+            if owner != "noise":
+                streams += (_st(f"fb{name}{k}", ObsPart(owner, 3 * k), Axis(0)),)
+            plans.append(SlotPlan(_state_p_at((first,)), streams))
 
     # phase 2a: the adversary-side observations each receiver is missing
-    need_first = [ObsPart(EVE, 3 * k + 1) for k in range(blocks)]
-    need_second = [ObsPart(EVE, 3 * k + 2) for k in range(blocks)]
-    si_units = []
-    for m in range(blocks // per_side):
-        lo, hi = m * per_side, (m + 1) * per_side
-        si_units.append(rules["build"](
-            plans, len(plans), first, need_first[lo:hi], need_second[lo:hi],
-            f"s{m}-",
-        ))
-
+    si_units = build_unicast_batches(
+        plans, rules, first, [ObsPart(EVE, 3 * k + 1) for k in range(blocks)],
+        [ObsPart(EVE, 3 * k + 2) for k in range(blocks)], "s{}-")
     # phase 2b: one secure common combination per dissemination block
-    def common(k: int):
-        return Comb((
-            (1.0, ObsPart(second, 3 * k + 1)),
-            (1.0, ObsPart(first, 3 * k + 2)),
-        ))
-
-    pair_metas = []
-    for j in range(n_pairs):
-        pair_metas.append(build_mc_pair(
-            plans, len(plans), first, common(2 * j), common(2 * j + 1),
-            f"qa{j}", f"qb{j}", f"m{j}-",
-        ))
-    zeta_first = [ObsPart(EVE, meta["t0"] + 1) for meta in pair_metas]
-    zeta_second = [ObsPart(EVE, meta["t0"]) for meta in pair_metas]
-    mc_units = []
-    for m in range(n_pairs // per_side):
-        lo, hi = m * per_side, (m + 1) * per_side
-        mc_units.append(rules["build"](
-            plans, len(plans), first, zeta_first[lo:hi], zeta_second[lo:hi],
-            f"z{m}-",
-        ))
-
-    protected = frozenset(
-        sid for k in range(blocks) for sid in
-        [f"x{k}.{i}" for i in range(3)] + [f"y{k}.{i}" for i in range(3)]
-    )
+    commons = [Comb(((1.0, ObsPart(second, 3 * k + 1)), (1.0, ObsPart(first, 3 * k + 2))))
+               for k in range(blocks)]
+    multicast = build_secure_multicast(plans, symbols, first, commons, rules, "m{}-", "z{}-")
     return SchemeSpec(
         scheme_id=scheme_id,
-        topology=topo,
+        topology=Topology.multi_receiver(),
         slot_plans=tuple(plans),
         symbols=tuple(symbols),
-        protected={EVE: protected},
+        protected={EVE: frozenset(d.sid for d in symbols if d.owner in (first, second))},
         adversary_known={},
-        layout={
-            "first": first,
-            "second": second,
-            "sub": sub,
-            "blocks": block_meta,
-            "si_units": si_units,
-            "pairs": pair_metas,
-            "mc_units": mc_units,
-            "sub_dof_assumptions": {
-                "dof_pd_dp": rules["sum_dof"],
-                "sdof_common": Fraction(2) / (2 + Fraction(2) / rules["sum_dof"]),
-            },
-        },
+        layout={"first": first, "sub": sub, "sub_dof": rules["sum_dof"], "blocks": blocks,
+                "si_units": si_units, "multicast": multicast},
     )
 
 
 def decode_mr_s30_29(view) -> dict:
     layout = view.spec.layout
-    first, second = layout["first"], layout["second"]
     rules = _SUB_BLOCKS[layout["sub"]]
-
-    zeta_first: list[complex] = []
-    zeta_second: list[complex] = []
-    for meta in layout["mc_units"]:
-        f_vals, s_vals = rules["decode"](view, meta)
-        zeta_first += f_vals
-        zeta_second += s_vals
-
-    w_first: list[complex] = []     # common values as recovered by `first`
-    w_second: list[complex] = []
-    for j, meta in enumerate(layout["pairs"]):
-        (a1, b1), (a2, b2) = decode_mc_pair(
-            view, meta, zeta_first[j], zeta_second[j])
-        w_first += [a1, b1]
-        w_second += [a2, b2]
-
-    z_first: list[complex] = []     # adversary-side observations, unicast back
-    z_second: list[complex] = []
-    for meta in layout["si_units"]:
-        f_vals, s_vals = rules["decode"](view, meta)
-        z_first += f_vals
-        z_second += s_vals
-
-    out_first: dict[str, complex] = {}
-    out_second: dict[str, complex] = {}
-    for k, bm in enumerate(layout["blocks"]):
-        t0 = bm["t0"]
-        t1, t2 = t0 + 1, t0 + 2
-        # receiver `first`: its own noise-slot output unlocks every equation
-        seed = view.rv(first, t0)
-        rows = []
-        vals = []
-        rows.append([view.rc(first, t1, s) for s in bm["first_sids"]])
-        vals.append(view.rv(first, t1) - view.rc(first, t1, f"fbx{k}") * seed)
-        rows.append([view.rc(EVE, t1, s) for s in bm["first_sids"]])
-        vals.append(z_first[k] - view.rc(EVE, t1, f"fbx{k}") * seed)
-        rows.append([view.rc(second, t1, s) for s in bm["first_sids"]])
-        vals.append((w_first[k] - view.rv(first, t2))
-                    - view.rc(second, t1, f"fbx{k}") * seed)
-        for sid, val in zip(bm["first_sids"], _solve(rows, vals)):
-            out_first[sid] = val
-        # receiver `second`, mirrored
-        seed2 = view.rv(second, t0)
-        rows = []
-        vals = []
-        rows.append([view.rc(second, t2, s) for s in bm["second_sids"]])
-        vals.append(view.rv(second, t2) - view.rc(second, t2, f"fby{k}") * seed2)
-        rows.append([view.rc(EVE, t2, s) for s in bm["second_sids"]])
-        vals.append(z_second[k] - view.rc(EVE, t2, f"fby{k}") * seed2)
-        rows.append([view.rc(first, t2, s) for s in bm["second_sids"]])
-        vals.append((w_second[k] - view.rv(second, t1))
-                    - view.rc(first, t2, f"fby{k}") * seed2)
-        for sid, val in zip(bm["second_sids"], _solve(rows, vals)):
-            out_second[sid] = val
-
-    if first == RX1:
-        return {RX1: out_first, RX2: out_second}
-    return {RX1: out_second, RX2: out_first}
+    nodes = (layout["first"], _other(layout["first"]))
+    # per receiver: the adversary-side observations unicast back, and the
+    # common values multicast
+    z = decode_unicast_batches(view, rules, layout["si_units"])
+    w = decode_secure_multicast(view, layout["multicast"], rules)
+    out: tuple[dict, dict] = ({}, {})
+    for k in range(layout["blocks"]):
+        for r, (node, name) in enumerate(zip(nodes, "xy")):
+            # `node`'s triple rides slot `own`, the other's slot `cross`, and
+            # its own noise-slot output unlocks every equation
+            other, own, cross = nodes[1 - r], 3 * k + 1 + r, 3 * k + 2 - r
+            sids = [f"{name}{k}.{i}" for i in range(3)]
+            fb = f"fb{name}{k}"
+            seed = view.rv(node, 3 * k)
+            rows = [[view.rc(n, own, sid) for sid in sids] for n in (node, EVE, other)]
+            vals = [view.rv(node, own) - view.rc(node, own, fb) * seed,
+                    z[r][k] - view.rc(EVE, own, fb) * seed,
+                    (w[r][k] - view.rv(node, cross)) - view.rc(other, own, fb) * seed]
+            out[r].update(zip(sids, _solve(rows, vals)))
+    return dict(zip(nodes, out))

@@ -46,6 +46,7 @@ def test_criterion_04_rate_slopes():
 
 
 def test_criterion_05_leakage_slopes():
+    assert acceptance.GRID[-1] == 2.0 ** 60     # where the nulled leakage is read
     _check(acceptance.criterion_5())
 
 

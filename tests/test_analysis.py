@@ -500,7 +500,7 @@ class TestMcOracle:
         from sdof_lab import acceptance
 
         monkeypatch.setattr(analysis, "mc_mi_oracle", lambda *args, **kwargs: analysis.MiResult(
-            bits=estimate, conditioning="", power=1e4, std_error=estimate))
+            bits=estimate, power=1e4, std_error=estimate))
         result = acceptance.criterion_9()
         assert result.status == "FAIL"
         assert len(result.detail.split("; ")) == 10

@@ -568,9 +568,16 @@ class TestVerify:
         assert code == 2
         assert "[FAIL]" in out
 
-    def test_missing_sub_protocol_reported_skipped(self):
-        from sdof_lab.acceptance import criterion_6
+    def test_unknown_sub_protocol_fails_criterion_6(self, monkeypatch):
+        """`run_all` reports the build error of an unknown sub-protocol as
+        criterion 6's FAIL; the other criteria do not read `sub`."""
+        from sdof_lab import acceptance
 
-        result = criterion_6(sub="unavailable")
-        assert result.status == "SKIP"
-        assert result.ok
+        stub = lambda: acceptance.CriterionResult(0, "stub", "PASS")   # noqa: E731
+        monkeypatch.setattr(acceptance, "ALL_CRITERIA", tuple(
+            fn if fn is acceptance.criterion_6 else stub for fn in acceptance.ALL_CRITERIA))
+        results = acceptance.run_all(sub="unavailable")
+        assert [r.ok for r in results] == [True] * 5 + [False] + [True] * 5
+        assert results[5].line() == (
+            "criterion 06 [FAIL] Composite superframe accounting and measured rate prelogs."
+            " -- exception: BadParams: unknown sub-protocol 'unavailable'")

@@ -12,7 +12,6 @@ from sdof_lab.errors import (
     NegativeFraction,
     RankDeficiencyPersistent,
     SumNotOne,
-    SymmetryViolated,
 )
 from sdof_lab.model import (
     CONDITION_CAP,
@@ -50,11 +49,6 @@ class TestValidateSchedule:
         sched = validate_schedule({"DD": 1})
         assert sched.fraction(StateLabel.parse("DD")) == 1
 
-    def test_symmetric_alternation(self):
-        sched = validate_schedule(
-            {"PDD": Fraction(1, 2), "DPD": Fraction(1, 2)}, symmetry_mode=True)
-        assert sched.symmetry_mode
-
     def test_sum_not_one(self):
         with pytest.raises(SumNotOne):
             validate_schedule({"PD": Fraction(1, 3), "DP": Fraction(1, 2)})
@@ -62,11 +56,6 @@ class TestValidateSchedule:
     def test_negative(self):
         with pytest.raises(NegativeFraction):
             validate_schedule({"PD": Fraction(3, 2), "DP": Fraction(-1, 2)})
-
-    def test_symmetry_violated(self):
-        with pytest.raises(SymmetryViolated):
-            validate_schedule(
-                {"PDD": Fraction(2, 3), "DPD": Fraction(1, 3)}, symmetry_mode=True)
 
     def test_mixed_arity(self):
         with pytest.raises(MixedArity):

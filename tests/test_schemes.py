@@ -646,8 +646,8 @@ class TestDecode:
         spec, trace = _run("MR_S30_29_A", seed=5)
         system = assemble_effective_system(trace)
         eve_rows = system.matrices[EVE]
-        keep = [bm["t0"] + i for bm in spec.layout["blocks"] for i in range(3)]
-        keep += [pm["t0"] + i for pm in spec.layout["pairs"] for i in range(2)]
+        keep = list(range(3 * spec.layout["blocks"]))
+        keep += [pm["t0"] + i for pm in spec.layout["multicast"]["pairs"] for i in range(2)]
         informative = eve_rows[sorted(keep)]
         assert np.linalg.matrix_rank(eve_rows, tol=1e-8) == \
             np.linalg.matrix_rank(informative, tol=1e-8)
