@@ -48,7 +48,7 @@ def main():
             per_adversary = [
                 fit_slope(gaussian_mi_stacked(
                     systems, adv, sorted(secret), DEFAULT_GRID,
-                    spec.adversary_known.get(adv, frozenset())), spec.n_slots).slope
+                    spec.adversary_known[adv]), spec.n_slots).slope
                 for adv, secret in spec.protected.items()]
             if per_adversary:       # seed-major, adversary-minor
                 leaks.append(np.stack(per_adversary, axis=1).ravel())

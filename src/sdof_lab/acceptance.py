@@ -190,7 +190,7 @@ def criterion_5(n_seeds: int = 5) -> CriterionResult:
         spec = build_scheme(scheme_id)
         stacks = _systems(spec, n_seeds)
         for adv, secret in spec.protected.items():
-            known = spec.adversary_known.get(adv, frozenset())
+            known = spec.adversary_known[adv]
             leaks = [analysis.gaussian_mi_stacked(systems, adv, sorted(secret), GRID, known)
                      for systems in stacks]
             if scheme_id in ("MR_PDP", "MR_DDP"):

@@ -77,7 +77,7 @@ def _kept_columns(systems: EffectiveLinearSystem, node: str,
     """node's matrices without the known columns, and the mask of secret columns."""
     if systems.matrices[node].shape[-2] == 0:
         raise EmptySystem(f"node {node} has no observations")
-    kept, is_secret = systems.split_columns(node, secret, known)
+    kept, is_secret = systems.split_columns(secret, known)
     return systems.matrices[node][..., kept], is_secret
 
 

@@ -157,7 +157,7 @@ def _simulate_chunk(spec, seeds, powers: list[float], mode: str):
              for node in rated}
     leaks = [analysis.gaussian_mi_stacked(
                  systems, adv, sorted(spec.protected[adv]), powers,
-                 known=spec.adversary_known.get(adv, frozenset()))
+                 known=spec.adversary_known[adv])
              for adv in sorted(spec.protected)]
     series = [rates[node] for node in rated] + leaks
     slopes = np.zeros((len(series), len(seeds)))

@@ -166,6 +166,12 @@ class Topology:
         return (RX1, RX2)
 
     @property
+    def adversaries(self) -> tuple[str, ...]:
+        """The nodes that must learn nothing they do not own: the
+        eavesdropper, or without one each receiver."""
+        return (EVE,) if self.has_eavesdropper else (RX1, RX2)
+
+    @property
     def state_arity(self) -> int:
         return len(self.nodes())
 
@@ -223,21 +229,24 @@ def sample_channel(topology: Topology, n_slots: int, seed: int) -> np.ndarray:
     return sample_channels(topology, n_slots, [seed])[0]
 
 
+def complex_to_json(values: np.ndarray) -> list:
+    """A complex array as nested lists with each entry a [real, imag] pair
+    of Python floats, for `json.dumps`."""
+    return np.stack((values.real, values.imag), -1).tolist()
+
+
 def channel_to_json(topology: Topology, seed: int, channels: np.ndarray) -> str:
     """One seed's (node, slot, antenna) draw as JSON: receiver 1's rows as
     `h`, receiver 2's as `h_acute` (null without an eavesdropper next to
     it) and the last node's, the eavesdropper or the broadcast receiver 2,
     as `g`."""
-    def encode(arr):
-        return [[[float(c.real), float(c.imag)] for c in slot] for slot in arr]
-
     payload = {
         "topology": topology.name,
         "n_slots": channels.shape[1],
         "seed": seed,
-        "h": encode(channels[0]),
-        "h_acute": encode(channels[1]) if len(channels) == 3 else None,
-        "g": encode(channels[-1]),
+        "h": complex_to_json(channels[0]),
+        "h_acute": complex_to_json(channels[1]) if len(channels) == 3 else None,
+        "g": complex_to_json(channels[-1]),
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 

@@ -26,6 +26,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import IncompleteTrace, OverConstrained, UnknownSymbolId
+from .model import complex_to_json
 
 DEGENERATE_ROW_TOL = 1e-12
 RANK_REL_TOL = 1e-8
@@ -130,10 +131,10 @@ class EffectiveLinearSystem:
     def n_obs(self) -> int:
         return len(self.slot_of_row)
 
-    def split_columns(self, node: str, secret: Iterable[str],
+    def split_columns(self, secret: Iterable[str],
                       known: Iterable[str] = ()) -> tuple[list[int], np.ndarray]:
-        """Columns of `node`'s matrix that remain once the `known` symbols are
-        removed, in symbol order, and a mask over them marking the `secret`
+        """Symbol columns that remain once the `known` symbols are removed,
+        in symbol order, and a mask over them marking the `secret`
         symbols; the unmarked kept columns are the nuisance."""
         secret = frozenset(secret)
         known = frozenset(known)
@@ -152,13 +153,10 @@ class EffectiveLinearSystem:
         )
 
     def to_json(self) -> str:
-        def encode(mat):
-            return [[[float(c.real), float(c.imag)] for c in row] for row in mat]
-
         payload = {
             "symbols": [{"sid": d.sid, "owner": d.owner} for d in self.symbols],
             "slot_of_row": list(self.slot_of_row),
-            "matrices": {node: encode(mat) for node, mat in self.matrices.items()},
+            "matrices": {node: complex_to_json(mat) for node, mat in self.matrices.items()},
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -348,7 +346,7 @@ def identifiable_symbols_stacked(
     whole kept matrix: RANK_REL_TOL times its largest singular value, the
     largest over its blocks.  A kept column in no block is unseen."""
     candidates = tuple(candidates)
-    kept, _ = systems.split_columns(node, candidates, known)
+    kept, _ = systems.split_columns(candidates, known)
     is_kept = np.zeros(len(systems.symbols), dtype=bool)
     is_kept[kept] = True
     index = systems.symbol_index

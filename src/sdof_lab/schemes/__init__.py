@@ -158,7 +158,7 @@ def decode_batch(batch: TraceBatch,
     if systems is None and spec.protected:
         systems = assemble_effective_systems(batch)
     verdicts = {adv: identifiable_symbols_stacked(
-                    systems, adv, sorted(sids), spec.adversary_known.get(adv, frozenset()))
+                    systems, adv, sorted(sids), spec.adversary_known[adv])
                 for adv, sids in spec.protected.items()}
     return [DecodeReport(nodes=_decode_receivers(view),
                          adversary={adv: {sid: bool(flags[i]) for sid, flags in table.items()}

@@ -29,7 +29,7 @@ from fractions import Fraction
 from ..errors import BadParams
 from ..model import EVE, RX1, RX2, CsitState, StateLabel, Topology
 from ..precoding import SymbolDecl
-from .library import _solve, _st
+from .library import _solve, _spec, _st
 from .program import Axis, Comb, NullOf, ObsPart, SchemeSpec, SlotPlan, Sym
 
 _MR_NODES = (RX1, RX2, EVE)
@@ -315,15 +315,7 @@ def build_sub_pd_dp_unicast() -> SchemeSpec:
         [Sym(f"b{i}") for i in range(5)],
         "u",
     )
-    return SchemeSpec(
-        scheme_id="SUB_PD_DP_UNICAST",
-        topology=topo,
-        slot_plans=tuple(plans),
-        symbols=tuple(symbols),
-        protected={},
-        adversary_known={},
-        layout={"unit": meta},
-    )
+    return _spec("SUB_PD_DP_UNICAST", topo, plans, symbols, {"unit": meta}, secure=False)
 
 
 def decode_sub_pd_dp_unicast(view) -> dict:
@@ -345,15 +337,8 @@ def build_sub_secure_multicast() -> SchemeSpec:
     plans: list[SlotPlan] = []
     multicast = build_secure_multicast(plans, symbols, RX1, [Sym(sid) for sid in commons],
                                        _SUB_BLOCKS["tjsp53"], "p{}", "u")
-    return SchemeSpec(
-        scheme_id="SUB_SECURE_MULTICAST",
-        topology=Topology.multi_receiver(),
-        slot_plans=tuple(plans),
-        symbols=tuple(symbols),
-        protected={EVE: frozenset(commons)},
-        adversary_known={},
-        layout={"multicast": multicast},
-    )
+    return _spec("SUB_SECURE_MULTICAST", Topology.multi_receiver(), plans, symbols,
+                 {"multicast": multicast})
 
 
 def decode_sub_secure_multicast(view) -> dict:
@@ -410,16 +395,9 @@ def build_mr_s30_29(scheme_id: str, first: str, sub: str = "tjsp53",
     commons = [Comb(((1.0, ObsPart(second, 3 * k + 1)), (1.0, ObsPart(first, 3 * k + 2))))
                for k in range(blocks)]
     multicast = build_secure_multicast(plans, symbols, first, commons, rules, "m{}-", "z{}-")
-    return SchemeSpec(
-        scheme_id=scheme_id,
-        topology=Topology.multi_receiver(),
-        slot_plans=tuple(plans),
-        symbols=tuple(symbols),
-        protected={EVE: frozenset(d.sid for d in symbols if d.owner in (first, second))},
-        adversary_known={},
-        layout={"first": first, "sub": sub, "sub_dof": rules["sum_dof"], "blocks": blocks,
-                "si_units": si_units, "multicast": multicast},
-    )
+    return _spec(scheme_id, Topology.multi_receiver(), plans, symbols,
+                 {"first": first, "sub": sub, "sub_dof": rules["sum_dof"], "blocks": blocks,
+                  "si_units": si_units, "multicast": multicast})
 
 
 def decode_mr_s30_29(view) -> dict:

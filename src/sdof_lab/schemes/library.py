@@ -19,14 +19,13 @@ from ..precoding import SymbolDecl
 from .program import Axis, Comb, NullOf, ObsPart, SchemeSpec, SlotPlan, StreamRecipe, Sym
 
 
-def _spec(scheme_id, topology, plans, symbols, protected=None, known=None, layout=None):
+def _spec(scheme_id, topology, plans, symbols, layout=None, secure=True):
     return SchemeSpec(
         scheme_id=scheme_id,
         topology=topology,
         slot_plans=tuple(plans),
         symbols=tuple(symbols),
-        protected={k: frozenset(v) for k, v in (protected or {}).items()},
-        adversary_known={k: frozenset(v) for k, v in (known or {}).items()},
+        secure=secure,
         layout=layout or {},
     )
 
@@ -52,7 +51,7 @@ def build_wt_zf(scheme_id: str, state: str) -> SchemeSpec:
     topo = Topology.wiretap()
     plans = [_slot(state, _st("v", Sym("v"), NullOf(((EVE, 0),))))]
     symbols = [SymbolDecl("v", RX1)]
-    return _spec(scheme_id, topo, plans, symbols, protected={EVE: {"v"}})
+    return _spec(scheme_id, topo, plans, symbols)
 
 
 def decode_wt_zf(view) -> dict:
@@ -69,7 +68,7 @@ def build_wt_pd() -> SchemeSpec:
                    _st("v", Sym("v"), Axis(0)),
                    _st("u", Sym("u"), NullOf(((RX1, 0),))))]
     symbols = [SymbolDecl("v", RX1), SymbolDecl("u", "noise")]
-    return _spec("WT_PD", topo, plans, symbols, protected={EVE: {"v"}})
+    return _spec("WT_PD", topo, plans, symbols)
 
 
 def build_wt_dd_23() -> SchemeSpec:
@@ -94,7 +93,7 @@ def build_wt_dd_23() -> SchemeSpec:
     ]
     symbols = [SymbolDecl("v1", RX1), SymbolDecl("v2", RX1),
                SymbolDecl("u1", "noise"), SymbolDecl("u2", "noise")]
-    return _spec("WT_DD_23", topo, plans, symbols, protected={EVE: {"v1", "v2"}})
+    return _spec("WT_DD_23", topo, plans, symbols)
 
 
 def decode_wt_dd_23(view) -> dict:
@@ -124,7 +123,7 @@ def build_mr_ppd() -> SchemeSpec:
                    _st("w", Sym("w"), NullOf(((RX1, 0),))),
                    _st("u", Sym("u"), NullOf(((RX1, 0), (RX2, 0)))))]
     symbols = [SymbolDecl("v", RX1), SymbolDecl("w", RX2), SymbolDecl("u", "noise")]
-    return _spec("MR_PPD", topo, plans, symbols, protected={EVE: {"v", "w"}})
+    return _spec("MR_PPD", topo, plans, symbols)
 
 
 def decode_mr_ppd(view) -> dict:
@@ -152,7 +151,7 @@ def build_mr_pdp() -> SchemeSpec:
               _st("fb", ObsPart(RX2, 0, streams=("v1", "v2")), NullOf(((EVE, 1),)))),
     ]
     symbols = [SymbolDecl("v1", RX1), SymbolDecl("v2", RX1), SymbolDecl("w", RX2)]
-    return _spec("MR_PDP", topo, plans, symbols, protected={EVE: {"v1", "v2", "w"}})
+    return _spec("MR_PDP", topo, plans, symbols)
 
 
 def decode_mr_pdp(view) -> dict:
@@ -184,8 +183,7 @@ def build_mr_ddp() -> SchemeSpec:
     ]
     symbols = [SymbolDecl("v1", RX1), SymbolDecl("v2", RX1),
                SymbolDecl("w1", RX2), SymbolDecl("w2", RX2)]
-    return _spec("MR_DDP", topo, plans, symbols,
-                 protected={EVE: {"v1", "v2", "w1", "w2"}})
+    return _spec("MR_DDP", topo, plans, symbols)
 
 
 def decode_mr_ddp(view) -> dict:
@@ -214,7 +212,7 @@ def build_mr_pdd() -> SchemeSpec:
                    _st("v", Sym("v"), Axis(0)),
                    _st("u", Sym("u"), NullOf(((RX1, 0),))))]
     symbols = [SymbolDecl("v", RX1), SymbolDecl("u", "noise")]
-    return _spec("MR_PDD", topo, plans, symbols, protected={EVE: {"v"}})
+    return _spec("MR_PDD", topo, plans, symbols)
 
 
 # -- two-user broadcast, receivers eavesdrop on each other -----------------------
@@ -229,9 +227,7 @@ def build_bc_pp_s2() -> SchemeSpec:
                    _st("v", Sym("v"), NullOf(((RX2, 0),))),
                    _st("w", Sym("w"), NullOf(((RX1, 0),))))]
     symbols = [SymbolDecl("v", RX1), SymbolDecl("w", RX2)]
-    return _spec("BC_PP_S2", topo, plans, symbols,
-                 protected={RX1: {"w"}, RX2: {"v"}},
-                 known={RX1: {"v"}, RX2: {"w"}})
+    return _spec("BC_PP_S2", topo, plans, symbols)
 
 
 def build_bc_dd_s1() -> SchemeSpec:
@@ -258,9 +254,7 @@ def build_bc_dd_s1() -> SchemeSpec:
     symbols = [SymbolDecl("v1", RX1), SymbolDecl("v2", RX1),
                SymbolDecl("w1", RX2), SymbolDecl("w2", RX2),
                SymbolDecl("u1", "noise"), SymbolDecl("u2", "noise")]
-    return _spec("BC_DD_S1", topo, plans, symbols,
-                 protected={RX1: {"w1", "w2"}, RX2: {"v1", "v2"}},
-                 known={RX1: {"v1", "v2"}, RX2: {"w1", "w2"}})
+    return _spec("BC_DD_S1", topo, plans, symbols)
 
 
 def decode_bc_dd_s1(view) -> dict:
@@ -322,11 +316,7 @@ def _build_bc_43(scheme_id: str, states: list[str]) -> SchemeSpec:
     symbols = [SymbolDecl(f"v{i}", RX1) for i in range(1, 5)]
     symbols += [SymbolDecl(f"w{i}", RX2) for i in range(1, 5)]
     symbols += [SymbolDecl("u1", "noise"), SymbolDecl("u2", "noise")]
-    v_set = {f"v{i}" for i in range(1, 5)}
-    w_set = {f"w{i}" for i in range(1, 5)}
-    return _spec(scheme_id, topo, plans, symbols,
-                 protected={RX1: w_set, RX2: v_set},
-                 known={RX1: v_set, RX2: w_set})
+    return _spec(scheme_id, topo, plans, symbols)
 
 
 def build_bc_s1_43() -> SchemeSpec:

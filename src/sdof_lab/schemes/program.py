@@ -6,22 +6,24 @@ are either fresh symbols or quantities the transmitter reconstructs from past
 observations (retransmitted side information); beams are fixed axes or
 nullspace beams against named channel rows.
 
-The executor enforces CSIT legality: a beam may reference the current slot's
-channel of a node only if that node's entry in the slot state is P, and
-reconstructed observations must be strictly in the past.  Violations raise
-CsitViolation and always indicate a scheme-library bug (or a deliberately
-mutated plan in tests).
+The executor enforces CSIT legality: a beam in slot t may reference the
+channels of slots 0..t, the current slot's channel of a node only if that
+node's entry in the slot state is P, and reconstructed observations must
+come from slots 0..t-1.  Violations raise CsitViolation and always indicate
+a scheme-library bug (or a deliberately mutated plan in tests); an antenna
+outside the transmitter's raises BadParams.
 
 Execution keeps two synchronized views of every quantity: the numeric value
 and its exact coefficient row over the drawn symbols.  The rows are the
 substrate for the effective linear systems used by decoding checks and
 closed-form mutual information.
 
-A spec is compiled once, on first use: the legality checks and everything
-else no seed changes are resolved then.  `execute_batch` executes the
-compiled program for many seeds at once on stacked arrays, over the seeds'
-(seed, node, slot, antenna) channel draw from `model.sample_channels`,
-giving each seed exactly the bits of its own run.  It returns a
+A spec is compiled once, on first use, in one walk over its streams that
+checks each recipe and resolves everything about it that no seed changes.
+`execute_batch` executes the compiled program for many seeds at once on
+stacked arrays, over the seeds' (seed, node, slot, antenna) channel draw
+from `model.sample_channels`, giving each seed exactly the bits of its own
+run.  It returns a
 `TraceBatch`, the one record of a run: one stacked array per field, for the
 symbols, channels (the draw itself), observations, stream beams and gains,
 and transmitted vectors, with a node axis in the per-node fields.
@@ -55,6 +57,7 @@ from ..model import (
     PowerBudget,
     StateLabel,
     Topology,
+    complex_to_json,
     sample_channels,
 )
 from ..precoding import SymbolDecl, null_bases
@@ -120,15 +123,36 @@ class SlotPlan:
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """A transmission protocol as data: slots, symbols and secrecy roles."""
+    """A transmission protocol as data: its slots and symbols.
+
+    The secrecy roles follow from the symbols' owners.  Each of the
+    topology's adversaries (`Topology.adversaries`: the eavesdropper, or in
+    the two-user broadcast channel each receiver) must not resolve any
+    non-noise symbol it does not own (`protected`), and knows the symbols it
+    owns (`adversary_known`).  `secure` False marks a block with no secrecy
+    by design, which protects nothing.
+    """
 
     scheme_id: str
     topology: Topology
     slot_plans: tuple[SlotPlan, ...]
     symbols: tuple[SymbolDecl, ...]
-    protected: Mapping[str, frozenset]        # adversary node -> protected sids
-    adversary_known: Mapping[str, frozenset]  # adversary node -> a-priori known sids
+    secure: bool = True
     layout: Mapping = field(default_factory=dict)   # decoder metadata
+
+    @cached_property
+    def protected(self) -> dict[str, frozenset]:
+        """Adversary node -> the sids it must not resolve."""
+        if not self.secure:
+            return {}
+        return {adv: frozenset(d.sid for d in self.symbols if d.owner not in (adv, "noise"))
+                for adv in self.topology.adversaries}
+
+    @cached_property
+    def adversary_known(self) -> dict[str, frozenset]:
+        """Adversary node -> the sids it owns, known a priori."""
+        return {adv: frozenset(d.sid for d in self.symbols if d.owner == adv)
+                for adv in self.topology.adversaries}
 
     @property
     def n_slots(self) -> int:
@@ -278,10 +302,6 @@ class TraceBatch(NamedTuple):
         node's observations."""
         if len(self.seeds) != 1:
             raise ValueError(f"to_json writes a one-seed run, not {len(self.seeds)} seeds")
-
-        def cplx(z):
-            return [float(np.real(z)), float(np.imag(z))]
-
         payload = {
             "scheme": self.spec.scheme_id,
             "seed": self.seeds[0],
@@ -291,58 +311,26 @@ class TraceBatch(NamedTuple):
                 {
                     "state": str(slot.state),
                     "streams": list(slot.labels),
-                    "x": [cplx(v) for v in self.sqrt_power * x_value],
+                    "x": complex_to_json(self.sqrt_power * x_value),
                 }
                 for slot, x_value in zip(self.spec.compiled.slots, self.x_value[0])
             ],
             "observations": {
-                node: [cplx(v) for v in vals] for node, vals in
+                node: complex_to_json(vals) for node, vals in
                 zip(self.spec.topology.nodes(), self.obs_vals[0])
             },
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-# -- legality -------------------------------------------------------------------
-
-def _check_chan_ref(node: str, ref_slot: int, t: int, plan: SlotPlan,
-                    node_order: Sequence[str]) -> None:
-    if ref_slot > t:
-        raise CsitViolation(
-            f"slot {t}: beam references future channel of {node} at slot {ref_slot}"
-        )
-    if ref_slot == t:
-        pos = node_order.index(node)
-        if plan.state.states[pos] is not CsitState.P:
-            raise CsitViolation(
-                f"slot {t}: state {plan.state} grants no current CSI for {node}"
-            )
-
-
-def _check_payload(payload: Payload, t: int) -> None:
-    if isinstance(payload, Sym):
-        return
-    if isinstance(payload, ObsPart):
-        if payload.slot >= t:
-            raise CsitViolation(
-                f"slot {t}: payload reconstructs observation from slot "
-                f"{payload.slot}, which is not in the past"
-            )
-        return
-    if isinstance(payload, Comb):
-        for _, sub in payload.terms:
-            _check_payload(sub, t)
-        return
-    raise TypeError(f"unknown payload {payload!r}")
-
-
 # -- compiled program -----------------------------------------------------------
 #
 # Everything about a slot program that no seed changes is resolved once per
-# spec: the legality checks, symbol columns, fixed axes and fixed payload
-# combinations, and which earlier streams each retransmitted observation
-# reads.  The executor then only does arithmetic, on every seed of a batch
-# and every stream of a slot at once.
+# spec, in the same walk over its streams that checks their legality:
+# symbol columns, fixed axes and fixed payload combinations, and which
+# earlier streams each retransmitted observation reads.  The executor then
+# only does arithmetic, on every seed of a batch and every stream of a slot
+# at once.
 
 class _Obs(NamedTuple):
     """ObsPart: node position, absolute slot, the kept streams' positions
@@ -369,11 +357,10 @@ class _Nulls(NamedTuple):
 class _Slot(NamedTuple):
     state: StateLabel
     labels: tuple[str, ...]
-    fixed: tuple[tuple[int, np.ndarray], ...]       # (stream, antenna axis)
-    steered: tuple[tuple[int, int, int, int], ...]  # (stream, ref count, key, column)
-    fresh: tuple[tuple[int, int], ...]              # (stream, symbol column)
-    combined: tuple[tuple[int, np.ndarray], ...]    # (stream, fixed payload row)
-    mixed: tuple[tuple[int, _Obs | _Mix], ...]      # (stream, channel-dependent payload)
+    # per stream: an antenna axis, or the nullspace's (ref count, key, column)
+    beams: tuple[np.ndarray | tuple[int, int, int], ...]
+    # per stream: a symbol column, a fixed payload row, or a channel-dependent recipe
+    rows: tuple[int | np.ndarray | _Obs | _Mix, ...]
 
 
 class _Program(NamedTuple):
@@ -389,7 +376,8 @@ def _indices(items) -> np.ndarray:
 
 def compile_spec(spec: SchemeSpec) -> _Program:
     """Check a slot program's CSIT legality and resolve its seed-independent
-    parts; raises what executing the spec would raise."""
+    parts, in one walk over its streams; raises what executing the spec
+    would raise."""
     nodes = spec.topology.nodes()
     n_tx = spec.topology.n_tx
     n_sym = len(spec.symbols)
@@ -400,18 +388,19 @@ def compile_spec(spec: SchemeSpec) -> _Program:
     keys: dict[tuple, int] = {}             # (slot, refs) -> position in its group
     groups: dict[int, list] = {}            # ref count -> [(slot, refs), ...]
 
-    def one_hot(column: int) -> np.ndarray:
-        row = np.zeros(n_sym, dtype=complex)
-        row[column] = 1.0
-        return row
-
-    def compile_row(payload: Payload) -> int | np.ndarray | _Obs | _Mix:
-        """A symbol column, a fixed row, or a channel-dependent recipe."""
+    def compile_row(payload: Payload, t: int) -> int | np.ndarray | _Obs | _Mix:
+        """Slot t's symbol column, fixed row or channel-dependent recipe; an
+        observation is reconstructed only from a past slot, in [0, t)."""
         if isinstance(payload, Sym):
             if payload.sid not in sindex:
                 raise UnknownSymbolId(payload.sid)
             return sindex[payload.sid]
         if isinstance(payload, ObsPart):
+            if not 0 <= payload.slot < t:
+                raise CsitViolation(
+                    f"slot {t}: payload reconstructs observation from slot "
+                    f"{payload.slot}, which is not in the past slots [0, {t})"
+                )
             if payload.node not in nodes:
                 raise KeyError(f"unknown node {payload.node!r}")
             labels = positions[payload.slot]
@@ -424,8 +413,10 @@ def compile_spec(spec: SchemeSpec) -> _Program:
         if isinstance(payload, Comb):
             terms = []
             for coef, sub in payload.terms:
-                sub = compile_row(sub)
-                terms.append((coef, one_hot(sub) if isinstance(sub, int) else sub))
+                sub = compile_row(sub, t)
+                if isinstance(sub, int):        # a symbol's one-hot row
+                    sub = np.eye(1, n_sym, sub, dtype=complex)[0]
+                terms.append((coef, sub))
             if not all(isinstance(sub, np.ndarray) for _, sub in terms):
                 return _Mix(tuple(terms))
             row = np.zeros(n_sym, dtype=complex)
@@ -434,6 +425,33 @@ def compile_spec(spec: SchemeSpec) -> _Program:
             return row
         raise TypeError(f"unknown payload {payload!r}")
 
+    def compile_beam(beam: Beam, t: int, state: StateLabel) -> np.ndarray | tuple[int, int, int]:
+        """Slot t's antenna axis, in [0, n_tx), or nullspace (ref count, key,
+        column); a nullspace reads channels of slots [0, t], and slot t's of
+        a node only where `state` grants it P."""
+        if isinstance(beam, Axis):
+            if not 0 <= beam.index < n_tx:
+                raise BadParams(f"slot {t}: antenna {beam.index} is not in [0, {n_tx})")
+            return axes[beam.index]
+        if not isinstance(beam, NullOf):
+            raise TypeError(f"unknown beam {beam!r}")
+        for node, ref_slot in beam.refs:
+            if not 0 <= ref_slot <= t:
+                raise CsitViolation(f"slot {t}: beam references the channel of {node} "
+                                    f"at slot {ref_slot}, which is not in [0, {t}]")
+            if ref_slot == t and state.states[nodes.index(node)] is not CsitState.P:
+                raise CsitViolation(f"slot {t}: state {state} grants no current CSI for {node}")
+        r = len(beam.refs)
+        if r >= n_tx:
+            raise OverConstrained(f"{r} constraint rows leave no nullspace in dim {n_tx}")
+        if not 0 <= beam.basis_index < n_tx - r:
+            raise BadParams(f"slot {t}: beam basis index {beam.basis_index} out of range")
+        group = groups.setdefault(r, [])
+        if (t, beam.refs) not in keys:
+            keys[t, beam.refs] = len(group)
+            group.append((t, beam.refs))
+        return r, keys[t, beam.refs], beam.basis_index
+
     slots = []
     for t, plan in enumerate(spec.slot_plans):
         if plan.state.arity != len(nodes):
@@ -441,49 +459,15 @@ def compile_spec(spec: SchemeSpec) -> _Program:
                 f"slot {t}: state arity {plan.state.arity} mismatches topology"
             )
         labels: dict[str, int] = {}
-        fixed, steered, fresh, combined, mixed = [], [], [], [], []
-        for pos, recipe in enumerate(plan.streams):
+        beams, rows = [], []
+        for recipe in plan.streams:
             if recipe.label in labels:
                 raise BadParams(f"slot {t}: repeated stream label {recipe.label!r}")
-            _check_payload(recipe.payload, t)
-            beam = recipe.beam
-            if isinstance(beam, Axis):
-                fixed.append((pos, axes[beam.index]))
-            elif isinstance(beam, NullOf):
-                for node, ref_slot in beam.refs:
-                    _check_chan_ref(node, ref_slot, t, plan, nodes)
-                if len(beam.refs) >= n_tx:
-                    raise OverConstrained(
-                        f"{len(beam.refs)} constraint rows leave no nullspace in dim {n_tx}")
-                if beam.basis_index >= n_tx - len(beam.refs):
-                    raise BadParams(
-                        f"slot {t}: beam basis index {beam.basis_index} out of range"
-                    )
-                group = groups.setdefault(len(beam.refs), [])
-                if (t, beam.refs) not in keys:
-                    keys[t, beam.refs] = len(group)
-                    group.append((t, beam.refs))
-                steered.append((pos, len(beam.refs), keys[t, beam.refs], beam.basis_index))
-            else:
-                raise TypeError(f"unknown beam {beam!r}")
-            row = compile_row(recipe.payload)
-            if isinstance(row, int):
-                fresh.append((pos, row))
-            elif isinstance(row, np.ndarray):
-                combined.append((pos, row))
-            else:
-                mixed.append((pos, row))
-            labels[recipe.label] = pos
+            rows.append(compile_row(recipe.payload, t))
+            beams.append(compile_beam(recipe.beam, t, plan.state))
+            labels[recipe.label] = len(labels)
         positions.append(labels)
-        slots.append(_Slot(
-            state=plan.state,
-            labels=tuple(labels),
-            fixed=tuple(fixed),
-            steered=tuple(steered),
-            fresh=tuple(fresh),
-            combined=tuple(combined),
-            mixed=tuple(mixed),
-        ))
+        slots.append(_Slot(plan.state, tuple(labels), tuple(beams), tuple(rows)))
 
     columns = {(t, label): column for column, (t, label) in enumerate(
         (t, label) for t, labels in enumerate(positions) for label in labels)}
@@ -608,16 +592,17 @@ def execute_batch(
         k = len(slot.labels)
         beams = all_beams[start:start + k]
         rows = np.zeros((k, n_seeds, n_sym), dtype=complex)
-        for pos, axis in slot.fixed:
-            beams[pos] = axis
-        for pos, r, key, column in slot.steered:
-            beams[pos] = bases[r][:, key, :, column]
-        for pos, column in slot.fresh:
-            rows[pos, :, column] = 1.0
-        for pos, row in slot.combined:
-            rows[pos] = row
-        for pos, payload in slot.mixed:
-            rows[pos] = _retransmitted_row(payload, chan, sent)
+        for pos, (beam, row) in enumerate(zip(slot.beams, slot.rows)):
+            if isinstance(beam, tuple):
+                r, key, column = beam
+                beam = bases[r][:, key, :, column]
+            beams[pos] = beam
+            if isinstance(row, int):
+                rows[pos, :, row] = 1.0
+            elif isinstance(row, np.ndarray):
+                rows[pos] = row
+            else:
+                rows[pos] = _retransmitted_row(row, chan, sent)
         norms = _norms(rows)
         if not norms.all():
             pos = int(np.flatnonzero((norms == 0).any(axis=1))[0])

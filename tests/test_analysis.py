@@ -119,7 +119,7 @@ class TestGaussianMi:
     def test_one_svd_per_matrix_for_a_grid(self, monkeypatch, grid):
         spec, system = _system("BC_S1_43")
         secret = system.message_sids(RX1)
-        _, is_secret = system.split_columns(RX1, secret)
+        _, is_secret = system.split_columns(secret)
         assert is_secret.any() and not is_secret.all()
         calls = []
         svd = np.linalg.svd
@@ -149,7 +149,7 @@ class TestGaussianMi:
                   for adv, secret in sorted(spec.protected.items())]
         assert cases
         for node, secret, known in cases:
-            kept, is_secret = system.split_columns(node, secret, known)
+            kept, is_secret = system.split_columns(secret, known)
             full = system.matrices[node][:, kept]
             for grid in (DEFAULT_GRID, STEP5_GRID):
                 results = gaussian_mi(system, node, secret, grid, known=known)
@@ -210,7 +210,7 @@ class TestStacked:
         secret = sorted(spec.protected[EVE])
         known = spec.adversary_known.get(EVE, frozenset())
         assert gaussian_mi_stacked(stack, EVE, secret, DEFAULT_GRID, known).max() < 1e-11
-        kept, _ = stack.split_columns(EVE, secret, known)
+        kept, _ = stack.split_columns(secret, known)
         logdet = analysis._logdet_bits
         for at, nudge in [((0, 0), 1e-8), ((7, 2), 1e-8), ((19, 4), 1e-8), ((7, 2), 5e-10)]:
             def nudged(mats, powers):

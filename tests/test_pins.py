@@ -155,3 +155,57 @@ def _decode_pin(spec) -> tuple:
 @pytest.mark.parametrize("case_id", DECODED)
 def test_decode_residuals(case_id):
     assert _decode_pin(_build(case_id)) == DECODE_PINS[case_id]
+
+
+# Each adversary's protected and a-priori known symbols, sorted, in the
+# order `spec.protected` lists the adversaries, recorded from the
+# hand-written roles the derived ones replace.
+_S30_29_SECRETS = [
+    "x0.0", "x0.1", "x0.2", "x1.0", "x1.1", "x1.2", "x2.0", "x2.1", "x2.2", "x3.0",
+    "x3.1", "x3.2", "x4.0", "x4.1", "x4.2", "x5.0", "x5.1", "x5.2", "x6.0", "x6.1",
+    "x6.2", "x7.0", "x7.1", "x7.2", "x8.0", "x8.1", "x8.2", "x9.0", "x9.1", "x9.2",
+    "y0.0", "y0.1", "y0.2", "y1.0", "y1.1", "y1.2", "y2.0", "y2.1", "y2.2", "y3.0",
+    "y3.1", "y3.2", "y4.0", "y4.1", "y4.2", "y5.0", "y5.1", "y5.2", "y6.0", "y6.1",
+    "y6.2", "y7.0", "y7.1", "y7.2", "y8.0", "y8.1", "y8.2", "y9.0", "y9.1", "y9.2",
+]
+_V4, _W4 = ["v1", "v2", "v3", "v4"], ["w1", "w2", "w3", "w4"]
+SECRECY_ROLES = {
+    "WT_PP": [("eve", ["v"], [])],
+    "WT_DP": [("eve", ["v"], [])],
+    "WT_PD": [("eve", ["v"], [])],
+    "WT_DD_23": [("eve", ["v1", "v2"], [])],
+    "MR_PPD": [("eve", ["v", "w"], [])],
+    "MR_PDP": [("eve", ["v1", "v2", "w"], [])],
+    "MR_DDP": [("eve", ["v1", "v2", "w1", "w2"], [])],
+    "MR_PDD": [("eve", ["v"], [])],
+    "MR_S30_29_A": [("eve", _S30_29_SECRETS, [])],
+    "MR_S30_29_B": [("eve", _S30_29_SECRETS, [])],
+    "SUB_PD_DP_UNICAST": [],
+    "SUB_SECURE_MULTICAST": [("eve", [f"c{i}" for i in range(10)], [])],
+    "BC_PP_S2": [("rx1", ["w"], ["v"]), ("rx2", ["v"], ["w"])],
+    "BC_DD_S1": [("rx1", ["w1", "w2"], ["v1", "v2"]), ("rx2", ["v1", "v2"], ["w1", "w2"])],
+    "BC_S1_43": [("rx1", _W4, _V4), ("rx2", _V4, _W4)],
+    "BC_S2_43": [("rx1", _W4, _V4), ("rx2", _V4, _W4)],
+}
+# the composite variants' roles, as (protected count, SHA-256 of their repr)
+SECRECY_ROLE_DIGESTS = {
+    "sub=tjsp53": (60, "a3149cfdce51b15ca05545636fc0e2b18b5d67b3abce716b956a1a3b091c2c17"),
+    "sub=fallback32": (36, "f9b5dd63fddcf5ad164491fc82be5fcd8a4cb435d110c5502a8406b3fe3c8674"),
+    "blocks=20": (120, "c6d350f8937dec9a013976ec84496cf7fdb89b44e2ffe56a65ef0fbb17702a6b"),
+    "blocks=40": (240, "c89a0654d894fdcc952d6bba0210cf8023d799e86f6fba6c0e13affae6a540d1"),
+    "sub=fallback32-blocks=12":
+        (72, "bd1d816d9b39473901c9d81bbcbdb27ac9e85190e65a7b78ae505ac4a71b7cc2"),
+}
+
+
+@pytest.mark.parametrize("case_id", CASES)
+def test_secrecy_roles(case_id):
+    spec = _build(case_id)
+    roles = [(adv, sorted(sids), sorted(spec.adversary_known.get(adv, ())))
+             for adv, sids in spec.protected.items()]
+    if case_id in SECRECY_ROLES:
+        assert roles == SECRECY_ROLES[case_id]
+    else:
+        variant = case_id.split("-", 1)[1]
+        assert (len(roles[0][1]), hashlib.sha256(repr(roles).encode()).hexdigest()) \
+            == SECRECY_ROLE_DIGESTS[variant]

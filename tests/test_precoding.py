@@ -44,7 +44,7 @@ def _scale(systems):
 def _whole_matrix_symbols(systems, node, candidates, known=()):
     """`identifiable_symbols_stacked` without blocks: one SVD of each
     system's whole kept matrix, ranked against its largest singular value."""
-    kept, is_candidate = systems.split_columns(node, candidates, known)
+    kept, is_candidate = systems.split_columns(candidates, known)
     mats = systems.matrices[node][..., kept]
     if not mats.shape[-2] or not mats.shape[-1]:
         return {sid: np.zeros(len(mats), dtype=bool) for sid in candidates}
@@ -181,7 +181,7 @@ class TestAssemble:
 
         spec = SchemeSpec(
             scheme_id="EMPTY", topology=Topology.broadcast(), slot_plans=(),
-            symbols=(), protected={}, adversary_known={})
+            symbols=())
         channels = sample_channel(spec.topology, 1, seed=0)
         trace = run_scheme(spec, channels, PowerBudget(1.0), "noiseless", 0)
         system = assemble_effective_system(trace)

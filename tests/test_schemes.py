@@ -39,7 +39,7 @@ from sdof_lab.schemes import (
     run_seed_batches,
     seed_chunks,
 )
-from sdof_lab.schemes.program import NullOf, SlotPlan, execute_batch
+from sdof_lab.schemes.program import Axis, NullOf, ObsPart, SlotPlan, execute_batch
 
 
 # every scheme, plus the composites' other sub-protocol and a longer superframe
@@ -240,6 +240,25 @@ class TestRun:
         with pytest.raises(CsitViolation):
             run_scheme(mutated, channels, PowerBudget(1e4), "noiseless", 0)
 
+
+    @pytest.mark.parametrize("slot, field, value, error", [
+        (0, "beam", NullOf(((EVE, -1),)), CsitViolation),
+        (1, "payload", ObsPart(RX1, -1), CsitViolation),
+        (0, "beam", Axis(5), BadParams),
+        (0, "beam", Axis(-1), BadParams),
+        (0, "beam", NullOf(((EVE, 0),), basis_index=-1), BadParams),
+    ], ids=["beam-before-slot-0", "payload-before-slot-0", "antenna-above-n-tx",
+            "antenna-below-0", "basis-index-below-0"])
+    def test_reference_out_of_range(self, slot, field, value, error):
+        """A beam reads slots [0, t], a payload slots [0, t), an axis
+        antennas [0, n_tx); one stream of MR_DDP outside its range fails."""
+        spec = build_scheme("MR_DDP")
+        plans = list(spec.slot_plans)
+        first, *rest = plans[slot].streams
+        plans[slot] = SlotPlan(plans[slot].state, (first._replace(**{field: value}), *rest))
+        channels = sample_channel(spec.topology, spec.n_slots, 0)
+        with pytest.raises(error):
+            run_scheme(replace(spec, slot_plans=tuple(plans)), channels, PowerBudget(1e4))
 
 def _batch_bytes(batch) -> list:
     """Every number a batch records, with its shape, as bytes, in a fixed
