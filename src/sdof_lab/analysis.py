@@ -12,6 +12,8 @@ computation treats the channel matrices as known side information.
 from __future__ import annotations
 
 import math
+import mmap
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -200,6 +202,25 @@ def _quad(values: np.ndarray, whitener: np.ndarray) -> np.ndarray:
     return np.sum(np.square(w.real) + np.square(w.imag), axis=1)
 
 
+# Each thread's buffer for the oracle's variates held whole (`_held_variates`).
+_held = threading.local()
+
+
+def _held_variates(n: int, k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uninitialised (2, n, k) and (n, d) float arrays, views of one private
+    anonymous memory mapping that the calling thread keeps and reuses,
+    remapped only when a call needs more.  Off the malloc heap, the blocks
+    (up to 27.5 MiB) leave glibc's mmap threshold where it was, so freed
+    heap pages do not pile up under them; kept, they are faulted in once
+    per thread instead of at every call."""
+    size = n * (2 * k + d)
+    if getattr(_held, "buf", None) is None or _held.buf.size < size:
+        _held.buf = None                         # unmap the smaller buffer first
+        _held.buf = np.frombuffer(mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE))
+    buf = _held.buf
+    return buf[:2 * n * k].reshape(2, n, k), buf[2 * n * k:size].reshape(n, d)
+
+
 def mc_mi_oracle(system: EffectiveLinearSystem, node: str, secret: Iterable[str],
                  power, n_samples: int = 100_000, seed: int = 0,
                  known: Iterable[str] = ()) -> MiResult:
@@ -209,14 +230,17 @@ def mc_mi_oracle(system: EffectiveLinearSystem, node: str, secret: Iterable[str]
     of the conditional to the marginal Gaussian density at the sampled points;
     converges to the log-det expression but exercises none of its code.
 
-    Only the variates and the per-sample terms exist whole: the real and
-    imaginary standard normal draws of `s`, then of the noise, exactly as
-    `rng.complex_normal` draws them, and one float per sample.  The complex
+    The variates are the real and imaginary standard normal draws of `s`,
+    then of the noise, in the order `rng.complex_normal` draws them.  `s`
+    and the noise's real parts are held whole, in the thread's reused
+    `_held_variates` mapping; the noise's imaginary parts, the last draws
+    of the substream, are drawn per chunk, in stream order, into one
+    buffer, which gives the same normals as one whole draw.  The complex
     samples, `y`, the conditional mean and both quadratic forms are formed
     `MC_CHUNK_ROWS` rows at a time; the whitening factors and log-dets are
-    taken once.  Each sample's term depends only on its own row, so it has
-    the bits of one whole-array pass (tests pin this against that formula),
-    and the mean and standard deviation read the same full array.
+    taken once, and one float per sample is kept.  Each sample's term depends only on its own row, so it has the
+    bits of one whole-array pass (tests pin this against that formula), and
+    the mean and standard deviation read the same full array.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
@@ -227,8 +251,10 @@ def mc_mi_oracle(system: EffectiveLinearSystem, node: str, secret: Iterable[str]
         raise DimensionTooLarge(f"observation dimension {d} exceeds the desk cap 8")
 
     gen = rng.stream(seed, "mc-mi", node)
-    s_parts = gen.standard_normal((2, n_samples, k))        # real, then imaginary
-    noise_parts = gen.standard_normal((2, n_samples, d))
+    s_parts, noise_re = _held_variates(n_samples, k, d)
+    gen.standard_normal(out=s_parts)                        # real, then imaginary
+    gen.standard_normal(out=noise_re)
+    im_buf = np.empty((min(n_samples, MC_CHUNK_ROWS), d))     # the noise's imaginary parts
 
     c_full = np.eye(d) + p * (r_keep @ r_keep.conj().T)
     r_nuis = r_keep[:, ~secret_mask]
@@ -243,7 +269,8 @@ def mc_mi_oracle(system: EffectiveLinearSystem, node: str, secret: Iterable[str]
     for start in range(0, n_samples, MC_CHUNK_ROWS):
         rows = slice(start, start + MC_CHUNK_ROWS)
         s = rng.complex_from_parts(*s_parts[:, rows])
-        noise = rng.complex_from_parts(*noise_parts[:, rows])
+        noise_im = gen.standard_normal(out=im_buf[:min(MC_CHUNK_ROWS, n_samples - start)])
+        noise = rng.complex_from_parts(noise_re[rows], noise_im)
         y = amplitude * (s @ r_keep.T) + noise
         mean = amplitude * (s[:, secret_mask] @ r_secret.T)
         per_sample[rows] = (_quad(y, w_full) - _quad(y - mean, w_cond)) / ln2 + offset

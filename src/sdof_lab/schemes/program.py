@@ -10,8 +10,10 @@ The executor enforces CSIT legality: a beam in slot t may reference the
 channels of slots 0..t, the current slot's channel of a node only if that
 node's entry in the slot state is P, and reconstructed observations must
 come from slots 0..t-1.  Violations raise CsitViolation and always indicate
-a scheme-library bug (or a deliberately mutated plan in tests); an antenna
-outside the transmitter's raises BadParams.
+a scheme-library bug (or a deliberately mutated plan in tests).  An antenna
+outside the transmitter's, a node outside the topology, or a stream label
+that the referenced slot never sent raises BadParams; every one of these
+errors names the slot that holds the bad reference.
 
 Execution keeps two synchronized views of every quantity: the numeric value
 and its exact coefficient row over the drawn symbols.  The rows are the
@@ -402,10 +404,15 @@ def compile_spec(spec: SchemeSpec) -> _Program:
                     f"{payload.slot}, which is not in the past slots [0, {t})"
                 )
             if payload.node not in nodes:
-                raise KeyError(f"unknown node {payload.node!r}")
+                raise BadParams(f"slot {t}: payload reconstructs the observation "
+                                f"of unknown node {payload.node!r}")
             labels = positions[payload.slot]
-            picks = [labels[label] for label in
-                     (labels if payload.streams is None else payload.streams)]
+            picks = []
+            for label in labels if payload.streams is None else payload.streams:
+                if label not in labels:
+                    raise BadParams(f"slot {t}: payload reads stream {label!r}, "
+                                    f"which slot {payload.slot} never sent")
+                picks.append(labels[label])
             if picks and picks == list(range(picks[0], picks[-1] + 1)):
                 picks = slice(picks[0], picks[-1] + 1)     # a view, not a copy
             return _Obs(nodes.index(payload.node), payload.slot,
@@ -436,6 +443,8 @@ def compile_spec(spec: SchemeSpec) -> _Program:
         if not isinstance(beam, NullOf):
             raise TypeError(f"unknown beam {beam!r}")
         for node, ref_slot in beam.refs:
+            if node not in nodes:
+                raise BadParams(f"slot {t}: beam references the channel of unknown node {node!r}")
             if not 0 <= ref_slot <= t:
                 raise CsitViolation(f"slot {t}: beam references the channel of {node} "
                                     f"at slot {ref_slot}, which is not in [0, {t}]")

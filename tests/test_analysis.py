@@ -470,17 +470,22 @@ class TestMcOracle:
                                seed=seed, known=known)
             assert (est.bits, est.std_error) == want, label
 
-    def test_peak_memory_is_the_variates(self, mc_cases):
+    def test_peak_memory_is_the_variates_held_whole(self, monkeypatch, mc_cases):
         """On the largest case (BC_S1_43/rx2, 200k samples) the traced peak
-        stays within the variates' own bytes plus 8 MB."""
+        plus the bytes of the thread's `_held_variates` mapping stays within
+        the bytes of the variates held whole, `s`'s real and imaginary parts
+        and the noise's real parts, plus 8 MB: the noise's imaginary parts
+        are drawn per chunk."""
+        import threading
         import tracemalloc
 
         from sdof_lab import acceptance
 
         (_, system, node, secret, known, seed), = [
             case for case in mc_cases if case[0] == "BC_S1_43/rx2"]
-        kept, _ = analysis._kept_columns(system, node, secret, known)
-        variates = 2 * acceptance._MC_SAMPLES * sum(kept.shape) * 8
+        d, k = analysis._kept_columns(system, node, secret, known)[0].shape
+        variates = acceptance._MC_SAMPLES * (2 * k + d) * 8
+        monkeypatch.setattr(analysis, "_held", threading.local())
         tracemalloc.start()
         try:
             mc_mi_oracle(system, node, secret, acceptance._MC_POWER,
@@ -488,7 +493,55 @@ class TestMcOracle:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        # tracemalloc does not see the mapping, which outlives the call
+        peak += analysis._held.buf.nbytes
         assert peak <= variates + 8 * 2**20, (peak, variates)
+
+    def test_held_mapping_is_reused(self, monkeypatch, mc_cases):
+        """A call maps a larger buffer only when it needs more; a smaller
+        call reuses the larger buffer, whose stale draws change no bit."""
+        import threading
+
+        monkeypatch.setattr(analysis, "_held", threading.local())
+        small, large = (case for case in mc_cases if case[0] in ("WT_PP/rx1", "BC_S1_43/rx2"))
+
+        def run(case, n_samples):
+            _, system, node, secret, known, seed = case
+            est = mc_mi_oracle(system, node, secret, 1e4, n_samples=n_samples,
+                               seed=seed, known=known)
+            return (est.bits, est.std_error), analysis._held.buf
+
+        first, small_buf = run(small, 5000)
+        assert run(small, 4000)[1] is small_buf
+        _, large_buf = run(large, 5000)
+        assert large_buf is not small_buf
+        again, buf = run(small, 5000)
+        assert buf is large_buf and again == first
+
+    def test_every_column_known(self):
+        """With every symbol known no column is kept: the variates of `s`
+        are empty arrays and the estimate is exactly 0."""
+        spec, system = _system("MR_PPD")
+        est = mc_mi_oracle(system, EVE, [], 1e4, n_samples=1000,
+                           known=[sym.sid for sym in spec.symbols])
+        assert (est.bits, est.std_error) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("chunk_rows, labels", [
+        (1, ("WT_PP/rx1", "BC_PP_S2/rx1")), (1000, None)], ids=["chunk-1", "chunk-1000"])
+    def test_bits_do_not_depend_on_the_chunk_size(self, monkeypatch, mc_cases,
+                                                  chunk_rows, labels):
+        """With chunks of 1 row (the two 1x1 cases) and of 1000 rows (every
+        case), over 2001 samples, which 1000 does not divide, the oracle's
+        bits are the whole-array formula's."""
+        monkeypatch.setattr(analysis, "MC_CHUNK_ROWS", chunk_rows)
+        n_samples = 2001
+        cases = [case for case in mc_cases if labels is None or case[0] in labels]
+        assert len(cases) == len(labels or mc_cases)
+        for label, system, node, secret, known, seed in cases:
+            want = _whole_array_oracle(system, node, secret, 1e4, n_samples, seed, known)
+            est = mc_mi_oracle(system, node, secret, 1e4, n_samples=n_samples,
+                               seed=seed, known=known)
+            assert (est.bits, est.std_error) == want, label
 
     @pytest.mark.parametrize("n_samples", [0, 1])
     def test_too_few_samples_raise(self, n_samples):

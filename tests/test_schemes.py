@@ -247,17 +247,23 @@ class TestRun:
         (0, "beam", Axis(5), BadParams),
         (0, "beam", Axis(-1), BadParams),
         (0, "beam", NullOf(((EVE, 0),), basis_index=-1), BadParams),
+        (1, "beam", NullOf((("bob", 0),)), BadParams),
+        (1, "payload", ObsPart("bob", 0), BadParams),
+        (1, "payload", ObsPart(RX1, 0, streams=("nope",)), BadParams),
     ], ids=["beam-before-slot-0", "payload-before-slot-0", "antenna-above-n-tx",
-            "antenna-below-0", "basis-index-below-0"])
+            "antenna-below-0", "basis-index-below-0", "beam-unknown-node",
+            "payload-unknown-node", "payload-unsent-stream"])
     def test_reference_out_of_range(self, slot, field, value, error):
-        """A beam reads slots [0, t], a payload slots [0, t), an axis
-        antennas [0, n_tx); one stream of MR_DDP outside its range fails."""
+        """A beam reads slots [0, t] of the topology's nodes, a payload the
+        streams that slots [0, t) sent, an axis antennas [0, n_tx); one
+        stream of MR_DDP outside its range fails with an error that names
+        its slot."""
         spec = build_scheme("MR_DDP")
         plans = list(spec.slot_plans)
         first, *rest = plans[slot].streams
         plans[slot] = SlotPlan(plans[slot].state, (first._replace(**{field: value}), *rest))
         channels = sample_channel(spec.topology, spec.n_slots, 0)
-        with pytest.raises(error):
+        with pytest.raises(error, match=f"^slot {slot}: "):
             run_scheme(replace(spec, slot_plans=tuple(plans)), channels, PowerBudget(1e4))
 
 def _batch_bytes(batch) -> list:
@@ -492,7 +498,7 @@ class TestStackTraces:
             with pytest.raises(ValueError, match="one spec, power and mode"):
                 TraceBatch.concatenate([trace, other])
 
-    def test_runs_are_copied_in_as_they_arrive(self):
+    def test_concatenated_runs_equal_the_stacked_batch(self):
         spec = build_scheme("BC_S1_43")
         power = PowerBudget(2.0 ** 20)
 
