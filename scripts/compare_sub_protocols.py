@@ -12,9 +12,9 @@ from fractions import Fraction
 import numpy as np
 
 from sdof_lab import RX1, PowerBudget, accounting, build_scheme, composite_accounting
-from sdof_lab.analysis import DEFAULT_GRID, achievable_rate_stacked, fit_slope
+from sdof_lab.analysis import DEFAULT_GRID, prelogs
 from sdof_lab.precoding import assemble_effective_systems
-from sdof_lab.schemes import run_seed_batches
+from sdof_lab.schemes import rate_series, run_seed_batches
 
 SUB_RATES = {"tjsp53": Fraction(5, 3), "fallback32": Fraction(3, 2)}
 
@@ -23,14 +23,16 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--seeds", type=int, default=5)
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
 
     for sub, sub_rate in SUB_RATES.items():
         spec = build_scheme("MR_S30_29_A", sub=sub)
         measured = accounting(spec)
         predicted = composite_accounting(sub_rate)
         slopes = np.concatenate([
-            fit_slope(achievable_rate_stacked(assemble_effective_systems(batch), RX1,
-                                              DEFAULT_GRID), spec.n_slots).slope
+            prelogs(rate_series(spec, assemble_effective_systems(batch), DEFAULT_GRID),
+                    spec.n_slots, DEFAULT_GRID)[RX1]
             for batch in run_seed_batches(spec, range(args.seeds), PowerBudget(1e4))])
         print(f"sub-protocol {sub}: superframe {spec.n_slots} slots, "
               f"{measured.symbols_per_receiver[RX1]} symbols/receiver")

@@ -9,14 +9,9 @@ import argparse
 import numpy as np
 
 from sdof_lab import RX1, RX2, SCHEME_IDS, PowerBudget, accounting, build_scheme
-from sdof_lab.analysis import (
-    DEFAULT_GRID,
-    achievable_rate_stacked,
-    fit_slope,
-    gaussian_mi_stacked,
-)
+from sdof_lab.analysis import DEFAULT_GRID, prelogs
 from sdof_lab.precoding import assemble_effective_systems
-from sdof_lab.schemes import decode_batch, run_seed_batches
+from sdof_lab.schemes import decode_batch, leak_series, rate_series, run_seed_batches
 
 
 def _mean(slopes) -> float:
@@ -27,6 +22,8 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--seeds", type=int, default=10)
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
 
     header = (f"{'scheme':<22} {'slots':>5} {'nominal rx1':>12} {'slope rx1':>10} "
               f"{'slope rx2':>10} {'leak slope':>11} {'decode':>7}")
@@ -41,17 +38,14 @@ def main():
         for batch in run_seed_batches(spec, range(args.seeds), PowerBudget(1e4)):
             systems = assemble_effective_systems(batch)
             ok &= all(decoded.all_success for decoded in decode_batch(batch, systems))
-            for node in (RX1, RX2):
-                if spec.message_sids(node):
-                    rates = achievable_rate_stacked(systems, node, DEFAULT_GRID)
-                    slopes[node].append(fit_slope(rates, spec.n_slots).slope)
-            per_adversary = [
-                fit_slope(gaussian_mi_stacked(
-                    systems, adv, sorted(secret), DEFAULT_GRID,
-                    spec.adversary_known[adv]), spec.n_slots).slope
-                for adv, secret in spec.protected.items()]
+            rates = prelogs(rate_series(spec, systems, DEFAULT_GRID), spec.n_slots,
+                            DEFAULT_GRID)
+            for node, node_slopes in rates.items():
+                slopes[node].append(node_slopes)
+            per_adversary = prelogs(leak_series(spec, systems, DEFAULT_GRID), spec.n_slots,
+                                    DEFAULT_GRID)
             if per_adversary:       # seed-major, adversary-minor
-                leaks.append(np.stack(per_adversary, axis=1).ravel())
+                leaks.append(np.stack(list(per_adversary.values()), axis=1).ravel())
         print(f"{scheme_id.lower():<22} {spec.n_slots:>5} "
               f"{str(report.nominal_sdof[RX1]):>12} {_mean(slopes[RX1]):>10.4f} "
               f"{_mean(slopes[RX2]):>10.4f} {_mean(leaks):>11.2e} "

@@ -3,7 +3,10 @@
 Each criterion returns a CriterionResult, PASS or FAIL; the CLI `verify`
 command prints one line per criterion and the pytest acceptance module
 asserts each one.  `run_all` reports a criterion that raises as FAIL, so an
-unknown sub-protocol fails criterion 6.
+unknown sub-protocol fails criterion 6.  Criteria 4 and 6 fit the rate
+series of `schemes.rate_series`, and criterion 5 the leakage series of
+`schemes.leak_series`, with `analysis.prelogs`: the series `simulate`
+reports.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from .schemes import (
     build_scheme,
     composite_accounting,
     decode_batch,
+    leak_series,
+    rate_series,
     run_seed_batches,
 )
 
@@ -54,22 +59,14 @@ def _result(number, name, ok, detail="") -> CriterionResult:
     return CriterionResult(number, name, "PASS" if ok else "FAIL", detail)
 
 
-def _systems(spec, n_seeds: int) -> list:
-    """Effective systems of seeds 0..n_seeds-1 at the reference power, one
-    stack per batch."""
-    return [assemble_effective_systems(batch)
-            for batch in run_seed_batches(spec, range(n_seeds), REFERENCE_POWER)]
-
-
-def _prelogs(values: list, slots: int) -> np.ndarray:
-    """Per-system prelogs of the (system, power) values of every stack over
-    GRID, in system order, from one fit."""
-    return analysis.fit_slope(np.concatenate(values), slots, GRID).slope
-
-
-def _rate_prelogs(stacks: list, node: str, slots: int) -> np.ndarray:
-    return _prelogs([analysis.achievable_rate_stacked(systems, node, GRID)
-                     for systems in stacks], slots)
+def _series_prelogs(spec, n_seeds: int, series_of) -> tuple[dict, dict]:
+    """`series_of`'s (system, power) series (`rate_series` or `leak_series`)
+    of seeds 0..n_seeds-1 at the reference power over GRID, joined across
+    the batches in seed order, and their per-seed prelogs from one fit."""
+    parts = [series_of(spec, assemble_effective_systems(batch), GRID)
+             for batch in run_seed_batches(spec, range(n_seeds), REFERENCE_POWER)]
+    series = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+    return series, analysis.prelogs(series, spec.n_slots, GRID)
 
 
 def _pair_schedule(**fractions):
@@ -173,9 +170,10 @@ def criterion_4(n_seeds: int = 5) -> CriterionResult:
     failures = []
     for scheme_id, targets in _NOMINAL_SLOPES.items():
         spec = build_scheme(scheme_id)
-        stacks = _systems(spec, n_seeds)
+        _, slopes = _series_prelogs(spec, n_seeds, rate_series)
         for node, nominal in targets.items():
-            mean = float(np.mean(_rate_prelogs(stacks, node, spec.n_slots)))
+            # a receiver without messages (MR_PDD's rx2) has zero rate
+            mean = float(np.mean(slopes.get(node, 0.0)))
             if abs(mean - float(nominal)) > SLOPE_TOL:
                 failures.append(f"{scheme_id}/{node}: {mean:.4f} vs {nominal}")
     return _result(4, "per-slot rate prelogs within 0.05 of nominal",
@@ -188,16 +186,13 @@ def criterion_5(n_seeds: int = 5) -> CriterionResult:
     secure = [sid for sid in SCHEME_IDS if build_scheme(sid).protected]
     for scheme_id in secure:
         spec = build_scheme(scheme_id)
-        stacks = _systems(spec, n_seeds)
-        for adv, secret in spec.protected.items():
-            known = spec.adversary_known[adv]
-            leaks = [analysis.gaussian_mi_stacked(systems, adv, sorted(secret), GRID, known)
-                     for systems in stacks]
+        leaks, slopes = _series_prelogs(spec, n_seeds, leak_series)
+        for adv, values in leaks.items():
             if scheme_id in ("MR_PDP", "MR_DDP"):
                 # the nulled leakage at GRID's last power, 2^60
                 failures += [f"{scheme_id}: nulled leakage {bits:.2e}"
-                             for values in leaks for bits in values[:, -1] if bits > 1e-6]
-            mean = float(np.mean(_prelogs(leaks, spec.n_slots)))
+                             for bits in values[:, -1] if bits > 1e-6]
+            mean = float(np.mean(slopes[adv]))
             if abs(mean) > SLOPE_TOL:
                 failures.append(f"{scheme_id}/{adv}: leakage slope {mean:.4f}")
     return _result(5, "leakage prelogs <= 0.05; nulled schemes exactly zero",
@@ -219,11 +214,11 @@ def criterion_6(sub: str = "tjsp53", n_seeds: int = 3) -> CriterionResult:
         formula = composite_accounting(Fraction(3, 2)).nominal_sdof[RX1]
         if report.nominal_sdof[RX1] != formula or formula != expect:
             failures.append(f"fallback accounting {report.nominal_sdof[RX1]}")
-    stacks = _systems(spec, n_seeds)
+    _, slopes = _series_prelogs(spec, n_seeds, rate_series)
     for node in (RX1, RX2):
         if report.nominal_sdof[node] != expect:
             failures.append(f"accounting {node}: {report.nominal_sdof[node]}")
-        mean = float(np.mean(_rate_prelogs(stacks, node, spec.n_slots)))
+        mean = float(np.mean(slopes[node]))
         if abs(mean - float(expect)) > SLOPE_TOL:
             failures.append(f"slope {node}: {mean:.4f} vs {expect}")
     return _result(6, f"composite accounting and slopes ({sub})",

@@ -2,11 +2,13 @@
 
 Rates and leakage are exact log-determinant expressions over the effective
 linear systems, one system or a stack of them (the one-system functions are
-the one-item case of the stacked ones); prelog slopes are least-squares fits
-over a power grid, of one series or a stack of them; the Monte-Carlo
-estimator re-derives the same mutual information from sampled log densities
-as an independent cross-check.  All entropies are in bits and every
-computation treats the channel matrices as known side information.
+the one-item case of the stacked ones); which series a scheme reports is
+decided by its roles, in `schemes.rate_series` and `schemes.leak_series`.
+Prelog slopes are least-squares fits over a power grid, of one series or a
+stack of them, and `prelogs` fits every series of a scheme at once.  The
+Monte-Carlo estimator re-derives the same mutual information from sampled
+log densities as an independent cross-check.  All entropies are in bits and
+every computation treats the channel matrices as known side information.
 """
 
 from __future__ import annotations
@@ -16,13 +18,13 @@ import mmap
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import rng
 from .errors import DimensionTooLarge, EmptySystem, GridTooSmall
-from .model import PowerBudget, Topology
+from .model import Topology
 from .precoding import EffectiveLinearSystem
 
 DEFAULT_GRID = tuple(float(2 ** e) for e in (20, 30, 40, 50, 60))
@@ -47,12 +49,6 @@ class SymmetryReport:
     entropy_twin: float
     abs_gap: float
     std_error: float
-
-
-def _power_value(power) -> float:
-    if isinstance(power, PowerBudget):
-        return float(power.total_power)
-    return float(power)
 
 
 def _logdet_bits(mats: np.ndarray, powers: Sequence[float]) -> np.ndarray:
@@ -89,7 +85,7 @@ def gaussian_mi_stacked(systems: EffectiveLinearSystem, node: str,
     """`gaussian_mi` of every system of a stack at every power, in bits, as
     a (system, power) array: one SVD each of the kept and of the nuisance
     columns for the whole stack and grid."""
-    powers = [_power_value(p) for p in powers]
+    powers = [float(p) for p in powers]
     full, is_secret = _kept_columns(systems, node, secret, known)
     bits = _logdet_bits(full, powers) - _logdet_bits(full[..., ~is_secret], powers)
     below = bits < -1e-9
@@ -111,23 +107,15 @@ def gaussian_mi(system: EffectiveLinearSystem, node: str, secret: Iterable[str],
     `gaussian_mi_stacked`.
     """
     single = np.ndim(power) == 0
-    powers = [_power_value(p) for p in ([power] if single else power)]
+    powers = [float(p) for p in ([power] if single else power)]
     bits = gaussian_mi_stacked(system.stacked(), node, secret, powers, known)[0]
     results = [MiResult(float(b), power=p) for p, b in zip(powers, bits)]
     return results[0] if single else results
 
 
-def achievable_rate_stacked(systems: EffectiveLinearSystem, node: str,
-                            powers: Sequence) -> np.ndarray:
-    """`achievable_rate` of every system of a stack at every power, in bits,
-    as a (system, power) array."""
-    return gaussian_mi_stacked(systems, node, systems.message_sids(node), powers)
-
-
 def achievable_rate(system: EffectiveLinearSystem, node: str,
                     power) -> MiResult | list[MiResult]:
-    """gaussian_mi with the node's own intended messages as the secret set;
-    the one-system case of `achievable_rate_stacked`."""
+    """gaussian_mi with the node's own intended messages as the secret set."""
     return gaussian_mi(system, node, system.message_sids(node), power)
 
 
@@ -168,6 +156,17 @@ def fit_slope(values, slots, grid: Sequence[float] = DEFAULT_GRID) -> SlopeEstim
     if ys.ndim == 1:
         return SlopeEstimate(slope=float(coeffs[0, 0]), residual=float(residual[0]))
     return SlopeEstimate(slope=coeffs[0], residual=residual)
+
+
+def prelogs(series: Mapping[str, np.ndarray], slots,
+            powers: Sequence[float]) -> dict[str, np.ndarray]:
+    """The per-system prelogs of each (system, power) series over `powers`,
+    from one `fit_slope` call; zeros on a one-power grid, which supports no
+    fit.  All series hold the same systems."""
+    if len(powers) < 2 or not series:
+        return {key: np.zeros(len(values)) for key, values in series.items()}
+    slopes = fit_slope(np.concatenate(list(series.values())), slots, powers).slope
+    return dict(zip(series, slopes.reshape(len(series), -1)))
 
 
 def rate_slope(system: EffectiveLinearSystem, node: str, slots,
@@ -244,7 +243,7 @@ def mc_mi_oracle(system: EffectiveLinearSystem, node: str, secret: Iterable[str]
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
-    p = _power_value(power)
+    p = float(power)
     r_keep, secret_mask = _kept_columns(system, node, secret, known)
     d, k = r_keep.shape
     if d > 8:

@@ -36,6 +36,8 @@ from .schemes import (
     build_scheme,
     decode_batch,
     from_cli_name,
+    leak_series,
+    rate_series,
     run_scheme,
     seed_chunks,
 )
@@ -126,8 +128,9 @@ def _scheme_params(config: RunConfig) -> dict:
 
 
 def _simulate_chunk(spec, seeds, powers: list[float], mode: str):
-    """Per seed of one chunk: the seed, its CSV values per power, its rate
-    slopes, its leakage slope and its hard-failure flag.
+    """One chunk's decode reports, its (rate, leakage) series and their
+    (rate, leakage) prelogs, each series keyed by node and holding one row
+    of powers per seed.
 
     The chunk's channels are sampled in one pass, one (seed, node, slot,
     antenna) array that gives each seed the bits of its own draw.  Each
@@ -137,8 +140,9 @@ def _simulate_chunk(spec, seeds, powers: list[float], mode: str):
     the chunk's batch, which `seed_chunks` caps at `BATCH_CELLS` cells, and
     the chunk is analysed as a stack with the calls criterion 3 makes: one
     assembly, one `decode_batch` (the hand decoder per seed, one adversary
-    oracle call per adversary), then one SVD per (node, column set) for
-    every system and power, and one slope fit.
+    oracle call per adversary), then `rate_series` and `leak_series` (one
+    SVD per (node, column set) for every system and power) and one slope
+    fit per kind, so the slopes come from the floats the rows report.
     """
     budget = PowerBudget(powers[0])
     channels = sample_channels(spec.topology, spec.n_slots, seeds)
@@ -148,39 +152,8 @@ def _simulate_chunk(spec, seeds, powers: list[float], mode: str):
     systems = assemble_effective_systems(batch)
     reports = decode_batch(batch, systems)
     del batch       # the analysis reads the systems alone
-
-    # every rate and leakage value once per (seed, node, power); the slopes
-    # are fitted from the same floats the rows report
-    rated = [node for node in (RX1, RX2)
-             if node in spec.topology.nodes() and systems.message_sids(node)]
-    rates = {node: analysis.achievable_rate_stacked(systems, node, powers)
-             for node in rated}
-    leaks = [analysis.gaussian_mi_stacked(
-                 systems, adv, sorted(spec.protected[adv]), powers,
-                 known=spec.adversary_known[adv])
-             for adv in sorted(spec.protected)]
-    series = [rates[node] for node in rated] + leaks
-    slopes = np.zeros((len(series), len(seeds)))
-    if len(powers) >= 2 and series:
-        slopes = analysis.fit_slope(
-            np.concatenate(series), spec.n_slots, powers).slope.reshape(slopes.shape)
-    # per seed and power, as Python floats
-    zero = [[0.0] * len(powers)] * len(seeds)
-    r1, r2 = (rates[node].tolist() if node in rates else zero for node in (RX1, RX2))
-    leaks = [values.tolist() for values in leaks]
-    rate_slopes = dict(zip(rated, slopes.tolist()))
-    leak_slopes = slopes[len(rated):].tolist()
-
-    for i, (seed, report) in enumerate(zip(seeds, reports)):
-        rows = [(power, r1[i][j], r2[i][j], max([0.0] + [values[i][j] for values in leaks]),
-                 report.max_residual)
-                for j, power in enumerate(powers)]
-        node_slopes = {node: rate_slopes[node][i] if node in rate_slopes else 0.0
-                       for node in (RX1, RX2)}
-        leak_slope = max([0.0] + [values[i] for values in leak_slopes])
-        failed = (mode == "noiseless" and not report.all_success) \
-            or report.any_protected_identifiable
-        yield seed, rows, node_slopes, leak_slope, failed
+    series = rate_series(spec, systems, powers), leak_series(spec, systems, powers)
+    return reports, series, tuple(analysis.prelogs(s, spec.n_slots, powers) for s in series)
 
 
 def cmd_simulate(config: RunConfig) -> int:
@@ -210,17 +183,27 @@ def cmd_simulate(config: RunConfig) -> int:
     slope_acc = {RX1: [], RX2: []}
     leak_acc = []
     for chunk in seed_chunks(spec, seeds):
-        for seed, rows, slopes, leak_slope, failed in _simulate_chunk(
-                spec, chunk, powers, config.mode):
-            if failed:
+        reports, (rates, leaks), (rate_slopes, leak_slopes) = _simulate_chunk(
+            spec, chunk, powers, config.mode)
+        # per seed (and power), as Python floats; a receiver without
+        # messages has zero rate
+        zero = np.zeros((len(chunk), len(powers)))
+        r1, r2 = (rates.get(node, zero).tolist() for node in (RX1, RX2))
+        for node in (RX1, RX2):
+            slope_acc[node] += rate_slopes.get(node, zero[:, 0]).tolist()
+        leaks = [values.tolist() for values in leaks.values()]
+        leak_slopes = [values.tolist() for values in leak_slopes.values()]
+        for i, (seed, report) in enumerate(zip(chunk, reports)):
+            if (config.mode == "noiseless" and not report.all_success) \
+                    or report.any_protected_identifiable:
                 failing.append(seed)
-            slope_acc[RX1].append(slopes[RX1])
-            slope_acc[RX2].append(slopes[RX2])
-            leak_acc.append(leak_slope)
-            for power, r1, r2, leak, resid in rows:
+            leak_acc.append(max([0.0] + [values[i] for values in leak_slopes]))
+            for j, power in enumerate(powers):
+                leak = max([0.0] + [values[i][j] for values in leaks])
                 csv_lines.append(
                     f"{scheme_id.lower()},{seed},{_fmt(power)},{spec.n_slots},"
-                    f"{sym1},{sym2},{_fmt(r1)},{_fmt(r2)},{_fmt(leak)},{_fmt(resid)}")
+                    f"{sym1},{sym2},{_fmt(r1[i][j])},{_fmt(r2[i][j])},{_fmt(leak)},"
+                    f"{_fmt(report.max_residual)}")
     hard_failure = bool(failing)
 
     if config.dump_trace or config.dump_system or config.dump_channel:

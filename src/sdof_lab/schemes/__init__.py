@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
+from ..analysis import gaussian_mi_stacked
 from ..errors import BadParams, UnknownScheme
 from ..model import EVE, RX1, RX2
 from ..precoding import (
@@ -166,6 +169,23 @@ def decode_batch(batch: TraceBatch,
             for i, view in enumerate(batch.views())]
 
 
+def rate_series(spec: SchemeSpec, systems: EffectiveLinearSystem,
+                powers: Sequence[float]) -> dict[str, np.ndarray]:
+    """Per receiver that is sent messages, in topology order, the bits it
+    learns of them: a (system, power) array over a stack and a power grid."""
+    return {node: gaussian_mi_stacked(systems, node, spec.message_sids(node), powers)
+            for node in spec.topology.nodes() if node != EVE and spec.message_sids(node)}
+
+
+def leak_series(spec: SchemeSpec, systems: EffectiveLinearSystem,
+                powers: Sequence[float]) -> dict[str, np.ndarray]:
+    """Per adversary, sorted, the bits it learns of its protected symbols
+    given those it knows: a (system, power) array over a stack and a grid."""
+    return {adv: gaussian_mi_stacked(systems, adv, sorted(spec.protected[adv]), powers,
+                                     spec.adversary_known[adv])
+            for adv in sorted(spec.protected)}
+
+
 def _decode_receivers(view: ReceiverView) -> dict[str, NodeDecode]:
     """The hand half of `decode_batch`: the scheme's decoder on one seed's
     view, scored at every receiver against the drawn symbols."""
@@ -215,6 +235,8 @@ __all__ = [
     "decode",
     "decode_batch",
     "from_cli_name",
+    "leak_series",
+    "rate_series",
     "run_scheme",
     "run_seed_batches",
     "seed_chunks",

@@ -452,7 +452,7 @@ def compile_spec(spec: SchemeSpec) -> _Program:
                 raise CsitViolation(f"slot {t}: state {state} grants no current CSI for {node}")
         r = len(beam.refs)
         if r >= n_tx:
-            raise OverConstrained(f"{r} constraint rows leave no nullspace in dim {n_tx}")
+            raise OverConstrained(f"slot {t}: {r} constraint rows leave no nullspace in dim {n_tx}")
         if not 0 <= beam.basis_index < n_tx - r:
             raise BadParams(f"slot {t}: beam basis index {beam.basis_index} out of range")
         group = groups.setdefault(r, [])

@@ -11,19 +11,19 @@ from sdof_lab import analysis, rng
 from sdof_lab.analysis import (
     DEFAULT_GRID,
     achievable_rate,
-    achievable_rate_stacked,
     check_output_symmetry,
     fit_slope,
     gaussian_mi,
     gaussian_mi_stacked,
     leakage_slope,
     mc_mi_oracle,
+    prelogs,
     rate_slope,
 )
 from sdof_lab.errors import DimensionTooLarge, EmptySystem, GridTooSmall
 from sdof_lab.model import EVE, RX1, RX2, PowerBudget, Topology, sample_channel
 from sdof_lab.precoding import EffectiveLinearSystem, SymbolDecl, assemble_effective_system
-from sdof_lab.schemes import SCHEME_IDS, build_scheme, run_scheme
+from sdof_lab.schemes import SCHEME_IDS, build_scheme, leak_series, rate_series, run_scheme
 
 STEP5_GRID = tuple(2.0 ** e for e in range(20, 61, 5))
 # the CLI's whole exponent range, negative exponents included
@@ -171,7 +171,7 @@ class TestStacked:
             secret = sorted(spec.protected.get(node, singles[0].message_sids()))
             known = spec.adversary_known.get(node, frozenset())
             for grid in (DEFAULT_GRID, STEP5_GRID):
-                rates = achievable_rate_stacked(stack, node, grid)
+                rates = gaussian_mi_stacked(stack, node, stack.message_sids(node), grid)
                 leaks = gaussian_mi_stacked(stack, node, secret, grid, known)
                 assert rates.shape == leaks.shape == (len(singles), len(grid))
                 for seed, system in enumerate(singles):
@@ -180,6 +180,46 @@ class TestStacked:
                     assert _bits(leaks[seed]) == _bits(
                         [r.bits for r in gaussian_mi(system, node, secret, grid,
                                                      known=known)]), (node, seed)
+
+    @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+    def test_scheme_series_and_prelogs_equal_one_system_calls(self, scheme_id):
+        """`rate_series`, `leak_series` and `prelogs` give each system of a
+        stack the bits of its own `achievable_rate`, `gaussian_mi`,
+        `rate_slope` and `leakage_slope` calls, and zero prelogs on a
+        one-power grid."""
+        composite = scheme_id.startswith("MR_S30_29")
+        spec, singles, stack = _systems(scheme_id, 1 if composite else 5)
+        rates = rate_series(spec, stack, DEFAULT_GRID)
+        leaks = leak_series(spec, stack, DEFAULT_GRID)
+        assert list(rates) == [node for node in (RX1, RX2)
+                               if node in spec.topology.nodes() and spec.message_sids(node)]
+        assert list(leaks) == sorted(spec.protected)
+        rate_prelogs = prelogs(rates, spec.n_slots, DEFAULT_GRID)
+        leak_prelogs = prelogs(leaks, spec.n_slots, DEFAULT_GRID)
+
+        def hexes(values):
+            return [float(v).hex() for v in values]
+
+        for i, system in enumerate(singles):
+            for node, values in rates.items():
+                assert hexes(values[i]) == hexes(
+                    r.bits for r in achievable_rate(system, node, DEFAULT_GRID)), (node, i)
+                assert float(rate_prelogs[node][i]).hex() == rate_slope(
+                    system, node, spec.n_slots, DEFAULT_GRID).slope.hex(), (node, i)
+            for adv, values in leaks.items():
+                secret, known = sorted(spec.protected[adv]), spec.adversary_known[adv]
+                assert hexes(values[i]) == hexes(
+                    r.bits for r in gaussian_mi(system, adv, secret, DEFAULT_GRID,
+                                                known=known)), (adv, i)
+                assert float(leak_prelogs[adv][i]).hex() == leakage_slope(
+                    system, adv, secret, spec.n_slots, known,
+                    DEFAULT_GRID).slope.hex(), (adv, i)
+        for series in (rates, leaks):
+            flat = prelogs({key: values[:, :1] for key, values in series.items()},
+                           spec.n_slots, DEFAULT_GRID[:1])
+            assert list(flat) == list(series)
+            assert all(hexes(values) == [(0.0).hex()] * len(singles)
+                       for values in flat.values())
 
     def test_one_svd_per_column_set_for_a_stack(self, monkeypatch):
         spec, singles, stack = _systems("BC_S1_43")
@@ -261,7 +301,8 @@ class TestSlopes:
         solves in the last bits for some of these series."""
         spec, singles, stack = _systems(scheme_id)
         series = np.concatenate(
-            [achievable_rate_stacked(stack, node, grid) for node in (RX1, RX2)]
+            [gaussian_mi_stacked(stack, node, stack.message_sids(node), grid)
+             for node in (RX1, RX2)]
             + [gaussian_mi_stacked(stack, adv, sorted(secret), grid,
                                    spec.adversary_known.get(adv, frozenset()))
                for adv, secret in sorted(spec.protected.items())])
@@ -282,7 +323,7 @@ class TestSlopes:
         simulated = []
         for scheme_id in ("BC_S2_43", "MR_S30_29_A"):
             spec, _, stack = _systems(scheme_id)
-            simulated += [achievable_rate_stacked(stack, node, grid)
+            simulated += [gaussian_mi_stacked(stack, node, stack.message_sids(node), grid)
                           for node in (RX1, RX2)]
             simulated += [gaussian_mi_stacked(stack, adv, sorted(secret), grid,
                                               spec.adversary_known.get(adv, frozenset()))

@@ -12,6 +12,7 @@ from sdof_lab.errors import (
     BadParams,
     CsitViolation,
     NonPositiveSubDof,
+    OverConstrained,
     RealizationTooShort,
     UnknownScheme,
     UnknownSymbolId,
@@ -250,9 +251,10 @@ class TestRun:
         (1, "beam", NullOf((("bob", 0),)), BadParams),
         (1, "payload", ObsPart("bob", 0), BadParams),
         (1, "payload", ObsPart(RX1, 0, streams=("nope",)), BadParams),
+        (2, "beam", NullOf(((RX1, 0), (RX2, 0), (EVE, 0))), OverConstrained),
     ], ids=["beam-before-slot-0", "payload-before-slot-0", "antenna-above-n-tx",
             "antenna-below-0", "basis-index-below-0", "beam-unknown-node",
-            "payload-unknown-node", "payload-unsent-stream"])
+            "payload-unknown-node", "payload-unsent-stream", "beam-three-refs"])
     def test_reference_out_of_range(self, slot, field, value, error):
         """A beam reads slots [0, t] of the topology's nodes, a payload the
         streams that slots [0, t) sent, an axis antennas [0, n_tx); one

@@ -12,13 +12,17 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(script, argv, cwd):
+def _launch(script, argv, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *argv],
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *argv],
                           cwd=cwd, env=env, capture_output=True, text=True,
                           timeout=300)
+
+
+def _run(script, argv, cwd):
+    done = _launch(script, argv, cwd)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -31,6 +35,16 @@ def _run(script, argv, cwd):
 def test_script_exits_zero(tmp_path, script, args):
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in args]
     assert _run(script, argv, tmp_path)
+
+
+@pytest.mark.parametrize("script", ["run_all_schemes.py", "compare_sub_protocols.py"])
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_seeds_below_one_are_an_argument_error(tmp_path, script, seeds):
+    done = _launch(script, ["--seeds", seeds], tmp_path)
+    assert done.returncode == 2 and not done.stdout
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines()[-1] == (
+        f"{script}: error: --seeds must be at least 1, got {seeds}")
 
 
 # SHA-256 of the scripts' stdout; the same with one and with two BLAS threads
