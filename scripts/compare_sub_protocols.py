@@ -7,16 +7,13 @@ Usage: python scripts/compare_sub_protocols.py [--seeds N]
 """
 
 import argparse
-from fractions import Fraction
 
 import numpy as np
 
 from sdof_lab import RX1, PowerBudget, accounting, build_scheme, composite_accounting
 from sdof_lab.analysis import DEFAULT_GRID, prelogs
 from sdof_lab.precoding import assemble_effective_systems
-from sdof_lab.schemes import rate_series, run_seed_batches
-
-SUB_RATES = {"tjsp53": Fraction(5, 3), "fallback32": Fraction(3, 2)}
+from sdof_lab.schemes import SUB_PROTOCOLS, rate_series, run_seed_batches
 
 
 def main():
@@ -26,10 +23,10 @@ def main():
     if args.seeds < 1:
         parser.error(f"--seeds must be at least 1, got {args.seeds}")
 
-    for sub, sub_rate in SUB_RATES.items():
+    for sub in SUB_PROTOCOLS:
         spec = build_scheme("MR_S30_29_A", sub=sub)
         measured = accounting(spec)
-        predicted = composite_accounting(sub_rate)
+        predicted = composite_accounting(spec.layout["sub_dof"])
         slopes = np.concatenate([
             prelogs(rate_series(spec, assemble_effective_systems(batch), DEFAULT_GRID),
                     spec.n_slots, DEFAULT_GRID)[RX1]

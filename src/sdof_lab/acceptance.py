@@ -6,7 +6,10 @@ asserts each one.  `run_all` reports a criterion that raises as FAIL, so an
 unknown sub-protocol fails criterion 6.  Criteria 4 and 6 fit the rate
 series of `schemes.rate_series`, and criterion 5 the leakage series of
 `schemes.leak_series`, with `analysis.prelogs`: the series `simulate`
-reports.
+reports.  Each scheme's SDoF point from the paper is written once, in
+`_SCHEME_REGION`: criterion 4 compares the rate slopes with it, and
+criterion 8 pins it to the scheme's exact accounting and, where a theorem
+covers the scheme, to that theorem's region.
 """
 
 from __future__ import annotations
@@ -129,12 +132,10 @@ def criterion_3(n_seeds: int = 100) -> CriterionResult:
     failures = []
     for scheme_id in SCHEME_IDS:
         spec = build_scheme(scheme_id)
-        receivers = [n for n in spec.topology.nodes()
-                     if n != EVE and spec.message_sids(n)]
         for batch in run_seed_batches(spec, range(n_seeds), REFERENCE_POWER):
             systems = assemble_effective_systems(batch)
             agree = np.ones(len(batch.seeds), dtype=bool)
-            for node in receivers:
+            for node in spec.receivers:
                 agree &= identifiability_checks(systems, node, spec.message_sids(node))
             for seed, report, ok in zip(batch.seeds, decode_batch(batch, systems), agree):
                 if not report.all_success:
@@ -151,27 +152,42 @@ def criterion_3(n_seeds: int = 100) -> CriterionResult:
                    not failures, "; ".join(failures))
 
 
-_NOMINAL_SLOPES = {
-    "MR_PPD": {RX1: Fraction(1), RX2: Fraction(1)},
-    "MR_PDP": {RX1: Fraction(1), RX2: Fraction(1, 2)},
-    "MR_DDP": {RX1: Fraction(2, 3), RX2: Fraction(2, 3)},
-    "MR_PDD": {RX1: Fraction(1), RX2: Fraction(0)},
-    "BC_PP_S2": {RX1: Fraction(1), RX2: Fraction(1)},
-    "BC_DD_S1": {RX1: Fraction(1, 2), RX2: Fraction(1, 2)},
-    "BC_S1_43": {RX1: Fraction(2, 3), RX2: Fraction(2, 3)},
-    "BC_S2_43": {RX1: Fraction(2, 3), RX2: Fraction(2, 3)},
-    "WT_DD_23": {RX1: Fraction(2, 3)},
-    "SUB_SECURE_MULTICAST": {RX1: Fraction(5, 8), RX2: Fraction(5, 8)},
+# Each scheme's SDoF point (d1, d2) from the paper, and the theorem and
+# lambda whose region holds it (a scheme without one: its accounting only)
+_SCHEME_REGION = {
+    "WT_PP": ("thm1", {"PP": 1}, (Fraction(1), Fraction(0))),
+    "WT_DP": ("thm1", {"DP": 1}, (Fraction(1), Fraction(0))),
+    "WT_PD": ("thm1", {"PD": 1}, (Fraction(1), Fraction(0))),
+    "WT_DD_23": ("thm1", {"DD": 1}, (Fraction(2, 3), Fraction(0))),
+    "MR_PPD": ("thm2", None, (Fraction(1), Fraction(1))),
+    "MR_PDP": ("thm3", None, (Fraction(1), Fraction(1, 2))),
+    "MR_DDP": ("thm4", None, (Fraction(2, 3), Fraction(2, 3))),
+    "MR_PDD": ("thm6", None, (Fraction(1), Fraction(0))),
+    "MR_S30_29_A": ("thm6", None, (Fraction(15, 29), Fraction(15, 29))),
+    "MR_S30_29_B": ("thm6", None, (Fraction(15, 29), Fraction(15, 29))),
+    "BC_PP_S2": ("thm8", {"PP": 1}, (Fraction(1), Fraction(1))),
+    "BC_DD_S1": ("thm8", {"DD": 1}, (Fraction(1, 2), Fraction(1, 2))),
+    "BC_S1_43": ("thm8", {"PD": "1/2", "DP": "1/2"},
+                 (Fraction(2, 3), Fraction(2, 3))),
+    # the mixed three-state point sits on the broadcast outer boundary; the
+    # inner bound is strictly smaller there, so the outer region certifies it
+    "BC_S2_43": ("thm7", {"DD": "1/3", "PD": "1/3", "DP": "1/3"},
+                 (Fraction(2, 3), Fraction(2, 3))),
+    "SUB_SECURE_MULTICAST": (None, None, (Fraction(5, 8), Fraction(5, 8))),
 }
+# criterion 4's schemes, in the order it reports them
+_SLOPE_SCHEMES = ("MR_PPD", "MR_PDP", "MR_DDP", "MR_PDD", "BC_PP_S2", "BC_DD_S1",
+                  "BC_S1_43", "BC_S2_43", "WT_DD_23", "SUB_SECURE_MULTICAST")
 
 
 def criterion_4(n_seeds: int = 5) -> CriterionResult:
     """Rate prelogs match nominal SDoF within the slope tolerance."""
     failures = []
-    for scheme_id, targets in _NOMINAL_SLOPES.items():
+    for scheme_id in _SLOPE_SCHEMES:
         spec = build_scheme(scheme_id)
         _, slopes = _series_prelogs(spec, n_seeds, rate_series)
-        for node, nominal in targets.items():
+        point = _SCHEME_REGION[scheme_id][2]
+        for node, nominal in zip((RX1, RX2)[:spec.topology.receivers], point):
             # a receiver without messages (MR_PDD's rx2) has zero rate
             mean = float(np.mean(slopes.get(node, 0.0)))
             if abs(mean - float(nominal)) > SLOPE_TOL:
@@ -252,28 +268,6 @@ def criterion_7() -> CriterionResult:
                    not failures, "; ".join(failures))
 
 
-_SCHEME_REGION = {
-    "WT_PP": ("thm1", {"PP": 1}, (Fraction(1), Fraction(0))),
-    "WT_DP": ("thm1", {"DP": 1}, (Fraction(1), Fraction(0))),
-    "WT_PD": ("thm1", {"PD": 1}, (Fraction(1), Fraction(0))),
-    "WT_DD_23": ("thm1", {"DD": 1}, (Fraction(2, 3), Fraction(0))),
-    "MR_PPD": ("thm2", None, (Fraction(1), Fraction(1))),
-    "MR_PDP": ("thm3", None, (Fraction(1), Fraction(1, 2))),
-    "MR_DDP": ("thm4", None, (Fraction(2, 3), Fraction(2, 3))),
-    "MR_PDD": ("thm6", None, (Fraction(1), Fraction(0))),
-    "MR_S30_29_A": ("thm6", None, (Fraction(15, 29), Fraction(15, 29))),
-    "MR_S30_29_B": ("thm6", None, (Fraction(15, 29), Fraction(15, 29))),
-    "BC_PP_S2": ("thm8", {"PP": 1}, (Fraction(1), Fraction(1))),
-    "BC_DD_S1": ("thm8", {"DD": 1}, (Fraction(1, 2), Fraction(1, 2))),
-    "BC_S1_43": ("thm8", {"PD": "1/2", "DP": "1/2"},
-                 (Fraction(2, 3), Fraction(2, 3))),
-    # the mixed three-state point sits on the broadcast outer boundary; the
-    # inner bound is strictly smaller there, so the outer region certifies it
-    "BC_S2_43": ("thm7", {"DD": "1/3", "PD": "1/3", "DP": "1/3"},
-                 (Fraction(2, 3), Fraction(2, 3))),
-}
-
-
 def criterion_8() -> CriterionResult:
     """Containment and catalog consistency."""
     failures = []
@@ -283,17 +277,19 @@ def criterion_8() -> CriterionResult:
     except Exception as exc:
         failures.append(f"thm6 not inside thm5: {exc}")
     for scheme_id, (theorem, lam, point) in _SCHEME_REGION.items():
-        schedule = validate_schedule(lam) if lam else None
-        region = regions.region_from_theorem(theorem, schedule)
         spec = build_scheme(scheme_id)
-        # the theorem's lambda is the scheme's own slot program's
-        if schedule and spec.state_fractions() != schedule.fractions:
-            failures.append(f"{scheme_id} state fractions differ from lambda {lam}")
         report = accounting(spec)
         nominal = (report.nominal_sdof.get(RX1, Fraction(0)),
                    report.nominal_sdof.get(RX2, Fraction(0)))
         if nominal != point:
             failures.append(f"{scheme_id} nominal {nominal} != {point}")
+        if theorem is None:
+            continue
+        schedule = validate_schedule(lam) if lam else None
+        region = regions.region_from_theorem(theorem, schedule)
+        # the theorem's lambda is the scheme's own slot program's
+        if schedule and spec.state_fractions() != schedule.fractions:
+            failures.append(f"{scheme_id} state fractions differ from lambda {lam}")
         if not regions.contains(region, nominal):
             failures.append(f"{scheme_id} point {nominal} outside {theorem}")
     for lam in ({"PP": 1}, {"DD": 1}):
@@ -324,10 +320,7 @@ def _mc_cases() -> list[tuple]:
         spec = build_scheme(scheme_id)
         batch, = run_seed_batches(spec, [1000 + idx], PowerBudget(_MC_POWER))
         system = assemble_effective_system(batch)
-        secret = spec.protected.get(node) or system.message_sids(node)
-        secret = sorted(secret)
-        if not secret:
-            secret = sorted(system.message_sids())
+        secret = sorted(spec.protected.get(node) or system.message_sids(node))
         known = spec.adversary_known.get(node, frozenset())
         cases.append((f"{scheme_id}/{node}", system, node, secret, known, idx))
     return cases

@@ -90,15 +90,15 @@ class SymbolDecl:
 class EffectiveLinearSystem:
     """Per-node observation matrices over the common symbol columns.
 
-    Rows are normalized so the physical observation is sqrt(P) * row @ symbols
-    plus unit-variance noise; the sqrt(P) factor is applied by the analysis
+    Row t of a node's matrix is its observation in slot t.  Rows are
+    normalized so the physical observation is sqrt(P) * row @ symbols plus
+    unit-variance noise; the sqrt(P) factor is applied by the analysis
     layer, which lets one assembled system serve a whole power grid.  In a
     stack of systems every matrix has a leading (system,) axis.
     """
 
     symbols: tuple[SymbolDecl, ...]
-    matrices: Mapping[str, np.ndarray]     # node -> ([system,] n_obs, n_symbols)
-    slot_of_row: tuple[int, ...]
+    matrices: Mapping[str, np.ndarray]     # node -> ([system,] slot, symbol)
 
     def item(self, i: int) -> "EffectiveLinearSystem":
         """System i of a stack; its matrices are views of the stack's."""
@@ -127,10 +127,6 @@ class EffectiveLinearSystem:
                           for m in self.matrices.values()], axis=0)
         return _components(pattern)
 
-    @property
-    def n_obs(self) -> int:
-        return len(self.slot_of_row)
-
     def split_columns(self, secret: Iterable[str],
                       known: Iterable[str] = ()) -> tuple[list[int], np.ndarray]:
         """Symbol columns that remain once the `known` symbols are removed,
@@ -155,7 +151,7 @@ class EffectiveLinearSystem:
     def to_json(self) -> str:
         payload = {
             "symbols": [{"sid": d.sid, "owner": d.owner} for d in self.symbols],
-            "slot_of_row": list(self.slot_of_row),
+            "slot_of_row": list(range(next(iter(self.matrices.values())).shape[-2])),
             "matrices": {node: complex_to_json(mat) for node, mat in self.matrices.items()},
         }
         return json.dumps(payload, indent=2, sort_keys=True)
@@ -244,7 +240,6 @@ def assemble_effective_systems(batch) -> EffectiveLinearSystem:
     return EffectiveLinearSystem(
         symbols=batch.spec.symbols,
         matrices=matrices,
-        slot_of_row=tuple(range(n_slots)),
     )
 
 

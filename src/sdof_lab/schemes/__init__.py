@@ -9,7 +9,7 @@ import numpy as np
 
 from ..analysis import gaussian_mi_stacked
 from ..errors import BadParams, UnknownScheme
-from ..model import EVE, RX1, RX2
+from ..model import RX1, RX2
 from ..precoding import (
     EffectiveLinearSystem,
     assemble_effective_systems,
@@ -153,7 +153,8 @@ def decode_batch(batch: TraceBatch,
                  systems: EffectiveLinearSystem | None = None) -> list[DecodeReport]:
     """`decode` of every seed of a batch, in seed order.
 
-    The hand decoder runs on each seed's `ReceiverView`; the adversary
+    The hand decoder runs on each seed's `ReceiverView`, and each report
+    scores exactly the scheme's receivers (`spec.receivers`); the adversary
     oracle runs once per adversary on the stack of the batch's effective
     systems (`systems` when given, else assembled from the batch).
     """
@@ -171,10 +172,10 @@ def decode_batch(batch: TraceBatch,
 
 def rate_series(spec: SchemeSpec, systems: EffectiveLinearSystem,
                 powers: Sequence[float]) -> dict[str, np.ndarray]:
-    """Per receiver that is sent messages, in topology order, the bits it
-    learns of them: a (system, power) array over a stack and a power grid."""
+    """Per receiver (`spec.receivers`), the bits it learns of its messages:
+    a (system, power) array over a stack and a power grid."""
     return {node: gaussian_mi_stacked(systems, node, spec.message_sids(node), powers)
-            for node in spec.topology.nodes() if node != EVE and spec.message_sids(node)}
+            for node in spec.receivers}
 
 
 def leak_series(spec: SchemeSpec, systems: EffectiveLinearSystem,
@@ -188,13 +189,11 @@ def leak_series(spec: SchemeSpec, systems: EffectiveLinearSystem,
 
 def _decode_receivers(view: ReceiverView) -> dict[str, NodeDecode]:
     """The hand half of `decode_batch`: the scheme's decoder on one seed's
-    view, scored at every receiver against the drawn symbols."""
+    view, scored at each of `spec.receivers` against the drawn symbols."""
     spec = view.spec
     recovered = _DECODERS.get(spec.scheme_id, _empty_decoder)(view)
     nodes: dict[str, NodeDecode] = {}
-    for node in spec.topology.nodes():
-        if node == EVE:
-            continue
+    for node in spec.receivers:
         got = recovered.get(node, {})
         max_res = 0.0
         for sid in spec.message_sids(node):

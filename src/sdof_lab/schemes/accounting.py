@@ -18,60 +18,48 @@ from ..model import RX1, RX2
 
 @dataclass(frozen=True)
 class AccountingReport:
-    slots_total: Fraction
     symbols_per_receiver: Mapping[str, int]
     nominal_sdof: Mapping[str, Fraction]
     sub_dof_assumptions: Mapping[str, Fraction] = field(default_factory=dict)
 
 
-def composite_accounting(
-    sub_dof: Fraction,
-    phase_a_symbols: int = 3,
-    phase_a_slots: int = 3,
-) -> AccountingReport:
+def composite_accounting(sub_dof: Fraction) -> AccountingReport:
     """Per-receiver rate of the two-phase composite given its sub-protocol rate.
 
-    A dissemination block delivers `phase_a_symbols` fresh symbols to each
-    receiver over `phase_a_slots` slots, then spends 2/sub_dof slots shipping
-    the two eavesdropper-side observations and 1/sdof_common slots on the
-    secure common combination, where the common stream itself costs
-    2 + 2/sub_dof slots per two symbols.
+    A dissemination block delivers 3 fresh symbols to each receiver over 3
+    slots, then spends 2/sub_dof slots shipping the two eavesdropper-side
+    observations and 1/sdof_common slots on the secure common combination,
+    where the common stream itself costs 2 + 2/sub_dof slots per two symbols.
     """
     sub_dof = Fraction(sub_dof)
     if not 0 < sub_dof <= 2:
         raise NonPositiveSubDof(f"sub-protocol rate must lie in (0, 2], got {sub_dof}")
     sdof_common = Fraction(2) / (2 + Fraction(2) / sub_dof)
-    denom = phase_a_slots + Fraction(2) / sub_dof + Fraction(1) / sdof_common
-    d_i = Fraction(phase_a_symbols) / denom
-    slots = Fraction(phase_a_slots) + Fraction(2) / sub_dof + Fraction(1) / sdof_common
+    d_i = 3 / (3 + Fraction(2) / sub_dof + 1 / sdof_common)
     return AccountingReport(
-        slots_total=slots,
-        symbols_per_receiver={RX1: phase_a_symbols, RX2: phase_a_symbols},
+        symbols_per_receiver={RX1: 3, RX2: 3},
         nominal_sdof={RX1: d_i, RX2: d_i},
         sub_dof_assumptions={"dof_pd_dp": sub_dof, "sdof_common": sdof_common},
     )
 
 
 def accounting(spec) -> AccountingReport:
-    """Measured accounting of a built scheme: exact symbols over exact slots.
+    """Measured accounting of a built scheme: exact symbols over exact slots,
+    keyed by the scheme's receivers (`spec.receivers`); a node that is sent
+    no messages has no entry.
 
     For composite schemes, whose layout records their sub-protocol's rate,
     the result is cross-checked against the closed-form bookkeeping at that
     rate, whose sub-protocol assumptions it reports.
     """
-    symbols = {
-        RX1: len(spec.message_sids(RX1)),
-        RX2: len(spec.message_sids(RX2)),
-    }
-    slots = Fraction(spec.n_slots)
-    nominal = {node: Fraction(c, 1) / slots for node, c in symbols.items()}
+    symbols = {node: len(spec.message_sids(node)) for node in spec.receivers}
+    nominal = {node: Fraction(c, spec.n_slots) for node, c in symbols.items()}
     if "sub_dof" not in spec.layout:
-        return AccountingReport(slots, symbols, nominal)
+        return AccountingReport(symbols, nominal)
     predicted = composite_accounting(spec.layout["sub_dof"])
-    for node in (RX1, RX2):
-        if predicted.nominal_sdof[node] != nominal[node]:
-            raise AssertionError(
-                "composite accounting disagrees with the bookkeeping formula: "
-                f"{nominal[node]} != {predicted.nominal_sdof[node]}"
-            )
-    return AccountingReport(slots, symbols, nominal, predicted.sub_dof_assumptions)
+    if predicted.nominal_sdof != nominal:
+        raise AssertionError(
+            "composite accounting disagrees with the bookkeeping formula: "
+            f"{nominal} != {predicted.nominal_sdof}"
+        )
+    return AccountingReport(symbols, nominal, predicted.sub_dof_assumptions)

@@ -55,6 +55,7 @@ from ..errors import (
     UnknownSymbolId,
 )
 from ..model import (
+    EVE,
     CsitState,
     PowerBudget,
     StateLabel,
@@ -127,12 +128,14 @@ class SlotPlan:
 class SchemeSpec:
     """A transmission protocol as data: its slots and symbols.
 
-    The secrecy roles follow from the symbols' owners.  Each of the
-    topology's adversaries (`Topology.adversaries`: the eavesdropper, or in
-    the two-user broadcast channel each receiver) must not resolve any
-    non-noise symbol it does not own (`protected`), and knows the symbols it
-    owns (`adversary_known`).  `secure` False marks a block with no secrecy
-    by design, which protects nothing.
+    The roles follow from the symbols' owners.  The `receivers` are the
+    nodes other than the eavesdropper that are sent messages; they are
+    decoded and scored.  Each of the topology's adversaries
+    (`Topology.adversaries`: the eavesdropper, or in the two-user broadcast
+    channel each receiver) must not resolve any non-noise symbol it does not
+    own (`protected`), and knows the symbols it owns (`adversary_known`).
+    `secure` False marks a block with no secrecy by design, which protects
+    nothing.
     """
 
     scheme_id: str
@@ -141,6 +144,12 @@ class SchemeSpec:
     symbols: tuple[SymbolDecl, ...]
     secure: bool = True
     layout: Mapping = field(default_factory=dict)   # decoder metadata
+
+    @cached_property
+    def receivers(self) -> tuple[str, ...]:
+        """The non-eavesdropper nodes sent messages, in topology order."""
+        return tuple(node for node in self.topology.nodes()
+                     if node != EVE and self.message_sids(node))
 
     @cached_property
     def protected(self) -> dict[str, frozenset]:

@@ -60,7 +60,6 @@ def _scalar_system():
     return EffectiveLinearSystem(
         symbols=(SymbolDecl("s", RX1),),
         matrices={RX1: np.array([[1.0 + 0j]])},
-        slot_of_row=(0,),
     )
 
 
@@ -106,7 +105,6 @@ class TestGaussianMi:
         system = EffectiveLinearSystem(
             symbols=(SymbolDecl("s", RX1),),
             matrices={RX1: np.zeros((0, 1), dtype=complex)},
-            slot_of_row=(),
         )
         with pytest.raises(EmptySystem):
             gaussian_mi(system, RX1, ["s"], 10.0)
@@ -238,7 +236,6 @@ class TestStacked:
         system = EffectiveLinearSystem(
             symbols=(SymbolDecl("s", RX1),),
             matrices={RX1: np.zeros((3, 0, 1), dtype=complex)},
-            slot_of_row=(),
         )
         with pytest.raises(EmptySystem):
             gaussian_mi_stacked(system, RX1, ["s"], DEFAULT_GRID)

@@ -5,7 +5,8 @@ Each built spec's slots and symbols are pinned by the SHA-256 of
 receiver's `max_residual` plus a digest of every recovered value's type and
 bits, over seeds 0-1 at power 1e4.  Any change to a stream label, a slot, a
 symbol or the order of a decoder's arithmetic shows here, and so in the
-`--dump-*` files and the CSV residuals.
+`--dump-*` files and the CSV residuals.  Each case's secrecy roles and
+scored receivers are pinned too.
 """
 
 import hashlib
@@ -209,3 +210,30 @@ def test_secrecy_roles(case_id):
         variant = case_id.split("-", 1)[1]
         assert (len(roles[0][1]), hashlib.sha256(repr(roles).encode()).hexdigest()) \
             == SECRECY_ROLE_DIGESTS[variant]
+
+
+# Each scheme's scored receivers: the nodes other than the eavesdropper that
+# are sent messages, in topology order; a composite variant has its scheme's.
+RECEIVERS = {
+    "WT_PP": ("rx1",),
+    "WT_DP": ("rx1",),
+    "WT_PD": ("rx1",),
+    "WT_DD_23": ("rx1",),
+    "MR_PPD": ("rx1", "rx2"),
+    "MR_PDP": ("rx1", "rx2"),
+    "MR_DDP": ("rx1", "rx2"),
+    "MR_PDD": ("rx1",),
+    "MR_S30_29_A": ("rx1", "rx2"),
+    "MR_S30_29_B": ("rx1", "rx2"),
+    "SUB_PD_DP_UNICAST": ("rx1", "rx2"),
+    "SUB_SECURE_MULTICAST": ("rx1", "rx2"),
+    "BC_PP_S2": ("rx1", "rx2"),
+    "BC_DD_S1": ("rx1", "rx2"),
+    "BC_S1_43": ("rx1", "rx2"),
+    "BC_S2_43": ("rx1", "rx2"),
+}
+
+
+@pytest.mark.parametrize("case_id", CASES)
+def test_receivers(case_id):
+    assert _build(case_id).receivers == RECEIVERS[CASES[case_id][0]]

@@ -185,7 +185,7 @@ class TestAssemble:
         channels = sample_channel(spec.topology, 1, seed=0)
         trace = run_scheme(spec, channels, PowerBudget(1.0), "noiseless", 0)
         system = assemble_effective_system(trace)
-        assert system.n_obs == 0
+        assert {m.shape for m in system.matrices.values()} == {(0, 0)}
         report = decode(trace)
         assert report.all_success
 
@@ -338,8 +338,10 @@ class TestStacked:
                     spec, sample_channel(spec.topology, spec.n_slots, seed), power, mode, seed))
                 item = systems.item(i)
                 assert item.symbols == one.symbols
-                assert item.slot_of_row == one.slot_of_row
+                assert item.matrices.keys() == one.matrices.keys()
                 for node, mat in one.matrices.items():
+                    assert item.matrices[node].shape == mat.shape == (
+                        spec.n_slots, len(spec.symbols))
                     assert item.matrices[node].tobytes() == mat.tobytes()
                     assert not item.matrices[node].flags.writeable
 
@@ -457,7 +459,8 @@ class TestBlocks:
         assert len(systems.blocks) == n_blocks
         rows = np.concatenate([rows for rows, _ in systems.blocks])
         cols = np.concatenate([cols for _, cols in systems.blocks])
-        assert sorted(rows.tolist()) == list(range(systems.n_obs))
+        assert {m.shape[-2] for m in systems.matrices.values()} == {spec.n_slots}
+        assert sorted(rows.tolist()) == list(range(spec.n_slots))
         assert sorted(cols.tolist()) == list(range(len(systems.symbols)))
         for node, mats in systems.matrices.items():
             outside = mats.copy()
@@ -470,8 +473,7 @@ class TestBlocks:
         n_symbols = matrices[0].shape[-1]
         return EffectiveLinearSystem(
             symbols=tuple(SymbolDecl(f"s{i}", "rx1") for i in range(n_symbols)),
-            matrices={f"n{i}": np.asarray(m, dtype=complex) for i, m in enumerate(matrices)},
-            slot_of_row=tuple(range(matrices[0].shape[-2])))
+            matrices={f"n{i}": np.asarray(m, dtype=complex) for i, m in enumerate(matrices)})
 
     def test_one_entry_couples_two_blocks(self):
         apart = np.array([[1.0, 2.0, 0.0, 0.0, 0.0],

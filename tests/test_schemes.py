@@ -633,6 +633,14 @@ class TestDecode:
         spec, trace = _run("MR_PDD", seed=1)
         report = decode(trace)
         assert report.adversary[EVE] == {"v": False}
+        assert list(report.nodes) == [RX1]      # rx2 is sent no messages
+
+    @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+    def test_reports_score_exactly_the_receivers(self, scheme_id):
+        spec = build_scheme(scheme_id)
+        for batch in run_seed_batches(spec, range(2), PowerBudget(1e4)):
+            for report in decode_batch(batch):
+                assert tuple(report.nodes) == spec.receivers
 
     def test_fallback_composite_decodes(self):
         spec, trace = _run("MR_S30_29_A", sub="fallback32", seed=6)
@@ -686,10 +694,18 @@ class TestAccounting:
         assert report.nominal_sdof == {RX1: Fraction(1), RX2: Fraction(1, 2)}
 
     def test_multicast_rate(self):
-        report = accounting(build_scheme("SUB_SECURE_MULTICAST"))
-        assert report.slots_total == 16
+        spec = build_scheme("SUB_SECURE_MULTICAST")
+        report = accounting(spec)
+        assert spec.n_slots == 16
         assert report.symbols_per_receiver == {RX1: 10, RX2: 10}
         assert report.nominal_sdof[RX1] == Fraction(5, 8)
+
+    @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+    def test_keyed_by_the_receivers(self, scheme_id):
+        spec = build_scheme(scheme_id)
+        report = accounting(spec)
+        assert tuple(report.symbols_per_receiver) == spec.receivers
+        assert tuple(report.nominal_sdof) == spec.receivers
 
     def test_wiretap_delayed_rate(self):
         report = accounting(build_scheme("WT_DD_23"))
