@@ -13,7 +13,7 @@ import numpy as np
 from sdof_lab import RX1, PowerBudget, accounting, build_scheme, composite_accounting
 from sdof_lab.analysis import DEFAULT_GRID, prelogs
 from sdof_lab.precoding import assemble_effective_systems
-from sdof_lab.schemes import SUB_PROTOCOLS, rate_series, run_seed_batches
+from sdof_lab.schemes import SUB_PROTOCOLS, rate_series, run_seed_batches, sub_protocol_dof
 
 
 def main():
@@ -26,7 +26,7 @@ def main():
     for sub in SUB_PROTOCOLS:
         spec = build_scheme("MR_S30_29_A", sub=sub)
         measured = accounting(spec)
-        predicted = composite_accounting(spec.layout["sub_dof"])
+        predicted = composite_accounting(sub_protocol_dof(spec))
         slopes = np.concatenate([
             prelogs(rate_series(spec, assemble_effective_systems(batch), DEFAULT_GRID),
                     spec.n_slots, DEFAULT_GRID)[RX1]

@@ -14,8 +14,6 @@ every computation treats the channel matrices as known side information.
 from __future__ import annotations
 
 import math
-import mmap
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -201,23 +199,24 @@ def _quad(values: np.ndarray, whitener: np.ndarray) -> np.ndarray:
     return np.sum(np.square(w.real) + np.square(w.imag), axis=1)
 
 
-# Each thread's buffer for the oracle's variates held whole (`_held_variates`).
-_held = threading.local()
-
-
-def _held_variates(n: int, k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uninitialised (2, n, k) and (n, d) float arrays, views of one private
-    anonymous memory mapping that the calling thread keeps and reuses,
-    remapped only when a call needs more.  Off the malloc heap, the blocks
-    (up to 27.5 MiB) leave glibc's mmap threshold where it was, so freed
-    heap pages do not pile up under them; kept, they are faulted in once
-    per thread instead of at every call."""
-    size = n * (2 * k + d)
-    if getattr(_held, "buf", None) is None or _held.buf.size < size:
-        _held.buf = None                         # unmap the smaller buffer first
-        _held.buf = np.frombuffer(mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE))
-    buf = _held.buf
-    return buf[:2 * n * k].reshape(2, n, k), buf[2 * n * k:size].reshape(n, d)
+def _block_streams(gen: np.random.Generator, n_rows: int,
+                   widths: Sequence[int]) -> list[np.random.Generator]:
+    """Generators at the starts of the consecutive blocks `gen` draws next,
+    block j being (n_rows, widths[j]) standard normals: `gen` itself for
+    the first block, and for each later one a copy of the previous block's
+    start (its `bit_generator.state`) advanced past that block by drawing
+    it in `MC_CHUNK_ROWS`-row chunks and discarding them.  A generator
+    fills element by element, so each block then yields, in chunks of any
+    size, the normals of one whole draw."""
+    starts = [gen]
+    scratch = np.empty(min(n_rows, MC_CHUNK_ROWS) * max(widths, default=0))
+    for width in widths[:-1]:
+        walker = np.random.Generator(np.random.Philox(key=0))
+        walker.bit_generator.state = starts[-1].bit_generator.state
+        for start in range(0, n_rows, MC_CHUNK_ROWS):
+            walker.standard_normal(out=scratch[:min(MC_CHUNK_ROWS, n_rows - start) * width])
+        starts.append(walker)
+    return starts
 
 
 def mc_mi_oracle(system: EffectiveLinearSystem, node: str, secret: Iterable[str],
@@ -230,14 +229,15 @@ def mc_mi_oracle(system: EffectiveLinearSystem, node: str, secret: Iterable[str]
     converges to the log-det expression but exercises none of its code.
 
     The variates are the real and imaginary standard normal draws of `s`,
-    then of the noise, in the order `rng.complex_normal` draws them.  `s`
-    and the noise's real parts are held whole, in the thread's reused
-    `_held_variates` mapping; the noise's imaginary parts, the last draws
-    of the substream, are drawn per chunk, in stream order, into one
-    buffer, which gives the same normals as one whole draw.  The complex
-    samples, `y`, the conditional mean and both quadratic forms are formed
-    `MC_CHUNK_ROWS` rows at a time; the whitening factors and log-dets are
-    taken once, and one float per sample is kept.  Each sample's term depends only on its own row, so it has the
+    then of the noise, in the order `rng.complex_normal` draws them: four
+    consecutive blocks of one substream.  No block is held whole: one
+    generator per block (`_block_streams`, which draws and discards the
+    n * (2k + d) normals before the last block's start) draws all four in
+    lockstep, `MC_CHUNK_ROWS` rows at a time, into per-call buffers of
+    MC_CHUNK_ROWS * (2k + 2d) floats, and the complex samples, `y`, the
+    conditional mean and both quadratic forms are formed per chunk; the
+    whitening factors and log-dets are taken once, and one float per sample
+    is kept.  Each sample's term depends only on its own row, so it has the
     bits of one whole-array pass (tests pin this against that formula), and
     the mean and standard deviation read the same full array.
     """
@@ -249,11 +249,9 @@ def mc_mi_oracle(system: EffectiveLinearSystem, node: str, secret: Iterable[str]
     if d > 8:
         raise DimensionTooLarge(f"observation dimension {d} exceeds the desk cap 8")
 
-    gen = rng.stream(seed, "mc-mi", node)
-    s_parts, noise_re = _held_variates(n_samples, k, d)
-    gen.standard_normal(out=s_parts)                        # real, then imaginary
-    gen.standard_normal(out=noise_re)
-    im_buf = np.empty((min(n_samples, MC_CHUNK_ROWS), d))     # the noise's imaginary parts
+    widths = (k, k, d, d)       # real, then imaginary parts of s, then of the noise
+    gens = _block_streams(rng.stream(seed, "mc-mi", node), n_samples, widths)
+    bufs = [np.empty((min(n_samples, MC_CHUNK_ROWS), width)) for width in widths]
 
     c_full = np.eye(d) + p * (r_keep @ r_keep.conj().T)
     r_nuis = r_keep[:, ~secret_mask]
@@ -266,13 +264,15 @@ def mc_mi_oracle(system: EffectiveLinearSystem, node: str, secret: Iterable[str]
     amplitude = math.sqrt(p)
     per_sample = np.empty(n_samples)
     for start in range(0, n_samples, MC_CHUNK_ROWS):
-        rows = slice(start, start + MC_CHUNK_ROWS)
-        s = rng.complex_from_parts(*s_parts[:, rows])
-        noise_im = gen.standard_normal(out=im_buf[:min(MC_CHUNK_ROWS, n_samples - start)])
-        noise = rng.complex_from_parts(noise_re[rows], noise_im)
+        rows = min(MC_CHUNK_ROWS, n_samples - start)
+        s_re, s_im, noise_re, noise_im = (
+            gen.standard_normal(out=buf[:rows]) for gen, buf in zip(gens, bufs))
+        s = rng.complex_from_parts(s_re, s_im)
+        noise = rng.complex_from_parts(noise_re, noise_im)
         y = amplitude * (s @ r_keep.T) + noise
         mean = amplitude * (s[:, secret_mask] @ r_secret.T)
-        per_sample[rows] = (_quad(y, w_full) - _quad(y - mean, w_cond)) / ln2 + offset
+        per_sample[start:start + rows] = (
+            (_quad(y, w_full) - _quad(y - mean, w_cond)) / ln2 + offset)
     bits = float(np.mean(per_sample))
     stderr = float(np.std(per_sample, ddof=1) / math.sqrt(n_samples))
     return MiResult(bits=bits, power=p, std_error=stderr)

@@ -124,7 +124,7 @@ def stream(seed: int, *tag) -> np.random.Generator:
 
 
 _ZEROS = [0, 0, 0, 0]
-_SQRT2 = np.sqrt(2.0)
+_INV_SQRT2 = 1 / np.sqrt(2.0)
 _reused = threading.local()
 
 
@@ -142,8 +142,16 @@ def _keyed(key: list[int]) -> np.random.Generator:
 
 def complex_from_parts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """The complex values (re + 1j*im) / sqrt(2) of real and imaginary
-    standard normal draws: circularly-symmetric, unit variance."""
-    return (re + 1j * im) / _SQRT2
+    standard normal draws: circularly-symmetric, unit variance.
+
+    numpy divides a complex array by a real scalar by multiplying each part
+    by the rounded reciprocal, so scaling the parts straight into the real
+    and imaginary views of one complex array gives the same bits for every
+    nonzero part, without the intermediate complex arrays."""
+    out = np.empty(np.shape(re), dtype=complex)
+    np.multiply(re, _INV_SQRT2, out=out.real)
+    np.multiply(im, _INV_SQRT2, out=out.imag)
+    return out
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:

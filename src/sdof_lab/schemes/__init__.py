@@ -17,6 +17,7 @@ from ..precoding import (
 )
 from . import composite, library
 from .accounting import AccountingReport, accounting, composite_accounting
+from .composite import sub_protocol_dof
 from .program import (
     Axis,
     Comb,
@@ -239,4 +240,5 @@ __all__ = [
     "run_scheme",
     "run_seed_batches",
     "seed_chunks",
+    "sub_protocol_dof",
 ]

@@ -14,6 +14,7 @@ from typing import Mapping
 
 from ..errors import NonPositiveSubDof
 from ..model import RX1, RX2
+from .composite import sub_protocol_dof
 
 
 @dataclass(frozen=True)
@@ -48,15 +49,16 @@ def accounting(spec) -> AccountingReport:
     keyed by the scheme's receivers (`spec.receivers`); a node that is sent
     no messages has no entry.
 
-    For composite schemes, whose layout records their sub-protocol's rate,
-    the result is cross-checked against the closed-form bookkeeping at that
-    rate, whose sub-protocol assumptions it reports.
+    For composite schemes, whose layout names their sub-protocol, the
+    result is cross-checked against the closed-form bookkeeping at that
+    sub-protocol's rate (`sub_protocol_dof`), whose assumptions it reports.
     """
     symbols = {node: len(spec.message_sids(node)) for node in spec.receivers}
     nominal = {node: Fraction(c, spec.n_slots) for node, c in symbols.items()}
-    if "sub_dof" not in spec.layout:
+    sub_dof = sub_protocol_dof(spec)
+    if sub_dof is None:
         return AccountingReport(symbols, nominal)
-    predicted = composite_accounting(spec.layout["sub_dof"])
+    predicted = composite_accounting(sub_dof)
     if predicted.nominal_sdof != nominal:
         raise AssertionError(
             "composite accounting disagrees with the bookkeeping formula: "

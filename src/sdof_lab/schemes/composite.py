@@ -201,6 +201,13 @@ _SUB_BLOCKS = {
 }
 
 
+def sub_protocol_dof(spec) -> Fraction | None:
+    """The sum rate of the sub-protocol a composite plugs in, looked up by
+    the name its layout records; None for a scheme that plugs in none."""
+    sub = spec.layout.get("sub")
+    return None if sub is None else _SUB_BLOCKS[sub]["sum_dof"]
+
+
 # -- unicast batches ----------------------------------------------------------------
 
 def build_unicast_batches(plans: list, rules: dict, first: str,
@@ -396,7 +403,7 @@ def build_mr_s30_29(scheme_id: str, first: str, sub: str = "tjsp53",
                for k in range(blocks)]
     multicast = build_secure_multicast(plans, symbols, first, commons, rules, "m{}-", "z{}-")
     return _spec(scheme_id, Topology.multi_receiver(), plans, symbols,
-                 {"first": first, "sub": sub, "sub_dof": rules["sum_dof"], "blocks": blocks,
+                 {"first": first, "sub": sub, "blocks": blocks,
                   "si_units": si_units, "multicast": multicast})
 
 

@@ -12,7 +12,8 @@ node's entry in the slot state is P, and reconstructed observations must
 come from slots 0..t-1.  Violations raise CsitViolation and always indicate
 a scheme-library bug (or a deliberately mutated plan in tests).  An antenna
 outside the transmitter's, a node outside the topology, or a stream label
-that the referenced slot never sent raises BadParams; every one of these
+that the referenced slot never sent raises BadParams, and so does a
+combination coefficient that is not a finite number; every one of these
 errors names the slot that holds the bad reference.
 
 Execution keeps two synchronized views of every quantity: the numeric value
@@ -38,6 +39,7 @@ the channels and runs memory-bounded batches (`seed_chunks`).
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -385,6 +387,13 @@ def _indices(items) -> np.ndarray:
     return np.array(list(items), dtype=np.intp)
 
 
+def _finite_number(value) -> bool:
+    try:
+        return cmath.isfinite(value)
+    except (TypeError, OverflowError):      # not a number, or an int beyond floats
+        return False
+
+
 def compile_spec(spec: SchemeSpec) -> _Program:
     """Check a slot program's CSIT legality and resolve its seed-independent
     parts, in one walk over its streams; raises what executing the spec
@@ -429,6 +438,9 @@ def compile_spec(spec: SchemeSpec) -> _Program:
         if isinstance(payload, Comb):
             terms = []
             for coef, sub in payload.terms:
+                if not _finite_number(coef):
+                    raise BadParams(f"slot {t}: combination coefficient {coef!r} "
+                                    "is not a finite number")
                 sub = compile_row(sub, t)
                 if isinstance(sub, int):        # a symbol's one-hot row
                     sub = np.eye(1, n_sym, sub, dtype=complex)[0]
@@ -507,8 +519,11 @@ def compile_spec(spec: SchemeSpec) -> _Program:
 
 # Seeds per stacked pass are capped so a batch holds about this many
 # (seed, slot, symbol) cells: the composites' large matrices then take a
-# few seeds at a time, the small schemes all of them.
-BATCH_CELLS = 1 << 15
+# few seeds at a time (11 of the default 58-slot, 100-symbol superframe),
+# the small schemes all of them.  2^16 halves the composites' passes
+# against 2^15, which shortens criterion 3; their batches (about 3 MB more
+# at peak) still stay under criterion 9's streamed peak.
+BATCH_CELLS = 1 << 16
 
 
 class _Sent(NamedTuple):

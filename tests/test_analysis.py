@@ -508,53 +508,52 @@ class TestMcOracle:
                                seed=seed, known=known)
             assert (est.bits, est.std_error) == want, label
 
-    def test_peak_memory_is_the_variates_held_whole(self, monkeypatch, mc_cases):
-        """On the largest case (BC_S1_43/rx2, 200k samples) the traced peak
-        plus the bytes of the thread's `_held_variates` mapping stays within
-        the bytes of the variates held whole, `s`'s real and imaginary parts
-        and the noise's real parts, plus 8 MB: the noise's imaginary parts
-        are drawn per chunk."""
-        import threading
+    @pytest.mark.parametrize("n_samples", [200_000, 400_000])
+    def test_peak_memory_is_the_per_sample_arrays(self, monkeypatch, mc_cases, n_samples):
+        """On the largest case (BC_S1_43/rx2) no variate block is held
+        whole: the traced peak stays within 24 bytes per sample (the
+        per-sample terms and the two temporaries of their standard
+        deviation) plus 4 MiB for the chunk buffers, at 200k and 400k
+        samples.  No memory mapping, which tracemalloc would not see, may
+        hold them instead."""
+        import mmap
         import tracemalloc
 
         from sdof_lab import acceptance
 
+        def no_mapping(*args, **kwargs):
+            raise AssertionError("the oracle maps memory that tracemalloc does not see")
+
+        monkeypatch.setattr(mmap, "mmap", no_mapping)
         (_, system, node, secret, known, seed), = [
             case for case in mc_cases if case[0] == "BC_S1_43/rx2"]
-        d, k = analysis._kept_columns(system, node, secret, known)[0].shape
-        variates = acceptance._MC_SAMPLES * (2 * k + d) * 8
-        monkeypatch.setattr(analysis, "_held", threading.local())
         tracemalloc.start()
         try:
             mc_mi_oracle(system, node, secret, acceptance._MC_POWER,
-                         n_samples=acceptance._MC_SAMPLES, seed=seed, known=known)
+                         n_samples=n_samples, seed=seed, known=known)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # tracemalloc does not see the mapping, which outlives the call
-        peak += analysis._held.buf.nbytes
-        assert peak <= variates + 8 * 2**20, (peak, variates)
+        assert peak <= 24 * n_samples + 4 * 2**20, peak
 
-    def test_held_mapping_is_reused(self, monkeypatch, mc_cases):
-        """A call maps a larger buffer only when it needs more; a smaller
-        call reuses the larger buffer, whose stale draws change no bit."""
-        import threading
-
-        monkeypatch.setattr(analysis, "_held", threading.local())
-        small, large = (case for case in mc_cases if case[0] in ("WT_PP/rx1", "BC_S1_43/rx2"))
-
-        def run(case, n_samples):
-            _, system, node, secret, known, seed = case
-            est = mc_mi_oracle(system, node, secret, 1e4, n_samples=n_samples,
-                               seed=seed, known=known)
-            return (est.bits, est.std_error), analysis._held.buf
-
-        first, small_buf = run(small, 5000)
-        assert run(small, 4000)[1] is small_buf
-        _, large_buf = run(large, 5000)
-        assert large_buf is not small_buf
-        again, buf = run(small, 5000)
-        assert buf is large_buf and again == first
+    @pytest.mark.parametrize("n_rows, widths", [
+        (analysis.MC_CHUNK_ROWS // 4, (2, 2, 3, 3)),
+        (2 * analysis.MC_CHUNK_ROWS + 77, (4, 4, 1, 1)),
+        (3 * analysis.MC_CHUNK_ROWS + 5, (0, 0, 2, 2)),
+    ], ids=["below-one-chunk", "not-divided", "k-0"])
+    def test_block_streams_draw_the_blocks_of_one_whole_draw(self, n_rows, widths):
+        """Each positioned generator, drawn in `MC_CHUNK_ROWS`-row chunks,
+        gives bit for bit its block of one whole draw of the substream."""
+        whole = rng.stream(5, "mc-mi", RX1).standard_normal(n_rows * sum(widths))
+        gens = analysis._block_streams(rng.stream(5, "mc-mi", RX1), n_rows, widths)
+        assert len(gens) == len(widths)
+        offset = 0
+        for gen, width in zip(gens, widths):
+            chunks = [gen.standard_normal((min(analysis.MC_CHUNK_ROWS, n_rows - start), width))
+                      for start in range(0, n_rows, analysis.MC_CHUNK_ROWS)]
+            block = whole[offset:offset + n_rows * width].reshape(n_rows, width)
+            assert np.array_equal(np.concatenate(chunks), block)
+            offset += n_rows * width
 
     def test_every_column_known(self):
         """With every symbol known no column is kept: the variates of `s`

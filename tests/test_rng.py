@@ -123,3 +123,26 @@ def test_empty_requests():
     assert rng.keys([], [("symbols",)]).shape == (0, 1, 2)
     assert rng.keys([3], []).shape == (1, 0, 2)
     assert rng.complex_normals([3], [("symbols",)], 0).shape == (1, 1, 0)
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "strided", "empty"])
+def test_complex_from_parts_equals_dividing_the_complex_sum(layout):
+    """Scaling the parts into one complex array gives the values of
+    (re + 1j*im) / sqrt(2), with the same sign bit on every nonzero part,
+    for contiguous parts, the strided views `complex_normals` passes and
+    empty parts."""
+    gen = np.random.default_rng(4)
+    if layout == "contiguous":
+        re, im = gen.standard_normal((2, 4096, 6))
+    elif layout == "strided":
+        both = gen.standard_normal((300, 2, 7))
+        re, im = both[:, 0], both[:, 1]
+    else:
+        re, im = np.empty((0, 3)), np.empty((0, 3))
+    got = rng.complex_from_parts(re, im)
+    want = (re + 1j * im) / np.sqrt(2.0)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    for source, part, expected in ((re, got.real, want.real), (im, got.imag, want.imag)):
+        nonzero = source != 0
+        assert np.array_equal(np.signbit(part[nonzero]), np.signbit(expected[nonzero]))

@@ -40,7 +40,16 @@ from sdof_lab.schemes import (
     run_seed_batches,
     seed_chunks,
 )
-from sdof_lab.schemes.program import Axis, NullOf, ObsPart, SlotPlan, execute_batch
+from sdof_lab.schemes.program import (
+    Axis,
+    Comb,
+    NullOf,
+    ObsPart,
+    SlotPlan,
+    Sym,
+    compile_spec,
+    execute_batch,
+)
 
 
 # every scheme, plus the composites' other sub-protocol and a longer superframe
@@ -267,6 +276,32 @@ class TestRun:
         channels = sample_channel(spec.topology, spec.n_slots, 0)
         with pytest.raises(error, match=f"^slot {slot}: "):
             run_scheme(replace(spec, slot_plans=tuple(plans)), channels, PowerBudget(1e4))
+
+    @pytest.mark.parametrize("coef", [
+        float("nan"), float("inf"), -float("inf"), complex(1.0, float("nan")),
+        np.float64("inf"), 10 ** 400, "1", None,
+    ], ids=["nan", "inf", "minus-inf", "complex-nan", "numpy-inf", "huge-int", "str", "none"])
+    @pytest.mark.parametrize("slot, payload", [
+        (0, lambda c: Comb(((c, Sym("u1")),))),
+        (1, lambda c: Comb(((1.0, Sym("v1")), (c, ObsPart(RX1, 0))))),
+        (1, lambda c: Comb(((1.0, ObsPart(RX1, 0)), (1.0, Comb(((c, Sym("v2")),)))))),
+    ], ids=["fixed-row", "channel-row", "nested"])
+    def test_combination_coefficient_not_a_finite_number(self, slot, payload, coef):
+        """A coefficient that is not a finite number, in a fixed row or in a
+        channel-dependent one, at any depth, fails compilation with an
+        error that names its slot; WT_DD_23's first stream of the slot
+        carries it."""
+        spec = build_scheme("WT_DD_23")
+        plans = list(spec.slot_plans)
+        first, *rest = plans[slot].streams
+        plans[slot] = SlotPlan(plans[slot].state,
+                               (first._replace(payload=payload(coef)), *rest))
+        with pytest.raises(BadParams, match=f"^slot {slot}: combination coefficient"):
+            compile_spec(replace(spec, slot_plans=tuple(plans)))
+        plans[slot] = SlotPlan(plans[slot].state,
+                               (first._replace(payload=payload(2.5 - 1j)), *rest))
+        compile_spec(replace(spec, slot_plans=tuple(plans)))
+
 
 def _batch_bytes(batch) -> list:
     """Every number a batch records, with its shape, as bytes, in a fixed
