@@ -64,10 +64,10 @@ _DECODERS: dict[str, Callable] = {
     "MR_PDP": library.decode_mr_pdp,
     "MR_DDP": library.decode_mr_ddp,
     "MR_PDD": library.decode_wt_zf,
-    "MR_S30_29_A": composite.decode_mr_s30_29,
-    "MR_S30_29_B": composite.decode_mr_s30_29,
-    "SUB_PD_DP_UNICAST": composite.decode_sub_pd_dp_unicast,
-    "SUB_SECURE_MULTICAST": composite.decode_sub_secure_multicast,
+    "MR_S30_29_A": composite.decode_composite,
+    "MR_S30_29_B": composite.decode_composite,
+    "SUB_PD_DP_UNICAST": composite.decode_composite,
+    "SUB_SECURE_MULTICAST": composite.decode_composite,
     "BC_PP_S2": library.decode_mr_ppd,
     "BC_DD_S1": library.decode_bc_dd_s1,
     "BC_S1_43": library.decode_bc_43,

@@ -1,7 +1,9 @@
 """Composite schemes built from reusable sub-protocols.
 
-Each sub-protocol has one builder and one decoder, which the standalone
-schemes and the superframe both call:
+Each sub-protocol has one builder, which the standalone schemes and the
+superframe both call.  A builder appends its slots from the first free one
+(`len(plans)`) and returns its decoder, a closure over the slot positions
+and stream labels it just built:
 
 * a 6-slot unicast block alternating which receiver enjoys current CSIT
   (3 + 3 slots), delivering 5 payload values to each receiver (sum rate 5/3);
@@ -19,7 +21,8 @@ The headline composite superframe spends its first phase disseminating fresh
 triples under noise cover, then composes the sub-protocol builders: unicast
 batches ship the eavesdropper-side observations (already known to the
 adversary, hence free to send in clear), and the secure multicast delivers
-the one genuinely secret common combination each block needs.
+the one genuinely secret common combination each block needs.  A composite
+spec's layout holds its decoder, which `decode_composite` calls.
 """
 
 from __future__ import annotations
@@ -51,16 +54,17 @@ def _other(node: str) -> str:
 
 # -- 6-slot unicast block (sum rate 5/3) -----------------------------------------
 
-def build_unicast_half(plans: list, t0: int, lead: str,
-                       lead_payloads: list, trail_payloads: list, tag: str) -> dict:
+def build_unicast_half(plans: list, lead: str, lead_payloads: list,
+                       trail_payloads: list, tag: str):
     """Three slots delivering 3 payload values to `lead` and 2 to the other.
 
     Slots 1-2 know `lead`'s current channel and null the trailing payloads
     there; slot 3 knows the trailing receiver's channel, repeats the lead-side
     mixture it already overheard (so the trailing receiver can strip it) and
-    adds a fresh generic combination for the lead's third equation.
+    adds a fresh generic combination for the lead's third equation.  The
+    decoder returns the 3 lead-side and the 2 trail-side values.
     """
-    trail = _other(lead)
+    t0, trail = len(plans), _other(lead)
     a_labels = tuple(f"{tag}a{i}" for i in range(3))
     xi = ObsPart(trail, t0, streams=a_labels)
     plans.append(SlotPlan(_state_p_at((lead,)), (
@@ -78,62 +82,52 @@ def build_unicast_half(plans: list, t0: int, lead: str,
         _st(f"{tag}mu", mu, NullOf(((trail, t0 + 2),))),
         _st(f"{tag}nu", xi, Axis(0)),
     )))
-    return {"t0": t0, "lead": lead, "trail": trail, "tag": tag,
-            "a_labels": a_labels, "m": _MIX}
+
+    def decode(view) -> tuple[list[complex], list[complex]]:
+        xi_hat = view.rv(lead, t0 + 1) / view.rc(lead, t0 + 1, f"{tag}xi")
+        mu_hat = (view.rv(lead, t0 + 2)
+                  - view.rc(lead, t0 + 2, f"{tag}nu") * xi_hat) \
+            / view.rc(lead, t0 + 2, f"{tag}mu")
+        rows = view.rows(t0, a_labels, (lead, trail)) + [list(_MIX)]
+        lead_vals = list(_solve(rows, [view.rv(lead, t0), xi_hat, mu_hat]))
+
+        xi_trail = view.rv(trail, t0 + 2) / view.rc(trail, t0 + 2, f"{tag}nu")
+        qa = (view.rv(trail, t0) - xi_trail) / view.rc(trail, t0, f"{tag}qa")
+        qb = (view.rv(trail, t0 + 1)
+              - view.rc(trail, t0 + 1, f"{tag}xi") * xi_trail) \
+            / view.rc(trail, t0 + 1, f"{tag}qb")
+        return lead_vals, [qa, qb]
+    return decode
 
 
-def decode_unicast_half(view, meta) -> tuple[list[complex], list[complex]]:
-    """Recover the 3 lead-side and 2 trail-side payload values."""
-    t0, lead, trail, tag = meta["t0"], meta["lead"], meta["trail"], meta["tag"]
-    a_labels, m = meta["a_labels"], meta["m"]
-    xi_hat = view.rv(lead, t0 + 1) / view.rc(lead, t0 + 1, f"{tag}xi")
-    mu_hat = (view.rv(lead, t0 + 2)
-              - view.rc(lead, t0 + 2, f"{tag}nu") * xi_hat) \
-        / view.rc(lead, t0 + 2, f"{tag}mu")
-    rows = [
-        [view.rc(lead, t0, lab) for lab in a_labels],
-        [view.rc(trail, t0, lab) for lab in a_labels],
-        list(m),
-    ]
-    lead_vals = list(_solve(rows, [view.rv(lead, t0), xi_hat, mu_hat]))
-
-    xi_trail = view.rv(trail, t0 + 2) / view.rc(trail, t0 + 2, f"{tag}nu")
-    qa = (view.rv(trail, t0) - xi_trail) / view.rc(trail, t0, f"{tag}qa")
-    qb = (view.rv(trail, t0 + 1)
-          - view.rc(trail, t0 + 1, f"{tag}xi") * xi_trail) \
-        / view.rc(trail, t0 + 1, f"{tag}qb")
-    return lead_vals, [qa, qb]
-
-
-def build_unicast_block(plans: list, t0: int, first: str,
-                        first_payloads: list, second_payloads: list, tag: str) -> dict:
-    """Six slots delivering 5 payload values to each receiver (3+2 split)."""
+def build_unicast_block(plans: list, first: str, first_payloads: list,
+                        second_payloads: list, tag: str):
+    """Six slots delivering 5 payload values to each receiver (3+2 split);
+    the decoder returns the values delivered to (first, second), in payload
+    order."""
     if len(first_payloads) != 5 or len(second_payloads) != 5:
         raise BadParams("unicast block carries exactly 5 payloads per receiver")
-    second = _other(first)
     half_a = build_unicast_half(
-        plans, t0, first, first_payloads[:3], second_payloads[:2], f"{tag}A")
+        plans, first, first_payloads[:3], second_payloads[:2], f"{tag}A")
     half_b = build_unicast_half(
-        plans, t0 + 3, second, second_payloads[2:5], first_payloads[3:5], f"{tag}B")
-    return {"halves": (half_a, half_b), "first": first}
+        plans, _other(first), second_payloads[2:5], first_payloads[3:5], f"{tag}B")
 
-
-def decode_unicast_block(view, meta) -> tuple[list[complex], list[complex]]:
-    """Values delivered to (first, second), in payload order."""
-    half_a, half_b = meta["halves"]
-    lead_a, trail_a = decode_unicast_half(view, half_a)
-    lead_b, trail_b = decode_unicast_half(view, half_b)
-    return lead_a + trail_b, trail_a + lead_b
+    def decode(view) -> tuple[list[complex], list[complex]]:
+        lead_a, trail_a = half_a(view)
+        lead_b, trail_b = half_b(view)
+        return lead_a + trail_b, trail_a + lead_b
+    return decode
 
 
 # -- 4-slot fallback unicast block (sum rate 3/2) --------------------------------
 
-def build_fallback_block(plans: list, t0: int, first: str,
-                         first_payloads: list, second_payloads: list, tag: str) -> dict:
-    """Four slots delivering 3 payload values to each receiver."""
+def build_fallback_block(plans: list, first: str, first_payloads: list,
+                         second_payloads: list, tag: str):
+    """Four slots delivering 3 payload values to each receiver; the decoder
+    returns the values delivered to (first, second), in payload order."""
     if len(first_payloads) != 3 or len(second_payloads) != 3:
         raise BadParams("fallback block carries exactly 3 payloads per receiver")
-    second = _other(first)
+    t0, second = len(plans), _other(first)
     a_labels = (f"{tag}a0", f"{tag}a1")
     b_labels = (f"{tag}b0", f"{tag}b1")
     plans.append(SlotPlan(_state_p_at((first,)), (
@@ -152,31 +146,21 @@ def build_fallback_block(plans: list, t0: int, first: str,
     plans.append(SlotPlan(_state_p_at((first,)), (
         _st(f"{tag}xi2", ObsPart(first, t0 + 2, streams=b_labels), Axis(0)),
     )))
-    return {"t0": t0, "first": first, "second": second, "tag": tag,
-            "a_labels": a_labels, "b_labels": b_labels}
 
+    def decode(view) -> tuple[list[complex], list[complex]]:
+        xi1_first = view.rv(first, t0 + 1) / view.rc(first, t0 + 1, f"{tag}xi1")
+        p0, p1 = _solve(view.rows(t0, a_labels, (first, second)),
+                        [view.rv(first, t0), xi1_first])
+        xi2_first = view.rv(first, t0 + 3) / view.rc(first, t0 + 3, f"{tag}xi2")
+        p2 = (view.rv(first, t0 + 2) - xi2_first) / view.rc(first, t0 + 2, f"{tag}p2")
 
-def decode_fallback_block(view, meta) -> tuple[list[complex], list[complex]]:
-    t0, first, second, tag = meta["t0"], meta["first"], meta["second"], meta["tag"]
-    a_labels, b_labels = meta["a_labels"], meta["b_labels"]
-    xi1_first = view.rv(first, t0 + 1) / view.rc(first, t0 + 1, f"{tag}xi1")
-    rows = [
-        [view.rc(first, t0, lab) for lab in a_labels],
-        [view.rc(second, t0, lab) for lab in a_labels],
-    ]
-    p0, p1 = _solve(rows, [view.rv(first, t0), xi1_first])
-    xi2_first = view.rv(first, t0 + 3) / view.rc(first, t0 + 3, f"{tag}xi2")
-    p2 = (view.rv(first, t0 + 2) - xi2_first) / view.rc(first, t0 + 2, f"{tag}p2")
-
-    xi1_second = view.rv(second, t0 + 1) / view.rc(second, t0 + 1, f"{tag}xi1")
-    q0 = (view.rv(second, t0) - xi1_second) / view.rc(second, t0, f"{tag}q0")
-    xi2_second = view.rv(second, t0 + 3) / view.rc(second, t0 + 3, f"{tag}xi2")
-    rows = [
-        [view.rc(second, t0 + 2, lab) for lab in b_labels],
-        [view.rc(first, t0 + 2, lab) for lab in b_labels],
-    ]
-    q1, q2 = _solve(rows, [view.rv(second, t0 + 2), xi2_second])
-    return [p0, p1, p2], [q0, q1, q2]
+        xi1_second = view.rv(second, t0 + 1) / view.rc(second, t0 + 1, f"{tag}xi1")
+        q0 = (view.rv(second, t0) - xi1_second) / view.rc(second, t0, f"{tag}q0")
+        xi2_second = view.rv(second, t0 + 3) / view.rc(second, t0 + 3, f"{tag}xi2")
+        q1, q2 = _solve(view.rows(t0 + 2, b_labels, (second, first)),
+                        [view.rv(second, t0 + 2), xi2_second])
+        return [p0, p1, p2], [q0, q1, q2]
+    return decode
 
 
 # The largest superframe built, five times the largest documented size
@@ -185,19 +169,11 @@ def decode_fallback_block(view, meta) -> tuple[list[complex], list[complex]]:
 # allocated.
 MAX_BLOCKS = 200
 
+# Per sub-protocol: payloads per receiver in one block, the block's builder
+# and its exact sum rate.
 _SUB_BLOCKS = {
-    "tjsp53": {
-        "per_side": 5,
-        "build": build_unicast_block,
-        "decode": decode_unicast_block,
-        "sum_dof": Fraction(10, 6),
-    },
-    "fallback32": {
-        "per_side": 3,
-        "build": build_fallback_block,
-        "decode": decode_fallback_block,
-        "sum_dof": Fraction(6, 4),
-    },
+    "tjsp53": (5, build_unicast_block, Fraction(10, 6)),
+    "fallback32": (3, build_fallback_block, Fraction(6, 4)),
 }
 
 
@@ -205,40 +181,46 @@ def sub_protocol_dof(spec) -> Fraction | None:
     """The sum rate of the sub-protocol a composite plugs in, looked up by
     the name its layout records; None for a scheme that plugs in none."""
     sub = spec.layout.get("sub")
-    return None if sub is None else _SUB_BLOCKS[sub]["sum_dof"]
+    return None if sub is None else _SUB_BLOCKS[sub][2]
 
 
 # -- unicast batches ----------------------------------------------------------------
 
-def build_unicast_batches(plans: list, rules: dict, first: str,
-                          to_first: list, to_second: list, tag: str) -> list:
-    """Sub-protocol blocks of `rules["per_side"]` payloads per receiver, in
-    order, delivering `to_first` to `first` and `to_second` to the other
-    receiver; block m's streams are tagged `tag.format(m)`."""
-    per_side = rules["per_side"]
-    return [rules["build"](plans, len(plans), first, to_first[lo:lo + per_side],
-                           to_second[lo:lo + per_side], tag.format(m))
-            for m, lo in enumerate(range(0, len(to_first), per_side))]
+def build_unicast_batches(plans: list, sub: str, first: str,
+                          to_first: list, to_second: list, tag: str):
+    """Blocks of sub-protocol `sub`, in order, delivering `to_first` to
+    `first` and `to_second` to the other receiver; block m's streams are
+    tagged `tag.format(m)`.  The decoder returns the values delivered to
+    (first, second), in payload order."""
+    per_side, build, _ = _SUB_BLOCKS[sub]
+    blocks = [build(plans, first, to_first[lo:lo + per_side],
+                    to_second[lo:lo + per_side], tag.format(m))
+              for m, lo in enumerate(range(0, len(to_first), per_side))]
 
-
-def decode_unicast_batches(view, rules: dict, metas: list) -> tuple[list, list]:
-    """Values delivered to (first, second), in payload order."""
-    to_first: list[complex] = []
-    to_second: list[complex] = []
-    for meta in metas:
-        f_vals, s_vals = rules["decode"](view, meta)
-        to_first += f_vals
-        to_second += s_vals
-    return to_first, to_second
+    def decode(view) -> tuple[list, list]:
+        got_first: list[complex] = []
+        got_second: list[complex] = []
+        for block in blocks:
+            f_vals, s_vals = block(view)
+            got_first += f_vals
+            got_second += s_vals
+        return got_first, got_second
+    return decode
 
 
 # -- secure multicast: 2-slot pairs, then their keys unicast back -------------------
 
-def build_mc_pair(plans: list, t0: int, first: str,
-                  pay_first, pay_second, qa_sid: str, qb_sid: str, tag: str) -> dict:
+def build_mc_pair(plans: list, first: str, pay_first, pay_second,
+                  qa_sid: str, qb_sid: str, tag: str):
     """Two slots, one common value each, masked by noise nulled only at the
-    receiver meant to read it directly."""
-    second = _other(first)
+    receiver meant to read it directly.
+
+    The decoder takes the eavesdropper's slot-2 observation (`zeta_first`,
+    unicast to `first`) and its slot-1 observation (`zeta_second`, unicast
+    to the second receiver), and returns ((val_a, val_b) as seen by first,
+    same by second).
+    """
+    t0, second = len(plans), _other(first)
     plans.append(SlotPlan(_state_p_at((first,)), (
         _st(f"{tag}v", pay_first, Axis(0)),
         _st(f"{tag}qa", Sym(qa_sid), NullOf(((first, t0),))),
@@ -247,65 +229,57 @@ def build_mc_pair(plans: list, t0: int, first: str,
         _st(f"{tag}w", pay_second, Axis(0)),
         _st(f"{tag}qb", Sym(qb_sid), NullOf(((second, t0 + 1),))),
     )))
-    return {"t0": t0, "first": first, "second": second, "tag": tag}
 
+    def decode(view, zeta_first: complex, zeta_second: complex) -> tuple:
+        a_first = view.rv(first, t0) / view.rc(first, t0, f"{tag}v")
+        b_first, _ = _solve(view.rows(t0 + 1, (f"{tag}w", f"{tag}qb"), (first, EVE)),
+                            [view.rv(first, t0 + 1), zeta_first])
 
-def decode_mc_pair(view, meta, zeta_first: complex, zeta_second: complex) -> tuple:
-    """Both common values at each receiver.
-
-    `zeta_second` is the eavesdropper's slot-1 observation (unicast to the
-    second receiver); `zeta_first` its slot-2 observation (unicast to the
-    first).  Returns ((val_a, val_b) as seen by first, same by second).
-    """
-    t0, first, second, tag = meta["t0"], meta["first"], meta["second"], meta["tag"]
-    a_first = view.rv(first, t0) / view.rc(first, t0, f"{tag}v")
-    rows = [
-        [view.rc(first, t0 + 1, f"{tag}w"), view.rc(first, t0 + 1, f"{tag}qb")],
-        [view.rc(EVE, t0 + 1, f"{tag}w"), view.rc(EVE, t0 + 1, f"{tag}qb")],
-    ]
-    b_first, _ = _solve(rows, [view.rv(first, t0 + 1), zeta_first])
-
-    b_second = view.rv(second, t0 + 1) / view.rc(second, t0 + 1, f"{tag}w")
-    rows = [
-        [view.rc(second, t0, f"{tag}v"), view.rc(second, t0, f"{tag}qa")],
-        [view.rc(EVE, t0, f"{tag}v"), view.rc(EVE, t0, f"{tag}qa")],
-    ]
-    a_second, _ = _solve(rows, [view.rv(second, t0), zeta_second])
-    return (a_first, b_first), (a_second, b_second)
+        b_second = view.rv(second, t0 + 1) / view.rc(second, t0 + 1, f"{tag}w")
+        a_second, _ = _solve(view.rows(t0, (f"{tag}v", f"{tag}qa"), (second, EVE)),
+                             [view.rv(second, t0), zeta_second])
+        return (a_first, b_first), (a_second, b_second)
+    return decode
 
 
 def build_secure_multicast(plans: list, symbols: list, first: str, payloads: list,
-                           rules: dict, pair_tag: str, unit_tag: str) -> dict:
+                           sub: str, pair_tag: str, unit_tag: str):
     """Every payload to both receivers, each seen by the eavesdropper only
     through fresh noise.
 
     Pair j carries payloads 2j and 2j+1 under the noise symbols `qa{j}` and
     `qb{j}` (declared here) with its streams tagged `pair_tag.format(j)`.
-    Unicast batches tagged `unit_tag` then return the eavesdropper's slot-2
-    observations to `first` and its slot-1 observations to the other.
+    Unicast batches of sub-protocol `sub` tagged `unit_tag` then return the
+    eavesdropper's slot-2 observations to `first` and its slot-1
+    observations to the other.  The decoder returns the payloads as
+    recovered by (first, second), in order.
     """
-    n_pairs = len(payloads) // 2
+    t0, n_pairs = len(plans), len(payloads) // 2
     symbols += [SymbolDecl(f"qa{j}", "noise") for j in range(n_pairs)]
     symbols += [SymbolDecl(f"qb{j}", "noise") for j in range(n_pairs)]
-    pairs = [build_mc_pair(plans, len(plans), first, payloads[2 * j], payloads[2 * j + 1],
+    pairs = [build_mc_pair(plans, first, payloads[2 * j], payloads[2 * j + 1],
                            f"qa{j}", f"qb{j}", pair_tag.format(j))
              for j in range(n_pairs)]
-    units = build_unicast_batches(plans, rules, first,
-                                  [ObsPart(EVE, pair["t0"] + 1) for pair in pairs],
-                                  [ObsPart(EVE, pair["t0"]) for pair in pairs], unit_tag)
-    return {"pairs": pairs, "units": units}
+    units = build_unicast_batches(plans, sub, first,
+                                  [ObsPart(EVE, t0 + 2 * j + 1) for j in range(n_pairs)],
+                                  [ObsPart(EVE, t0 + 2 * j) for j in range(n_pairs)],
+                                  unit_tag)
+
+    def decode(view) -> tuple[list, list]:
+        zeta_first, zeta_second = units(view)
+        w_first: list[complex] = []
+        w_second: list[complex] = []
+        for pair, z_first, z_second in zip(pairs, zeta_first, zeta_second):
+            (a1, b1), (a2, b2) = pair(view, z_first, z_second)
+            w_first += [a1, b1]
+            w_second += [a2, b2]
+        return w_first, w_second
+    return decode
 
 
-def decode_secure_multicast(view, meta, rules: dict) -> tuple[list, list]:
-    """The payloads as recovered by (first, second), in order."""
-    zeta_first, zeta_second = decode_unicast_batches(view, rules, meta["units"])
-    w_first: list[complex] = []
-    w_second: list[complex] = []
-    for pair, z_first, z_second in zip(meta["pairs"], zeta_first, zeta_second):
-        (a1, b1), (a2, b2) = decode_mc_pair(view, pair, z_first, z_second)
-        w_first += [a1, b1]
-        w_second += [a2, b2]
-    return w_first, w_second
+def decode_composite(view) -> dict:
+    """The decoder a composite scheme's builder put in its layout."""
+    return view.spec.layout["decode"](view)
 
 
 # -- standalone sub-protocol schemes ----------------------------------------------
@@ -316,21 +290,21 @@ def build_sub_pd_dp_unicast() -> SchemeSpec:
     symbols = [SymbolDecl(f"a{i}", RX1) for i in range(5)]
     symbols += [SymbolDecl(f"b{i}", RX2) for i in range(5)]
     plans: list[SlotPlan] = []
-    meta = build_unicast_block(
-        plans, 0, RX1,
+    unit = build_unicast_block(
+        plans, RX1,
         [Sym(f"a{i}") for i in range(5)],
         [Sym(f"b{i}") for i in range(5)],
         "u",
     )
-    return _spec("SUB_PD_DP_UNICAST", topo, plans, symbols, {"unit": meta}, secure=False)
 
-
-def decode_sub_pd_dp_unicast(view) -> dict:
-    first_vals, second_vals = decode_unicast_block(view, view.spec.layout["unit"])
-    return {
-        RX1: {f"a{i}": first_vals[i] for i in range(5)},
-        RX2: {f"b{i}": second_vals[i] for i in range(5)},
-    }
+    def decode(view) -> dict:
+        first_vals, second_vals = unit(view)
+        return {
+            RX1: {f"a{i}": first_vals[i] for i in range(5)},
+            RX2: {f"b{i}": second_vals[i] for i in range(5)},
+        }
+    return _spec("SUB_PD_DP_UNICAST", topo, plans, symbols, {"decode": decode},
+                 secure=False)
 
 
 def build_sub_secure_multicast() -> SchemeSpec:
@@ -343,16 +317,13 @@ def build_sub_secure_multicast() -> SchemeSpec:
     symbols = [SymbolDecl(sid, "both") for sid in commons]
     plans: list[SlotPlan] = []
     multicast = build_secure_multicast(plans, symbols, RX1, [Sym(sid) for sid in commons],
-                                       _SUB_BLOCKS["tjsp53"], "p{}", "u")
+                                       "tjsp53", "p{}", "u")
+
+    def decode(view) -> dict:
+        w_first, w_second = multicast(view)
+        return {RX1: dict(zip(commons, w_first)), RX2: dict(zip(commons, w_second))}
     return _spec("SUB_SECURE_MULTICAST", Topology.multi_receiver(), plans, symbols,
-                 {"multicast": multicast})
-
-
-def decode_sub_secure_multicast(view) -> dict:
-    commons = view.spec.message_sids(RX1)
-    w_first, w_second = decode_secure_multicast(
-        view, view.spec.layout["multicast"], _SUB_BLOCKS["tjsp53"])
-    return {RX1: dict(zip(commons, w_first)), RX2: dict(zip(commons, w_second))}
+                 {"decode": decode})
 
 
 # -- the two-phase composite superframe --------------------------------------------
@@ -368,8 +339,7 @@ def build_mr_s30_29(scheme_id: str, first: str, sub: str = "tjsp53",
     """
     if sub not in _SUB_BLOCKS:
         raise BadParams(f"unknown sub-protocol {sub!r}")
-    rules = _SUB_BLOCKS[sub]
-    per_side = rules["per_side"]
+    per_side = _SUB_BLOCKS[sub][0]
     if blocks is None:
         blocks = 2 * per_side
     if blocks > MAX_BLOCKS:
@@ -396,37 +366,34 @@ def build_mr_s30_29(scheme_id: str, first: str, sub: str = "tjsp53",
 
     # phase 2a: the adversary-side observations each receiver is missing
     si_units = build_unicast_batches(
-        plans, rules, first, [ObsPart(EVE, 3 * k + 1) for k in range(blocks)],
+        plans, sub, first, [ObsPart(EVE, 3 * k + 1) for k in range(blocks)],
         [ObsPart(EVE, 3 * k + 2) for k in range(blocks)], "s{}-")
     # phase 2b: one secure common combination per dissemination block
     commons = [Comb(((1.0, ObsPart(second, 3 * k + 1)), (1.0, ObsPart(first, 3 * k + 2))))
                for k in range(blocks)]
-    multicast = build_secure_multicast(plans, symbols, first, commons, rules, "m{}-", "z{}-")
+    multicast = build_secure_multicast(plans, symbols, first, commons, sub, "m{}-", "z{}-")
+
+    nodes = (first, second)
+
+    def decode(view) -> dict:
+        # per receiver: the adversary-side observations unicast back, and the
+        # common values multicast
+        z = si_units(view)
+        w = multicast(view)
+        out: tuple[dict, dict] = ({}, {})
+        for k in range(blocks):
+            for r, (node, name) in enumerate(zip(nodes, "xy")):
+                # `node`'s triple rides slot `own`, the other's slot `cross`,
+                # and its own noise-slot output unlocks every equation
+                other, own, cross = nodes[1 - r], 3 * k + 1 + r, 3 * k + 2 - r
+                sids = [f"{name}{k}.{i}" for i in range(3)]
+                fb = f"fb{name}{k}"
+                seed = view.rv(node, 3 * k)
+                vals = [view.rv(node, own) - view.rc(node, own, fb) * seed,
+                        z[r][k] - view.rc(EVE, own, fb) * seed,
+                        (w[r][k] - view.rv(node, cross)) - view.rc(other, own, fb) * seed]
+                out[r].update(zip(sids, _solve(view.rows(own, sids, (node, EVE, other)),
+                                               vals)))
+        return dict(zip(nodes, out))
     return _spec(scheme_id, Topology.multi_receiver(), plans, symbols,
-                 {"first": first, "sub": sub, "blocks": blocks,
-                  "si_units": si_units, "multicast": multicast})
-
-
-def decode_mr_s30_29(view) -> dict:
-    layout = view.spec.layout
-    rules = _SUB_BLOCKS[layout["sub"]]
-    nodes = (layout["first"], _other(layout["first"]))
-    # per receiver: the adversary-side observations unicast back, and the
-    # common values multicast
-    z = decode_unicast_batches(view, rules, layout["si_units"])
-    w = decode_secure_multicast(view, layout["multicast"], rules)
-    out: tuple[dict, dict] = ({}, {})
-    for k in range(layout["blocks"]):
-        for r, (node, name) in enumerate(zip(nodes, "xy")):
-            # `node`'s triple rides slot `own`, the other's slot `cross`, and
-            # its own noise-slot output unlocks every equation
-            other, own, cross = nodes[1 - r], 3 * k + 1 + r, 3 * k + 2 - r
-            sids = [f"{name}{k}.{i}" for i in range(3)]
-            fb = f"fb{name}{k}"
-            seed = view.rv(node, 3 * k)
-            rows = [[view.rc(n, own, sid) for sid in sids] for n in (node, EVE, other)]
-            vals = [view.rv(node, own) - view.rc(node, own, fb) * seed,
-                    z[r][k] - view.rc(EVE, own, fb) * seed,
-                    (w[r][k] - view.rv(node, cross)) - view.rc(other, own, fb) * seed]
-            out[r].update(zip(sids, _solve(rows, vals)))
-    return dict(zip(nodes, out))
+                 {"sub": sub, "blocks": blocks, "decode": decode})

@@ -38,7 +38,7 @@ def _st(label, payload, beam) -> StreamRecipe:
     return StreamRecipe(label=label, payload=payload, beam=beam)
 
 
-def _solve(rows: list[np.ndarray], values: list[complex]) -> np.ndarray:
+def _solve(rows: list[list], values: list[complex]) -> np.ndarray:
     return np.linalg.solve(np.array(rows, dtype=complex), np.array(values, dtype=complex))
 
 
@@ -99,13 +99,11 @@ def build_wt_dd_23() -> SchemeSpec:
 def decode_wt_dd_23(view) -> dict:
     y11 = view.rv(RX1, 0)
     eq1 = view.rv(RX1, 1) - view.rc(RX1, 1, "fb1") * y11
-    row1 = [view.rc(RX1, 1, "v1"), view.rc(RX1, 1, "v2")]
     # slot 3 repeats the eavesdropper's slot-2 output; recover it, strip the
     # (known) noise feedback term, and a second equation in (v1, v2) remains
     z2 = view.rv(RX1, 2) / view.rc(RX1, 2, "fb2")
     eq2 = z2 - view.rc(EVE, 1, "fb1") * y11
-    row2 = [view.rc(EVE, 1, "v1"), view.rc(EVE, 1, "v2")]
-    v1, v2 = _solve([row1, row2], [eq1, eq2])
+    v1, v2 = _solve(view.rows(1, ("v1", "v2"), (RX1, EVE)), [eq1, eq2])
     return {RX1: {"v1": v1, "v2": v2}}
 
 
@@ -155,11 +153,9 @@ def build_mr_pdp() -> SchemeSpec:
 
 
 def decode_mr_pdp(view) -> dict:
-    row1 = [view.rc(RX1, 0, "v1"), view.rc(RX1, 0, "v2")]
     # the retransmitted quantity equals receiver 2's slot-1 interference
     xi = view.rv(RX1, 1) / view.rc(RX1, 1, "fb")
-    row2 = [view.rc(RX2, 0, "v1"), view.rc(RX2, 0, "v2")]
-    v1, v2 = _solve([row1, row2], [view.rv(RX1, 0), xi])
+    v1, v2 = _solve(view.rows(0, ("v1", "v2"), (RX1, RX2)), [view.rv(RX1, 0), xi])
     xi2 = view.rv(RX2, 1) / view.rc(RX2, 1, "fb")
     w = (view.rv(RX2, 0) - xi2) / view.rc(RX2, 0, "w")
     return {RX1: {"v1": v1, "v2": v2}, RX2: {"w": w}}
@@ -189,18 +185,10 @@ def build_mr_ddp() -> SchemeSpec:
 def decode_mr_ddp(view) -> dict:
     c1 = view.rc(RX1, 2, "fb")
     xi = view.rv(RX1, 2) / c1 - view.rv(RX1, 1)   # leaves rx2's slot-1 output
-    rows_v = [
-        [view.rc(RX1, 0, "v1"), view.rc(RX1, 0, "v2")],
-        [view.rc(RX2, 0, "v1"), view.rc(RX2, 0, "v2")],
-    ]
-    v1, v2 = _solve(rows_v, [view.rv(RX1, 0), xi])
+    v1, v2 = _solve(view.rows(0, ("v1", "v2"), (RX1, RX2)), [view.rv(RX1, 0), xi])
     c2 = view.rc(RX2, 2, "fb")
     eta = view.rv(RX2, 2) / c2 - view.rv(RX2, 0)  # leaves rx1's slot-2 output
-    rows_w = [
-        [view.rc(RX2, 1, "w1"), view.rc(RX2, 1, "w2")],
-        [view.rc(RX1, 1, "w1"), view.rc(RX1, 1, "w2")],
-    ]
-    w1, w2 = _solve(rows_w, [view.rv(RX2, 1), eta])
+    w1, w2 = _solve(view.rows(1, ("w1", "w2"), (RX2, RX1)), [view.rv(RX2, 1), eta])
     return {RX1: {"v1": v1, "v2": v2}, RX2: {"w1": w1, "w2": w2}}
 
 
@@ -265,19 +253,11 @@ def decode_bc_dd_s1(view) -> dict:
     z2 = view.rv(RX1, 3) / view.rc(RX1, 3, "mc") - view.rv(RX1, 2)
     eq1 = view.rv(RX1, 1) - view.rc(RX1, 1, "fb1") * y11
     eq2 = z2 - view.rc(RX2, 1, "fb1") * y11
-    rows_v = [
-        [view.rc(RX1, 1, "v1"), view.rc(RX1, 1, "v2")],
-        [view.rc(RX2, 1, "v1"), view.rc(RX2, 1, "v2")],
-    ]
-    v1, v2 = _solve(rows_v, [eq1, eq2])
+    v1, v2 = _solve(view.rows(1, ("v1", "v2"), (RX1, RX2)), [eq1, eq2])
     y13 = view.rv(RX2, 3) / view.rc(RX2, 3, "mc") - view.rv(RX2, 1)
     eq3 = view.rv(RX2, 2) - view.rc(RX2, 2, "fb2") * z1
     eq4 = y13 - view.rc(RX1, 2, "fb2") * z1
-    rows_w = [
-        [view.rc(RX2, 2, "w1"), view.rc(RX2, 2, "w2")],
-        [view.rc(RX1, 2, "w1"), view.rc(RX1, 2, "w2")],
-    ]
-    w1, w2 = _solve(rows_w, [eq3, eq4])
+    w1, w2 = _solve(view.rows(2, ("w1", "w2"), (RX2, RX1)), [eq3, eq4])
     return {RX1: {"v1": v1, "v2": v2}, RX2: {"w1": w1, "w2": w2}}
 
 
@@ -334,11 +314,7 @@ def decode_bc_43(view) -> dict:
     eq1 = view.rv(RX1, 1) - view.rc(RX1, 1, "fb1") * y11
     z2 = view.rv(RX1, 3) / view.rc(RX1, 3, "fb3")
     eq2 = z2 - view.rc(RX2, 1, "fb1") * y11
-    rows_v = [
-        [view.rc(RX1, 1, "v1"), view.rc(RX1, 1, "v2")],
-        [view.rc(RX2, 1, "v1"), view.rc(RX2, 1, "v2")],
-    ]
-    v1, v2 = _solve(rows_v, [eq1, eq2])
+    v1, v2 = _solve(view.rows(1, ("v1", "v2"), (RX1, RX2)), [eq1, eq2])
     xi = view.rv(RX1, 5) / view.rc(RX1, 5, "fb5")
     v3 = (view.rv(RX1, 2) - xi) / view.rc(RX1, 2, "v3")
     v4 = (view.rv(RX1, 4) - view.rc(RX1, 4, "fb4") * xi) \
@@ -347,11 +323,7 @@ def decode_bc_43(view) -> dict:
     eq3 = view.rv(RX2, 2) - view.rc(RX2, 2, "fb2") * z1
     xi2 = view.rv(RX2, 4) / view.rc(RX2, 4, "fb4")
     eq4 = xi2 - view.rc(RX1, 2, "fb2") * z1
-    rows_w = [
-        [view.rc(RX2, 2, "w1"), view.rc(RX2, 2, "w2")],
-        [view.rc(RX1, 2, "w1"), view.rc(RX1, 2, "w2")],
-    ]
-    w1, w2 = _solve(rows_w, [eq3, eq4])
+    w1, w2 = _solve(view.rows(2, ("w1", "w2"), (RX2, RX1)), [eq3, eq4])
     w3 = (view.rv(RX2, 3) - view.rc(RX2, 3, "fb3") * view.rv(RX2, 1)) \
         / view.rc(RX2, 3, "w3")
     w4 = (view.rv(RX2, 5) - view.rc(RX2, 5, "fb5") * xi2) \

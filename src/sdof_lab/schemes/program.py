@@ -145,7 +145,9 @@ class SchemeSpec:
     slot_plans: tuple[SlotPlan, ...]
     symbols: tuple[SymbolDecl, ...]
     secure: bool = True
-    layout: Mapping = field(default_factory=dict)   # decoder metadata
+    # a composite's sub-protocol (`sub`), size (`blocks`) and decoder
+    # (`decode`); left out of equality, which compares slots and symbols
+    layout: Mapping = field(default_factory=dict, compare=False)
 
     @cached_property
     def receivers(self) -> tuple[str, ...]:
@@ -234,6 +236,11 @@ class ReceiverView(NamedTuple):
         if column is None:
             raise KeyError(f"slot {t} has no stream {label!r}")
         return self.coefficients[node][column]
+
+    def rows(self, t: int, labels: Sequence[str], nodes: Sequence[str]) -> list[list]:
+        """The coefficient matrix of streams `labels` in slot t: one row per
+        node of `nodes`, in order, one column per label."""
+        return [[self.rc(n, t, label) for label in labels] for n in nodes]
 
     def true_value(self, sid: str) -> complex:
         index = self.spec.symbol_index
@@ -567,9 +574,10 @@ def execute_batch(
     streams and the seeds run as stacked arrays; each stacked operation
     gives every (stream, seed) the bits its own run would, sums keep the
     stream order, and every numeric check, slot power included, runs for
-    every seed.  The batch keeps the symbols, channels, observations, beams,
-    gains and transmitted vectors; payload rows and transmit matrices die
-    with the run.
+    every seed; a payload or slot whose norm is zero or not finite raises
+    BadParams naming the seed and the slot.  The batch keeps the symbols,
+    channels, observations, beams, gains and transmitted vectors; payload
+    rows and transmit matrices die with the run.
     """
     if mode not in ("noiseless", "noisy"):
         raise BadParams(f"unknown mode {mode!r}")
@@ -636,19 +644,26 @@ def execute_batch(
                 rows[pos] = row
             else:
                 rows[pos] = _retransmitted_row(row, chan, sent)
+        # a zero norm would divide by zero; an overflowed one would make the
+        # gain zero and the stream send nothing
         norms = _norms(rows)
-        if not norms.all():
-            pos = int(np.flatnonzero((norms == 0).any(axis=1))[0])
-            raise BadParams(f"seed {failing_seed(norms[pos] == 0)}, slot {t}: "
-                            f"stream {slot.labels[pos]!r} payload is zero")
+        bad = (norms == 0) | ~np.isfinite(norms)
+        if bad.any():
+            pos, at = (int(i[0]) for i in np.nonzero(bad))
+            what = "is zero" if norms[pos, at] == 0 else "norm is not finite"
+            raise BadParams(f"seed {seeds[at]}, slot {t}: "
+                            f"stream {slot.labels[pos]!r} payload {what}")
         gains = np.sqrt(1.0 / k) / norms if k else norms
         values = (rows[:, :, None, :] @ s[None, :, :, None])[..., 0, 0]
         x = np.zeros((n_seeds, n_tx, n_sym), dtype=complex)
         for term in gains[:, :, None, None] * (beams[:, :, :, None] * rows[:, :, None, :]):
             x += term
         fro = _norms(x.reshape(n_seeds, -1))
-        if not fro.all():
-            raise BadParams(f"seed {failing_seed(fro == 0)}, slot {t}: empty transmission")
+        bad = (fro == 0) | ~np.isfinite(fro)
+        if bad.any():
+            at = int(np.flatnonzero(bad)[0])
+            what = "empty transmission" if fro[at] == 0 else "transmission norm is not finite"
+            raise BadParams(f"seed {seeds[at]}, slot {t}: {what}")
         # Correlated payloads make nominal shares sum away from one; rescale
         # the whole slot so the expected power is exactly the budget.
         x /= fro[:, None, None]

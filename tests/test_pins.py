@@ -1,4 +1,4 @@
-"""Pins of the built slot programs and the composite decoders' arithmetic.
+"""Pins of the built slot programs and the hand decoders' arithmetic.
 
 Each built spec's slots and symbols are pinned by the SHA-256 of
 `repr((slot_plans, symbols))`, and the decoders by `float.hex` of every
@@ -22,9 +22,6 @@ CASES = {scheme_id + "".join(f"-{k}={v}" for k, v in params.items()): (scheme_id
          for scheme_id, params in [(scheme_id, {}) for scheme_id in SCHEME_IDS] + [
              (scheme_id, params) for scheme_id in ("MR_S30_29_A", "MR_S30_29_B")
              for params in _COMPOSITE_PARAMS]}
-# every composite variant, and the standalone multicast its phase 2b reuses
-DECODED = [case_id for case_id, (scheme_id, params) in CASES.items()
-           if params or scheme_id == "SUB_SECURE_MULTICAST"]
 
 SPEC_DIGESTS = {
     "WT_PP":
@@ -81,8 +78,62 @@ SPEC_DIGESTS = {
         "12f3f808613347bcde03dbdcbfc519983623fbea1fe13e213aeaeec6e4017394",
 }
 
-# per seed, each receiver's max_residual; then the digest of every recovered value
+# Every hand decoder: every case but the default composites, whose sub=tjsp53
+# cases are the same specs.  Per seed, each receiver's max_residual; then the
+# digest of every recovered value.
 DECODE_PINS = {
+    "WT_PP": ([
+        {"rx1": "0x1.7000000000000p-56"},
+        {"rx1": "0x1.6a44da5976ee2p-53"},
+    ], "824a1603cd1ee6dff748e6cc60ca1cdf12b2908fd7d034c436ac329f520f9ee9"),
+    "WT_DP": ([
+        {"rx1": "0x1.7000000000000p-56"},
+        {"rx1": "0x1.6a44da5976ee2p-53"},
+    ], "824a1603cd1ee6dff748e6cc60ca1cdf12b2908fd7d034c436ac329f520f9ee9"),
+    "WT_PD": ([
+        {"rx1": "0x1.24bee12c447c4p-53"},
+        {"rx1": "0x1.92bac4cdd95c8p-51"},
+    ], "cbf6ea615b8490568ee0dab2f980b33133645564dfb0694ed0c1999b74f21e47"),
+    "WT_DD_23": ([
+        {"rx1": "0x1.6635421de004fp-52"},
+        {"rx1": "0x1.2de32c6628741p-52"},
+    ], "4ac2ce44790054de49c6ba82bb23f7fdd065a4241d395a32d5d64f85a5a69c39"),
+    "MR_PPD": ([
+        {"rx1": "0x1.26b4e5f3bb83ap-53", "rx2": "0x0.0p+0"},
+        {"rx1": "0x1.8758ad44e2549p-50", "rx2": "0x1.68d17089bc668p-51"},
+    ], "1fc64f2b40003f25b1ed4dd0e72b20ec9f35ec7bc4fa374c122151d343cf9328"),
+    "MR_PDP": ([
+        {"rx1": "0x1.94c583ada5b53p-52", "rx2": "0x1.1e3779b97f4a8p-52"},
+        {"rx1": "0x1.27f85e966384ap-51", "rx2": "0x1.875d11df79a0cp-53"},
+    ], "50378c98b088b13d8c51f48d8115ef7f5e24d89f3d096b4ba46abab4c95c3211"),
+    "MR_DDP": ([
+        {"rx1": "0x1.1e3779b97f4a8p-52", "rx2": "0x1.0000000000000p-53"},
+        {"rx1": "0x1.3623ea316a0cep-50", "rx2": "0x1.768ce6d3c11e0p-50"},
+    ], "28075a00dae5142109080e53252db963b6107ad43b8247a49245862510f44f09"),
+    "MR_PDD": ([
+        {"rx1": "0x1.8104fca49d6e9p-52"},
+        {"rx1": "0x1.2a7248e319f0bp-51"},
+    ], "2be9fa95b9e780c6ad98412b3a0e29a33f1be56e6652e1d07ad4591ee350c9bb"),
+    "SUB_PD_DP_UNICAST": ([
+        {"rx1": "0x1.2706821902e9ap-50", "rx2": "0x1.5079d1893d3e0p-50"},
+        {"rx1": "0x1.76e45917ad74ep-50", "rx2": "0x1.1f389e8a5f1eep-49"},
+    ], "e0d69baa176d382602e03cab323dcadf7f3c5477aab81709f424ce917989c4fe"),
+    "BC_PP_S2": ([
+        {"rx1": "0x1.011f5eb541470p-53", "rx2": "0x0.0p+0"},
+        {"rx1": "0x1.21891a7faa275p-52", "rx2": "0x1.64e4911b726a9p-52"},
+    ], "e8c3cacb254c586fc89e4aa9c2684e21f00375f1ac406d2537fe56b9d6fb9fca"),
+    "BC_DD_S1": ([
+        {"rx1": "0x1.f627c54f1e0abp-52", "rx2": "0x1.08e098b48ff6ep-52"},
+        {"rx1": "0x1.b33f3f1490defp-52", "rx2": "0x1.1e3779b97f4a8p-52"},
+    ], "ee3f2cbd60085c8d62afce39cca1f72a2560a5fb76e31f983916173d02c8b6d2"),
+    "BC_S1_43": ([
+        {"rx1": "0x1.c534e5bdd7825p-51", "rx2": "0x1.1e3779b97f4a8p-52"},
+        {"rx1": "0x1.ae841693db8b4p-52", "rx2": "0x1.6524ec29da201p-50"},
+    ], "2e66ec6425be0baac5f71683a929b0d559da1e22ad4c16ace47f16e5600c5f9c"),
+    "BC_S2_43": ([
+        {"rx1": "0x1.c534e5bdd7825p-51", "rx2": "0x1.1e3779b97f4a8p-52"},
+        {"rx1": "0x1.ae841693db8b4p-52", "rx2": "0x1.6524ec29da201p-50"},
+    ], "2e66ec6425be0baac5f71683a929b0d559da1e22ad4c16ace47f16e5600c5f9c"),
     "SUB_SECURE_MULTICAST": ([
         {"rx1": "0x1.52b17334ba750p-50", "rx2": "0x1.60d13630e6115p-50"},
         {"rx1": "0x1.0f3843f3b8246p-50", "rx2": "0x1.a11a9a3cb3181p-51"},
@@ -153,7 +204,7 @@ def _decode_pin(spec) -> tuple:
     return residuals, hashlib.sha256(repr(values).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("case_id", DECODED)
+@pytest.mark.parametrize("case_id", DECODE_PINS)
 def test_decode_residuals(case_id):
     assert _decode_pin(_build(case_id)) == DECODE_PINS[case_id]
 

@@ -302,6 +302,21 @@ class TestRun:
                                (first._replace(payload=payload(2.5 - 1j)), *rest))
         compile_spec(replace(spec, slot_plans=tuple(plans)))
 
+    @pytest.mark.parametrize("coef", [1e308, 1e-320])
+    def test_payload_norm_not_finite_or_zero_names_the_stream(self, coef):
+        """A finite coefficient whose payload norm overflows to inf, or
+        underflows to zero, fails the run with an error that names the seed,
+        the slot and the stream; it never transmits a silent zero."""
+        spec = build_scheme("WT_DD_23")
+        plans = list(spec.slot_plans)
+        first, *rest = plans[0].streams
+        plans[0] = SlotPlan(plans[0].state,
+                            (first._replace(payload=Comb(((coef, Sym("u1")),))), *rest))
+        mutated = replace(spec, slot_plans=tuple(plans))
+        channels = sample_channels(spec.topology, spec.n_slots, [3, 4])
+        with pytest.raises(BadParams, match=r"^seed 3, slot 0: stream 'u1' payload"):
+            execute_batch(mutated, channels, PowerBudget(1e4), "noiseless", [3, 4])
+
 
 def _batch_bytes(batch) -> list:
     """Every number a batch records, with its shape, as bytes, in a fixed
@@ -677,6 +692,29 @@ class TestDecode:
             for report in decode_batch(batch):
                 assert tuple(report.nodes) == spec.receivers
 
+    @pytest.mark.parametrize("mode", ["noiseless", "noisy"])
+    @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+    def test_decoders_read_only_their_own_receiver(self, scheme_id, mode):
+        """Each receiver's recovered values keep their bits when every other
+        node's observations and every drawn symbol are NaN: a hand decoder
+        reads only its receiver's observations, besides the coefficients."""
+        from sdof_lab.schemes import _decode_receivers
+
+        spec = build_scheme(scheme_id)
+        nan = complex("nan")
+        for batch in run_seed_batches(spec, range(3), PowerBudget(1e4), mode):
+            for view in batch.views():
+                full = _decode_receivers(view)
+                for node in spec.receivers:
+                    blind = view._replace(
+                        observations={n: obs if n == node else [nan] * len(obs)
+                                      for n, obs in view.observations.items()},
+                        symbol_values=[nan] * len(view.symbol_values))
+                    got = _decode_receivers(blind)[node].recovered
+                    assert {sid: _bits(z) for sid, z in got.items()} == \
+                        {sid: _bits(z) for sid, z in full[node].recovered.items()}, \
+                        (scheme_id, mode, view.seed, node)
+
     def test_fallback_composite_decodes(self):
         spec, trace = _run("MR_S30_29_A", sub="fallback32", seed=6)
         report = decode(trace)
@@ -716,9 +754,13 @@ class TestDecode:
         spec, trace = _run("MR_S30_29_A", seed=5)
         system = assemble_effective_system(trace)
         eve_rows = system.matrices[EVE]
-        keep = list(range(3 * spec.layout["blocks"]))
-        keep += [pm["t0"] + i for pm in spec.layout["multicast"]["pairs"] for i in range(2)]
-        informative = eve_rows[sorted(keep)]
+        # the multicast pairs' streams are tagged m0-, m1-, ...; they follow
+        # the dissemination and the two side-information unicast blocks
+        pairs = [t for t, plan in enumerate(spec.slot_plans)
+                 if plan.streams[0].label.startswith("m")]
+        assert pairs == list(range(3 * 10 + 2 * 6, 3 * 10 + 2 * 6 + 2 * 5))
+        keep = list(range(3 * spec.layout["blocks"])) + pairs
+        informative = eve_rows[keep]
         assert np.linalg.matrix_rank(eve_rows, tol=1e-8) == \
             np.linalg.matrix_rank(informative, tol=1e-8)
 
