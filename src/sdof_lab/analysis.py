@@ -38,7 +38,6 @@ class MiResult:
 @dataclass(frozen=True)
 class SlopeEstimate:
     slope: float | np.ndarray
-    residual: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -122,8 +121,8 @@ def fit_slope(values, slots, grid: Sequence[float] = DEFAULT_GRID) -> SlopeEstim
     is the metric at power grid[i].
 
     A 2-D `values` is a stack of series, one per row (values[j, i] at power
-    grid[i]); its estimate holds an array of slopes and one of residuals,
-    each entry bit for bit that row's own fit.
+    grid[i]); its estimate holds an array of slopes, each bit for bit that
+    row's own fit.
     """
     grid = tuple(float(p) for p in grid)
     if len(grid) < 2:
@@ -147,13 +146,9 @@ def fit_slope(values, slots, grid: Sequence[float] = DEFAULT_GRID) -> SlopeEstim
         warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning,
                       stacklevel=2)
     coeffs = np.stack([c for c, *_ in solved], axis=1) / scale[:, None]   # (2, series)
-    fit = np.polyval(coeffs[:, :, None], xs)
-    # each series' squared errors are a contiguous row, summed as a lone
-    # series' would be
-    residual = np.sqrt(np.mean((rows - fit) ** 2, axis=-1))
     if ys.ndim == 1:
-        return SlopeEstimate(slope=float(coeffs[0, 0]), residual=float(residual[0]))
-    return SlopeEstimate(slope=coeffs[0], residual=residual)
+        return SlopeEstimate(slope=float(coeffs[0, 0]))
+    return SlopeEstimate(slope=coeffs[0])
 
 
 def prelogs(series: Mapping[str, np.ndarray], slots,
@@ -279,12 +274,12 @@ def mc_mi_oracle(system: EffectiveLinearSystem, node: str, secret: Iterable[str]
 
 
 def check_output_symmetry(topology: Topology, n_trials: int = 1000, seed: int = 0,
-                          input_power: float = 1.0, zero_input: bool = False,
+                          zero_input: bool = False,
                           twin_equals_actual: bool = False) -> SymmetryReport:
     """Single-letter check that an independent, identically drawn twin channel
     produces the same conditional output entropy as the actual one.
 
-    White Gaussian input of total power `input_power` (or the zero input);
+    White Gaussian input of unit total power (or the zero input);
     per-draw entropies are closed-form log-dets, averaged over `n_trials`
     channel draws.
     """
@@ -299,7 +294,7 @@ def check_output_symmetry(topology: Topology, n_trials: int = 1000, seed: int = 
         gen_t = rng.stream(seed, "symmetry", "twin")
         g_twin = rng.complex_normal(gen_t, (n_trials, n_tx))
 
-    per_antenna = 0.0 if zero_input else input_power / n_tx
+    per_antenna = 0.0 if zero_input else 1.0 / n_tx
     log2_pie = math.log2(math.pi * math.e)
 
     def entropies(rows):

@@ -25,10 +25,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import IncompleteTrace, OverConstrained, UnknownSymbolId
+from .errors import BadParams, IncompleteTrace, OverConstrained, UnknownSymbolId
 from .model import complex_to_json
 
-DEGENERATE_ROW_TOL = 1e-12
 RANK_REL_TOL = 1e-8
 
 
@@ -54,25 +53,21 @@ def canonical_phase(vecs: np.ndarray) -> np.ndarray:
     return (flat * phase[:, None]).reshape(vecs.shape)
 
 
-def null_bases(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def null_bases(mats: np.ndarray) -> np.ndarray:
     """Orthonormal bases (columns) of the joint nullspace of each set of
-    constraint rows (..., r, dim) in C^dim, as (..., dim, dim - r), and the
-    degenerate flags, set where the rows are numerically rank deficient
-    (which the channel sampler excludes but fuzz inputs may produce).
+    constraint rows (..., r, dim) in C^dim, as (..., dim, dim - r).
     Requires r < dim.  Each item of a stack is bit for bit the result for
     its rows alone."""
     *stack, r, dim = mats.shape
     if r >= dim:
         raise OverConstrained(f"{r} constraint rows leave no nullspace in dim {dim}")
     if r == 0:
-        eye = np.broadcast_to(np.eye(dim, dtype=complex), (*stack, dim, dim))
-        return eye.copy(), np.zeros(stack, dtype=bool)
-    _, sv, vh = np.linalg.svd(mats)
-    degenerate = sv[..., -1] <= DEGENERATE_ROW_TOL * sv[..., 0]
+        return np.broadcast_to(np.eye(dim, dtype=complex), (*stack, dim, dim)).copy()
+    vh = np.linalg.svd(mats)[2]
     # rows of vh[r:] are the conjugated basis vectors; keep the basis
     # C-contiguous so a column (a beam) has the same strides as always
     basis = canonical_phase(vh[..., r:, :].conj())
-    return np.ascontiguousarray(np.swapaxes(basis, -1, -2)), degenerate
+    return np.ascontiguousarray(np.swapaxes(basis, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -243,12 +238,21 @@ def assemble_effective_systems(batch) -> EffectiveLinearSystem:
     )
 
 
-def _system_scale(system: EffectiveLinearSystem) -> np.ndarray:
+def _system_scale(system: EffectiveLinearSystem, node: str) -> np.ndarray:
     """Largest entry of any node's matrix, per system of a stack: the
     reference for every rank and seen-column cutoff, so a fully zero-forced
-    node (whose own matrix is rounding noise) is not ranked against itself."""
-    return np.max([np.abs(m).max(axis=(-2, -1), initial=0.0)
-                   for m in system.matrices.values()], axis=0)
+    node (whose own matrix is rounding noise) is not ranked against itself.
+
+    A NaN or infinite entry anywhere carries through the maxima, and a
+    system whose scale is not finite raises, naming `node`, the node the
+    oracle was asked about: no verdict on such a system is trustworthy."""
+    scale = np.max([np.abs(m).max(axis=(-2, -1), initial=0.0)
+                    for m in system.matrices.values()], axis=0)
+    bad = ~np.isfinite(scale)
+    if bad.any():
+        raise BadParams(f"node {node}: system {int(np.flatnonzero(bad)[0])} "
+                        "has a non-finite matrix entry")
+    return scale
 
 
 def _ranks(mats: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -302,7 +306,7 @@ def identifiability_checks(
     is_target[[index[sid] for sid in targets]] = True
     is_nuisance = ~is_target
     is_nuisance[[index[sid] for sid in known]] = False
-    scale = _system_scale(systems)
+    scale = _system_scale(systems, node)
     gained = np.zeros(len(mats), dtype=int)
     for rows, cols in systems.blocks:
         block = mats[:, rows[:, None], cols]
@@ -349,6 +353,7 @@ def identifiable_symbols_stacked(
         if not is_kept[index[sid]]:     # a candidate the node already knows
             raise UnknownSymbolId(sid)
     mats = systems.matrices[node]
+    scale = _system_scale(systems, node)
     factors = []
     for rows, cols in systems.blocks:
         cols = cols[is_kept[cols]]
@@ -368,6 +373,6 @@ def identifiable_symbols_stacked(
                 group = rank == r
                 null = vh[:, r:] if group.all() else vh[group, r:]
                 touched[np.ix_(group, cols)] = vector_norms(null, axis=-2) > 1e-6
-    seen = vector_norms(mats, axis=-2) > (RANK_REL_TOL * _system_scale(systems))[:, None]
+    seen = vector_norms(mats, axis=-2) > (RANK_REL_TOL * scale)[:, None]
     identifiable = seen & ~touched
     return {sid: identifiable[:, index[sid]] for sid in candidates}

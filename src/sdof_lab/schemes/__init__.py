@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -55,24 +56,18 @@ _BUILDERS: dict[str, Callable[..., SchemeSpec]] = {
     "BC_S2_43": library.build_bc_s2_43,
 }
 
-_DECODERS: dict[str, Callable] = {
-    "WT_PP": library.decode_wt_zf,
-    "WT_DP": library.decode_wt_zf,
-    "WT_PD": library.decode_wt_zf,
-    "WT_DD_23": library.decode_wt_dd_23,
-    "MR_PPD": library.decode_mr_ppd,
-    "MR_PDP": library.decode_mr_pdp,
-    "MR_DDP": library.decode_mr_ddp,
-    "MR_PDD": library.decode_wt_zf,
-    "MR_S30_29_A": composite.decode_composite,
-    "MR_S30_29_B": composite.decode_composite,
-    "SUB_PD_DP_UNICAST": composite.decode_composite,
-    "SUB_SECURE_MULTICAST": composite.decode_composite,
-    "BC_PP_S2": library.decode_mr_ppd,
-    "BC_DD_S1": library.decode_bc_dd_s1,
-    "BC_S1_43": library.decode_bc_43,
-    "BC_S2_43": library.decode_bc_43,
-}
+
+def _run_decoder(view: ReceiverView) -> dict:
+    """The decoder the scheme's builder put in its spec; a spec without one
+    recovers nothing."""
+    decode = view.spec.decode
+    return {} if decode is None else decode(view)
+
+
+# Every spec carries its decoder; this table of one dispatcher per scheme id
+# exists so that a profiler can wrap the hand decoders by replacing its
+# values (the benchmark's `decoders.hand.*` metrics do).
+_DECODERS: dict[str, Callable] = dict.fromkeys(_BUILDERS, _run_decoder)
 
 SCHEME_IDS: tuple[str, ...] = tuple(_BUILDERS)
 
@@ -129,10 +124,6 @@ class DecodeReport:
     @property
     def any_protected_identifiable(self) -> bool:
         return any(flag for table in self.adversary.values() for flag in table.values())
-
-
-def _empty_decoder(trace) -> dict:
-    return {}
 
 
 def decode(trace: TraceBatch,
@@ -192,18 +183,18 @@ def _decode_receivers(view: ReceiverView) -> dict[str, NodeDecode]:
     """The hand half of `decode_batch`: the scheme's decoder on one seed's
     view, scored at each of `spec.receivers` against the drawn symbols."""
     spec = view.spec
-    recovered = _DECODERS.get(spec.scheme_id, _empty_decoder)(view)
+    recovered = _DECODERS.get(spec.scheme_id, _run_decoder)(view)
     nodes: dict[str, NodeDecode] = {}
     for node in spec.receivers:
         got = recovered.get(node, {})
         max_res = 0.0
         for sid in spec.message_sids(node):
-            truth = view.true_value(sid)
-            if sid not in got:
-                max_res = float("inf")
-                continue
-            err = abs(got[sid] - truth) / max(1.0, abs(truth))
-            max_res = max(max_res, float(err))
+            # a missing or NaN value fails like an infinite residual
+            err = math.inf
+            if sid in got:
+                truth = view.true_value(sid)
+                err = float(abs(got[sid] - truth) / max(1.0, abs(truth)))
+            max_res = max(max_res, math.inf if math.isnan(err) else err)
         nodes[node] = NodeDecode(
             recovered=dict(got),
             max_residual=max_res,

@@ -49,7 +49,7 @@ def accounting(spec) -> AccountingReport:
     keyed by the scheme's receivers (`spec.receivers`); a node that is sent
     no messages has no entry.
 
-    For composite schemes, whose layout names their sub-protocol, the
+    For composite schemes, whose spec names their sub-protocol (`sub`), the
     result is cross-checked against the closed-form bookkeeping at that
     sub-protocol's rate (`sub_protocol_dof`), whose assumptions it reports.
     """

@@ -21,8 +21,10 @@ The headline composite superframe spends its first phase disseminating fresh
 triples under noise cover, then composes the sub-protocol builders: unicast
 batches ship the eavesdropper-side observations (already known to the
 adversary, hence free to send in clear), and the secure multicast delivers
-the one genuinely secret common combination each block needs.  A composite
-spec's layout holds its decoder, which `decode_composite` calls.
+the one genuinely secret common combination each block needs.  Each
+scheme's builder composes its decoder from the sub-protocols' and puts it in
+the spec it returns, next to the name of the unicast sub-protocol (`sub`)
+that a superframe plugs in.
 """
 
 from __future__ import annotations
@@ -178,10 +180,9 @@ _SUB_BLOCKS = {
 
 
 def sub_protocol_dof(spec) -> Fraction | None:
-    """The sum rate of the sub-protocol a composite plugs in, looked up by
-    the name its layout records; None for a scheme that plugs in none."""
-    sub = spec.layout.get("sub")
-    return None if sub is None else _SUB_BLOCKS[sub][2]
+    """The sum rate of the sub-protocol a composite plugs in (`spec.sub`);
+    None for a scheme that plugs in none."""
+    return None if spec.sub is None else _SUB_BLOCKS[spec.sub][2]
 
 
 # -- unicast batches ----------------------------------------------------------------
@@ -277,11 +278,6 @@ def build_secure_multicast(plans: list, symbols: list, first: str, payloads: lis
     return decode
 
 
-def decode_composite(view) -> dict:
-    """The decoder a composite scheme's builder put in its layout."""
-    return view.spec.layout["decode"](view)
-
-
 # -- standalone sub-protocol schemes ----------------------------------------------
 
 def build_sub_pd_dp_unicast() -> SchemeSpec:
@@ -303,8 +299,7 @@ def build_sub_pd_dp_unicast() -> SchemeSpec:
             RX1: {f"a{i}": first_vals[i] for i in range(5)},
             RX2: {f"b{i}": second_vals[i] for i in range(5)},
         }
-    return _spec("SUB_PD_DP_UNICAST", topo, plans, symbols, {"decode": decode},
-                 secure=False)
+    return _spec("SUB_PD_DP_UNICAST", topo, plans, symbols, decode, secure=False)
 
 
 def build_sub_secure_multicast() -> SchemeSpec:
@@ -322,8 +317,7 @@ def build_sub_secure_multicast() -> SchemeSpec:
     def decode(view) -> dict:
         w_first, w_second = multicast(view)
         return {RX1: dict(zip(commons, w_first)), RX2: dict(zip(commons, w_second))}
-    return _spec("SUB_SECURE_MULTICAST", Topology.multi_receiver(), plans, symbols,
-                 {"decode": decode})
+    return _spec("SUB_SECURE_MULTICAST", Topology.multi_receiver(), plans, symbols, decode)
 
 
 # -- the two-phase composite superframe --------------------------------------------
@@ -395,5 +389,4 @@ def build_mr_s30_29(scheme_id: str, first: str, sub: str = "tjsp53",
                 out[r].update(zip(sids, _solve(view.rows(own, sids, (node, EVE, other)),
                                                vals)))
         return dict(zip(nodes, out))
-    return _spec(scheme_id, Topology.multi_receiver(), plans, symbols,
-                 {"sub": sub, "blocks": blocks, "decode": decode})
+    return _spec(scheme_id, Topology.multi_receiver(), plans, symbols, decode, sub=sub)

@@ -3,7 +3,8 @@
 Each builder returns a SchemeSpec whose slot program reproduces the scheme's
 construction: which symbols ride which beams, what side information is
 reconstructed and retransmitted, and which joint CSIT state each slot
-declares.  Each decoder replays the receiver-side steps (subtract known side
+declares; the spec carries the decoder that reads those slots.  Each
+decoder replays the receiver-side steps (subtract known side
 information, then invert) using only information that receiver legally has:
 its own observations, the full CSI tables (available to everyone one slot
 late, and decoding happens at block end), beams and gains.  A decoder reads
@@ -19,14 +20,15 @@ from ..precoding import SymbolDecl
 from .program import Axis, Comb, NullOf, ObsPart, SchemeSpec, SlotPlan, StreamRecipe, Sym
 
 
-def _spec(scheme_id, topology, plans, symbols, layout=None, secure=True):
+def _spec(scheme_id, topology, plans, symbols, decode, sub=None, secure=True):
     return SchemeSpec(
         scheme_id=scheme_id,
         topology=topology,
         slot_plans=tuple(plans),
         symbols=tuple(symbols),
         secure=secure,
-        layout=layout or {},
+        sub=sub,
+        decode=decode,
     )
 
 
@@ -51,7 +53,7 @@ def build_wt_zf(scheme_id: str, state: str) -> SchemeSpec:
     topo = Topology.wiretap()
     plans = [_slot(state, _st("v", Sym("v"), NullOf(((EVE, 0),))))]
     symbols = [SymbolDecl("v", RX1)]
-    return _spec(scheme_id, topo, plans, symbols)
+    return _spec(scheme_id, topo, plans, symbols, decode_wt_zf)
 
 
 def decode_wt_zf(view) -> dict:
@@ -68,7 +70,7 @@ def build_wt_pd() -> SchemeSpec:
                    _st("v", Sym("v"), Axis(0)),
                    _st("u", Sym("u"), NullOf(((RX1, 0),))))]
     symbols = [SymbolDecl("v", RX1), SymbolDecl("u", "noise")]
-    return _spec("WT_PD", topo, plans, symbols)
+    return _spec("WT_PD", topo, plans, symbols, decode_wt_zf)
 
 
 def build_wt_dd_23() -> SchemeSpec:
@@ -93,7 +95,7 @@ def build_wt_dd_23() -> SchemeSpec:
     ]
     symbols = [SymbolDecl("v1", RX1), SymbolDecl("v2", RX1),
                SymbolDecl("u1", "noise"), SymbolDecl("u2", "noise")]
-    return _spec("WT_DD_23", topo, plans, symbols)
+    return _spec("WT_DD_23", topo, plans, symbols, decode_wt_dd_23)
 
 
 def decode_wt_dd_23(view) -> dict:
@@ -121,7 +123,7 @@ def build_mr_ppd() -> SchemeSpec:
                    _st("w", Sym("w"), NullOf(((RX1, 0),))),
                    _st("u", Sym("u"), NullOf(((RX1, 0), (RX2, 0)))))]
     symbols = [SymbolDecl("v", RX1), SymbolDecl("w", RX2), SymbolDecl("u", "noise")]
-    return _spec("MR_PPD", topo, plans, symbols)
+    return _spec("MR_PPD", topo, plans, symbols, decode_mr_ppd)
 
 
 def decode_mr_ppd(view) -> dict:
@@ -149,7 +151,7 @@ def build_mr_pdp() -> SchemeSpec:
               _st("fb", ObsPart(RX2, 0, streams=("v1", "v2")), NullOf(((EVE, 1),)))),
     ]
     symbols = [SymbolDecl("v1", RX1), SymbolDecl("v2", RX1), SymbolDecl("w", RX2)]
-    return _spec("MR_PDP", topo, plans, symbols)
+    return _spec("MR_PDP", topo, plans, symbols, decode_mr_pdp)
 
 
 def decode_mr_pdp(view) -> dict:
@@ -179,7 +181,7 @@ def build_mr_ddp() -> SchemeSpec:
     ]
     symbols = [SymbolDecl("v1", RX1), SymbolDecl("v2", RX1),
                SymbolDecl("w1", RX2), SymbolDecl("w2", RX2)]
-    return _spec("MR_DDP", topo, plans, symbols)
+    return _spec("MR_DDP", topo, plans, symbols, decode_mr_ddp)
 
 
 def decode_mr_ddp(view) -> dict:
@@ -200,7 +202,7 @@ def build_mr_pdd() -> SchemeSpec:
                    _st("v", Sym("v"), Axis(0)),
                    _st("u", Sym("u"), NullOf(((RX1, 0),))))]
     symbols = [SymbolDecl("v", RX1), SymbolDecl("u", "noise")]
-    return _spec("MR_PDD", topo, plans, symbols)
+    return _spec("MR_PDD", topo, plans, symbols, decode_wt_zf)
 
 
 # -- two-user broadcast, receivers eavesdrop on each other -----------------------
@@ -215,7 +217,7 @@ def build_bc_pp_s2() -> SchemeSpec:
                    _st("v", Sym("v"), NullOf(((RX2, 0),))),
                    _st("w", Sym("w"), NullOf(((RX1, 0),))))]
     symbols = [SymbolDecl("v", RX1), SymbolDecl("w", RX2)]
-    return _spec("BC_PP_S2", topo, plans, symbols)
+    return _spec("BC_PP_S2", topo, plans, symbols, decode_mr_ppd)
 
 
 def build_bc_dd_s1() -> SchemeSpec:
@@ -242,7 +244,7 @@ def build_bc_dd_s1() -> SchemeSpec:
     symbols = [SymbolDecl("v1", RX1), SymbolDecl("v2", RX1),
                SymbolDecl("w1", RX2), SymbolDecl("w2", RX2),
                SymbolDecl("u1", "noise"), SymbolDecl("u2", "noise")]
-    return _spec("BC_DD_S1", topo, plans, symbols)
+    return _spec("BC_DD_S1", topo, plans, symbols, decode_bc_dd_s1)
 
 
 def decode_bc_dd_s1(view) -> dict:
@@ -296,7 +298,7 @@ def _build_bc_43(scheme_id: str, states: list[str]) -> SchemeSpec:
     symbols = [SymbolDecl(f"v{i}", RX1) for i in range(1, 5)]
     symbols += [SymbolDecl(f"w{i}", RX2) for i in range(1, 5)]
     symbols += [SymbolDecl("u1", "noise"), SymbolDecl("u2", "noise")]
-    return _spec(scheme_id, topo, plans, symbols)
+    return _spec(scheme_id, topo, plans, symbols, decode_bc_43)
 
 
 def build_bc_s1_43() -> SchemeSpec:

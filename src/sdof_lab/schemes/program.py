@@ -44,7 +44,7 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -137,7 +137,11 @@ class SchemeSpec:
     channel each receiver) must not resolve any non-noise symbol it does not
     own (`protected`), and knows the symbols it owns (`adversary_known`).
     `secure` False marks a block with no secrecy by design, which protects
-    nothing.
+    nothing.  A composite names the unicast sub-protocol it plugs in
+    (`sub`).  `decode` is the hand decoder, given by the builder that
+    defines the slot labels it reads: it maps a seed's `ReceiverView` to
+    {receiver: {sid: value}}.  It is left out of equality, which compares
+    slots and symbols; a spec without one recovers nothing.
     """
 
     scheme_id: str
@@ -145,9 +149,8 @@ class SchemeSpec:
     slot_plans: tuple[SlotPlan, ...]
     symbols: tuple[SymbolDecl, ...]
     secure: bool = True
-    # a composite's sub-protocol (`sub`), size (`blocks`) and decoder
-    # (`decode`); left out of equality, which compares slots and symbols
-    layout: Mapping = field(default_factory=dict, compare=False)
+    sub: str | None = None
+    decode: Callable[[ReceiverView], dict] | None = field(default=None, compare=False)
 
     @cached_property
     def receivers(self) -> tuple[str, ...]:
@@ -602,7 +605,7 @@ def execute_batch(
     bases = {}
     for r, nulls in program.nulls.items():
         mats = chan[:, nulls.nodes, nulls.slots]        # (seed, key, ref, antenna)
-        basis, _ = null_bases(mats)
+        basis = null_bases(mats)
         limit = 1e-10 * np.sqrt(np.vecdot(mats, mats).real)
         for bad, what in (
             (np.abs(mats @ basis) > limit[..., None], "beam residual above tolerance"),

@@ -209,6 +209,17 @@ def test_decode_residuals(case_id):
     assert _decode_pin(_build(case_id)) == DECODE_PINS[case_id]
 
 
+@pytest.mark.parametrize("case_id", CASES)
+def test_built_spec_carries_its_decoder(case_id):
+    """Each builder puts its decoder and, for a composite, the sub-protocol
+    it plugs in into the spec it returns."""
+    scheme_id, params = CASES[case_id]
+    spec = _build(case_id)
+    assert callable(spec.decode)
+    composite = scheme_id.startswith("MR_S30_29")
+    assert spec.sub == (params.get("sub", "tjsp53") if composite else None)
+
+
 # Each adversary's protected and a-priori known symbols, sorted, in the
 # order `spec.protected` lists the adversaries, recorded from the
 # hand-written roles the derived ones replace.

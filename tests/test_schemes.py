@@ -715,6 +715,40 @@ class TestDecode:
                         {sid: _bits(z) for sid, z in full[node].recovered.items()}, \
                         (scheme_id, mode, view.seed, node)
 
+    def test_nan_recovered_value_fails(self, monkeypatch):
+        """A NaN recovered value scores like a missing one: an infinite
+        residual and a failed decode, never a residual of 0."""
+        from sdof_lab import schemes
+
+        monkeypatch.setitem(schemes._DECODERS, "WT_PP",
+                            lambda view: {RX1: {"v": complex("nan+0j")}})
+        node = decode(_run("WT_PP")[1]).nodes[RX1]
+        assert node.max_residual == float("inf")
+        assert not node.success
+
+    @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+    def test_decoding_goes_through_the_decoder_table(self, scheme_id, monkeypatch):
+        """Every scheme id has an entry in `_DECODERS`, and each seed's view
+        is decoded by whatever that entry holds, so wrapping the entries
+        sees every hand decoder call."""
+        from sdof_lab import schemes
+
+        spec = build_scheme(scheme_id)
+        calls = []
+
+        def counted(view):
+            calls.append(view.seed)
+            return dispatch(view)
+
+        dispatch = schemes._DECODERS[scheme_id]
+        monkeypatch.setitem(schemes._DECODERS, scheme_id, counted)
+        for batch in run_seed_batches(spec, range(3), PowerBudget(1e4)):
+            assert all(report.all_success for report in decode_batch(batch))
+        assert calls == [0, 1, 2]
+        monkeypatch.setitem(schemes._DECODERS, scheme_id, lambda view: {})
+        for batch in run_seed_batches(spec, range(1), PowerBudget(1e4)):
+            assert not any(node.success for node in decode_batch(batch)[0].nodes.values())
+
     def test_fallback_composite_decodes(self):
         spec, trace = _run("MR_S30_29_A", sub="fallback32", seed=6)
         report = decode(trace)
@@ -759,7 +793,7 @@ class TestDecode:
         pairs = [t for t, plan in enumerate(spec.slot_plans)
                  if plan.streams[0].label.startswith("m")]
         assert pairs == list(range(3 * 10 + 2 * 6, 3 * 10 + 2 * 6 + 2 * 5))
-        keep = list(range(3 * spec.layout["blocks"])) + pairs
+        keep = list(range(3 * 10)) + pairs
         informative = eve_rows[keep]
         assert np.linalg.matrix_rank(eve_rows, tol=1e-8) == \
             np.linalg.matrix_rank(informative, tol=1e-8)
