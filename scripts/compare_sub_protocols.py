@@ -10,7 +10,8 @@ import argparse
 
 import numpy as np
 
-from sdof_lab import RX1, PowerBudget, accounting, build_scheme, composite_accounting
+from sdof_lab import RX1, accounting, build_scheme, composite_accounting
+from sdof_lab.acceptance import REFERENCE_POWER
 from sdof_lab.analysis import DEFAULT_GRID, prelogs
 from sdof_lab.precoding import assemble_effective_systems
 from sdof_lab.schemes import SUB_PROTOCOLS, rate_series, run_seed_batches, sub_protocol_dof
@@ -30,7 +31,7 @@ def main():
         slopes = np.concatenate([
             prelogs(rate_series(spec, assemble_effective_systems(batch), DEFAULT_GRID),
                     spec.n_slots, DEFAULT_GRID)[RX1]
-            for batch in run_seed_batches(spec, range(args.seeds), PowerBudget(1e4))])
+            for batch in run_seed_batches(spec, range(args.seeds), REFERENCE_POWER)])
         print(f"sub-protocol {sub}: superframe {spec.n_slots} slots, "
               f"{measured.symbols_per_receiver[RX1]} symbols/receiver")
         print(f"  accounting: measured {measured.nominal_sdof[RX1]}, "

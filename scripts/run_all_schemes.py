@@ -8,7 +8,8 @@ import argparse
 
 import numpy as np
 
-from sdof_lab import RX1, RX2, SCHEME_IDS, PowerBudget, accounting, build_scheme
+from sdof_lab import RX1, RX2, SCHEME_IDS, accounting, build_scheme
+from sdof_lab.acceptance import REFERENCE_POWER
 from sdof_lab.analysis import DEFAULT_GRID, prelogs
 from sdof_lab.precoding import assemble_effective_systems
 from sdof_lab.schemes import decode_batch, leak_series, rate_series, run_seed_batches
@@ -35,7 +36,7 @@ def main():
         slopes = {RX1: [], RX2: []}
         leaks = []
         ok = True
-        for batch in run_seed_batches(spec, range(args.seeds), PowerBudget(1e4)):
+        for batch in run_seed_batches(spec, range(args.seeds), REFERENCE_POWER):
             systems = assemble_effective_systems(batch)
             ok &= all(decoded.all_success for decoded in decode_batch(batch, systems))
             rates = prelogs(rate_series(spec, systems, DEFAULT_GRID), spec.n_slots,

@@ -7,9 +7,10 @@ unknown sub-protocol fails criterion 6.  Criteria 4 and 6 fit the rate
 series of `schemes.rate_series`, and criterion 5 the leakage series of
 `schemes.leak_series`, with `analysis.prelogs`: the series `simulate`
 reports.  Each scheme's SDoF point from the paper is written once, in
-`_SCHEME_REGION`: criterion 4 compares the rate slopes with it, and
-criterion 8 pins it to the scheme's exact accounting and, where a theorem
-covers the scheme, to that theorem's region.
+`_SCHEME_REGION`: criterion 2 checks the points of the schedule-free
+regions as their vertices, criterion 4 compares the rate slopes with it,
+and criterion 8 pins it to the scheme's exact accounting and, where a
+theorem covers the scheme, as a vertex of that theorem's region.
 """
 
 from __future__ import annotations
@@ -75,6 +76,31 @@ def _pair_schedule(**fractions):
     return validate_schedule({k.upper(): v for k, v in fractions.items()})
 
 
+# Each scheme's SDoF point (d1, d2) from the paper, and the theorem and
+# lambda whose region holds it (a scheme without one: its accounting only)
+_SCHEME_REGION = {
+    "WT_PP": ("thm1", {"PP": 1}, (Fraction(1), Fraction(0))),
+    "WT_DP": ("thm1", {"DP": 1}, (Fraction(1), Fraction(0))),
+    "WT_PD": ("thm1", {"PD": 1}, (Fraction(1), Fraction(0))),
+    "WT_DD_23": ("thm1", {"DD": 1}, (Fraction(2, 3), Fraction(0))),
+    "MR_PPD": ("thm2", None, (Fraction(1), Fraction(1))),
+    "MR_PDP": ("thm3", None, (Fraction(1), Fraction(1, 2))),
+    "MR_DDP": ("thm4", None, (Fraction(2, 3), Fraction(2, 3))),
+    "MR_PDD": ("thm6", None, (Fraction(1), Fraction(0))),
+    "MR_S30_29_A": ("thm6", None, (Fraction(15, 29), Fraction(15, 29))),
+    "MR_S30_29_B": ("thm6", None, (Fraction(15, 29), Fraction(15, 29))),
+    "BC_PP_S2": ("thm8", {"PP": 1}, (Fraction(1), Fraction(1))),
+    "BC_DD_S1": ("thm8", {"DD": 1}, (Fraction(1, 2), Fraction(1, 2))),
+    "BC_S1_43": ("thm8", {"PD": "1/2", "DP": "1/2"},
+                 (Fraction(2, 3), Fraction(2, 3))),
+    # the mixed three-state point sits on the broadcast outer boundary; the
+    # inner bound is strictly smaller there, so the outer region certifies it
+    "BC_S2_43": ("thm7", {"DD": "1/3", "PD": "1/3", "DP": "1/3"},
+                 (Fraction(2, 3), Fraction(2, 3))),
+    "SUB_SECURE_MULTICAST": (None, None, (Fraction(5, 8), Fraction(5, 8))),
+}
+
+
 def criterion_1() -> CriterionResult:
     """Wiretap ceiling formula over random rational schedules."""
     gen = np.random.default_rng(20240801)
@@ -104,16 +130,14 @@ def criterion_1() -> CriterionResult:
 
 
 def criterion_2() -> CriterionResult:
-    """Exact vertex membership for the fixed-state and alternation regions."""
-    want = {
-        "thm2": (Fraction(1), Fraction(1)),
-        "thm3": (Fraction(1), Fraction(1, 2)),
-        "thm4": (Fraction(2, 3), Fraction(2, 3)),
-        "thm5": (Fraction(17, 20), Fraction(17, 20)),
-        "thm6": (Fraction(15, 29), Fraction(15, 29)),
-    }
+    """Exact vertex membership for the fixed-state and alternation regions:
+    the scheme points of the regions that take no schedule, and thm5's
+    outer corner, which no scheme attains."""
+    want = sorted({(theorem, point) for theorem, lam, point in _SCHEME_REGION.values()
+                   if theorem and lam is None}
+                  | {("thm5", (Fraction(17, 20), Fraction(17, 20)))})
     missing = [
-        f"{theorem}:{point}" for theorem, point in want.items()
+        f"{theorem}:{point}" for theorem, point in want
         if point not in regions.region_from_theorem(theorem).vertices
     ]
     return _result(2, "fixed-state and alternation regions: exact vertices",
@@ -151,29 +175,6 @@ def criterion_3(n_seeds: int = 100) -> CriterionResult:
                    not failures, "; ".join(failures))
 
 
-# Each scheme's SDoF point (d1, d2) from the paper, and the theorem and
-# lambda whose region holds it (a scheme without one: its accounting only)
-_SCHEME_REGION = {
-    "WT_PP": ("thm1", {"PP": 1}, (Fraction(1), Fraction(0))),
-    "WT_DP": ("thm1", {"DP": 1}, (Fraction(1), Fraction(0))),
-    "WT_PD": ("thm1", {"PD": 1}, (Fraction(1), Fraction(0))),
-    "WT_DD_23": ("thm1", {"DD": 1}, (Fraction(2, 3), Fraction(0))),
-    "MR_PPD": ("thm2", None, (Fraction(1), Fraction(1))),
-    "MR_PDP": ("thm3", None, (Fraction(1), Fraction(1, 2))),
-    "MR_DDP": ("thm4", None, (Fraction(2, 3), Fraction(2, 3))),
-    "MR_PDD": ("thm6", None, (Fraction(1), Fraction(0))),
-    "MR_S30_29_A": ("thm6", None, (Fraction(15, 29), Fraction(15, 29))),
-    "MR_S30_29_B": ("thm6", None, (Fraction(15, 29), Fraction(15, 29))),
-    "BC_PP_S2": ("thm8", {"PP": 1}, (Fraction(1), Fraction(1))),
-    "BC_DD_S1": ("thm8", {"DD": 1}, (Fraction(1, 2), Fraction(1, 2))),
-    "BC_S1_43": ("thm8", {"PD": "1/2", "DP": "1/2"},
-                 (Fraction(2, 3), Fraction(2, 3))),
-    # the mixed three-state point sits on the broadcast outer boundary; the
-    # inner bound is strictly smaller there, so the outer region certifies it
-    "BC_S2_43": ("thm7", {"DD": "1/3", "PD": "1/3", "DP": "1/3"},
-                 (Fraction(2, 3), Fraction(2, 3))),
-    "SUB_SECURE_MULTICAST": (None, None, (Fraction(5, 8), Fraction(5, 8))),
-}
 # criterion 4's schemes, in the order it reports them
 _SLOPE_SCHEMES = ("MR_PPD", "MR_PDP", "MR_DDP", "MR_PDD", "BC_PP_S2", "BC_DD_S1",
                   "BC_S1_43", "BC_S2_43", "WT_DD_23", "SUB_SECURE_MULTICAST")
@@ -286,8 +287,8 @@ def criterion_8() -> CriterionResult:
         # the theorem's lambda is the scheme's own slot program's
         if schedule and spec.state_fractions() != schedule.fractions:
             failures.append(f"{scheme_id} state fractions differ from lambda {lam}")
-        if not regions.contains(region, nominal):
-            failures.append(f"{scheme_id} point {nominal} outside {theorem}")
+        if nominal not in region.vertices:
+            failures.append(f"{scheme_id} point {nominal} is not a vertex of {theorem}")
     for lam in ({"PP": 1}, {"DD": 1}):
         schedule = validate_schedule(lam)
         outer = regions.region_from_theorem("thm7", schedule)

@@ -25,7 +25,9 @@ from .errors import DimensionTooLarge, EmptySystem, GridTooSmall
 from .model import Topology
 from .precoding import EffectiveLinearSystem
 
-DEFAULT_GRID = tuple(float(2 ** e) for e in (20, 30, 40, 50, 60))
+# the default power grid, as base-2 exponents and as powers
+GRID_EXPONENTS = (20, 30, 40, 50, 60)
+DEFAULT_GRID = tuple(float(2 ** e) for e in GRID_EXPONENTS)
 
 
 @dataclass(frozen=True)

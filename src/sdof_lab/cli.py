@@ -71,6 +71,15 @@ def _write_text(path: str | Path, text: str) -> None:
         raise SdofLabError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def _write_json(payload: dict, path: str | None) -> None:
+    """The payload as indented, key-sorted JSON, to `path` or else to stdout."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if path:
+        _write_text(path, text)
+    else:
+        sys.stdout.write(text + "\n")
+
+
 def _well_typed(value, annotation: str) -> bool:
     if annotation == "list[int]":
         return isinstance(value, list) and all(_well_typed(v, "int") for v in value)
@@ -82,7 +91,7 @@ def _well_typed(value, annotation: str) -> bool:
 class RunConfig:
     scheme: str = ""
     seeds: int = 20
-    p_exp: list[int] = field(default_factory=lambda: [20, 30, 40, 50, 60])
+    p_exp: list[int] = field(default_factory=lambda: list(analysis.GRID_EXPONENTS))
     mode: str = "noiseless"
     sub: str | None = None
     blocks: int | None = None
@@ -225,9 +234,6 @@ def cmd_simulate(config: RunConfig) -> int:
     else:
         sys.stdout.write(csv_text)
 
-    def rat(x: Fraction) -> list[int]:
-        return [x.numerator, x.denominator]
-
     nominal = {node: acct.nominal_sdof.get(node, Fraction(0)) for node in (RX1, RX2)}
     mean_slopes = {node: float(np.mean(slope_acc[node])) for node in (RX1, RX2)}
     if len(powers) >= 2:
@@ -243,18 +249,15 @@ def cmd_simulate(config: RunConfig) -> int:
         "scheme": scheme_id.lower(),
         "slots": spec.n_slots,
         "symbols": {RX1: sym1, RX2: sym2},
-        "nominal_sdof": {node: rat(nominal[node]) for node in (RX1, RX2)},
+        "nominal_sdof": {node: regions.fraction_json(nominal[node])
+                         for node in (RX1, RX2)},
         "rate_slopes": mean_slopes,
         "leakage_slope": float(np.mean(leak_acc)) if leak_acc else 0.0,
         "tolerance": config.tolerance,
         "slopes_within_tolerance": slope_verdict,
         "decode_ok": not hard_failure,
     }
-    text = json.dumps(summary, indent=2, sort_keys=True)
-    if config.summary:
-        _write_text(config.summary, text)
-    else:
-        sys.stdout.write(text + "\n")
+    _write_json(summary, config.summary)
     return 2 if hard_failure else 0
 
 
@@ -290,18 +293,10 @@ def cmd_region(theorem: str, lam: str | None, compare: str | None,
             "outer": compare.lower(),
             "outer_region": outer.to_json_dict(),
             "contained": gap.contained,
-            "inner_max_sum": [gap.inner_max_sum.numerator,
-                              gap.inner_max_sum.denominator],
-            "outer_max_sum": [gap.outer_max_sum.numerator,
-                              gap.outer_max_sum.denominator],
-            "symmetric_gap": [gap.symmetric_gap.numerator,
-                              gap.symmetric_gap.denominator],
+            **{key: regions.fraction_json(getattr(gap, key))
+               for key in ("inner_max_sum", "outer_max_sum", "symmetric_gap")},
         }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if out:
-        _write_text(out, text)
-    else:
-        sys.stdout.write(text + "\n")
+    _write_json(payload, out)
     if plot_data:
         write_plot_data(plot_data, theorem, region)
     return 0
@@ -313,7 +308,7 @@ def write_plot_data(path: str | Path, theorem: str,
     vertex, in counter-clockwise order."""
     lines = [f"# {theorem.lower()} boundary vertices (d1 d2)"]
     for v in convex_hull(region.vertices):
-        lines.append(f"{float(v[0]):.17g} {float(v[1]):.17g}")
+        lines.append(f"{_fmt(v[0])} {_fmt(v[1])}")
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -332,11 +327,7 @@ def cmd_fm(system_path: str, eliminate: list[str] | None, out: str | None,
     if check:
         ok, msg = hull_agreement(system)
         result["oracle_agreement"] = {"ok": ok, "detail": msg}
-    text = json.dumps(result, indent=2, sort_keys=True)
-    if out:
-        _write_text(out, text)
-    else:
-        sys.stdout.write(text + "\n")
+    _write_json(result, out)
     return 0
 
 

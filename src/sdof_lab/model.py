@@ -2,8 +2,8 @@
 
 Defines the CSIT state alphabet, schedules of state fractions, the three
 supported node topologies, fading draws and power budgets.  All values
-are immutable after construction; sampling is a pure function of its inputs
-and a seed, so everything here is safe to share across threads.
+are immutable after construction, and sampling is a pure function of its
+inputs and a seed.
 """
 
 from __future__ import annotations

@@ -126,12 +126,16 @@ class EffectiveLinearSystem:
                       known: Iterable[str] = ()) -> tuple[list[int], np.ndarray]:
         """Symbol columns that remain once the `known` symbols are removed,
         in symbol order, and a mask over them marking the `secret`
-        symbols; the unmarked kept columns are the nuisance."""
+        symbols; the unmarked kept columns are the nuisance.  The one
+        resolver of symbol ids to columns: an unknown sid raises
+        UnknownSymbolId, and a sid both secret and known raises BadParams."""
         secret = frozenset(secret)
         known = frozenset(known)
         for sid in secret | known:
             if sid not in self.symbol_index:
                 raise UnknownSymbolId(sid)
+        if secret & known:
+            raise BadParams(f"symbol {min(secret & known)!r} is both a target and known")
         kept = [i for i, d in enumerate(self.symbols) if d.sid not in known]
         is_secret = np.array([self.symbols[i].sid in secret for i in kept], dtype=bool)
         return kept, is_secret
@@ -291,21 +295,15 @@ def identifiability_checks(
     Each rank is the sum of the ranks of the node's matrix on the stack's
     `blocks`, every one measured against the scale of its whole system:
     two stacked SVDs per block in all."""
-    targets = tuple(dict.fromkeys(targets))
-    known = frozenset(known)
-    if set(targets) & known:
-        raise ValueError("targets and known sets overlap")
-    index = systems.symbol_index
-    for sid in list(targets) + list(known):
-        if sid not in index:
-            raise UnknownSymbolId(sid)
+    targets = frozenset(targets)
+    kept, kept_target = systems.split_columns(targets, known)
     mats = systems.matrices[node]
     if not targets:
         return np.ones(len(mats), dtype=bool)
     is_target = np.zeros(len(systems.symbols), dtype=bool)
-    is_target[[index[sid] for sid in targets]] = True
-    is_nuisance = ~is_target
-    is_nuisance[[index[sid] for sid in known]] = False
+    is_target[kept] = kept_target
+    is_nuisance = np.zeros(len(systems.symbols), dtype=bool)
+    is_nuisance[kept] = ~kept_target
     scale = _system_scale(systems, node)
     gained = np.zeros(len(mats), dtype=int)
     for rows, cols in systems.blocks:
@@ -348,10 +346,6 @@ def identifiable_symbols_stacked(
     kept, _ = systems.split_columns(candidates, known)
     is_kept = np.zeros(len(systems.symbols), dtype=bool)
     is_kept[kept] = True
-    index = systems.symbol_index
-    for sid in candidates:
-        if not is_kept[index[sid]]:     # a candidate the node already knows
-            raise UnknownSymbolId(sid)
     mats = systems.matrices[node]
     scale = _system_scale(systems, node)
     factors = []
@@ -375,4 +369,4 @@ def identifiable_symbols_stacked(
                 touched[np.ix_(group, cols)] = vector_norms(null, axis=-2) > 1e-6
     seen = vector_norms(mats, axis=-2) > (RANK_REL_TOL * scale)[:, None]
     identifiable = seen & ~touched
-    return {sid: identifiable[:, index[sid]] for sid in candidates}
+    return {sid: identifiable[:, systems.symbol_index[sid]] for sid in candidates}

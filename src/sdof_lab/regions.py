@@ -1,17 +1,22 @@
 """Exact-rational two-dimensional rate-region engine.
 
 Regions are intersections of halfplanes a1*d1 + a2*d2 <= b with big-integer
-rational coefficients; vertices come from pairwise line intersections
-filtered by feasibility.  A catalog maps the eight theorem ids of the CLI
-surface to their inequality sets, and a bounded-variable linear system with
+rational coefficients; a region's vertices are derived from its halfplanes
+(the feasible pairwise line intersections) on first use.  One catalog maps
+the eight theorem ids of the CLI surface to their regions: thm2-thm6 are
+rows of one table of (required three-state schedule, halfplanes), and
+`THEOREM_IDS` is the catalog's keys.  A bounded-variable linear system with
 Fourier-Motzkin elimination reproduces converse derivations symbolically.
-No floats appear anywhere in this module.
+Every rational in the JSON forms is `fraction_json`'s [numerator,
+denominator] pair.  No floats appear anywhere in this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -28,6 +33,21 @@ from .errors import (
 from .model import StateLabel, StateSchedule
 
 Point = tuple[Fraction, Fraction]
+
+
+def fraction_json(x: Fraction) -> list[int]:
+    """A rational as its JSON form, the pair [numerator, denominator]."""
+    return [x.numerator, x.denominator]
+
+
+def _json_fraction(value, what: str) -> Fraction:
+    """Inverse of fraction_json; anything but an integer pair with a
+    nonzero denominator raises BadParams naming `what`."""
+    if (not isinstance(value, list) or len(value) != 2
+            or any(type(v) is not int for v in value) or value[1] == 0):
+        raise BadParams(f"{what} must be [numerator, denominator] with a nonzero "
+                        f"integer denominator, got {value!r}")
+    return Fraction(value[0], value[1])
 
 
 @dataclass(frozen=True)
@@ -62,26 +82,19 @@ def _intersect(p: HalfPlane, q: HalfPlane) -> Point | None:
 
 
 def _recession_ray_exists(planes: Sequence[HalfPlane]) -> bool:
-    """Exact 2-D unboundedness test via candidate extreme rays."""
-    candidates: list[Point] = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
-                               (Fraction(1), Fraction(1))]
-    for hp in planes:
-        candidates.append((-hp.a2, hp.a1))
-        candidates.append((hp.a2, -hp.a1))
-    for ray in candidates:
-        if ray == (0, 0):
-            continue
-        if all(hp.a1 * ray[0] + hp.a2 * ray[1] <= 0 for hp in planes):
-            return True
-    return False
+    """Exact 2-D unboundedness test via candidate extreme rays: the axes,
+    the diagonal and both directions of every boundary line (none is zero,
+    since no normal is)."""
+    rays = [(1, 0), (0, 1), (1, 1)]
+    rays += [ray for hp in planes for ray in ((-hp.a2, hp.a1), (hp.a2, -hp.a1))]
+    return any(all(hp.a1 * r1 + hp.a2 * r2 <= 0 for hp in planes) for r1, r2 in rays)
 
 
 @dataclass(frozen=True)
 class RegionPolytope:
-    """Bounded region with cached exact vertices, sorted lexicographically."""
+    """Bounded region: its halfplanes, nonnegativity included, and notes."""
 
     halfplanes: tuple[HalfPlane, ...]
-    vertices: tuple[Point, ...] = field(default=())
     notes: tuple[str, ...] = ()
 
     @staticmethod
@@ -90,29 +103,22 @@ class RegionPolytope:
         planes = tuple(planes) + _NONNEG
         if _recession_ray_exists(planes):
             raise Unbounded("region has a recession ray")
-        verts: set[Point] = set()
-        for p, q in combinations(planes, 2):
-            point = _intersect(p, q)
-            if point is not None and all(hp.holds(point) for hp in planes):
-                verts.add(point)
-        return RegionPolytope(
-            halfplanes=planes,
-            vertices=tuple(sorted(verts)),
-            notes=tuple(notes),
-        )
+        return RegionPolytope(halfplanes=planes, notes=tuple(notes))
+
+    @cached_property
+    def vertices(self) -> tuple[Point, ...]:
+        """The feasible pairwise intersections of the halfplanes' lines,
+        sorted lexicographically."""
+        points = {_intersect(p, q) for p, q in combinations(self.halfplanes, 2)}
+        points.discard(None)
+        return tuple(sorted(point for point in points
+                            if all(hp.holds(point) for hp in self.halfplanes)))
 
     def to_json_dict(self) -> dict:
         return {
-            "inequalities": [
-                [hp.a1.numerator, hp.a1.denominator,
-                 hp.a2.numerator, hp.a2.denominator,
-                 hp.b.numerator, hp.b.denominator]
-                for hp in self.halfplanes
-            ],
-            "vertices": [
-                [v[0].numerator, v[0].denominator, v[1].numerator, v[1].denominator]
-                for v in self.vertices
-            ],
+            "inequalities": [[n for x in (hp.a1, hp.a2, hp.b) for n in fraction_json(x)]
+                             for hp in self.halfplanes],
+            "vertices": [[n for x in v for n in fraction_json(x)] for v in self.vertices],
         }
 
 
@@ -131,15 +137,10 @@ def max_sum(region: RegionPolytope) -> Fraction:
 
 def symmetric_corner(region: RegionPolytope) -> Fraction:
     """Largest t with (t, t) inside the region."""
-    best: Fraction | None = None
-    for hp in region.halfplanes:
-        slope = hp.a1 + hp.a2
-        if slope > 0:
-            bound = hp.b / slope
-            best = bound if best is None or bound < best else best
-    if best is None:
+    bounds = [hp.b / (hp.a1 + hp.a2) for hp in region.halfplanes if hp.a1 + hp.a2 > 0]
+    if not bounds:
         raise Unbounded("no halfplane bounds the diagonal")
-    return max(best, Fraction(0))
+    return max(min(bounds), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -176,9 +177,8 @@ def time_share(points: Sequence[tuple[tuple, Fraction]]) -> Point:
         raise BadWeights("weights must be nonnegative")
     if sum(weights, Fraction(0)) != 1:
         raise BadWeights(f"weights sum to {sum(weights, Fraction(0))}, expected 1")
-    d1 = sum((Fraction(pt[0]) * w for (pt, _), w in zip(points, weights)), Fraction(0))
-    d2 = sum((Fraction(pt[1]) * w for (pt, _), w in zip(points, weights)), Fraction(0))
-    return (d1, d2)
+    return tuple(sum((Fraction(pt[k]) * w for (pt, _), w in zip(points, weights)),
+                     Fraction(0)) for k in (0, 1))
 
 
 # -- theorem catalog -------------------------------------------------------------
@@ -203,12 +203,73 @@ def _require_pair(schedule: StateSchedule, theorem: str) -> StateSchedule:
     return schedule
 
 
-def _f(num, den=1) -> Fraction:
-    return Fraction(num, den)
-
-
 def _hp(a1, a2, b) -> HalfPlane:
     return HalfPlane(Fraction(a1), Fraction(a2), Fraction(b))
+
+
+def _ceiling(theorem: str, schedule: StateSchedule | None) -> RegionPolytope:
+    """The degenerate interval [0, d_s] on the d1 axis."""
+    ds = wiretap_sdof(_require_pair(schedule, theorem))
+    return RegionPolytope.from_halfplanes([_hp(1, 0, ds), _hp(0, 1, 0)])
+
+
+_HALVES = {"PDD": Fraction(1, 2), "DPD": Fraction(1, 2)}
+# the fixed hybrid states (thm2-thm4) and the outer/inner bounds of the
+# symmetric alternation (thm5/thm6): the three-state schedule each assumes,
+# and its halfplanes (a1, a2, b)
+_THREE_STATE = {
+    "thm2": ({"PPD": 1}, ((1, 0, 1), (0, 1, 1), (1, 1, 2))),
+    "thm3": ({"PDP": 1}, ((1, 0, 1), (1, 2, 2))),
+    "thm4": ({"DDP": 1}, ((1, 2, 2), (2, 1, 2))),
+    "thm5": (_HALVES, ((16, 4, 17), (4, 16, 17))),
+    "thm6": (_HALVES, ((15, 14, 15), (14, 15, 15))),
+}
+
+
+def _three_state(theorem: str, schedule: StateSchedule | None) -> RegionPolytope:
+    """A `_THREE_STATE` region; a schedule, if given, must be the one it assumes."""
+    required, planes = _THREE_STATE[theorem]
+    if schedule is not None:
+        if schedule.arity != 3:
+            raise ArityMismatch(f"{theorem} needs a three-state schedule")
+        if any(schedule.fraction(StateLabel.parse(s)) != w for s, w in required.items()):
+            raise BadParams(f"{theorem} assumes the schedule " + ",".join(
+                f"{s}={w}" for s, w in required.items()))
+    return RegionPolytope.from_halfplanes(_hp(*plane) for plane in planes)
+
+
+def _broadcast(theorem: str, schedule: StateSchedule | None) -> RegionPolytope:
+    """The broadcast outer (thm7) or inner (thm8) bound over a symmetric
+    two-state schedule."""
+    schedule = _require_pair(schedule, theorem)
+    lam_pd = schedule.fraction(StateLabel.parse("PD"))
+    if lam_pd != schedule.fraction(StateLabel.parse("DP")):
+        raise SymmetryViolated(f"{theorem} assumes equal PD and DP fractions")
+    lam_pp = schedule.fraction(StateLabel.parse("PP"))
+    ds = wiretap_sdof(schedule)
+    if theorem == "thm7":
+        rhs = 2 + 2 * lam_pp + 2 * lam_pd
+        return RegionPolytope.from_halfplanes([
+            _hp(1, 0, ds), _hp(0, 1, ds),
+            _hp(3, 1, rhs), _hp(1, 3, rhs),
+        ])
+    ds_low = ds - 6 * lam_pd / 11
+    rhs = 1 + (lam_pp + lam_pd) / 2
+    planes = [_hp(1, 0, ds), _hp(0, 1, ds)]
+    notes: list[str] = []
+    if ds_low <= 0:
+        notes.append(
+            "degenerate inner-bound weight: d_s_low <= 0, cross constraints dropped"
+        )
+    else:
+        planes.append(HalfPlane(1 / ds_low, Fraction(1, 2), rhs))
+        planes.append(HalfPlane(Fraction(1, 2), 1 / ds_low, rhs))
+    return RegionPolytope.from_halfplanes(planes, notes=notes)
+
+
+_CATALOG = {"thm1": _ceiling, **dict.fromkeys(_THREE_STATE, _three_state),
+            "thm7": _broadcast, "thm8": _broadcast}
+THEOREM_IDS = tuple(_CATALOG)
 
 
 def region_from_theorem(theorem: str, schedule: StateSchedule | None = None
@@ -222,76 +283,9 @@ def region_from_theorem(theorem: str, schedule: StateSchedule | None = None
     bounds over symmetric two-state schedules.
     """
     theorem = theorem.lower()
-    if theorem == "thm1":
-        schedule = _require_pair(schedule, "thm1")
-        ds = wiretap_sdof(schedule)
-        return RegionPolytope.from_halfplanes([_hp(1, 0, ds), _hp(0, 1, 0)])
-    if theorem == "thm2":
-        _check_fixed_state(schedule, "PPD")
-        return RegionPolytope.from_halfplanes(
-            [_hp(1, 0, 1), _hp(0, 1, 1), _hp(1, 1, 2)])
-    if theorem == "thm3":
-        _check_fixed_state(schedule, "PDP")
-        return RegionPolytope.from_halfplanes([_hp(1, 0, 1), _hp(1, 2, 2)])
-    if theorem == "thm4":
-        _check_fixed_state(schedule, "DDP")
-        return RegionPolytope.from_halfplanes([_hp(1, 2, 2), _hp(2, 1, 2)])
-    if theorem == "thm5":
-        _check_symmetric_alternation(schedule)
-        return RegionPolytope.from_halfplanes([_hp(16, 4, 17), _hp(4, 16, 17)])
-    if theorem == "thm6":
-        _check_symmetric_alternation(schedule)
-        return RegionPolytope.from_halfplanes([_hp(15, 14, 15), _hp(14, 15, 15)])
-    if theorem in ("thm7", "thm8"):
-        schedule = _require_pair(schedule, theorem)
-        lam_pd = schedule.fraction(StateLabel.parse("PD"))
-        lam_dp = schedule.fraction(StateLabel.parse("DP"))
-        if lam_pd != lam_dp:
-            raise SymmetryViolated(f"{theorem} assumes equal PD and DP fractions")
-        lam_pp = schedule.fraction(StateLabel.parse("PP"))
-        ds = wiretap_sdof(schedule)
-        if theorem == "thm7":
-            rhs = 2 + 2 * lam_pp + 2 * lam_pd
-            return RegionPolytope.from_halfplanes([
-                _hp(1, 0, ds), _hp(0, 1, ds),
-                _hp(3, 1, rhs), _hp(1, 3, rhs),
-            ])
-        ds_low = ds - _f(6) * lam_pd / 11
-        rhs = 1 + (lam_pp + lam_pd) / 2
-        planes = [_hp(1, 0, ds), _hp(0, 1, ds)]
-        notes: list[str] = []
-        if ds_low <= 0:
-            notes.append(
-                "degenerate inner-bound weight: d_s_low <= 0, cross constraints dropped"
-            )
-        else:
-            planes.append(HalfPlane(1 / ds_low, _f(1, 2), rhs))
-            planes.append(HalfPlane(_f(1, 2), 1 / ds_low, rhs))
-        return RegionPolytope.from_halfplanes(planes, notes=notes)
-    raise UnknownTheorem(f"unknown catalog entry {theorem!r}")
-
-
-def _check_fixed_state(schedule: StateSchedule | None, state: str) -> None:
-    if schedule is None:
-        return
-    if schedule.arity != 3:
-        raise ArityMismatch("fixed hybrid states use three-state labels")
-    if schedule.fraction(StateLabel.parse(state)) != 1:
-        raise BadParams(f"fixed-state region requires all weight on {state}")
-
-
-def _check_symmetric_alternation(schedule: StateSchedule | None) -> None:
-    if schedule is None:
-        return
-    if schedule.arity != 3:
-        raise ArityMismatch("alternation bounds use three-state labels")
-    half = Fraction(1, 2)
-    if (schedule.fraction(StateLabel.parse("PDD")) != half
-            or schedule.fraction(StateLabel.parse("DPD")) != half):
-        raise BadParams("alternation bounds assume equal PDD and DPD halves")
-
-
-THEOREM_IDS = ("thm1", "thm2", "thm3", "thm4", "thm5", "thm6", "thm7", "thm8")
+    if theorem not in _CATALOG:
+        raise UnknownTheorem(f"unknown catalog entry {theorem!r}")
+    return _CATALOG[theorem](theorem, schedule)
 
 
 # -- bounded-variable systems and Fourier-Motzkin elimination ---------------------
@@ -307,15 +301,11 @@ class LinearInequality:
         return self.coeffs.get(var, Fraction(0))
 
     def normalized(self) -> "LinearInequality":
-        from math import gcd
-        denom = self.rhs.denominator
-        for c in self.coeffs.values():
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        g = abs(self.rhs.numerator * denom // self.rhs.denominator)
-        for c in self.coeffs.values():
-            g = gcd(g, abs(c.numerator * denom // c.denominator))
-        g = g or 1
-        scale = Fraction(denom, g)
+        """The same row scaled to coprime integer coefficients and right side."""
+        values = (self.rhs, *self.coeffs.values())
+        denom = math.lcm(*(v.denominator for v in values))
+        scale = Fraction(denom, math.gcd(*(v.numerator * denom // v.denominator
+                                           for v in values)) or 1)
         return LinearInequality(
             coeffs={v: c * scale for v, c in self.coeffs.items() if c != 0},
             rhs=self.rhs * scale,
@@ -365,8 +355,7 @@ def _dedupe_rows(rows: Iterable[LinearInequality]) -> list[LinearInequality]:
         key = tuple(sorted(r.coeffs.items()))
         if key not in norm or r.rhs < norm[key]:
             norm[key] = r.rhs
-    return [LinearInequality(dict(key), rhs) for key, rhs in sorted(
-        norm.items(), key=lambda kv: (kv[0], kv[1]))]
+    return [LinearInequality(dict(key), rhs) for key, rhs in sorted(norm.items())]
 
 
 def fm_eliminate(system: BoundedTermSystem, var: str) -> BoundedTermSystem:
@@ -380,54 +369,33 @@ def fm_eliminate(system: BoundedTermSystem, var: str) -> BoundedTermSystem:
     if var not in system.variables:
         raise UnknownVariable(f"{var!r} is not an eliminable variable")
     rows = system.all_rows()
-    zero: list[LinearInequality] = []
-    upper: list[LinearInequality] = []
-    lower: list[LinearInequality] = []
-    for row in rows:
-        c = row.coef(var)
-        if c == 0:
-            zero.append(row)
-        elif c > 0:
-            upper.append(row)
-        else:
-            lower.append(row)
-    combined: list[LinearInequality] = list(zero)
-    for up in upper:
-        cu = up.coef(var)
-        for lo in lower:
-            cl = -lo.coef(var)
-            coeffs: dict[str, Fraction] = {}
-            for v in set(up.coeffs) | set(lo.coeffs):
-                if v == var:
-                    continue
-                c = up.coef(v) * cl + lo.coef(v) * cu
-                if c != 0:
-                    coeffs[v] = c
-            rhs = up.rhs * cl + lo.rhs * cu
-            combined.append(LinearInequality(coeffs, rhs))
+    upper = [row for row in rows if row.coef(var) > 0]
+    lower = [row for row in rows if row.coef(var) < 0]
+    # each (upper, lower) pair scaled so that `var` cancels; a zero
+    # coefficient left in a row is dropped when `_dedupe_rows` normalizes it
+    combined = [row for row in rows if row.coef(var) == 0] + [
+        LinearInequality({v: up.coef(v) * -lo.coef(var) + lo.coef(v) * up.coef(var)
+                          for v in {*up.coeffs, *lo.coeffs} - {var}},
+                         up.rhs * -lo.coef(var) + lo.rhs * up.coef(var))
+        for up in upper for lo in lower]
     remaining = tuple(v for v in system.variables if v != var)
-    final = []
-    for row in _dedupe_rows(combined):
-        items = list(row.coeffs.items())
-        # nonnegativity of surviving variables is already implied by the
-        # variable table; drop the redundant single-variable lower rows
-        if (len(items) == 1 and items[0][0] in remaining
-                and items[0][1] < 0 and row.rhs >= 0):
-            continue
-        final.append(row)
+    # nonnegativity of surviving variables is already implied by the
+    # variable table; drop the redundant single-variable lower rows
+    final = tuple(row for row in _dedupe_rows(combined)
+                  if not (len(row.coeffs) == 1 and row.rhs >= 0 and all(
+                      v in remaining and c < 0 for v, c in row.coeffs.items())))
     return BoundedTermSystem(
         variables=remaining,
         upper={v: system.upper.get(v) for v in remaining},
-        inequalities=tuple(final),
+        inequalities=final,
     )
 
 
 def project_to_coordinates(system: BoundedTermSystem) -> BoundedTermSystem:
     """Eliminate every named variable, leaving rows over d1 and d2 only."""
-    current = system
-    for var in list(system.variables):
-        current = fm_eliminate(current, var)
-    return current
+    for var in system.variables:
+        system = fm_eliminate(system, var)
+    return system
 
 
 def projection_region(system: BoundedTermSystem) -> RegionPolytope:
@@ -442,10 +410,8 @@ def projected_region(projected: BoundedTermSystem) -> RegionPolytope:
         extra = set(row.coeffs) - {"d1", "d2"}
         if extra:
             raise UnknownVariable(f"rows still mention {sorted(extra)}")
-        a1, a2 = row.coef("d1"), row.coef("d2")
-        if (a1, a2) == (0, 0):
-            continue
-        planes.append(HalfPlane(a1, a2, row.rhs))
+        if row.coef("d1") or row.coef("d2"):
+            planes.append(HalfPlane(row.coef("d1"), row.coef("d2"), row.rhs))
     return RegionPolytope.from_halfplanes(planes)
 
 
@@ -475,30 +441,16 @@ def converse_alternation_system() -> BoundedTermSystem:
 def system_to_json_dict(system: BoundedTermSystem) -> dict:
     return {
         "variables": [
-            {
-                "name": v,
-                "upper": None if system.upper.get(v) is None else
-                [system.upper[v].numerator, system.upper[v].denominator],
-            }
+            {"name": v, "upper": None if system.upper.get(v) is None else
+             fraction_json(system.upper[v])}
             for v in system.variables
         ],
         "inequalities": [
-            {
-                "coeffs": {v: [c.numerator, c.denominator]
-                           for v, c in sorted(row.coeffs.items())},
-                "rhs": [row.rhs.numerator, row.rhs.denominator],
-            }
+            {"coeffs": {v: fraction_json(c) for v, c in sorted(row.coeffs.items())},
+             "rhs": fraction_json(row.rhs)}
             for row in system.inequalities
         ],
     }
-
-
-def _json_fraction(value, what: str) -> Fraction:
-    if (not isinstance(value, list) or len(value) != 2
-            or any(type(v) is not int for v in value) or value[1] == 0):
-        raise BadParams(f"{what} must be [numerator, denominator] with a nonzero "
-                        f"integer denominator, got {value!r}")
-    return Fraction(value[0], value[1])
 
 
 def _json_objects(payload, key: str) -> list:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import threading
 
 import numpy as np
 
@@ -125,19 +124,18 @@ def stream(seed: int, *tag) -> np.random.Generator:
 
 _ZEROS = [0, 0, 0, 0]
 _INV_SQRT2 = 1 / np.sqrt(2.0)
-_reused = threading.local()
+# the one generator that every `complex_normals` call resets to each key's
+# stream in turn: two calls must not draw at once
+_REUSED = np.random.Generator(np.random.Philox(key=0))
 
 
 def _keyed(key: list[int]) -> np.random.Generator:
-    """This thread's reused generator, reset to the start of `key`'s stream."""
-    gen = getattr(_reused, "gen", None)
-    if gen is None:
-        gen = _reused.gen = np.random.Generator(np.random.Philox(key=key))
-    gen.bit_generator.state = {
+    """The one reused generator, reset to the start of `key`'s stream."""
+    _REUSED.bit_generator.state = {
         "bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
         "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
-    return gen
+    return _REUSED
 
 
 def complex_from_parts(re: np.ndarray, im: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ implementations; nothing is calibrated at run time.
 
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 from sdof_lab import acceptance
@@ -92,6 +93,32 @@ def test_criterion_07_runs_the_oracle_on_every_catalog_system(monkeypatch):
     monkeypatch.setattr(fm_oracle, "hull_agreement", counting)
     _check(acceptance.criterion_7())
     assert seen == list(fm_oracle.oracle_catalog().values())
+
+
+def _with_scheme_point(monkeypatch, scheme_id, theorem, point):
+    table = dict(acceptance._SCHEME_REGION)
+    table[scheme_id] = (theorem, None, point)
+    monkeypatch.setattr(acceptance, "_SCHEME_REGION", table)
+
+
+def test_criterion_08_needs_each_scheme_point_as_a_vertex(monkeypatch):
+    """MR_DDP's (2/3, 2/3) lies strictly inside thm5's region: containment
+    alone would pass it, the vertex check does not."""
+    point = acceptance._SCHEME_REGION["MR_DDP"][2]
+    _with_scheme_point(monkeypatch, "MR_DDP", "thm5", point)
+    result = acceptance.criterion_8()
+    assert result.status == "FAIL"
+    assert result.detail == (
+        "MR_DDP point (Fraction(2, 3), Fraction(2, 3)) is not a vertex of thm5")
+
+
+def test_criterion_02_reads_the_scheme_points(monkeypatch):
+    """Criterion 2's points of the schedule-free regions are the scheme
+    table's: a point moved off thm2's vertices there fails criterion 2."""
+    _with_scheme_point(monkeypatch, "MR_PPD", "thm2", (Fraction(1), Fraction(1, 2)))
+    result = acceptance.criterion_2()
+    assert result.status == "FAIL"
+    assert result.detail == "thm2:(Fraction(1, 1), Fraction(1, 2))"
 
 
 def test_criterion_03_lists_every_failing_seed(monkeypatch):

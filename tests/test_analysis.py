@@ -20,9 +20,14 @@ from sdof_lab.analysis import (
     prelogs,
     rate_slope,
 )
-from sdof_lab.errors import DimensionTooLarge, EmptySystem, GridTooSmall
+from sdof_lab.errors import (
+    BadParams, DimensionTooLarge, EmptySystem, GridTooSmall, UnknownSymbolId,
+)
 from sdof_lab.model import EVE, RX1, RX2, PowerBudget, Topology, sample_channel
-from sdof_lab.precoding import EffectiveLinearSystem, SymbolDecl, assemble_effective_system
+from sdof_lab.precoding import (
+    EffectiveLinearSystem, SymbolDecl, assemble_effective_system, identifiability_check,
+    identifiable_symbols,
+)
 from sdof_lab.schemes import SCHEME_IDS, build_scheme, leak_series, rate_series, run_scheme
 
 STEP5_GRID = tuple(2.0 ** e for e in range(20, 61, 5))
@@ -157,6 +162,33 @@ class TestGaussianMi:
                     max(old_logdet_bits(full, p)
                         - old_logdet_bits(full[:, ~is_secret], p), 0.0)
                     for p in grid], (node, grid)
+
+
+# the entry points that resolve symbol ids to columns, each asked about
+# EVE's view of `secret` given `known`
+_RESOLVERS = {
+    "identifiability_check":
+        lambda system, secret, known: identifiability_check(system, EVE, secret, known),
+    "identifiable_symbols":
+        lambda system, secret, known: identifiable_symbols(system, EVE, secret, known),
+    "gaussian_mi":
+        lambda system, secret, known: gaussian_mi(system, EVE, secret, 1e4, known=known),
+    "mc_mi_oracle":
+        lambda system, secret, known: mc_mi_oracle(system, EVE, secret, 1e4,
+                                                   n_samples=100, known=known),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_RESOLVERS))
+def test_every_entry_point_resolves_symbols_alike(entry):
+    """A secret (or target) that is also known raises the same error,
+    naming the symbol, at every entry point: none answers 0 bits for it,
+    which would read as "no leakage".  An unknown symbol raises alike."""
+    _, system = _system("MR_PDP")
+    with pytest.raises(BadParams, match="symbol 'w' is both a target and known"):
+        _RESOLVERS[entry](system, ["v1", "w"], ["w"])
+    with pytest.raises(UnknownSymbolId, match="nope"):
+        _RESOLVERS[entry](system, ["v1"], ["nope"])
 
 
 class TestStacked:
