@@ -145,12 +145,14 @@ def criterion_2() -> CriterionResult:
 
 
 def criterion_3(n_seeds: int = 100) -> CriterionResult:
-    """Noiseless decodability and adversary non-identifiability, all schemes.
+    """Noiseless decodability and secrecy, all schemes: every receiver
+    decodes, and every adversary's leak rank is 0.
 
-    Also pins the companion invariant: the generic identifiability oracle
+    Also pins the companion invariant: the generic decodability check
     agrees with every hand-written decoder on its own targets.  Every
-    failing (scheme, seed) is listed.  Each batch of seeds is assembled
-    once, and both oracles run on its stack of systems.
+    failing (scheme, seed) is listed, a leak with its adversary and rank.
+    Each batch of seeds is assembled once, and the checks and leak ranks
+    (both `precoding.resolved_ranks`) run on its stack of systems.
     """
     failures = []
     for scheme_id in SCHEME_IDS:
@@ -164,7 +166,8 @@ def criterion_3(n_seeds: int = 100) -> CriterionResult:
                 if not report.all_success:
                     failure = f"residual {report.max_residual:.2e}"
                 elif report.any_protected_identifiable:
-                    failure = "protected symbol leaks"
+                    failure = ", ".join(f"{adv} leak rank {rank}"
+                                        for adv, rank in report.leak_ranks.items() if rank)
                 elif ok:
                     continue
                 else:

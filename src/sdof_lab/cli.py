@@ -324,11 +324,12 @@ def cmd_fm(system_path: str, eliminate: list[str] | None, out: str | None,
             "--check needs a full projection, but --eliminate leaves "
             f"{', '.join(current.variables)}")
     result = regions.system_to_json_dict(current)
+    ok = True
     if check:
         ok, msg = hull_agreement(system)
         result["oracle_agreement"] = {"ok": ok, "detail": msg}
     _write_json(result, out)
-    return 0
+    return 0 if ok else 2
 
 
 def cmd_verify(sub: str, fast: bool) -> int:

@@ -1,19 +1,22 @@
-"""Zero-forcing beams and per-node effective linear systems.
+"""Zero-forcing beams, per-node effective linear systems and the one
+separability oracle.
 
 `null_bases` builds orthonormal bases orthogonal to given channel rows, for
 a whole stack of row sets at once, with a deterministic phase convention.
 `assemble_effective_system` extracts, from an executed run, the exact
-matrices mapping (message, noise) symbols to each node's observations;
-those matrices drive the decodability oracle and all mutual-information
-computations.
+matrices mapping (message, noise) symbols to each node's observations.
+Those matrices drive all mutual-information computations and the oracle,
+`resolved_ranks`: rank([T N]) - rank(N) for a node's target columns T and
+nuisance columns N, which is every target where the node decodes them and,
+at an adversary, the leakage prelog of its protected symbols.
 
 A system may also be a stack: matrices with a leading axis, one item per
-seed of a batch.  The assembly and the two identifiability oracles have
-stacked forms; each single-system function is the one-item case of its
-stacked form.  The oracles work block by block: a stack's `blocks` are the
-connected components of its exact nonzero pattern, found once per stack,
-and each oracle runs one SVD per (block, node, column set) for the whole
-stack, with every cutoff taken from the whole matrix.
+seed of a batch.  The assembly and the oracle have stacked forms; each
+single-system function is the one-item case of its stacked form.  The
+oracle works block by block: a stack's `blocks` are the connected
+components of its exact nonzero pattern, found once per stack, and the
+oracle runs one SVD per (block, node, column set) for the whole stack,
+with every cutoff taken from the whole system.
 """
 
 from __future__ import annotations
@@ -31,10 +34,10 @@ from .model import complex_to_json
 RANK_REL_TOL = 1e-8
 
 
-def vector_norms(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """2-norm along `axis`, bit for bit `np.linalg.norm` of each vector
-    (which takes `.dot` of the strided real and imaginary views)."""
-    return np.sqrt(np.vecdot(a.real, a.real, axis=axis) + np.vecdot(a.imag, a.imag, axis=axis))
+def vector_norms(a: np.ndarray) -> np.ndarray:
+    """2-norm along the last axis, bit for bit `np.linalg.norm` of each
+    vector (which takes `.dot` of the strided real and imaginary views)."""
+    return np.sqrt(np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag))
 
 
 def canonical_phase(vecs: np.ndarray) -> np.ndarray:
@@ -244,8 +247,8 @@ def assemble_effective_systems(batch) -> EffectiveLinearSystem:
 
 def _system_scale(system: EffectiveLinearSystem, node: str) -> np.ndarray:
     """Largest entry of any node's matrix, per system of a stack: the
-    reference for every rank and seen-column cutoff, so a fully zero-forced
-    node (whose own matrix is rounding noise) is not ranked against itself.
+    reference for every rank cutoff, so a fully zero-forced node (whose own
+    matrix is rounding noise) is not ranked against itself.
 
     A NaN or infinite entry anywhere carries through the maxima, and a
     system whose scale is not finite raises, naming `node`, the node the
@@ -268,19 +271,48 @@ def _ranks(mats: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return np.sum(sv > (RANK_REL_TOL * scale)[:, None], axis=-1)
 
 
+def resolved_ranks(
+    systems: EffectiveLinearSystem,
+    node: str,
+    targets: Iterable[str],
+    known: Iterable[str] = (),
+) -> np.ndarray:
+    """Per system of a stack, as an int array, how many dimensions of the
+    `targets` the node resolves: rank([T N]) - rank(N) once the `known`
+    columns are removed, with T the target columns and N the rest.  It is
+    |targets| exactly when the node can separate every target from all else
+    it observes, and 0 when all it sees of them lies in the span of N.
+
+    Each rank is the sum of the ranks of the node's matrix on the stack's
+    `blocks`, counting singular values above RANK_REL_TOL times the scale of
+    the whole system: two stacked SVDs per block in all."""
+    targets = frozenset(targets)
+    kept, kept_target = systems.split_columns(targets, known)
+    mats = systems.matrices[node]
+    gained = np.zeros(len(mats), dtype=int)
+    if not targets:
+        return gained
+    is_target = np.zeros(len(systems.symbols), dtype=bool)
+    is_target[kept] = kept_target
+    is_nuisance = np.zeros(len(systems.symbols), dtype=bool)
+    is_nuisance[kept] = ~kept_target
+    scale = _system_scale(systems, node)
+    for rows, cols in systems.blocks:
+        block = mats[:, rows[:, None], cols]
+        gained += (_ranks(block[..., is_target[cols] | is_nuisance[cols]], scale)
+                   - _ranks(block[..., is_nuisance[cols]], scale))
+    return gained
+
+
 def identifiability_check(
     system: EffectiveLinearSystem,
     node: str,
     targets: Iterable[str],
     known: Iterable[str] = (),
 ) -> bool:
-    """Generic decodability oracle.
-
-    True iff, once the `known` symbol columns are removed, the target columns
-    add exactly |targets| to the rank of the remaining nuisance columns --
-    i.e. the node can separate every target from whatever else it observes.
-    The one-system case of `identifiability_checks`.
-    """
+    """Generic decodability oracle: whether the node can separate every
+    target from whatever else it observes, once the `known` columns are
+    removed.  The one-system case of `identifiability_checks`."""
     return bool(identifiability_checks(system.stacked(), node, targets, known)[0])
 
 
@@ -290,83 +322,19 @@ def identifiability_checks(
     targets: Iterable[str],
     known: Iterable[str] = (),
 ) -> np.ndarray:
-    """`identifiability_check` of every system of a stack, as a bool array.
-
-    Each rank is the sum of the ranks of the node's matrix on the stack's
-    `blocks`, every one measured against the scale of its whole system:
-    two stacked SVDs per block in all."""
+    """`identifiability_check` of every system of a stack, as a bool array:
+    whether `resolved_ranks` resolves all |targets| dimensions."""
     targets = frozenset(targets)
-    kept, kept_target = systems.split_columns(targets, known)
-    mats = systems.matrices[node]
-    if not targets:
-        return np.ones(len(mats), dtype=bool)
-    is_target = np.zeros(len(systems.symbols), dtype=bool)
-    is_target[kept] = kept_target
-    is_nuisance = np.zeros(len(systems.symbols), dtype=bool)
-    is_nuisance[kept] = ~kept_target
-    scale = _system_scale(systems, node)
-    gained = np.zeros(len(mats), dtype=int)
-    for rows, cols in systems.blocks:
-        block = mats[:, rows[:, None], cols]
-        gained += (_ranks(block[..., is_target[cols] | is_nuisance[cols]], scale)
-                   - _ranks(block[..., is_nuisance[cols]], scale))
-    return gained == len(targets)
+    return resolved_ranks(systems, node, targets, known) == len(targets)
 
 
 def identifiable_symbols(
     system: EffectiveLinearSystem, node: str, candidates: Iterable[str],
     known: Iterable[str] = (),
 ) -> dict[str, bool]:
-    """Per-symbol identifiability for many candidates via one nullspace pass.
-
-    A single column is separable from the rest exactly when it is seen at all
-    and no right-null vector of the (known-columns-removed) matrix touches
-    it.  Both tests are scale-free, so a global rescaling of the matrices
-    leaves every verdict: a column is seen when its norm exceeds RANK_REL_TOL
-    times the largest entry of the whole system (not of this node's matrix,
-    which at a fully zero-forced node is rounding noise), and the null rows
-    are orthonormal.  The one-system case of `identifiable_symbols_stacked`.
-    """
-    verdicts = identifiable_symbols_stacked(system.stacked(), node, candidates, known)
-    return {sid: bool(flags[0]) for sid, flags in verdicts.items()}
-
-
-def identifiable_symbols_stacked(
-    systems: EffectiveLinearSystem, node: str, candidates: Iterable[str],
-    known: Iterable[str] = (),
-) -> dict[str, np.ndarray]:
-    """`identifiable_symbols` of every system of a stack: per candidate, a
-    bool array over the systems; one stacked SVD per block of the stack.
-
-    The null rows of a block-diagonal matrix are those of its blocks, so
-    each block's null rows are found alone, with the rank cutoff of the
-    whole kept matrix: RANK_REL_TOL times its largest singular value, the
-    largest over its blocks.  A kept column in no block is unseen."""
+    """`identifiability_check` of each candidate alone: whether the node can
+    separate it from every other unknown column.  An unknown candidate, or
+    one that is also known, raises before any check."""
     candidates = tuple(candidates)
-    kept, _ = systems.split_columns(candidates, known)
-    is_kept = np.zeros(len(systems.symbols), dtype=bool)
-    is_kept[kept] = True
-    mats = systems.matrices[node]
-    scale = _system_scale(systems, node)
-    factors = []
-    for rows, cols in systems.blocks:
-        cols = cols[is_kept[cols]]
-        if len(cols):
-            sv, vh = np.linalg.svd(mats[:, rows[:, None], cols], full_matrices=True)[1:]
-            factors.append((cols, sv, vh))
-    cutoff = RANK_REL_TOL * np.max([sv[:, 0] for _, sv, _ in factors], axis=0,
-                                   initial=0.0)
-    # a column is touched when the null rows (rows of vh past the rank) have
-    # weight on it; systems are grouped by rank, so every norm runs over
-    # exactly the null rows of its own system
-    touched = np.zeros((len(mats), len(systems.symbols)), dtype=bool)
-    for cols, sv, vh in factors:
-        rank = np.sum(sv > cutoff[:, None], axis=-1)
-        for r in set(rank.tolist()):      # (np.unique would import numpy.ma)
-            if r < len(cols):
-                group = rank == r
-                null = vh[:, r:] if group.all() else vh[group, r:]
-                touched[np.ix_(group, cols)] = vector_norms(null, axis=-2) > 1e-6
-    seen = vector_norms(mats, axis=-2) > (RANK_REL_TOL * scale)[:, None]
-    identifiable = seen & ~touched
-    return {sid: identifiable[:, systems.symbol_index[sid]] for sid in candidates}
+    system.split_columns(candidates, known)
+    return {sid: identifiability_check(system, node, [sid], known) for sid in candidates}

@@ -461,14 +461,18 @@ def _json_objects(payload, key: str) -> list:
 
 
 def system_from_json_dict(payload: Mapping) -> BoundedTermSystem:
-    """Inverse of system_to_json_dict; malformed input, or a row that reads
-    0 <= negative, raises BadParams."""
+    """Inverse of system_to_json_dict; malformed input, a variable declared
+    twice or named d1 or d2, a coefficient of anything but a declared
+    variable, d1 or d2, or a row that reads 0 <= negative raises BadParams."""
     variables = []
     upper: dict[str, Fraction | None] = {}
     for entry in _json_objects(payload, "variables"):
         name = entry.get("name")
         if not isinstance(name, str):
             raise BadParams(f"variable name must be a string, got {name!r}")
+        if name in upper or name in ("d1", "d2"):
+            raise BadParams(f"variable {name!r} is declared twice" if name in upper
+                            else f"variable {name!r} names a kept coordinate")
         variables.append(name)
         bound = entry.get("upper")
         upper[name] = None if bound is None else _json_fraction(bound, f"upper of {name}")
@@ -477,6 +481,9 @@ def system_from_json_dict(payload: Mapping) -> BoundedTermSystem:
         coeffs = row.get("coeffs")
         if not isinstance(coeffs, Mapping):
             raise BadParams(f"inequality coeffs must be an object, got {coeffs!r}")
+        undeclared = set(coeffs) - set(upper) - {"d1", "d2"}
+        if undeclared:
+            raise BadParams(f"inequality names undeclared variable {min(undeclared)!r}")
         rows.append(LinearInequality(
             {v: _json_fraction(c, f"coefficient of {v}") for v, c in coeffs.items()},
             _json_fraction(row.get("rhs"), "rhs")))

@@ -2,8 +2,9 @@
 
 Every random draw in the lab flows through a named substream derived from a
 64-bit master seed.  Substreams are independent Philox streams, so work items
-(slots, seeds, Monte-Carlo batches) can be evaluated in any order, or in
-parallel, and still reproduce bit-identical results.
+(slots, seeds, Monte-Carlo batches) can be evaluated in any order and still
+reproduce bit-identical results.  `complex_normals` draws through one
+module-level generator, so two threads must not call it at once.
 
 The substream named by `tag` under `seed` is the Philox stream whose key
 numpy's `SeedSequence(entropy=seed mod 2^64, spawn_key=<tag words>)`

@@ -11,11 +11,7 @@ import numpy as np
 from ..analysis import gaussian_mi_stacked
 from ..errors import BadParams, UnknownScheme
 from ..model import RX1, RX2
-from ..precoding import (
-    EffectiveLinearSystem,
-    assemble_effective_systems,
-    identifiable_symbols_stacked,
-)
+from ..precoding import EffectiveLinearSystem, assemble_effective_systems, resolved_ranks
 from . import composite, library
 from .accounting import AccountingReport, accounting, composite_accounting
 from .composite import sub_protocol_dof
@@ -110,8 +106,14 @@ class NodeDecode:
 
 @dataclass(frozen=True)
 class DecodeReport:
+    """One seed's decoding and secrecy verdicts: each receiver's decode, and
+    each adversary's leak rank, the dimensions of its protected symbols it
+    resolves given those it knows (`precoding.resolved_ranks`).  Secrecy
+    needs every leak rank to be 0, which also leaves each protected symbol
+    inseparable on its own."""
+
     nodes: Mapping[str, NodeDecode]
-    adversary: Mapping[str, Mapping[str, bool]]
+    leak_ranks: Mapping[str, int]
 
     @property
     def all_success(self) -> bool:
@@ -123,19 +125,19 @@ class DecodeReport:
 
     @property
     def any_protected_identifiable(self) -> bool:
-        return any(flag for table in self.adversary.values() for flag in table.values())
+        return any(rank > 0 for rank in self.leak_ranks.values())
 
 
 def decode(trace: TraceBatch,
            system: EffectiveLinearSystem | None = None) -> DecodeReport:
-    """Run the scheme's decoder and the adversary identifiability oracle on
-    a one-seed run.
+    """Run the scheme's decoder and take each adversary's leak rank on a
+    one-seed run.
 
     In noiseless mode every intended receiver must recover its symbols with
-    relative residual at most 1e-8; protected symbols must stay unresolvable
-    at their adversaries.  Failures are reported, never raised.  The oracle
-    uses `system` when given (the run's effective system), else assembles
-    it.  The one-seed case of `decode_batch`.
+    relative residual at most 1e-8; every leak rank must be 0.  Failures
+    are reported, never raised.  The leak ranks use `system` when given (the
+    run's effective system), else assemble it.  The one-seed case of
+    `decode_batch`.
     """
     systems = None if system is None else system.stacked()
     return decode_batch(trace, systems)[0]
@@ -146,19 +148,18 @@ def decode_batch(batch: TraceBatch,
     """`decode` of every seed of a batch, in seed order.
 
     The hand decoder runs on each seed's `ReceiverView`, and each report
-    scores exactly the scheme's receivers (`spec.receivers`); the adversary
-    oracle runs once per adversary on the stack of the batch's effective
-    systems (`systems` when given, else assembled from the batch).
+    scores exactly the scheme's receivers (`spec.receivers`).  Each
+    adversary's leak rank comes from one `resolved_ranks` call on the stack
+    of the batch's effective systems (`systems` when given, else assembled
+    from the batch).
     """
     spec = batch.spec
     if systems is None and spec.protected:
         systems = assemble_effective_systems(batch)
-    verdicts = {adv: identifiable_symbols_stacked(
-                    systems, adv, sorted(sids), spec.adversary_known[adv])
-                for adv, sids in spec.protected.items()}
+    leaks = {adv: resolved_ranks(systems, adv, sids, spec.adversary_known[adv])
+             for adv, sids in spec.protected.items()}
     return [DecodeReport(nodes=_decode_receivers(view),
-                         adversary={adv: {sid: bool(flags[i]) for sid, flags in table.items()}
-                                    for adv, table in verdicts.items()})
+                         leak_ranks={adv: int(ranks[i]) for adv, ranks in leaks.items()})
             for i, view in enumerate(batch.views())]
 
 

@@ -142,6 +142,16 @@ def test_criterion_03_lists_every_failing_seed(monkeypatch):
                              "WT_PP seed 7: residual 1.00e+00")
 
 
+def test_criterion_03_names_a_leaking_adversary(leaky_mr_ppd):
+    """A scheme whose eavesdropper sees a combination of its protected
+    symbols fails criterion 3 at every seed, naming the adversary and its
+    leak rank."""
+    result = acceptance.criterion_3(n_seeds=3)
+    assert result.status == "FAIL"
+    assert result.detail == "; ".join(f"MR_PPD seed {seed}: eve leak rank 1"
+                                      for seed in range(3))
+
+
 def test_criterion_07_projects_the_converse_once_itself(monkeypatch):
     """The facet check and the 4*d1 + d2 peak share one projection; the only
     other projection of the converse is the oracle's own."""

@@ -178,20 +178,19 @@ class TestSimulate:
     def test_oracle_failure_in_a_later_chunk_is_dumped(self, tmp_path, monkeypatch):
         spec = build_scheme("MR_PPD")
         monkeypatch.setattr(program, "BATCH_CELLS", 2 * spec.n_slots * len(spec.symbols))
-        true_oracle = schemes.identifiable_symbols_stacked
+        true_oracle = schemes.resolved_ranks
         chunks = []
 
         def flagging(systems, *args):
             # chunks of two seeds: the second chunk holds seeds 2 and 3; the
             # scheme has one adversary, so one call per chunk
-            verdict = true_oracle(systems, *args)
+            ranks = true_oracle(systems, *args)
             chunks.append(len(systems.matrices[RX1]))
             if len(chunks) >= 2:
-                for flags in verdict.values():
-                    flags[-1] = True
-            return verdict
+                ranks[-1] = 1
+            return ranks
 
-        monkeypatch.setattr(schemes, "identifiable_symbols_stacked", flagging)
+        monkeypatch.setattr(schemes, "resolved_ranks", flagging)
         trace_p = tmp_path / "trace.json"
         summary_p = tmp_path / "s.json"
         code = run_cli("simulate", "--scheme", "mr_ppd", "--seeds", "6",
@@ -202,13 +201,21 @@ class TestSimulate:
         assert json.loads(trace_p.read_text())["seed"] == 3
         assert json.loads(summary_p.read_text())["decode_ok"] is False
 
+    def test_a_leak_rank_exits_two(self, tmp_path, leaky_mr_ppd):
+        """A seed whose eavesdropper has a nonzero leak rank is a failed
+        invariant, though every receiver decodes."""
+        summary_p = tmp_path / "s.json"
+        assert run_cli("simulate", "--scheme", "mr_ppd", "--seeds", "5",
+                       "--out", str(tmp_path / "rows.csv"), "--summary", str(summary_p)) == 2
+        assert json.loads(summary_p.read_text())["decode_ok"] is False
+
     def test_analysis_runs_once_per_chunk(self, tmp_path, monkeypatch):
-        """A 20-seed run assembles its systems, decodes them and calls the
-        adversary oracle once per chunk; only sampling, execution and the
-        hand decoders run per seed."""
+        """A 20-seed run assembles its systems, decodes them and takes each
+        adversary's leak rank once per chunk; only sampling, execution and
+        the hand decoders run per seed."""
         calls = {name: 0 for name in (
             "assemble_effective_systems", "assemble_effective_system", "decode_batch",
-            "identifiable_symbols_stacked", "run_scheme", "_decode_receivers")}
+            "resolved_ranks", "run_scheme", "_decode_receivers")}
 
         def counting(module, name):
             original = getattr(module, name)
@@ -221,7 +228,7 @@ class TestSimulate:
         for name in ("assemble_effective_systems", "assemble_effective_system",
                      "decode_batch", "run_scheme"):
             counting(cli, name)
-        for name in ("identifiable_symbols_stacked", "_decode_receivers"):
+        for name in ("resolved_ranks", "_decode_receivers"):
             counting(schemes, name)
         spec = build_scheme("MR_DDP")
         assert len(list(schemes.seed_chunks(spec, range(20)))) == 1
@@ -230,7 +237,7 @@ class TestSimulate:
                        "--summary", str(tmp_path / "s.json")) == 0
         assert calls == {"assemble_effective_systems": 1, "assemble_effective_system": 0,
                          "decode_batch": 1,
-                         "identifiable_symbols_stacked": len(spec.protected),
+                         "resolved_ranks": len(spec.protected),
                          "run_scheme": 20, "_decode_receivers": 20}
 
     @pytest.mark.parametrize("argv", [
@@ -436,6 +443,15 @@ def _range_listed_below_a_million(n):
     (("fm", "--system", "{tmp}/s.json"),
      {"s.json": json.dumps({"variables": [], "inequalities": [
          {"coeffs": {}, "rhs": [-1, 1]}]})}),
+    (("fm", "--system", "{tmp}/s.json"),
+     {"s.json": json.dumps({"variables": [], "inequalities": [
+         {"coeffs": {"d1": [1, 1], "z": [-1, 1]}, "rhs": [0, 1]}]})}),
+    (("fm", "--system", "{tmp}/s.json"),
+     {"s.json": json.dumps({"variables": [{"name": "a"}, {"name": "a"}], "inequalities": [
+         {"coeffs": {"d1": [1, 1], "a": [-1, 1]}, "rhs": [0, 1]}]})}),
+    (("fm", "--system", "{tmp}/s.json"),
+     {"s.json": json.dumps({"variables": [{"name": "d1"}], "inequalities": [
+         {"coeffs": {"d1": [1, 1]}, "rhs": [1, 1]}]})}),
     (("simulate", "--config", "{tmp}/missing.json"), {}),
     (("fm", "--system", "{tmp}/missing.json"), {}),
     (("simulate", "--config", "{tmp}/c.json"), {"c.json": "{"}),
@@ -466,7 +482,8 @@ def _range_listed_below_a_million(n):
 ], ids=["zero-seeds", "huge-seeds", "huge-power", "tiny-power", "bad-lambda", "bad-state", "dup-state",
         "config-bad-state", "string-seeds",
         "fm-int-variables", "fm-int-coeffs", "fm-zero-denominator", "fm-infeasible",
-        "fm-infeasible-no-vars", "missing-config", "missing-system", "invalid-config-json", "invalid-system-json", "config-not-object",
+        "fm-infeasible-no-vars", "fm-undeclared-variable", "fm-variable-declared-twice",
+        "fm-variable-named-d1", "missing-config", "missing-system", "invalid-config-json", "invalid-system-json", "config-not-object",
         "unwritable-out", "unwritable-region-out", "blocks-non-composite",
         "nan-tolerance", "inf-tolerance", "negative-tolerance", "config-nan-tolerance",
         "fm-check-partial-projection", "sub-non-composite", "config-sub-non-composite",
@@ -544,6 +561,18 @@ class TestFm:
         assert run_cli("fm", "--system", str(system_path), "--check") == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["oracle_agreement"]["ok"] is True
+
+    def test_oracle_disagreement_exits_two(self, tmp_path, capsys, monkeypatch):
+        """A failed hull check is a failed invariant: the projection and the
+        oracle's verdict are still printed."""
+        system_path = tmp_path / "system.json"
+        system_path.write_text(json.dumps(
+            system_to_json_dict(converse_alternation_system())))
+        monkeypatch.setattr(cli, "hull_agreement", lambda system: (False, "vertex differs"))
+        assert run_cli("fm", "--system", str(system_path), "--check") == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["oracle_agreement"] == {"ok": False, "detail": "vertex differs"}
+        assert payload["variables"] == []
 
 
 class TestVerify:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdof_lab.analysis import gaussian_mi
 from sdof_lab.errors import BadParams, IncompleteTrace, OverConstrained, UnknownSymbolId
 from sdof_lab.model import EVE, RX1, RX2, PowerBudget, sample_channel
 from sdof_lab.precoding import (
@@ -18,8 +19,8 @@ from sdof_lab.precoding import (
     identifiability_check,
     identifiability_checks,
     identifiable_symbols,
-    identifiable_symbols_stacked,
     null_bases,
+    resolved_ranks,
 )
 from sdof_lab.schemes import (
     SCHEME_IDS,
@@ -42,8 +43,10 @@ def _scale(systems):
 
 
 def _whole_matrix_symbols(systems, node, candidates, known=()):
-    """`identifiable_symbols_stacked` without blocks: one SVD of each
-    system's whole kept matrix, ranked against its largest singular value."""
+    """Per-symbol verdicts by null rows, a reference independent of the rank
+    oracle: one SVD of each system's whole kept matrix, ranked against its
+    largest singular value; a candidate is separable when its column is seen
+    and no null row of the kept matrix has weight on it."""
     kept, is_candidate = systems.split_columns(candidates, known)
     mats = systems.matrices[node][..., kept]
     if not mats.shape[-2] or not mats.shape[-1]:
@@ -56,9 +59,9 @@ def _whole_matrix_symbols(systems, node, candidates, known=()):
     return {systems.symbols[kept[j]].sid: verdict[:, j] for j in np.flatnonzero(is_candidate)}
 
 
-def _whole_matrix_checks(systems, node, target_sets, known=()):
-    """`identifiability_checks` of each target set without blocks: ranks of
-    the whole matrices."""
+def _whole_matrix_ranks(systems, node, target_sets, known=()):
+    """`resolved_ranks` of each target set without blocks: ranks of the
+    whole matrices."""
     index = systems.symbol_index
     scale = _scale(systems)
 
@@ -72,8 +75,21 @@ def _whole_matrix_checks(systems, node, target_sets, known=()):
     # the targets and nuisance together are every unknown column
     unknown = ranks([index[d.sid] for d in systems.symbols if d.sid not in known])
     return [unknown - ranks([index[d.sid] for d in systems.symbols
-                             if d.sid not in known and d.sid not in targets]) == len(targets)
+                             if d.sid not in known and d.sid not in targets])
             for targets in target_sets]
+
+
+def _whole_matrix_checks(systems, node, target_sets, known=()):
+    """`identifiability_checks` of each target set without blocks."""
+    return [gained == len(targets) for gained, targets
+            in zip(_whole_matrix_ranks(systems, node, target_sets, known), target_sets)]
+
+
+def _sampled(candidates):
+    """The candidates whose verdicts a test takes one at a time, each an SVD
+    pair per block (about 1.4 ms for a composite's 58x100 block): all of
+    a small scheme's, ten evenly spaced ones of a composite's."""
+    return candidates if len(candidates) <= 20 else candidates[::len(candidates) // 10]
 
 
 complex_rows = st.lists(
@@ -255,6 +271,19 @@ class TestIdentifiability:
         system = assemble_effective_system(trace)
         assert identifiability_check(system, EVE, [])
 
+    def test_a_combination_in_the_clear_leaks_one_dimension(self):
+        """An eavesdropper that sees v1 + v2 in the clear learns about
+        log2(P) bits of them, though neither symbol is separable alone: its
+        leak rank is 1."""
+        system = EffectiveLinearSystem(
+            symbols=(SymbolDecl("v1", RX1), SymbolDecl("v2", RX1)),
+            matrices={RX1: np.eye(2, dtype=complex),
+                      EVE: np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)})
+        assert identifiable_symbols(system, EVE, ["v1", "v2"]) == {"v1": False, "v2": False}
+        assert resolved_ranks(system.stacked(), EVE, ["v1", "v2"]).tolist() == [1]
+        bits = gaussian_mi(system, EVE, ["v1", "v2"], [2.0 ** 20, 2.0 ** 40, 2.0 ** 60])
+        assert [round(mi.bits, 1) for mi in bits] == [21.0, 41.0, 61.0]
+
     def test_unknown_symbol(self):
         spec, trace = _run("MR_PDD")
         system = assemble_effective_system(trace)
@@ -262,8 +291,9 @@ class TestIdentifiability:
             identifiability_check(system, EVE, ["nope"])
 
     def test_fast_path_matches_rank_check(self):
-        """Both oracles agree on every message symbol at every node, fully
-        zero-forced nodes (WT_PP/WT_DP eve, BC_PP_S2 rx1/rx2) included."""
+        """The rank verdicts agree with the null-row reference on every
+        message symbol at every node, fully zero-forced nodes (WT_PP/WT_DP
+        eve, BC_PP_S2 rx1/rx2) included."""
         for scheme_id in SCHEME_IDS:
             spec, trace = _run(scheme_id, seed=11)
             system = assemble_effective_system(trace)
@@ -271,9 +301,9 @@ class TestIdentifiability:
                 known = spec.adversary_known.get(node, frozenset())
                 candidates = sorted(set(system.message_sids()) - known)
                 table = identifiable_symbols(system, node, candidates, known)
+                reference = _whole_matrix_symbols(system.stacked(), node, candidates, known)
                 for sid, flag in table.items():
-                    assert flag == identifiability_check(
-                        system, node, [sid], known), (scheme_id, node, sid)
+                    assert flag == bool(reference[sid][0]), (scheme_id, node, sid)
 
     def test_oracle_agrees_with_decoders(self):
         from sdof_lab.schemes import decode
@@ -291,7 +321,8 @@ class TestIdentifiability:
 
     @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
     def test_verdicts_survive_rescaling(self, scheme_id):
-        """Both oracles give the same verdicts when every matrix is rescaled."""
+        """The per-symbol verdicts and the leak ranks are the same when
+        every matrix is rescaled."""
         spec, trace = _run(scheme_id, seed=2)
         system = assemble_effective_system(trace)
 
@@ -300,10 +331,10 @@ class TestIdentifiability:
             for node in spec.topology.nodes():
                 known = spec.adversary_known.get(node, frozenset())
                 candidates = sorted(set(sys_.message_sids()) - known)
-                table = identifiable_symbols(sys_, node, candidates, known)
-                for sid in candidates:
-                    out[node, sid] = (table[sid],
-                                      identifiability_check(sys_, node, [sid], known))
+                out[node] = identifiable_symbols(sys_, node, candidates, known)
+                if node in spec.protected:
+                    out[node, "leak rank"] = int(resolved_ranks(
+                        sys_.stacked(), node, spec.protected[node], known)[0])
             return out
 
         reference = verdicts(system)
@@ -314,6 +345,13 @@ class TestIdentifiability:
 
 
 SCALINGS = (1.0, 1e-10, 1e3)
+
+# every scheme with an adversary, a long superframe and the other sub-protocol
+SECURE_CASES = [
+    *((scheme_id, {}, range(20)) for scheme_id in SCHEME_IDS if build_scheme(scheme_id).protected),
+    ("MR_S30_29_A", {"blocks": 40}, range(3)),
+    ("MR_S30_29_A", {"sub": "fallback32"}, range(20)),
+]
 
 
 class TestStacked:
@@ -354,7 +392,8 @@ class TestStacked:
     def test_stacked_verdicts_equal_single_verdicts(self, scheme_id, params, runs):
         """Every scheme x 20 seeds x node, at scalings 1, 1e-10 and 1e3, and
         `--blocks` 20 and 40 x 3 seeds, each at one of the scalings: the
-        stacked, single and whole-matrix verdicts agree."""
+        stacked, single and whole-matrix ranks and verdicts agree, and each
+        system's per-symbol verdicts are the null-row reference's."""
         spec = build_scheme(scheme_id, **params)
         batches = [(batch, scalings) for seeds, scalings in runs
                    for batch in run_seed_batches(spec, seeds, PowerBudget(1e4))]
@@ -366,26 +405,23 @@ class TestStacked:
                 singles = [systems.item(i) for i in range(len(batch.seeds))]
                 for node in spec.topology.nodes():
                     known = spec.adversary_known.get(node, frozenset())
-                    candidates = [d.sid for d in spec.symbols if d.sid not in known]
-                    stacked = identifiable_symbols_stacked(systems, node, candidates, known)
-                    whole = _whole_matrix_symbols(systems, node, candidates, known)
-                    assert {sid: f.tolist() for sid, f in stacked.items()} == \
-                        {sid: f.tolist() for sid, f in whole.items()}, (batch.seeds, node, scale)
+                    candidates = _sampled([d.sid for d in spec.symbols if d.sid not in known])
+                    reference = _whole_matrix_symbols(systems, node, candidates, known)
                     target_sets = [[sid for sid in spec.message_sids(node) if sid not in known],
                                    candidates[:1]]
                     target_sets += [sorted(sids) for adv, sids in spec.protected.items()
                                     if adv == node]
-                    checks = [identifiability_checks(systems, node, targets, known)
-                              for targets in target_sets]
-                    whole = _whole_matrix_checks(systems, node, target_sets, known)
-                    assert [flags.tolist() for flags in checks] == \
-                        [flags.tolist() for flags in whole], (batch.seeds, node, scale)
+                    ranks = [resolved_ranks(systems, node, targets, known)
+                             for targets in target_sets]
+                    whole = _whole_matrix_ranks(systems, node, target_sets, known)
+                    assert [gained.tolist() for gained in ranks] == \
+                        [gained.tolist() for gained in whole], (batch.seeds, node, scale)
                     for i, one in enumerate(singles):
                         case = (scheme_id, batch.seeds[i], node, scale)
                         table = identifiable_symbols(one, node, candidates, known)
-                        assert {sid: bool(f[i]) for sid, f in stacked.items()} == table, case
-                        for targets, flags in zip(target_sets, checks):
-                            assert bool(flags[i]) == identifiability_check(
+                        assert {sid: bool(f[i]) for sid, f in reference.items()} == table, case
+                        for targets, gained in zip(target_sets, ranks):
+                            assert (gained[i] == len(targets)) == identifiability_check(
                                 one, node, targets, known), (case, targets)
 
     @pytest.mark.parametrize("scheme_id, params", [
@@ -394,9 +430,10 @@ class TestStacked:
     ], ids=["MR_DDP", "BC_S1_43", "SUB_SECURE_MULTICAST", "SUB_PD_DP_UNICAST",
             "MR_S30_29_A-blocks20"])
     def test_stacked_verdicts_with_mixed_ranks(self, scheme_id, params):
-        """Systems of different rank in one stack: each is judged against its
-        own null rows and its own scale, block by block against the scale of
-        its whole matrix, as the whole-matrix reference judges it."""
+        """Systems of different rank in one stack: each is judged block by
+        block against the scale of its whole system, as the whole-matrix
+        reference judges it, for two targets together and for each
+        candidate alone."""
         spec = build_scheme(scheme_id, **params)
         batch = TraceBatch.concatenate(list(run_seed_batches(spec, range(6), PowerBudget(1e4))))
         assembled = assemble_effective_systems(batch)
@@ -414,17 +451,47 @@ class TestStacked:
         for node in spec.topology.nodes():
             known = spec.adversary_known.get(node, frozenset())
             candidates = [d.sid for d in spec.symbols if d.sid not in known]
-            stacked = identifiable_symbols_stacked(systems, node, candidates, known)
-            whole = _whole_matrix_symbols(systems, node, candidates, known)
+            alone = _sampled(candidates)
             checks = identifiability_checks(systems, node, candidates[:2], known)
-            (whole_checks,) = _whole_matrix_checks(systems, node, [candidates[:2]], known)
+            whole_checks, *whole = _whole_matrix_checks(
+                systems, node, [candidates[:2], *([sid] for sid in alone)], known)
             assert checks.tolist() == whole_checks.tolist(), node
             for i in range(6):
                 one = systems.item(i)
-                table = identifiable_symbols(one, node, candidates, known)
-                assert {sid: bool(f[i]) for sid, f in stacked.items()} == table, (node, i)
-                assert {sid: bool(f[i]) for sid, f in whole.items()} == table, (node, i)
+                table = identifiable_symbols(one, node, alone, known)
+                assert {sid: bool(f[i]) for sid, f in zip(alone, whole)} == table, (node, i)
                 assert bool(checks[i]) == identifiability_check(one, node, candidates[:2], known)
+
+
+    @pytest.mark.parametrize("scheme_id, params, seeds", SECURE_CASES, ids=[
+        scheme_id + "".join(f"-{k}{v}" for k, v in params.items())
+        for scheme_id, params, _ in SECURE_CASES])
+    def test_leak_rank_margins(self, scheme_id, params, seeds):
+        """Every adversary's leak rank is 0 with 4 decades to spare at
+        scalings 1, 1e-10 and 1e3: block by block, each singular value of
+        [S N] and of N (protected and nuisance columns) lies at least 4
+        decades above or below the cutoff, RANK_REL_TOL times the system's
+        scale."""
+        spec = build_scheme(scheme_id, **params)
+        for batch in run_seed_batches(spec, seeds, PowerBudget(1e4)):
+            assembled = assemble_effective_systems(batch)
+            for scale in SCALINGS:
+                systems = dataclasses.replace(assembled, matrices={
+                    n: m * scale for n, m in assembled.matrices.items()})
+                cutoff = RANK_REL_TOL * _scale(systems)[:, None]
+                for adv, protected in spec.protected.items():
+                    known = spec.adversary_known[adv]
+                    kept, is_protected = systems.split_columns(protected, known)
+                    kept = np.array(kept)
+                    for rows, cols in systems.blocks:
+                        in_block = np.isin(kept, cols)
+                        for columns in (kept[in_block], kept[in_block & ~is_protected]):
+                            mats = systems.matrices[adv][:, rows[:, None], columns]
+                            if mats.size:
+                                sv = np.linalg.svd(mats, compute_uv=False)
+                                grey = (sv > 1e-4 * cutoff) & (sv < 1e4 * cutoff)
+                                assert not grey.any(), (batch.seeds, scale, adv)
+                    assert not resolved_ranks(systems, adv, protected, known).any()
 
 
 BLOCK_COUNTS = [
@@ -511,7 +578,6 @@ class TestBlocks:
             for call, at in (
                 (lambda: identifiable_symbols(one, node, ["s0"]), 0),
                 (lambda: identifiability_check(one, node, ["s0"]), 0),
-                (lambda: identifiable_symbols_stacked(stack, node, ["s0"]), 1),
                 (lambda: identifiability_checks(stack, node, ["s0"]), 1),
             ):
                 with pytest.raises(BadParams, match=f"node {node}: system {at} "):

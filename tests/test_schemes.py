@@ -682,8 +682,23 @@ class TestDecode:
     def test_pdd_protected_symbol_hidden(self):
         spec, trace = _run("MR_PDD", seed=1)
         report = decode(trace)
-        assert report.adversary[EVE] == {"v": False}
+        assert report.leak_ranks == {EVE: 0}
         assert list(report.nodes) == [RX1]      # rx2 is sent no messages
+
+    def test_a_combination_in_the_clear_has_leak_rank_one(self, leaky_mr_ppd):
+        """A slot that sends v + w in the clear gives the eavesdropper a leak
+        rank of 1 on every seed, though the receivers decode and neither
+        symbol is separable at the eavesdropper alone."""
+        from sdof_lab.precoding import assemble_effective_systems, identifiable_symbols
+
+        for batch in run_seed_batches(leaky_mr_ppd, range(5), PowerBudget(1e4)):
+            systems = assemble_effective_systems(batch)
+            for i, report in enumerate(decode_batch(batch, systems)):
+                assert report.all_success
+                assert report.leak_ranks == {EVE: 1}
+                assert report.any_protected_identifiable
+                assert identifiable_symbols(systems.item(i), EVE, ["v", "w"]) == \
+                    {"v": False, "w": False}
 
     @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
     def test_reports_score_exactly_the_receivers(self, scheme_id):
