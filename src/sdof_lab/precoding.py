@@ -271,12 +271,8 @@ def _ranks(mats: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return np.sum(sv > (RANK_REL_TOL * scale)[:, None], axis=-1)
 
 
-def resolved_ranks(
-    systems: EffectiveLinearSystem,
-    node: str,
-    targets: Iterable[str],
-    known: Iterable[str] = (),
-) -> np.ndarray:
+def resolved_ranks(systems: EffectiveLinearSystem, node: str, targets: Iterable[str],
+                   known: Iterable[str] = ()) -> np.ndarray:
     """Per system of a stack, as an int array, how many dimensions of the
     `targets` the node resolves: rank([T N]) - rank(N) once the `known`
     columns are removed, with T the target columns and N the rest.  It is
@@ -285,22 +281,31 @@ def resolved_ranks(
 
     Each rank is the sum of the ranks of the node's matrix on the stack's
     `blocks`, counting singular values above RANK_REL_TOL times the scale of
-    the whole system: two stacked SVDs per block in all."""
-    targets = frozenset(targets)
-    kept, kept_target = systems.split_columns(targets, known)
+    the whole system: two stacked SVDs per block that holds a target, and
+    none for a block without one, which adds nothing."""
+    return _resolved_ranks_each(systems, node, [targets], known)[0]
+
+
+def _resolved_ranks_each(systems: EffectiveLinearSystem, node: str,
+                         target_sets: list, known: Iterable[str]) -> np.ndarray:
+    """`resolved_ranks` of each target set; rank([T N]), the kept columns', is shared."""
+    known = frozenset(known)
+    kept = np.array([d.sid not in known for d in systems.symbols], dtype=bool)
+    is_target = np.zeros((len(target_sets), len(kept)), dtype=bool)
+    for i, targets in enumerate(target_sets):
+        is_target[i, kept] = systems.split_columns(targets, known)[1]
     mats = systems.matrices[node]
-    gained = np.zeros(len(mats), dtype=int)
-    if not targets:
+    gained = np.zeros((len(target_sets), len(mats)), dtype=int)
+    if not is_target.any():
         return gained
-    is_target = np.zeros(len(systems.symbols), dtype=bool)
-    is_target[kept] = kept_target
-    is_nuisance = np.zeros(len(systems.symbols), dtype=bool)
-    is_nuisance[kept] = ~kept_target
     scale = _system_scale(systems, node)
     for rows, cols in systems.blocks:
-        block = mats[:, rows[:, None], cols]
-        gained += (_ranks(block[..., is_target[cols] | is_nuisance[cols]], scale)
-                   - _ranks(block[..., is_nuisance[cols]], scale))
+        hit = np.flatnonzero(is_target[:, cols].any(axis=1))
+        if len(hit):
+            block = mats[:, rows[:, None], cols]
+            whole = _ranks(block[..., kept[cols]], scale)
+            for i in hit:
+                gained[i] += whole - _ranks(block[..., kept[cols] & ~is_target[i, cols]], scale)
     return gained
 
 
@@ -333,8 +338,9 @@ def identifiable_symbols(
     known: Iterable[str] = (),
 ) -> dict[str, bool]:
     """`identifiability_check` of each candidate alone: whether the node can
-    separate it from every other unknown column.  An unknown candidate, or
-    one that is also known, raises before any check."""
-    candidates = tuple(candidates)
+    separate it from every other unknown column, its `resolved_ranks` 1.
+    An unknown candidate, or one that is also known, raises before any check."""
+    candidates, known = tuple(candidates), frozenset(known)
     system.split_columns(candidates, known)
-    return {sid: identifiability_check(system, node, [sid], known) for sid in candidates}
+    ranks = _resolved_ranks_each(system.stacked(), node, [[sid] for sid in candidates], known)
+    return {sid: bool(gained[0] == 1) for sid, gained in zip(candidates, ranks)}

@@ -85,13 +85,6 @@ def _whole_matrix_checks(systems, node, target_sets, known=()):
             in zip(_whole_matrix_ranks(systems, node, target_sets, known), target_sets)]
 
 
-def _sampled(candidates):
-    """The candidates whose verdicts a test takes one at a time, each an SVD
-    pair per block (about 1.4 ms for a composite's 58x100 block): all of
-    a small scheme's, ten evenly spaced ones of a composite's."""
-    return candidates if len(candidates) <= 20 else candidates[::len(candidates) // 10]
-
-
 complex_rows = st.lists(
     st.tuples(*[st.floats(-2, 2, allow_nan=False) for _ in range(6)]),
     min_size=1, max_size=2,
@@ -405,7 +398,7 @@ class TestStacked:
                 singles = [systems.item(i) for i in range(len(batch.seeds))]
                 for node in spec.topology.nodes():
                     known = spec.adversary_known.get(node, frozenset())
-                    candidates = _sampled([d.sid for d in spec.symbols if d.sid not in known])
+                    candidates = [d.sid for d in spec.symbols if d.sid not in known]
                     reference = _whole_matrix_symbols(systems, node, candidates, known)
                     target_sets = [[sid for sid in spec.message_sids(node) if sid not in known],
                                    candidates[:1]]
@@ -451,15 +444,14 @@ class TestStacked:
         for node in spec.topology.nodes():
             known = spec.adversary_known.get(node, frozenset())
             candidates = [d.sid for d in spec.symbols if d.sid not in known]
-            alone = _sampled(candidates)
             checks = identifiability_checks(systems, node, candidates[:2], known)
             whole_checks, *whole = _whole_matrix_checks(
-                systems, node, [candidates[:2], *([sid] for sid in alone)], known)
+                systems, node, [candidates[:2], *([sid] for sid in candidates)], known)
             assert checks.tolist() == whole_checks.tolist(), node
             for i in range(6):
                 one = systems.item(i)
-                table = identifiable_symbols(one, node, alone, known)
-                assert {sid: bool(f[i]) for sid, f in zip(alone, whole)} == table, (node, i)
+                table = identifiable_symbols(one, node, candidates, known)
+                assert {sid: bool(f[i]) for sid, f in zip(candidates, whole)} == table, (node, i)
                 assert bool(checks[i]) == identifiability_check(one, node, candidates[:2], known)
 
 
