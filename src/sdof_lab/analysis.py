@@ -177,9 +177,11 @@ def leakage_slope(system: EffectiveLinearSystem, node: str, secret, slots,
 
 
 # Rows of Monte-Carlo samples the oracle forms at a time: a chunk's complex
-# samples, observations and quadratic forms take a few MB at the desk cap,
-# whatever the sample count.
-MC_CHUNK_ROWS = 1 << 12
+# samples, observations and quadratic forms take about 1 MB at the desk cap,
+# whatever the sample count.  `verify` holds them while criterion 3's batches
+# are live on its other thread (`acceptance.run_all`), so they are kept
+# smaller than one thread alone would need.
+MC_CHUNK_ROWS = 1 << 11
 
 
 def _whitener(cov: np.ndarray) -> np.ndarray:

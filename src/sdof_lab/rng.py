@@ -4,18 +4,20 @@ Every random draw in the lab flows through a named substream derived from a
 64-bit master seed.  Substreams are independent Philox streams, so work items
 (slots, seeds, Monte-Carlo batches) can be evaluated in any order and still
 reproduce bit-identical results.  `complex_normals` draws through one
-module-level generator, so two threads must not call it at once.
+reused generator per thread, which each call re-keys, so threads may draw at
+once and every draw has the same bits whichever thread makes it.
 
 The substream named by `tag` under `seed` is the Philox stream whose key
 numpy's `SeedSequence(entropy=seed mod 2^64, spawn_key=<tag words>)`
 generates.  A Philox stream's key is its whole state (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC 2011), so `keys` derives
 the keys of many (seed, tag) pairs at once, bit for bit as `SeedSequence`
-would, and `complex_normals` draws them all through one reused generator by
-setting its key.  `SeedSequence`'s hash constants do not depend on the data,
-the seed half of its pool does not depend on the tag, and the tag words'
-hashes do not depend on the seed; both halves are memoized in Python, and
-only the 16 mixing steps that join them run per key, on stacked arrays.
+would, and `complex_normals` draws them all through its thread's reused
+generator by setting its key.  `SeedSequence`'s hash constants do not
+depend on the data, the seed half of its pool does not depend on the tag,
+and the tag words' hashes do not depend on the seed; both halves are
+memoized in Python, and only the 16 mixing steps that join them run per
+key, on stacked arrays.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import threading
 
 import numpy as np
 
@@ -125,18 +128,21 @@ def stream(seed: int, *tag) -> np.random.Generator:
 
 _ZEROS = [0, 0, 0, 0]
 _INV_SQRT2 = 1 / np.sqrt(2.0)
-# the one generator that every `complex_normals` call resets to each key's
-# stream in turn: two calls must not draw at once
-_REUSED = np.random.Generator(np.random.Philox(key=0))
+# each thread's generator, which its `complex_normals` calls reset to each
+# key's stream in turn
+_reused = threading.local()
 
 
 def _keyed(key: list[int]) -> np.random.Generator:
-    """The one reused generator, reset to the start of `key`'s stream."""
-    _REUSED.bit_generator.state = {
+    """This thread's reused generator, reset to the start of `key`'s stream."""
+    gen = getattr(_reused, "gen", None)
+    if gen is None:
+        gen = _reused.gen = np.random.Generator(np.random.Philox(key=key))
+    gen.bit_generator.state = {
         "bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
         "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
-    return _REUSED
+    return gen
 
 
 def complex_from_parts(re: np.ndarray, im: np.ndarray) -> np.ndarray:

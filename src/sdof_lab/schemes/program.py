@@ -350,10 +350,10 @@ class TraceBatch(NamedTuple):
 #
 # Everything about a slot program that no seed changes is resolved once per
 # spec, in the same walk over its streams that checks their legality:
-# symbol columns, fixed axes and fixed payload combinations, and which
-# earlier streams each retransmitted observation reads.  The executor then
-# only does arithmetic, on every seed of a batch and every stream of a slot
-# at once.
+# symbol columns, fixed axes and fixed payload combinations, which earlier
+# streams each retransmitted observation reads, and after which slot no
+# observation reads a slot's streams any more.  The executor then only does
+# arithmetic, on every seed of a batch and every stream of a slot at once.
 
 class _Obs(NamedTuple):
     """ObsPart: node position, absolute slot, the kept streams' positions
@@ -384,6 +384,8 @@ class _Slot(NamedTuple):
     beams: tuple[np.ndarray | tuple[int, int, int], ...]
     # per stream: a symbol column, a fixed payload row, or a channel-dependent recipe
     rows: tuple[int | np.ndarray | _Obs | _Mix, ...]
+    # the slots, this one included, that no later slot retransmits from
+    frees: tuple[int, ...] = ()
 
 
 class _Program(NamedTuple):
@@ -417,6 +419,7 @@ def compile_spec(spec: SchemeSpec) -> _Program:
     positions: list[dict[str, int]] = []    # per slot: label -> stream position
     keys: dict[tuple, int] = {}             # (slot, refs) -> position in its group
     groups: dict[int, list] = {}            # ref count -> [(slot, refs), ...]
+    last_read: dict[int, int] = {}          # slot -> the last slot that retransmits from it
 
     def compile_row(payload: Payload, t: int) -> int | np.ndarray | _Obs | _Mix:
         """Slot t's symbol column, fixed row or channel-dependent recipe; an
@@ -435,6 +438,7 @@ def compile_spec(spec: SchemeSpec) -> _Program:
                 raise BadParams(f"slot {t}: payload reconstructs the observation "
                                 f"of unknown node {payload.node!r}")
             labels = positions[payload.slot]
+            last_read[payload.slot] = t
             picks = []
             for label in labels if payload.streams is None else payload.streams:
                 if label not in labels:
@@ -509,6 +513,10 @@ def compile_spec(spec: SchemeSpec) -> _Program:
         positions.append(labels)
         slots.append(_Slot(plan.state, tuple(labels), tuple(beams), tuple(rows)))
 
+    frees: dict[int, list[int]] = {}
+    for t in range(len(slots)):
+        frees.setdefault(last_read.get(t, t), []).append(t)
+    slots = [slot._replace(frees=tuple(frees.get(t, ()))) for t, slot in enumerate(slots)]
     columns = {(t, label): column for column, (t, label) in enumerate(
         (t, label) for t, labels in enumerate(positions) for label in labels)}
     return _Program(
@@ -544,14 +552,15 @@ class _Sent(NamedTuple):
 
 
 def _retransmitted_row(payload: _Obs | _Mix, chan: np.ndarray,
-                       sent: Sequence[_Sent]) -> np.ndarray:
-    """A channel-dependent payload row per seed: the sum over the picked
-    streams of ch @ (gain * outer(beam, row)), in stream order."""
-    total = np.zeros(sent[0].rows.shape[1:], dtype=complex)
+                       sent: Mapping[int, _Sent], n_sym: int) -> np.ndarray:
+    """A channel-dependent payload row of `n_sym` symbols per seed: the sum
+    over the picked streams of ch @ (gain * outer(beam, row)), in stream
+    order."""
+    total = np.zeros((len(chan), n_sym), dtype=complex)
     if isinstance(payload, _Mix):
         for coef, sub in payload.terms:
             total += coef * (sub if isinstance(sub, np.ndarray)
-                             else _retransmitted_row(sub, chan, sent))
+                             else _retransmitted_row(sub, chan, sent, n_sym))
         return total
     beams, gains, rows = (arr[payload.picks] for arr in sent[payload.slot])
     ch = chan[:, payload.node, payload.slot, None, :]
@@ -625,8 +634,9 @@ def execute_batch(
     # and x_value are tens of KB), not whole-program stacks: freeing a few
     # blocks of several MB together at the end of a run made the allocator
     # return them to the system and fault them in again on the next run
-    # (measured at --blocks 40: ~3500 page faults per seed).
-    sent: list[_Sent] = []
+    # (measured at --blocks 40: ~3500 page faults per seed).  A slot's payload
+    # rows are dropped after the last slot that retransmits from them.
+    sent: dict[int, _Sent] = {}
     all_beams = np.empty((len(program.column_slots), n_seeds, n_tx), dtype=complex)
     all_gains = np.empty(all_beams.shape[:2])
     x_values = np.zeros((n_seeds, n_slots, n_tx), dtype=complex)
@@ -646,7 +656,7 @@ def execute_batch(
             elif isinstance(row, np.ndarray):
                 rows[pos] = row
             else:
-                rows[pos] = _retransmitted_row(row, chan, sent)
+                rows[pos] = _retransmitted_row(row, chan, sent, n_sym)
         # a zero norm would divide by zero; an overflowed one would make the
         # gain zero and the stream send nothing
         norms = _norms(rows)
@@ -680,7 +690,9 @@ def execute_batch(
         x_value = x_values[:, t]
         for term in (gains * values)[:, :, None] * beams:
             x_value += term
-        sent.append(_Sent(beams, gains, rows))
+        sent[t] = _Sent(beams, gains, rows)
+        for done in slot.frees:
+            del sent[done]
         # every node's observation rows from one product, each (seed, node)
         # entry a lone row-times-matrix product
         obs_rows[:, :, t] = (chan[:, :, t, None, :] @ x[:, None])[:, :, 0].swapaxes(0, 1)

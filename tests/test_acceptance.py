@@ -79,6 +79,21 @@ def test_criterion_11_time_share_example():
     _check(acceptance.criterion_11())
 
 
+def test_verify_prints_the_benchmark_lines(capsys):
+    """`sdof-lab verify`, through `run_all` with criterion 9 on its own
+    thread, prints every criterion line whose digest the benchmark records,
+    in criterion order."""
+    from sdof_lab import cli
+
+    assert cli.main(["verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"{len(VERIFY_DIGESTS)}/{len(VERIFY_DIGESTS)} criteria passed"
+    numbers = [line.split()[1] for line in lines[:-1]]     # "criterion NN [...] ..."
+    assert numbers == sorted(VERIFY_DIGESTS)
+    assert {number: hashlib.sha256(line.encode()).hexdigest()
+            for number, line in zip(numbers, lines)} == VERIFY_DIGESTS
+
+
 def test_criterion_07_runs_the_oracle_on_every_catalog_system(monkeypatch):
     """No catalog system is skipped, so a size cap on the oracle fails here."""
     from sdof_lab import fm_oracle

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -610,3 +611,62 @@ class TestVerify:
         assert results[5].line() == (
             "criterion 06 [FAIL] Composite superframe accounting and measured rate prelogs."
             " -- exception: BadParams: unknown sub-protocol 'unavailable'")
+
+    @staticmethod
+    def _stub_criteria(monkeypatch, ninth):
+        """Stub criteria that record their thread, with `ninth` as criterion
+        9 under the real one's docstring, swapped in as perfbench's tracer
+        swaps criteria: in `ALL_CRITERIA` and as the module's `criterion_9`.
+        Criterion 1 waits until criterion 9 has started."""
+        from sdof_lab import acceptance
+
+        threads, started = {}, threading.Event()
+
+        def stub(number):
+            def criterion():
+                threads[number] = threading.get_ident()
+                if number == 1 and not started.wait(timeout=30):
+                    return acceptance.CriterionResult(1, "stub", "FAIL", "criterion 9 not started")
+                return acceptance.CriterionResult(number, "stub", "PASS")
+            return criterion
+
+        def criterion_9():
+            threads[9] = threading.get_ident()
+            started.set()
+            return ninth()
+
+        criterion_9.__doc__ = acceptance.criterion_9.__doc__
+        stubs = [stub(n) for n in range(1, 12)]
+        stubs[8] = criterion_9
+        monkeypatch.setattr(acceptance, "ALL_CRITERIA", tuple(stubs))
+        monkeypatch.setattr(acceptance, "criterion_9", criterion_9)
+        return threads
+
+    def test_criterion_9_runs_beside_the_others(self, monkeypatch):
+        """Criterion 9 starts first, off the calling thread, while the others
+        run in order on it; the results come back in criterion order."""
+        from sdof_lab import acceptance
+
+        ninth = lambda: acceptance.CriterionResult(9, "ninth", "PASS")   # noqa: E731
+        threads = self._stub_criteria(monkeypatch, ninth)
+        results = acceptance.run_all()
+        assert [(r.number, r.ok) for r in results] == [(n, True) for n in range(1, 12)]
+        caller = threading.get_ident()
+        assert threads.pop(9) != caller
+        assert set(threads.values()) == {caller} and len(threads) == 10
+
+    def test_criterion_9_exception_fails_only_criterion_9(self, monkeypatch):
+        """An exception on criterion 9's thread is criterion 9's FAIL line,
+        and the other criteria still pass."""
+        from sdof_lab import acceptance
+
+        def ninth():
+            raise FloatingPointError("oracle diverged")
+
+        threads = self._stub_criteria(monkeypatch, ninth)
+        results = acceptance.run_all()
+        assert threads[9] != threading.get_ident()
+        assert [r.ok for r in results] == [True] * 8 + [False] + [True] * 2
+        assert results[8].line() == (
+            "criterion 09 [FAIL] Closed-form mutual information against the Monte-Carlo"
+            " oracle. -- exception: FloatingPointError: oracle diverged")

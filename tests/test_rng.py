@@ -1,6 +1,9 @@
 """Bulk Philox keys and draws against numpy's SeedSequence definition of the
 substream layout."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -98,6 +101,22 @@ def test_redraws_continue_the_seed_sequence_substream(monkeypatch):
             redrawn += attempt > 0
             assert real[:, t].tobytes() == cand.tobytes(), (seed, t)
     assert redrawn > 5
+
+
+def test_threads_draw_their_own_substreams():
+    """Each thread reuses its own generator, so concurrent bulk draws give
+    the serial bits, even with threads switching every few bytecodes."""
+    jobs = [(range(k, k + 40), [("chan", t) for t in range(k % 7 + 1)]) for k in range(32)]
+    serial = [rng.complex_normals(seeds, tags, (3, 3)) for seeds, tags in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(rng.complex_normals, *job, (3, 3)) for job in jobs]
+            threaded = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(serial, threaded, strict=True))
 
 
 def test_empty_requests():

@@ -375,6 +375,27 @@ class TestBatch:
         total, rows = nbytes(tuple(trace)), nbytes(trace.obs_rows)
         assert total <= rows + (1 << 20)
 
+    @pytest.mark.parametrize("scheme_id, params", DECODE_CASES, ids=DECODE_IDS)
+    def test_payload_rows_are_freed_after_their_last_reader(self, scheme_id, params):
+        """Each slot's sent streams are freed once, after the last slot whose
+        payloads retransmit an observation of that slot (itself if none)."""
+        def read_slots(payload):
+            if isinstance(payload, ObsPart):
+                yield payload.slot
+            elif isinstance(payload, Comb):
+                for _, sub in payload.terms:
+                    yield from read_slots(sub)
+
+        spec = build_scheme(scheme_id, **params)
+        last = list(range(spec.n_slots))
+        for t, plan in enumerate(spec.slot_plans):
+            for recipe in plan.streams:
+                for read in read_slots(recipe.payload):
+                    last[read] = t
+        freed = {done: t for t, slot in enumerate(spec.compiled.slots) for done in slot.frees}
+        assert sum(len(slot.frees) for slot in spec.compiled.slots) == spec.n_slots
+        assert freed == dict(enumerate(last))
+
     def test_compiled_on_first_use_only(self):
         spec = build_scheme("MR_DDP")
         assert "compiled" not in vars(spec)
