@@ -133,11 +133,16 @@ _INV_SQRT2 = 1 / np.sqrt(2.0)
 _reused = threading.local()
 
 
-def _keyed(key: list[int]) -> np.random.Generator:
-    """This thread's reused generator, reset to the start of `key`'s stream."""
+def _thread_generator() -> np.random.Generator:
+    """This thread's reused generator, made on the thread's first draw."""
     gen = getattr(_reused, "gen", None)
     if gen is None:
-        gen = _reused.gen = np.random.Generator(np.random.Philox(key=key))
+        gen = _reused.gen = np.random.Generator(np.random.Philox(key=0))
+    return gen
+
+
+def _keyed(gen: np.random.Generator, key: list[int]) -> np.random.Generator:
+    """`gen` reset to the start of `key`'s stream."""
     gen.bit_generator.state = {
         "bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
         "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
@@ -174,7 +179,8 @@ def complex_normals(seeds, tags, shape) -> np.ndarray:
     shape = (shape,) if isinstance(shape, int) else tuple(shape)
     size = math.prod(shape)
     both = np.empty((len(seeds) * len(tags), 2, size))    # real parts, then imaginary
+    gen = _thread_generator()
     for key, out in zip(keys(seeds, tags).reshape(-1, 2).tolist(), both):
-        _keyed(key).standard_normal(out=out)
+        _keyed(gen, key).standard_normal(out=out)
     draws = complex_from_parts(both[:, 0], both[:, 1])
     return draws.reshape(len(seeds), len(tags), *shape)
