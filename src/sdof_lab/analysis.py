@@ -71,11 +71,20 @@ def _logdet_bits(mats: np.ndarray, powers: Sequence[float]) -> np.ndarray:
 
 def _kept_columns(systems: EffectiveLinearSystem, node: str,
                   secret, known) -> tuple[np.ndarray, np.ndarray]:
-    """node's matrices without the known columns, and the mask of secret columns."""
-    if systems.matrices[node].shape[-2] == 0:
+    """node's matrices without the known columns, and the mask of secret
+    columns over them.
+
+    When no column is known, the matrices are `systems.matrices[node]`
+    itself, the read-only view the assembly made, not a copy; otherwise
+    they are one copy of the kept columns.  The caller never writes what
+    it gets."""
+    mats = systems.matrices[node]
+    if mats.shape[-2] == 0:
         raise EmptySystem(f"node {node} has no observations")
     kept, is_secret = systems.split_columns(secret, known)
-    return systems.matrices[node][..., kept], is_secret
+    if len(kept) < mats.shape[-1]:
+        mats = mats[..., kept]
+    return mats, is_secret
 
 
 def gaussian_mi_stacked(systems: EffectiveLinearSystem, node: str,

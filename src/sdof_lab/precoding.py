@@ -17,6 +17,11 @@ oracle works block by block: a stack's `blocks` are the connected
 components of its exact nonzero pattern, found once per stack, and the
 oracle runs one SVD per (block, node, column set) for the whole stack,
 with every cutoff taken from the whole system.
+
+The assembled matrices are read-only views of the batch's observation
+rows, and the oracle and the analysis read them in place: a column set
+that covers a whole matrix is that matrix itself, and any other is one
+gathered copy.  No caller writes what it gets.
 """
 
 from __future__ import annotations
@@ -288,7 +293,12 @@ def resolved_ranks(systems: EffectiveLinearSystem, node: str, targets: Iterable[
 
 def _resolved_ranks_each(systems: EffectiveLinearSystem, node: str,
                          target_sets: list, known: Iterable[str]) -> np.ndarray:
-    """`resolved_ranks` of each target set; rank([T N]), the kept columns', is shared."""
+    """`resolved_ranks` of each target set; rank([T N]), the kept columns', is shared.
+
+    Each (block, column set) matrix is taken from the node's matrix in one
+    indexing step, and is the node's read-only matrix itself, not a copy,
+    when the set covers every row and column.  `_ranks` only reads what it
+    gets, so the matrix is never written."""
     known = frozenset(known)
     kept = np.array([d.sid not in known for d in systems.symbols], dtype=bool)
     is_target = np.zeros((len(target_sets), len(kept)), dtype=bool)
@@ -299,13 +309,19 @@ def _resolved_ranks_each(systems: EffectiveLinearSystem, node: str,
     if not is_target.any():
         return gained
     scale = _system_scale(systems, node)
+
+    def part(rows, cols):           # the node's matrices on (rows, cols)
+        if len(rows) < mats.shape[-2]:
+            return mats[:, rows[:, None], cols]
+        return mats if len(cols) == mats.shape[-1] else mats[..., cols]
+
     for rows, cols in systems.blocks:
         hit = np.flatnonzero(is_target[:, cols].any(axis=1))
         if len(hit):
-            block = mats[:, rows[:, None], cols]
-            whole = _ranks(block[..., kept[cols]], scale)
+            whole = _ranks(part(rows, cols[kept[cols]]), scale)
             for i in hit:
-                gained[i] += whole - _ranks(block[..., kept[cols] & ~is_target[i, cols]], scale)
+                gained[i] += whole - _ranks(
+                    part(rows, cols[kept[cols] & ~is_target[i, cols]]), scale)
     return gained
 
 

@@ -25,10 +25,12 @@ from sdof_lab.errors import (
 )
 from sdof_lab.model import EVE, RX1, RX2, PowerBudget, Topology, sample_channel
 from sdof_lab.precoding import (
-    EffectiveLinearSystem, SymbolDecl, assemble_effective_system, identifiability_check,
-    identifiable_symbols,
+    EffectiveLinearSystem, SymbolDecl, assemble_effective_system, assemble_effective_systems,
+    identifiability_check, identifiable_symbols,
 )
-from sdof_lab.schemes import SCHEME_IDS, build_scheme, leak_series, rate_series, run_scheme
+from sdof_lab.schemes import (
+    SCHEME_IDS, build_scheme, leak_series, rate_series, run_scheme, run_seed_batches,
+)
 
 STEP5_GRID = tuple(2.0 ** e for e in range(20, 61, 5))
 # the CLI's whole exponent range, negative exponents included
@@ -263,6 +265,37 @@ class TestStacked:
         monkeypatch.setattr(analysis.np.linalg, "svd", counting)
         gaussian_mi_stacked(stack, RX1, stack.message_sids(RX1), STEP5_GRID)
         assert len(calls) == 2 and all(shape[0] == len(singles) for shape in calls)
+
+    def test_kept_columns_read_the_node_matrix_in_place(self):
+        """With no known column, the analysis reads a node's assembled
+        read-only matrix itself; a known column leaves a copy of the rest."""
+        spec, system = _system("MR_PDP")
+        mats = system.matrices[EVE]
+        full, is_secret = analysis._kept_columns(system, EVE, ["v1"], ())
+        assert full is mats and np.shares_memory(full, mats)
+        assert not full.flags.writeable
+        assert is_secret.tolist() == [True, False, False]
+        kept, _ = analysis._kept_columns(system, EVE, ["v1"], ["w"])
+        assert not np.shares_memory(kept, mats)
+        assert kept.tobytes() == mats[:, :-1].tobytes()
+
+    def test_peak_memory_is_below_one_node_matrix(self):
+        """On a one-seed `--blocks 40` stack, rx1's rates trace a peak below
+        the node's matrix: the kept columns are read in place and only the
+        nuisance columns are copied.  numpy's own SVD buffer is not traced."""
+        import tracemalloc
+
+        spec = build_scheme("MR_S30_29_A", blocks=40)
+        systems = assemble_effective_systems(
+            next(run_seed_batches(spec, [0], PowerBudget(1e4))))
+        mats = systems.matrices[RX1]
+        tracemalloc.start()
+        try:
+            gaussian_mi_stacked(systems, RX1, systems.message_sids(RX1), DEFAULT_GRID)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < mats.nbytes, (peak, mats.nbytes)
 
     def test_empty_stack_raises(self):
         system = EffectiveLinearSystem(

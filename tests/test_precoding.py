@@ -377,6 +377,31 @@ class TestStacked:
         with pytest.raises(AssertionError, match="seed 5: effective system"):
             assemble_effective_systems(batch)
 
+    @pytest.mark.parametrize("oracle", [resolved_ranks, identifiability_checks])
+    def test_oracle_reads_the_node_matrices_in_place(self, oracle):
+        """On an 11-seed batch of the default composite, whose one block
+        covers every row and column, each node's rank check (its message
+        symbols; the adversary's protected ones, its known columns removed)
+        traces a peak below one node matrix: the kept columns are the
+        node's matrix itself, and only the nuisance columns are gathered.
+        numpy's own SVD buffer is not traced."""
+        import tracemalloc
+
+        spec = build_scheme("MR_S30_29_A")
+        batch = next(run_seed_batches(spec, range(11), PowerBudget(1e4)))
+        systems = assemble_effective_systems(batch)
+        assert len(batch.seeds) == 11 and len(systems.blocks) == 1
+        for node, mats in systems.matrices.items():
+            known = spec.adversary_known.get(node, frozenset())
+            targets = spec.protected.get(node) or spec.message_sids(node)
+            tracemalloc.start()
+            try:
+                oracle(systems, node, targets, known)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < mats.nbytes, (node, peak, mats.nbytes)
+
     @pytest.mark.parametrize("scheme_id, params, runs", [
         *((scheme_id, {}, [(range(20), SCALINGS)]) for scheme_id in SCHEME_IDS),
         *(("MR_S30_29_A", {"blocks": blocks}, [([i], [scale]) for i, scale in enumerate(SCALINGS)])
