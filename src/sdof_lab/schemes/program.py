@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import cmath
 import json
-import mmap
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
@@ -544,10 +543,6 @@ def compile_spec(spec: SchemeSpec) -> _Program:
 # at peak) still stay under criterion 9's streamed peak.
 BATCH_CELLS = 1 << 16
 
-# A batch's observation rows of at least this many bytes get an anonymous
-# memory map of their own (`_observation_rows`).
-MAPPED_ROWS_BYTES = 1 << 20
-
 
 class _Sent(NamedTuple):
     """One executed slot, stacked (stream, seed, ...)."""
@@ -572,25 +567,6 @@ def _retransmitted_row(payload: _Obs | _Mix, chan: np.ndarray,
     for term in ch @ (gains[:, :, None, None] * (beams[:, :, :, None] * rows[:, :, None, :])):
         total += term[:, 0]
     return total
-
-
-def _observation_rows(shape: tuple[int, ...]) -> np.ndarray:
-    """An array of `shape` for a batch's (node, seed, slot, symbol)
-    observation rows, which the executor writes in full: in an anonymous
-    memory map of its own when it takes at least `MAPPED_ROWS_BYTES`.
-
-    Once a freed block of some size has raised glibc's mmap threshold, the
-    heap serves blocks of that size.  Small long-lived allocations then
-    land in the hole a run's rows leave, the next run's rows no longer fit
-    there and go above it, and the heap, which glibc does not give back,
-    grows by the rows' size.  A map of its own goes back to the system when
-    the last view of the rows dies (at `--blocks 40` the rows take 4.3 MB
-    per seed)."""
-    n_bytes = int(np.prod(shape)) * np.dtype(complex).itemsize
-    if n_bytes < MAPPED_ROWS_BYTES:
-        return np.empty(shape, dtype=complex)
-    private = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
-    return np.frombuffer(mmap.mmap(-1, n_bytes, private), dtype=complex).reshape(shape)
 
 
 def execute_batch(
@@ -664,7 +640,7 @@ def execute_batch(
     all_beams = np.empty((len(program.column_slots), n_seeds, n_tx), dtype=complex)
     all_gains = np.empty(all_beams.shape[:2])
     x_values = np.zeros((n_seeds, n_slots, n_tx), dtype=complex)
-    obs_rows = _observation_rows((len(nodes), n_seeds, n_slots, n_sym))
+    obs_rows = np.empty((len(nodes), n_seeds, n_slots, n_sym), dtype=complex)
     start = 0       # the slot's first stream column
     for t, slot in enumerate(program.slots):
         k = len(slot.labels)

@@ -1,6 +1,5 @@
 """Scheme library: building, execution, decoding, accounting, legality."""
 
-import mmap
 from dataclasses import replace
 from fractions import Fraction
 
@@ -42,7 +41,6 @@ from sdof_lab.schemes import (
     seed_chunks,
 )
 from sdof_lab.schemes.program import (
-    MAPPED_ROWS_BYTES,
     Axis,
     Comb,
     NullOf,
@@ -376,18 +374,6 @@ class TestBatch:
         _, trace = _run("MR_S30_29_A", blocks=40)
         total, rows = nbytes(tuple(trace)), nbytes(trace.obs_rows)
         assert total <= rows + (1 << 20)
-
-    def test_large_observation_rows_have_a_map_of_their_own(self):
-        """Observation rows of at least `MAPPED_ROWS_BYTES` are a view of an
-        anonymous memory map, which dies with the batch, not a heap block;
-        smaller ones are an ordinary array."""
-        _, large = _run("MR_S30_29_A", blocks=40)
-        assert large.obs_rows.nbytes >= MAPPED_ROWS_BYTES
-        assert isinstance(large.obs_rows.base.base.obj, mmap.mmap)
-        assert large.obs_rows.flags.writeable and large.obs_rows.flags.c_contiguous
-        _, small = _run("WT_PP")
-        assert small.obs_rows.nbytes < MAPPED_ROWS_BYTES
-        assert small.obs_rows.base is None
 
     @pytest.mark.parametrize("scheme_id, params", DECODE_CASES, ids=DECODE_IDS)
     def test_payload_rows_are_freed_after_their_last_reader(self, scheme_id, params):
